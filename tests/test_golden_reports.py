@@ -1,0 +1,109 @@
+"""Byte-identity gate for suite reports.
+
+Every catalogue variant of ``scripts/verify_catalogue.py``, plus a few
+non-Galois and non-algebra-map documents that exercise witnesses and skip
+notes, is run through each applicable suite with the CLI default cutoff.
+The sha256 of each JSON report must equal the digest recorded in
+``golden_reports.json``.  A refactor that changes any report byte fails here.
+
+Re-record (only when a report change is intended):
+
+    PYTHONPATH=src python tests/test_golden_reports.py --record
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from entwine.catalogue import ExampleSpec, build, group_algebra
+from entwine.docformat import document_from_example
+from entwine.exactlin import Matrix
+from entwine.fields import QQ
+from entwine.structures import ComoduleAlgebra, ModuleCoalgebra, field_algebra, field_coalgebra
+from entwine.suites import run_suite
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).with_name("golden_reports.json")
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("verify_catalogue", ROOT / "scripts" / "verify_catalogue.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SCRIPT = _load_script()
+
+
+def _extra_examples():
+    """Documents outside the catalogue that reach the failure paths."""
+    z2 = group_algebra({"group": "Z2"}, QQ)
+    z4 = group_algebra({"group": "Z4"}, QQ)
+    # k coacted on by k[Z2] through 1 |-> 1 (x) 1: the canonical map is not onto
+    field_over_z2 = ComoduleAlgebra(field_algebra(QQ), z2.coalgebra, Matrix.from_rows([[1], [0]], QQ))
+    # k[Z4] coacting on itself by a |-> a (x) 1: an algebra map, not Galois
+    trivial_rows = [[0] * 4 for _ in range(16)]
+    for a in range(4):
+        trivial_rows[a * 4][a] = 1
+    trivial = ComoduleAlgebra(z4.algebra, z4.coalgebra, Matrix.from_rows(trivial_rows, QQ))
+    # k[Z2] coacting on itself by a |-> a (x) g: not an algebra map
+    shifted_rows = [[0] * 2 for _ in range(4)]
+    for a in range(2):
+        shifted_rows[a * 2 + 1][a] = 1
+    shifted = ComoduleAlgebra(z2.algebra, z2.coalgebra, Matrix.from_rows(shifted_rows, QQ))
+    # k acted on by k[Z2] through the trivial character: not a coextension
+    collapsed = ModuleCoalgebra(field_coalgebra(QQ), z2.algebra, Matrix.from_rows([[1, 1]], QQ))
+    # k[Z2] acted on by itself through the sign character: not a coalgebra map
+    sign = ModuleCoalgebra(z2.coalgebra, z2.algebra, Matrix.from_rows([[1, -1, 0, 0], [0, 0, 1, -1]], QQ))
+    return {
+        "field-over-Z2": {"comodule_algebra": field_over_z2},
+        "trivial-coaction-Z4": {"hopf": z4, "comodule_algebra": trivial},
+        "shifted-coaction-Z2": {"hopf": z2, "comodule_algebra": shifted},
+        "collapsed-action-Z2": {"module_coalgebra": collapsed},
+        "sign-action-Z2": {"hopf": z2, "module_coalgebra": sign},
+    }
+
+
+def _documents():
+    for name in _SCRIPT.EXAMPLE_NAMES:
+        for params in _SCRIPT.VARIANTS[name]:
+            yield f"{name} {json.dumps(params, sort_keys=True)}", document_from_example(build(name, params))
+    for name, structures in _extra_examples().items():
+        yield name, document_from_example(ExampleSpec(name, (), QQ, structures))
+
+
+def report_digests() -> dict[str, str]:
+    digests = {}
+    for label, doc in _documents():
+        for suite in _SCRIPT.applicable_suites(doc):
+            text = run_suite(doc, suite).to_json()
+            digests[f"{label}/{suite}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return report_digests()
+
+
+def test_every_report_matches_its_recorded_digest(digests):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(digests) == sorted(recorded)
+    changed = [key for key in recorded if digests[key] != recorded[key]]
+    assert not changed
+
+
+def test_gate_covers_every_suite(digests):
+    suites = {key.rsplit("/", 1)[1] for key in digests}
+    assert suites == {"structures", "entwining", "galois", "cogalois", "cogenerate"}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden_reports.py --record")
+    DIGESTS.write_text(json.dumps(report_digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
