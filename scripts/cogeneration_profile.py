@@ -26,7 +26,7 @@ def main() -> int:
         print(label)
         print(f"  kernel profile: {profile}   verdict: {report.verdict}"
               + (f" (decided at length {report.stabilized_at})" if report.stabilized_at else ""))
-        meet = coinvariant_intersection_check(self_extension(hopf), subs[0], subs[1], cutoff=7)
+        meet = coinvariant_intersection_check(self_extension(hopf), report)
         print(
             f"  coinvariants: full={meet.full_coinvariants.dim}"
             f" quotient={tuple(s.dim for s in meet.quotient_coinvariants)}"

@@ -3,8 +3,12 @@
     entwine check FILE --suite NAME [--report json|text] [--cutoff N]
     entwine example NAME [--param key=value ...] [--emit PATH]
 
+``--cutoff`` bounds the chain length of the cogenerate suite (default
+dim C + 1); no other suite takes a cutoff.
+
 Exit codes: 0 every check passed, 1 at least one check failed, 2 input error
-(malformed document, missing section, unknown example or suite).
+(malformed document, missing section, unknown example or suite, a prime
+modulus too large for exact primality testing).
 """
 
 from __future__ import annotations

@@ -28,11 +28,12 @@ from .errors import (
     NotGaloisCoextension,
 )
 from .exactlin import (
+    Bijectivity,
     Matrix,
-    NotInvertible,
     Subspace,
     basis_vector,
     column_matrix,
+    decide_bijection,
     image,
     kernel,
     kron,
@@ -40,7 +41,6 @@ from .exactlin import (
     quotient,
     row_matrix,
     stack_rows,
-    try_invert,
     vectorize,
 )
 from .galois import UniquenessReport
@@ -240,12 +240,20 @@ def _cotensor_square(c: FiniteCoalgebra, pi: Matrix) -> Subspace:
 
 def _cotensor_cube(c: FiniteCoalgebra, pi: Matrix) -> Subspace:
     """C box_B C box_B C as the joint kernel of both equalising maps."""
-    field = c.field
     rc = kron(c.identity_matrix, pi) @ c.comult_matrix
     lc = kron(pi, c.identity_matrix) @ c.comult_matrix
     ic = c.identity_matrix
     ell = kron(rc, ic) - kron(ic, lc)
     return kernel(stack_rows([kron(ell, ic), kron(ic, ell)]))
+
+
+def _decide_onto_cotensor(cocan: Matrix, web: Subspace) -> Bijectivity:
+    """decide_bijection for a map in cotensor coordinates; a witness outside
+    the image is reported in C (x) C rather than in those coordinates."""
+    decision = decide_bijection(cocan)
+    if decision.witness is not None and decision.rank == cocan.cols:
+        return replace(decision, witness=web.inclusion().apply(decision.witness))
+    return decision
 
 
 def _raw_cocanonical_map(x: ModuleCoalgebra) -> Matrix:
@@ -259,7 +267,6 @@ def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
     and certify the cotranslation identities and canonical entwining map."""
     _require_module(x)
     c, a = x.coalgebra, x.algebra
-    field = c.field
     coideal = canonical_coideal(x)
     base, pi = quotient_coalgebra(c, coideal)
     web = _cotensor_square(c, pi)
@@ -286,34 +293,9 @@ def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
             kron(ic, x.action) @ kron(cocan_full, ia),
         ),
     ]
-    target_dim = web.dim
-    source_dim = c.dim * a.dim
-    inverse = None
-    witness = None
-    if source_dim != target_dim:
-        can_rank = len(image(cocan).basis)
-        is_galois = False
-        ker = kernel(cocan)
-        witness = ker.basis[0] if ker.dim else None
-        if witness is None:
-            img = image(cocan)
-            for i in range(target_dim):
-                if not img.contains_vector(basis_vector(target_dim, i, field)):
-                    witness = tuple(incl.column(i))
-                    break
-        checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, False))
-    else:
-        attempt = try_invert(cocan)
-        if isinstance(attempt, NotInvertible):
-            can_rank = attempt.rank
-            is_galois = False
-            witness = attempt.witness
-            checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, False))
-        else:
-            can_rank = target_dim
-            is_galois = True
-            inverse = attempt
-            checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, True))
+    decision = _decide_onto_cotensor(cocan, web)
+    is_galois = decision.inverse is not None
+    checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, is_galois))
     cert = CoextensionCertificate(
         subject=x,
         coideal=coideal,
@@ -321,17 +303,17 @@ def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
         base_projection=pi,
         cotensor=web,
         cocan=cocan,
-        rank=can_rank,
+        rank=decision.rank,
         is_coextension=is_galois,
-        cocan_inverse=inverse,
+        cocan_inverse=decision.inverse,
         cotranslation=None,
         psi=None,
-        witness=witness,
+        witness=decision.witness,
         checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
     )
     if not is_galois:
         return cert
-    cotranslation = kron(c.counit_matrix, ia) @ inverse
+    cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
     cert = replace(cert, cotranslation=cotranslation)
     checks.extend(_cotranslation_checks(cert))
     psi_structure = canonical_entwining_dual(cert)
@@ -350,7 +332,6 @@ def _cotranslation_checks(cert: CoextensionCertificate) -> list[AxiomCheck]:
     """The cotranslation identities, each stated on its proper domain."""
     x = cert.subject
     c, a = x.coalgebra, x.algebra
-    field = c.field
     web = cert.cotensor
     incl, coords = web.inclusion(), web.coordinates()
     projector = incl @ coords
@@ -486,24 +467,10 @@ def dual_bundle_check(e: EntwiningStructure, character: Character) -> DualBundle
     if (incl @ coords) @ cocan_full != cocan_full:
         raise ImageEscape("dual bundle canonical map leaves the cotensor product")
     cocan_psi = coords @ cocan_full
-    target_dim = web.dim
-    source_dim = c.dim * a.dim
-    if source_dim != target_dim:
-        ker = kernel(cocan_psi)
-        return DualBundleReport(
-            e, tuple(character.coords), induced_action, coideal, base, pi, web, cocan_psi,
-            rank=len(image(cocan_psi).basis), is_bundle=False,
-            witness=ker.basis[0] if ker.dim else None,
-        )
-    attempt = try_invert(cocan_psi)
-    if isinstance(attempt, NotInvertible):
-        return DualBundleReport(
-            e, tuple(character.coords), induced_action, coideal, base, pi, web, cocan_psi,
-            rank=attempt.rank, is_bundle=False, witness=attempt.witness,
-        )
+    decision = _decide_onto_cotensor(cocan_psi, web)
     return DualBundleReport(
         e, tuple(character.coords), induced_action, coideal, base, pi, web, cocan_psi,
-        rank=target_dim, is_bundle=True, witness=None,
+        rank=decision.rank, is_bundle=decision.inverse is not None, witness=decision.witness,
     )
 
 
@@ -537,20 +504,19 @@ class DualBundleEquivalenceReport:
         )
 
 
-def dual_bundle_action_equivalence(e: EntwiningStructure, character: Character) -> DualBundleEquivalenceReport:
-    """Both directions of the dual correspondence at a fixed character.
+def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquivalenceReport:
+    """Both directions of the dual correspondence at the bundle's character.
 
     Forward: from a verified dual bundle, act = (kappa (x) C)psi is an action
     whose coextension certificate recovers psi, with counit . act =
     counit (x) kappa.  Backward: the certificate's coideal and canonical map
     equal the bundle's.  The uniqueness clause checks the action is forced.
     """
-    bundle = dual_bundle_check(e, character)
     if not bundle.is_bundle:
         return DualBundleEquivalenceReport(False, "not a dual bundle: the canonical map is not bijective", bundle=bundle)
+    e = bundle.entwining
     a, c = e.algebra, e.coalgebra
-    field = a.field
-    kap = row_matrix(character.coords, field)
+    kap = row_matrix(bundle.character, a.field)
     action = bundle.induced_action
     carrier = ModuleCoalgebra(c, a, action)
     module_ok = validate_module(carrier.module).ok

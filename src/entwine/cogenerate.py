@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch, InternalCheckError, NotCoideal
+from .errors import DimensionMismatch, InternalCheckError
 from .exactlin import (
     Matrix,
     Subspace,
@@ -30,12 +30,11 @@ from .exactlin import (
     intersect,
     kernel,
     kron,
-    quotient,
     subspace_sum,
 )
 from .galois import coinvariants
 from .structures import ComoduleAlgebra, FiniteCoalgebra
-from .cogalois import is_coideal
+from .cogalois import quotient_coalgebra
 
 
 COGENERATES = "cogenerates"
@@ -43,20 +42,19 @@ DOES_NOT_COGENERATE = "does-not-cogenerate"
 INCONCLUSIVE = "inconclusive-at-cutoff"
 
 
-def _projections(c: FiniteCoalgebra, coideals: Sequence[Subspace]) -> list[Matrix]:
+def _quotients(c: FiniteCoalgebra, coideals: Sequence[Subspace]) -> list[tuple[FiniteCoalgebra, Matrix]]:
+    """The quotient coalgebras C/I with their projections; raises NotCoideal."""
     for sub in coideals:
         if sub.ambient_dim != c.dim:
             raise DimensionMismatch("coideal lives in the wrong ambient space")
-        if not is_coideal(c, sub):
-            raise NotCoideal("subspace is not a coideal")
-    return [quotient(c.dim, sub).projection for sub in coideals]
+    return [quotient_coalgebra(c, sub) for sub in coideals]
 
 
 def chain_projection_matrix(c: FiniteCoalgebra, coideal_1: Subspace, coideal_2: Subspace, chain: Sequence[int]) -> Matrix:
     """Matrix of one projection chain against the canonical quotient bases."""
     if not chain or any(i not in (1, 2) for i in chain):
         raise DimensionMismatch("chain must be a nonempty sequence over {1, 2}")
-    pi = _projections(c, (coideal_1, coideal_2))
+    pi = [p for _, p in _quotients(c, (coideal_1, coideal_2))]
     current = pi[chain[0] - 1]
     for idx in chain[1:]:
         current = kron(current, pi[idx - 1]) @ c.comult_matrix
@@ -65,8 +63,11 @@ def chain_projection_matrix(c: FiniteCoalgebra, coideal_1: Subspace, coideal_2: 
 
 @dataclass(frozen=True)
 class CogenerationReport:
-    """Cumulative per-length kernels, the verdict, and how it was reached."""
+    """Cumulative per-length kernels, the verdict, and how it was reached,
+    with the quotient coalgebras C/I_1 and C/I_2 and their projections."""
 
+    coalgebra: FiniteCoalgebra
+    quotients: tuple[tuple[FiniteCoalgebra, Matrix], ...]
     kernels_by_length: tuple[Subspace, ...]
     cutoff: int
     verdict: str
@@ -122,7 +123,8 @@ def cogeneration_check(
         cutoff = c.dim + 1
     if cutoff < 1:
         raise DimensionMismatch("cutoff must be at least 1")
-    pi = _projections(c, (coideal_1, coideal_2))
+    quotients = _quotients(c, (coideal_1, coideal_2))
+    pi = [p for _, p in quotients]
     field = c.field
     running = Subspace.full(c.dim, field)
     kernels: list[Subspace] = []
@@ -150,6 +152,8 @@ def cogeneration_check(
         if not earlier.contains_subspace(later):
             raise InternalCheckError("per-length kernels failed to decrease")
     return CogenerationReport(
+        coalgebra=c,
+        quotients=tuple(quotients),
         kernels_by_length=tuple(kernels),
         cutoff=cutoff,
         verdict=verdict,
@@ -177,45 +181,27 @@ class CoinvariantIntersectionReport:
         return self.inclusion_holds
 
 
-def coinvariant_intersection_check(
-    x: ComoduleAlgebra,
-    coideal_1: Subspace,
-    coideal_2: Subspace,
-    cutoff: int | None = None,
-) -> CoinvariantIntersectionReport:
-    """Compare coinvariants over C with those over C/I_1 and C/I_2.
+def coinvariant_intersection_check(x: ComoduleAlgebra, cogeneration: CogenerationReport) -> CoinvariantIntersectionReport:
+    """Compare coinvariants over C with those over the two quotients of a
+    cogeneration report on C.
 
     The inclusion of the full coinvariants in the intersection holds
     unconditionally; equality is asserted exactly when the quotients are
     certified to cogenerate.
     """
-    c = x.coalgebra
-    pi = _projections(c, (coideal_1, coideal_2))
-    quotients = []
-    for p in pi:
-        b_dim = p.rows
-        reduced = kron(x.algebra.identity_matrix, p) @ x.coaction
-        base_comult = kron(p, p) @ c.comult_matrix
-        # induced coalgebra on the quotient, via the canonical section
-        pres = quotient(c.dim, kernel(p))
-        d_b = base_comult @ pres.section
-        comult = tuple(
-            tuple(tuple(d_b.entries[j * b_dim + k][i] for k in range(b_dim)) for j in range(b_dim))
-            for i in range(b_dim)
-        )
-        counit = (c.counit_matrix @ pres.section).entries[0] if b_dim else ()
-        base = FiniteCoalgebra(b_dim, tuple(f"q{i}" for i in range(b_dim)), comult, counit, c.field)
-        quotients.append(ComoduleAlgebra(x.algebra, base, reduced))
+    if cogeneration.coalgebra != x.coalgebra:
+        raise DimensionMismatch("cogeneration report is about a different coalgebra")
+    sub_1, sub_2 = (
+        coinvariants(ComoduleAlgebra(x.algebra, base, kron(x.algebra.identity_matrix, p) @ x.coaction))
+        for base, p in cogeneration.quotients
+    )
     full = coinvariants(x)
-    sub_1 = coinvariants(quotients[0])
-    sub_2 = coinvariants(quotients[1])
     meet = intersect(sub_1, sub_2)
     inclusion = meet.contains_subspace(full)
     equality = full == meet
-    cog = cogeneration_check(c, coideal_1, coideal_2, cutoff)
-    if cog.verdict == COGENERATES:
+    if cogeneration.verdict == COGENERATES:
         note = "quotients cogenerate: equality is asserted"
-    elif cog.verdict == DOES_NOT_COGENERATE:
+    elif cogeneration.verdict == DOES_NOT_COGENERATE:
         note = "hypothesis absent: quotients certified not to cogenerate, only the inclusion is asserted"
     else:
         note = "hypothesis undecided at cutoff: only the inclusion is asserted"
@@ -225,6 +211,6 @@ def coinvariant_intersection_check(
         intersection=meet,
         inclusion_holds=inclusion,
         equality_holds=equality,
-        cogeneration=cog,
+        cogeneration=cogeneration,
         note=note,
     )

@@ -263,7 +263,7 @@ def parse_document(text: str) -> StructureDocument:
     """Parse and validate a document; raises InvalidDocument with all problems."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InvalidDocument([SchemaError("$", f"not valid JSON: {exc}")]) from None
     if not isinstance(obj, dict):
         raise InvalidDocument([SchemaError("$", "document root must be an object")])

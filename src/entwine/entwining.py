@@ -24,8 +24,6 @@ from .structures import (
     ValidationReport,
     residual_check,
     coaction_algebra_map_checks,
-    validate_comodule,
-    validate_module,
 )
 
 
@@ -107,14 +105,16 @@ def hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> EntwiningStructure:
     bad = [chk for chk in coaction_algebra_map_checks(x, h.algebra) if not chk.ok]
     if bad:
         raise AxiomViolation(f"coaction is not an algebra map ({bad[0].name})", report=bad)
+    return EntwiningStructure(x.algebra, h.coalgebra, _hopf_psi(h, x))
+
+
+def _hopf_psi(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
+    """The matrix of hopf_entwining, for callers that checked its preconditions."""
     a = x.algebra
     na, nh = a.dim, h.dim
-    field = a.field
     ia = a.identity_matrix
     ih = h.algebra.identity_matrix
-    mh = h.algebra.mult_matrix
-    psi = kron(ia, mh) @ kron(flip_map(nh, na, field), ih) @ kron(ih, x.coaction)
-    return EntwiningStructure(a, h.coalgebra, psi)
+    return kron(ia, h.algebra.mult_matrix) @ kron(flip_map(nh, na, a.field), ih) @ kron(ih, x.coaction)
 
 
 def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
@@ -230,13 +230,3 @@ def entwined_module_check(module: RightModule, comodule: RightComodule, e: Entwi
         lhs,
         rhs,
     )
-
-
-def validate_entwined_module(module: RightModule, comodule: RightComodule, e: EntwiningStructure) -> ValidationReport:
-    """Module, comodule, and entwined-compatibility axioms for one carrier."""
-    checks = (
-        validate_module(module).checks
-        + validate_comodule(comodule).checks
-        + (entwined_module_check(module, comodule, e),)
-    )
-    return ValidationReport("entwined module", checks)

@@ -120,11 +120,6 @@ class Matrix:
         neg = self.field.neg
         return Matrix(self.rows, self.cols, tuple(tuple(neg(a) for a in row) for row in self.entries), self.field)
 
-    def scaled(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.rows, self.cols, tuple(tuple(mul(c, a) for a in row) for row in self.entries), self.field)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows and self.cols else tuple(() for _ in range(self.cols)), self.field)
 
@@ -226,10 +221,6 @@ class Subspace:
         piv = self.pivots
         ent = tuple(tuple(o if j == p else z for j in range(self.ambient_dim)) for p in piv)
         return Matrix(self.dim, self.ambient_dim, ent, self.field)
-
-    def projector(self) -> Matrix:
-        """Idempotent ambient map with image this subspace (inclusion . coordinates)."""
-        return self.inclusion() @ self.coordinates()
 
 
 @dataclass(frozen=True)
@@ -344,10 +335,6 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace.from_spanning(list(s1.basis) + list(s2.basis), s1.ambient_dim, s1.field)
 
 
-def contains(s: Subspace, vec: Sequence[Scalar]) -> bool:
-    return s.contains_vector(vec)
-
-
 def try_invert(m: Matrix):
     """Exact two-sided inverse, or NotInvertible with rank and kernel witness."""
     if m.rows != m.cols:
@@ -363,6 +350,32 @@ def try_invert(m: Matrix):
         return NotInvertible(rank=sum(1 for p in pivots if p < n), witness=witness)
     inv = Matrix(n, n, tuple(tuple(row[n:]) for row in reduced), field)
     return inv
+
+
+@dataclass(frozen=True)
+class Bijectivity:
+    """rank of a linear map, its inverse when it is bijective, and otherwise a
+    witness: a kernel vector, or, for an injective map (rank == cols), the
+    first standard basis vector of the target outside the image."""
+
+    rank: int
+    inverse: Matrix | None
+    witness: tuple[Scalar, ...] | None
+
+
+def decide_bijection(m: Matrix) -> Bijectivity:
+    """The one bijectivity decision behind every canonical map certificate."""
+    if m.rows == m.cols:
+        attempt = try_invert(m)
+        if isinstance(attempt, NotInvertible):
+            return Bijectivity(attempt.rank, None, attempt.witness)
+        return Bijectivity(m.rows, attempt, None)
+    img = image(m)
+    ker = kernel(m)
+    if ker.dim:
+        return Bijectivity(img.dim, None, ker.basis[0])
+    missed = (basis_vector(m.rows, i, m.field) for i in range(m.rows))
+    return Bijectivity(img.dim, None, next(v for v in missed if not img.contains_vector(v)))
 
 
 def kron(m1: Matrix, m2: Matrix) -> Matrix:

@@ -8,6 +8,7 @@ appears anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,16 +19,37 @@ RATIONAL = "rational"
 PRIME = "prime"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+# Rational coefficients in documents: an integer or a fraction of integers.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses moduli it cannot decide exactly."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"field modulus must be below {_MR_LIMIT}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -110,6 +132,8 @@ class FieldSpec:
         if isinstance(raw, int):
             return Fraction(raw)
         if isinstance(raw, str):
+            if not _RATIONAL.fullmatch(raw):
+                raise ValueError(f"malformed rational coefficient {raw!r}: expected an integer or n/d")
             try:
                 return Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:

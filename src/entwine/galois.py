@@ -11,11 +11,12 @@ failing at a distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .entwining import (
     EntwiningStructure,
+    _hopf_psi,
     entwined_module_check,
-    hopf_entwining,
     validate_entwining,
 )
 from .errors import (
@@ -29,12 +30,11 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
-    NotInvertible,
     QuotientPresentation,
     Subspace,
     basis_vector,
     column_matrix,
-    image,
+    decide_bijection,
     intersect,
     kernel,
     kron,
@@ -42,7 +42,6 @@ from .exactlin import (
     quotient,
     stack_rows,
     tensor_permutation,
-    try_invert,
     vectorize,
 )
 from .structures import (
@@ -54,7 +53,6 @@ from .structures import (
     RightModule,
     ValidationReport,
     residual_check,
-    coaction_algebra_map_checks,
     validate_comodule,
     verify_grouplike,
 )
@@ -80,12 +78,6 @@ class GaloisCertificate:
     psi: EntwiningStructure | None
     witness: tuple | None
     checks: ValidationReport
-
-
-def _require_comodule(x: ComoduleAlgebra):
-    report = validate_comodule(x.comodule)
-    if not report.ok:
-        raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
 
 
 def coinvariants(x: ComoduleAlgebra) -> Subspace:
@@ -123,20 +115,21 @@ class ClassicalComparison:
     agrees: bool | None = None
 
 
-def classical_coinvariants_agree(x: ComoduleAlgebra, hopf: HopfAlgebra | None = None) -> ClassicalComparison:
-    """Compare with the fixed-point coinvariants {b : coaction(b) = b (x) e}.
+def classical_coinvariants_agree(cert: GaloisCertificate, algebra_map: Sequence[AxiomCheck] = ()) -> ClassicalComparison:
+    """Compare the certificate's coinvariants with the fixed-point coinvariants
+    {b : coaction(b) = b (x) e}.
 
-    Applicable when the coaction is an algebra map (checked when the coacting
-    space carries an algebra, e.g. under a Hopf algebra) and coaction(1) is of
-    the form 1 (x) e; the comodule axioms then force e group-like.
+    Applicable when the coaction is an algebra map and coaction(1) is of the
+    form 1 (x) e; the comodule axioms then force e group-like.  When the
+    coacting space carries an algebra (e.g. under a Hopf algebra),
+    ``algebra_map`` is the subject's coaction_algebra_map_checks report.
     """
-    _require_comodule(x)
+    x = cert.subject
     a, c = x.algebra, x.coalgebra
     field = a.field
-    if hopf is not None:
-        bad = [chk for chk in coaction_algebra_map_checks(x, hopf.algebra) if not chk.ok]
-        if bad:
-            return ClassicalComparison(False, f"coaction is not an algebra map ({bad[0].name})")
+    bad = [chk for chk in algebra_map if not chk.ok]
+    if bad:
+        return ClassicalComparison(False, f"coaction is not an algebra map ({bad[0].name})")
     unit_image = x.coaction.apply(a.unit)
     pivot = next((i for i, v in enumerate(a.unit) if v), None)
     if pivot is None:
@@ -146,7 +139,7 @@ def classical_coinvariants_agree(x: ComoduleAlgebra, hopf: HopfAlgebra | None = 
     if expected.column(0) != tuple(unit_image):
         return ClassicalComparison(False, "coaction(1) is not of the form 1 (x) e")
     fixed = kernel(x.coaction - kron(a.identity_matrix, column_matrix(e, field)))
-    return ClassicalComparison(True, "", grouplike=tuple(e), agrees=fixed == coinvariants(x))
+    return ClassicalComparison(True, "", grouplike=tuple(e), agrees=fixed == cert.coinvariants)
 
 
 def balanced_tensor(x: ComoduleAlgebra, sub: Subspace) -> QuotientPresentation:
@@ -208,14 +201,6 @@ def _quotient_coaction(x: ComoduleAlgebra, presentation: QuotientPresentation) -
     return kron(presentation.projection, c.identity_matrix) @ lift
 
 
-def _cokernel_witness(m: Matrix) -> tuple | None:
-    img = image(m)
-    for i in range(m.rows):
-        if not img.contains_vector(basis_vector(m.rows, i, m.field)):
-            return basis_vector(m.rows, i, m.field)
-    return None
-
-
 def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     """Build the canonical map on A (x)_B A, decide bijectivity, and certify.
 
@@ -223,9 +208,10 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     translation map, its three defining identities, and the canonical
     entwining map together with the entwined-module property of A itself.
     """
-    _require_comodule(x)
+    report = validate_comodule(x.comodule)
+    if not report.ok:
+        raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
     a, c = x.algebra, x.coalgebra
-    field = a.field
     sub = coinvariants(x)
     presentation = balanced_tensor(x, sub)
     can_full = _raw_canonical_map(x)
@@ -246,52 +232,25 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
             kron(can, c.identity_matrix) @ coact_q,
         ),
     ]
-    target_dim = a.dim * c.dim
-    inverse = None
-    translation = None
-    psi_structure = None
-    witness = None
-    if presentation.quotient_dim != target_dim:
-        can_rank = len(image(can).basis)
-        is_galois = False
-        ker = kernel(can)
-        witness = ker.basis[0] if ker.dim else _cokernel_witness(can)
-        checks.append(
-            AxiomCheck(
-                "can-bijective",
-                "the canonical map is a bijection onto A (x) C",
-                None,
-                False,
-            )
-        )
-    else:
-        attempt = try_invert(can)
-        if isinstance(attempt, NotInvertible):
-            can_rank = attempt.rank
-            is_galois = False
-            witness = attempt.witness
-            checks.append(AxiomCheck("can-bijective", "the canonical map is a bijection onto A (x) C", None, False))
-        else:
-            can_rank = target_dim
-            is_galois = True
-            inverse = attempt
-            checks.append(AxiomCheck("can-bijective", "the canonical map is a bijection onto A (x) C", None, True))
+    decision = decide_bijection(can)
+    is_galois = decision.inverse is not None
+    checks.append(AxiomCheck("can-bijective", "the canonical map is a bijection onto A (x) C", None, is_galois))
     cert = GaloisCertificate(
         subject=x,
         coinvariants=sub,
         balanced=presentation,
         can=can,
-        rank=can_rank,
+        rank=decision.rank,
         is_galois=is_galois,
-        can_inverse=inverse,
+        can_inverse=decision.inverse,
         translation=None,
         psi=None,
-        witness=witness,
+        witness=decision.witness,
         checks=ValidationReport("coalgebra-Galois extension", tuple(checks)),
     )
     if not is_galois:
         return cert
-    translation = inverse @ kron(a.unit_matrix, c.identity_matrix)
+    translation = decision.inverse @ kron(a.unit_matrix, c.identity_matrix)
     cert = replace(cert, translation=translation)
     checks.extend(_translation_checks(cert))
     psi_structure = canonical_entwining(cert)
@@ -399,9 +358,10 @@ class DifferentialSequenceReport:
         return self.exact == self.galois
 
 
-def differential_sequence(x: ComoduleAlgebra) -> DifferentialSequenceReport:
-    """Exactness of the universal-calculus sequence, cross-checked with galois_check."""
-    _require_comodule(x)
+def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport:
+    """Exactness of the universal-calculus sequence, cross-checked with the
+    certificate's Galois verdict."""
+    x = cert.subject
     a, c = x.algebra, x.coalgebra
     field = a.field
     omega_a = kernel(a.mult_matrix)
@@ -412,7 +372,7 @@ def differential_sequence(x: ComoduleAlgebra) -> DifferentialSequenceReport:
         for w in cplus.basis:
             target_vectors.append(kron(column_matrix(e_i, field), column_matrix(w, field)).column(0))
     target = Subspace.from_spanning(target_vectors, a.dim * c.dim, field)
-    sub = coinvariants(x)
+    sub = cert.coinvariants
     bb_vectors = [
         kron(column_matrix(u, field), column_matrix(v, field)).column(0)
         for u in sub.basis
@@ -428,7 +388,8 @@ def differential_sequence(x: ComoduleAlgebra) -> DifferentialSequenceReport:
                 rj = kron(a.identity_matrix, a.right_multiplication(basis_vector(a.dim, j, field)))
                 horizontal_vectors.append((li @ rj).apply(w))
     horizontal = Subspace.from_spanning(horizontal_vectors, a.dim * a.dim, field)
-    can_full = _raw_canonical_map(x)
+    # the canonical map on A (x) A, which vanishes on the balancing relations
+    can_full = cert.can @ cert.balanced.projection
     restricted_images = [can_full.apply(w) for w in omega_a.basis]
     restricted_image = Subspace.from_spanning(restricted_images, a.dim * c.dim, field)
     restriction_kernel = intersect(omega_a, kernel(can_full))
@@ -442,7 +403,7 @@ def differential_sequence(x: ComoduleAlgebra) -> DifferentialSequenceReport:
         image_fills_target=image_ok,
         kernel_matches_horizontal=kernel_ok,
         exact=exact,
-        galois=galois_check(x).is_galois,
+        galois=cert.is_galois,
     )
 
 
@@ -476,25 +437,11 @@ def bundle_check(e: EntwiningStructure, grouplike: GroupLike) -> BundleReport:
     invariants = kernel(coaction_candidate - kron(a.identity_matrix, e_col))
     carrier = ComoduleAlgebra(a, c, coaction_candidate)
     presentation = balanced_tensor(carrier, invariants)
-    can_full = kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, coaction_candidate)
-    can_psi = _descend(can_full, presentation, "the bundle canonical map")
-    target_dim = a.dim * c.dim
-    if presentation.quotient_dim != target_dim:
-        ker = kernel(can_psi)
-        return BundleReport(
-            e, tuple(grouplike.coords), invariants, presentation, can_psi,
-            rank=len(image(can_psi).basis), is_bundle=False,
-            witness=ker.basis[0] if ker.dim else _cokernel_witness(can_psi),
-        )
-    attempt = try_invert(can_psi)
-    if isinstance(attempt, NotInvertible):
-        return BundleReport(
-            e, tuple(grouplike.coords), invariants, presentation, can_psi,
-            rank=attempt.rank, is_bundle=False, witness=attempt.witness,
-        )
+    can_psi = _descend(_raw_canonical_map(carrier), presentation, "the bundle canonical map")
+    decision = decide_bijection(can_psi)
     return BundleReport(
         e, tuple(grouplike.coords), invariants, presentation, can_psi,
-        rank=target_dim, is_bundle=True, witness=None,
+        rank=decision.rank, is_bundle=decision.inverse is not None, witness=decision.witness,
     )
 
 
@@ -528,20 +475,20 @@ class BundleEquivalenceReport:
         )
 
 
-def bundle_coaction_equivalence(e: EntwiningStructure, grouplike: GroupLike) -> BundleEquivalenceReport:
-    """Both directions of the bundle/Galois correspondence at a fixed group-like.
+def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport:
+    """Both directions of the bundle/Galois correspondence at the bundle's group-like.
 
     Forward: from a verified bundle, a |-> psi(e (x) a) is a coaction whose
     Galois certificate recovers psi, with coaction(1) = 1 (x) e.  Backward:
     that certificate's canonical map equals the bundle's.  The uniqueness
     clause checks the coaction is forced by its value on 1.
     """
-    bundle = bundle_check(e, grouplike)
     if not bundle.is_bundle:
         return BundleEquivalenceReport(False, "not a bundle: the canonical map is not bijective", bundle=bundle)
+    e = bundle.entwining
     a, c = e.algebra, e.coalgebra
     field = a.field
-    e_col = column_matrix(grouplike.coords, field)
+    e_col = column_matrix(bundle.grouplike, field)
     coaction = e.psi @ kron(e_col, a.identity_matrix)
     carrier = ComoduleAlgebra(a, c, coaction)
     comodule_ok = validate_comodule(carrier.comodule).ok
@@ -579,10 +526,17 @@ class LeftCanonicalReport:
         return self.composite_matches and self.left_bijective
 
 
-def left_canonical_check(h: HopfAlgebra, x: ComoduleAlgebra) -> LeftCanonicalReport:
-    """can_L(a (x)_B a') = S^{-1}(a_(1)) (x) a_(0) a' satisfies psi . can_L = can."""
-    _require_comodule(x)
-    bad = [chk for chk in coaction_algebra_map_checks(x, h.algebra) if not chk.ok]
+def left_canonical_check(h: HopfAlgebra, cert: GaloisCertificate, algebra_map: Sequence[AxiomCheck]) -> LeftCanonicalReport:
+    """can_L(a (x)_B a') = S^{-1}(a_(1)) (x) a_(0) a' satisfies psi . can_L = can,
+    with psi the Hopf-case entwining map psi(h (x) a) = a_(0) (x) h a_(1).
+
+    ``algebra_map`` is the coaction_algebra_map_checks report of the
+    certificate's subject against h.
+    """
+    x = cert.subject
+    if x.coalgebra != h.coalgebra:
+        raise DimensionMismatch("comodule algebra does not coact through the Hopf coalgebra")
+    bad = [chk for chk in algebra_map if not chk.ok]
     if bad:
         raise AxiomViolation("left canonical map needs an algebra-map coaction", report=bad)
     sinv = h.antipode_inverse
@@ -591,7 +545,6 @@ def left_canonical_check(h: HopfAlgebra, x: ComoduleAlgebra) -> LeftCanonicalRep
     a = x.algebra
     nh = h.dim
     field = a.field
-    cert = galois_check(x)
     swap = tensor_permutation((a.dim, nh, a.dim), (1, 0, 2), field)
     can_left_full = (
         kron(h.algebra.identity_matrix, a.mult_matrix)
@@ -600,11 +553,8 @@ def left_canonical_check(h: HopfAlgebra, x: ComoduleAlgebra) -> LeftCanonicalRep
         @ kron(x.coaction, a.identity_matrix)
     )
     can_left = _descend(can_left_full, cert.balanced, "the left canonical map")
-    psi = hopf_entwining(h, x)
-    composite = psi.psi @ can_left
-    bijective = not isinstance(try_invert(can_left), NotInvertible) if can_left.rows == can_left.cols else False
     return LeftCanonicalReport(
         can_left=can_left,
-        composite_matches=composite == cert.can,
-        left_bijective=bijective,
+        composite_matches=_hopf_psi(h, x) @ can_left == cert.can,
+        left_bijective=decide_bijection(can_left).inverse is not None,
     )

@@ -10,7 +10,6 @@ exact witness matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -354,22 +353,20 @@ def bialgebra_checks(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> tupl
 def validate_hopf(h: HopfAlgebra) -> ValidationReport:
     alg = validate_algebra(h.algebra)
     coa = validate_coalgebra(h.coalgebra)
-    m, u = h.algebra.mult_matrix, h.algebra.unit_matrix
-    d, e = h.coalgebra.comult_matrix, h.coalgebra.counit_matrix
     s = h.antipode
     ident = h.algebra.identity_matrix
-    unit_counit = u @ e
+    unit_counit = convolution_unit(h.coalgebra, h.algebra)
     antipode_checks = (
         residual_check(
             "antipode-left",
             "m(S (x) id)coproduct = unit counit",
-            m @ kron(s, ident) @ d,
+            convolution(s, ident, h.coalgebra, h.algebra),
             unit_counit,
         ),
         residual_check(
             "antipode-right",
             "m(id (x) S)coproduct = unit counit",
-            m @ kron(ident, s) @ d,
+            convolution(ident, s, h.coalgebra, h.algebra),
             unit_counit,
         ),
         AxiomCheck(
@@ -411,10 +408,6 @@ def coaction_algebra_map_checks(x: ComoduleAlgebra, coacting_algebra: FiniteAlge
     )
 
 
-def coaction_is_algebra_map(x: ComoduleAlgebra, coacting_algebra: FiniteAlgebra) -> bool:
-    return all(c.ok for c in coaction_algebra_map_checks(x, coacting_algebra))
-
-
 def verify_grouplike(c: FiniteCoalgebra, coords) -> bool:
     """coproduct(e) = e (x) e and counit(e) = 1, checked exactly."""
     field = c.field
@@ -427,34 +420,6 @@ def verify_character(a: FiniteAlgebra, coords) -> bool:
     field = a.field
     k = row_matrix([field.coerce(x) for x in coords], field)
     return (k @ a.mult_matrix == kron(k, k)) and (k @ a.unit_matrix) == Matrix.identity(1, field)
-
-
-_SEARCH_MAX_FIELD = 7
-_SEARCH_MAX_DIM = 4
-
-
-def find_grouplikes(c: FiniteCoalgebra) -> tuple[tuple[Scalar, ...], ...]:
-    """Exhaustive group-like search, offered only over small prime fields."""
-    field = c.field
-    if not field.is_prime_field or field.p > _SEARCH_MAX_FIELD or c.dim > _SEARCH_MAX_DIM:
-        raise AxiomViolation("exhaustive search is limited to GF(p<=7) and dim <= 4")
-    found = []
-    for coords in itertools.product(range(field.p), repeat=c.dim):
-        if any(coords) and verify_grouplike(c, coords):
-            found.append(tuple(field.coerce(x) for x in coords))
-    return tuple(found)
-
-
-def find_characters(a: FiniteAlgebra) -> tuple[tuple[Scalar, ...], ...]:
-    """Exhaustive character search, offered only over small prime fields."""
-    field = a.field
-    if not field.is_prime_field or field.p > _SEARCH_MAX_FIELD or a.dim > _SEARCH_MAX_DIM:
-        raise AxiomViolation("exhaustive search is limited to GF(p<=7) and dim <= 4")
-    found = []
-    for coords in itertools.product(range(field.p), repeat=a.dim):
-        if any(coords) and verify_character(a, coords):
-            found.append(tuple(field.coerce(x) for x in coords))
-    return tuple(found)
 
 
 def dualize(x):

@@ -16,7 +16,6 @@ from .cogalois import (
     dual_uniqueness,
     hopf_coideal,
     is_coideal,
-    action_coalgebra_map_checks,
 )
 from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersection_check
 from .docformat import StructureDocument
@@ -27,6 +26,7 @@ from .entwining import (
     validate_structure_maps,
 )
 from .errors import AxiomViolation, EntwineError, MissingSection, NotInvertibleError
+from .exactlin import Subspace
 from .galois import (
     bundle_check,
     bundle_coaction_equivalence,
@@ -38,6 +38,9 @@ from .galois import (
 )
 from .reports import SuiteReport, matrix_detail, subspace_detail, vector_detail
 from .structures import (
+    Character,
+    GroupLike,
+    coaction_algebra_map_checks,
     validate_algebra,
     validate_coalgebra,
     validate_comodule,
@@ -108,8 +111,6 @@ def run_structures(doc: StructureDocument) -> SuiteReport:
     for name, vectors in doc.coideals:
         if doc.coalgebra is None:
             raise MissingSection("coalgebra", "structures")
-        from .exactlin import Subspace
-
         sub = Subspace.from_spanning(vectors, doc.coalgebra.dim, doc.field)
         for chk in coideal_checks(doc.coalgebra, sub):
             report.add(f"structures.coideal.{name}.{chk.name}", chk.statement, chk.ok)
@@ -136,7 +137,7 @@ def run_entwining(doc: StructureDocument) -> SuiteReport:
     return report
 
 
-def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport:
+def run_galois(doc: StructureDocument) -> SuiteReport:
     _require(
         doc,
         "galois",
@@ -176,7 +177,7 @@ def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport
         )
     else:
         report.skip("galois.entwining-unique", "the compatible entwining map is unique", uniq.note)
-    seq = differential_sequence(x)
+    seq = differential_sequence(cert)
     report.add(
         "galois.differential-sequence",
         "the universal-calculus sequence is exact iff the extension is Galois",
@@ -190,7 +191,8 @@ def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport
     )
     hopf = doc.hopf
     if hopf is not None:
-        classical = classical_coinvariants_agree(x, hopf)
+        algebra_map = coaction_algebra_map_checks(x, hopf.algebra)
+        classical = classical_coinvariants_agree(cert, algebra_map)
         if classical.applicable:
             report.add(
                 "galois.classical-coinvariants",
@@ -200,7 +202,7 @@ def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport
         else:
             report.skip("galois.classical-coinvariants", "general coinvariants match the fixed-point coinvariants", classical.note)
         try:
-            left = left_canonical_check(hopf, x)
+            left = left_canonical_check(hopf, cert, algebra_map)
             report.add(
                 "galois.left-canonical",
                 "psi composed with the left canonical map equals the canonical map",
@@ -210,17 +212,14 @@ def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport
             report.skip("galois.left-canonical", "psi composed with the left canonical map equals the canonical map", str(exc))
     if cert.is_galois and doc.grouplikes:
         for name, coords in doc.grouplikes:
-            from .structures import GroupLike
-
-            g = GroupLike(doc.coalgebra, coords)
-            bundle = bundle_check(cert.psi, g)
+            bundle = bundle_check(cert.psi, GroupLike(doc.coalgebra, coords))
             report.add(
                 f"galois.bundle.{name}",
                 "the canonical map of the bundle at this group-like is bijective",
                 bundle.is_bundle,
                 {"invariants_dim": bundle.invariants.dim, "rank": bundle.rank},
             )
-            eq = bundle_coaction_equivalence(cert.psi, g)
+            eq = bundle_coaction_equivalence(bundle)
             if eq.applicable:
                 report.add(
                     f"galois.bundle-equivalence.{name}",
@@ -236,7 +235,7 @@ def run_galois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport
     return report
 
 
-def run_cogalois(doc: StructureDocument, cutoff: int | None = None) -> SuiteReport:
+def run_cogalois(doc: StructureDocument) -> SuiteReport:
     _require(
         doc,
         "cogalois",
@@ -258,19 +257,22 @@ def run_cogalois(doc: StructureDocument, cutoff: int | None = None) -> SuiteRepo
         True,
         subspace_detail(doc.field, cert.coideal),
     )
-    if doc.hopf is not None:
-        agree_checks = action_coalgebra_map_checks(x, doc.hopf.coalgebra)
-        if all(c.ok for c in agree_checks):
-            report.add(
-                "cogalois.coideal-module-form",
-                "the coalgebra-map coideal span{act(c,h) - counit(h) c} agrees",
-                hopf_coideal(x, doc.hopf.algebra, doc.hopf.coalgebra) == cert.coideal,
-            )
-        else:
+    hopf = doc.hopf
+    if hopf is not None:
+        # hopf_coideal refuses an action that is not a coalgebra map
+        try:
+            module_form = hopf_coideal(x, hopf.algebra, hopf.coalgebra)
+        except AxiomViolation:
             report.skip(
                 "cogalois.coideal-module-form",
                 "the coalgebra-map coideal span{act(c,h) - counit(h) c} agrees",
                 "action is not a coalgebra map",
+            )
+        else:
+            report.add(
+                "cogalois.coideal-module-form",
+                "the coalgebra-map coideal span{act(c,h) - counit(h) c} agrees",
+                module_form == cert.coideal,
             )
     _add_validation(report, "cogalois", cert.checks)
     detail = {
@@ -297,17 +299,14 @@ def run_cogalois(doc: StructureDocument, cutoff: int | None = None) -> SuiteRepo
         report.skip("cogalois.entwining-unique", "the compatible entwining map is unique", uniq.note)
     if cert.is_coextension and doc.characters:
         for name, coords in doc.characters:
-            from .structures import Character
-
-            kappa = Character(doc.algebra, coords)
-            bundle = dual_bundle_check(cert.psi, kappa)
+            bundle = dual_bundle_check(cert.psi, Character(doc.algebra, coords))
             report.add(
                 f"cogalois.dual-bundle.{name}",
                 "the canonical map of the dual bundle at this character is bijective",
                 bundle.is_bundle,
                 {"coideal_dim": bundle.coideal.dim, "rank": bundle.rank},
             )
-            eq = dual_bundle_action_equivalence(cert.psi, kappa)
+            eq = dual_bundle_action_equivalence(bundle)
             if eq.applicable:
                 report.add(
                     f"cogalois.dual-bundle-equivalence.{name}",
@@ -343,7 +342,7 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
         {"profile": profile, "verdict": result.verdict, "cutoff": result.cutoff},
     )
     if doc.coaction is not None and doc.algebra is not None:
-        pr = coinvariant_intersection_check(doc.comodule_algebra, subs[0], subs[1], cutoff)
+        pr = coinvariant_intersection_check(doc.comodule_algebra, result)
         report.add(
             "cogenerate.coinvariant-inclusion",
             "coinvariants over C lie in the intersection of the quotient coinvariants",
@@ -374,9 +373,9 @@ def run_suite(doc: StructureDocument, suite: str, cutoff: int | None = None) -> 
     if suite == "entwining":
         return run_entwining(doc)
     if suite == "galois":
-        return run_galois(doc, cutoff)
+        return run_galois(doc)
     if suite == "cogalois":
-        return run_cogalois(doc, cutoff)
+        return run_cogalois(doc)
     if suite == "cogenerate":
         return run_cogenerate(doc, cutoff)
     if suite == "all":
@@ -385,9 +384,9 @@ def run_suite(doc: StructureDocument, suite: str, cutoff: int | None = None) -> 
         if doc.psi is not None:
             report.extend(run_entwining(doc))
         if doc.coaction is not None and doc.algebra is not None and doc.coalgebra is not None:
-            report.extend(run_galois(doc, cutoff))
+            report.extend(run_galois(doc))
         if doc.action is not None and doc.algebra is not None and doc.coalgebra is not None:
-            report.extend(run_cogalois(doc, cutoff))
+            report.extend(run_cogalois(doc))
         if doc.coalgebra is not None and len(doc.coideals) >= 2:
             report.extend(run_cogenerate(doc, cutoff))
         return report

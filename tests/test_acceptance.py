@@ -18,6 +18,7 @@ from entwine.cogalois import (
     canonical_coideal,
     coextension_check,
     dual_bundle_action_equivalence,
+    dual_bundle_check,
     dual_uniqueness,
     hopf_coideal,
 )
@@ -46,6 +47,7 @@ from entwine.exactlin import (
 )
 from entwine.fields import GF, QQ
 from entwine.galois import (
+    bundle_check,
     bundle_coaction_equivalence,
     coinvariants,
     differential_sequence,
@@ -57,6 +59,7 @@ from entwine.structures import (
     Character,
     ComoduleAlgebra,
     GroupLike,
+    coaction_algebra_map_checks,
     field_algebra,
     transport_algebra,
     transport_coalgebra,
@@ -103,7 +106,7 @@ def test_criterion_2_sweedler_self_extension():
     psi_inv = invert_hopf_entwining(h, x)
     assert (psi @ psi_inv) == Matrix.identity(16, QQ)
     assert (psi_inv @ psi) == Matrix.identity(16, QQ)
-    left = left_canonical_check(h, x)
+    left = left_canonical_check(h, cert, coaction_algebra_map_checks(x, h.algebra))
     assert left.can_left.rows == 16 and left.composite_matches and left.left_bijective
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
@@ -116,7 +119,7 @@ def test_criterion_3_quadratic_field_extension():
     assert sub.basis == ((Fraction(1), Fraction(0)),)
     cert = galois_check(x)
     assert cert.is_galois and cert.can.rows == 4 and cert.can.cols == 4
-    seq = differential_sequence(x)
+    seq = differential_sequence(cert)
     assert seq.exact
     validation = validate_entwining(cert.psi)
     assert validation.ok
@@ -129,7 +132,7 @@ def test_criterion_4_non_galois_witness_and_sequence_agreement():
     witness_instance = ComoduleAlgebra(field_algebra(QQ), z2.coalgebra, Matrix.from_rows([[1], [0]], QQ))
     cert = galois_check(witness_instance)
     assert not cert.is_galois and cert.rank == 1
-    seq = differential_sequence(witness_instance)
+    seq = differential_sequence(cert)
     assert not seq.exact
     # the exactness flag must agree with the Galois verdict on every
     # catalogue comodule algebra, positive and negative alike
@@ -144,7 +147,7 @@ def test_criterion_4_non_galois_witness_and_sequence_agreement():
         ),
     ]
     for instance in instances:
-        assert differential_sequence(instance).agrees_with_galois
+        assert differential_sequence(galois_check(instance)).agrees_with_galois
     conclude(4, f"non-Galois witness has rank 1; sequence exactness matched the verdict on {len(instances)} instances")
 
 
@@ -189,7 +192,7 @@ def test_criterion_6_bundle_round_trips():
         x = self_extension(h)
         psi = hopf_entwining(h, x)
         unit = GroupLike(h.coalgebra, tuple(h.algebra.unit))
-        eq = bundle_coaction_equivalence(psi, unit)
+        eq = bundle_coaction_equivalence(bundle_check(psi, unit))
         assert eq.applicable and eq.ok
         assert eq.coaction == x.coaction
         assert eq.certificate.psi.psi == psi.psi
@@ -199,7 +202,7 @@ def test_criterion_6_bundle_round_trips():
     x = group_self_coextension(h)
     cert = coextension_check(x)
     kappa = Character(h.algebra, (1, 1))
-    eq = dual_bundle_action_equivalence(cert.psi, kappa)
+    eq = dual_bundle_action_equivalence(dual_bundle_check(cert.psi, kappa))
     assert eq.applicable and eq.ok
     assert eq.action == x.action
     assert eq.certificate.psi.psi == cert.psi.psi
@@ -215,7 +218,7 @@ def test_criterion_7_cogeneration_and_coinvariant_intersection():
     positive = cogeneration_check(s3.coalgebra, i1, i2, cutoff=7)
     assert positive.verdict == COGENERATES
     assert positive.final_kernel.dim == 0
-    meet = coinvariant_intersection_check(self_extension(s3), i1, i2, cutoff=7)
+    meet = coinvariant_intersection_check(self_extension(s3), positive)
     assert meet.inclusion_holds and meet.equality_holds
     z4 = group_algebra({"group": "Z4"}, QQ)
     j = coset_coideal({"group": "Z4"}, "g2")
@@ -223,7 +226,7 @@ def test_criterion_7_cogeneration_and_coinvariant_intersection():
     assert negative.verdict == DOES_NOT_COGENERATE
     assert negative.final_kernel.dim > 0
     assert negative.kernels_by_length[-1] == negative.kernels_by_length[-2]
-    meet_neg = coinvariant_intersection_check(self_extension(z4), j, j)
+    meet_neg = coinvariant_intersection_check(self_extension(z4), negative)
     assert meet_neg.inclusion_holds and not meet_neg.equality_holds
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -1,0 +1,87 @@
+"""Each suite builds each certificate once and passes it to its consumers.
+
+Counting wrappers replace every binding of the named functions across the
+``entwine`` modules (``from .galois import coinvariants`` gives each
+importing module its own binding), then one suite runs on one document.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import entwine.cogalois as cogalois
+import entwine.cogenerate as cogenerate
+import entwine.entwining as entwining
+import entwine.galois as galois
+import entwine.structures as structures
+from entwine.catalogue import build
+from entwine.docformat import document_from_example
+from entwine.suites import run_suite
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    counts = Counter()
+
+    def install(*functions):
+        modules = [m for n, m in sys.modules.items() if n == "entwine" or n.startswith("entwine.")]
+        for original in functions:
+            def wrapper(*args, _original=original, **kwargs):
+                counts[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+        return counts
+
+    return install
+
+
+def _run(name, params, suite):
+    doc = document_from_example(build(name, params))
+    report = run_suite(doc, suite)
+    assert report.ok
+    return doc
+
+
+def test_s3_galois_builds_each_certificate_once(count_calls):
+    counts = count_calls(
+        galois.galois_check,
+        galois.coinvariants,
+        entwining.validate_entwining,
+        structures.coaction_algebra_map_checks,
+    )
+    _run("coset-coideal", {"group": "S3"}, "galois")
+    assert counts == {
+        "galois_check": 1,
+        "coinvariants": 1,
+        "validate_entwining": 1,
+        "coaction_algebra_map_checks": 1,
+    }
+
+
+def test_bundle_report_is_passed_to_the_equivalence(count_calls):
+    counts = count_calls(galois.bundle_check, galois.galois_check)
+    doc = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
+    # the second galois_check certifies the bundle carrier, a different subject
+    assert counts == {"bundle_check": len(doc.grouplikes), "galois_check": 2}
+
+
+def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
+    counts = count_calls(cogalois.dual_bundle_check, cogalois.action_coalgebra_map_checks)
+    doc = _run("group-coextension", {"group": "Z3"}, "cogalois")
+    assert counts == {"dual_bundle_check": len(doc.characters), "action_coalgebra_map_checks": 1}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
+)
+def test_cogeneration_report_is_passed_to_the_intersection(count_calls, params):
+    counts = count_calls(cogenerate.cogeneration_check, cogalois.is_coideal)
+    _run("coset-coideal", params, "cogenerate")
+    assert counts["cogeneration_check"] == 1
+    assert counts["is_coideal"] <= 4

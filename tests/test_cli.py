@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +149,57 @@ class TestSuiteComposition:
         doc = parse_document(emit_to(tmp_path, "group-algebra").read_text(encoding="utf-8"))
         with pytest.raises(EntwineError):
             run_suite(doc, "bogus")
+
+
+def _run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "entwine", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _z1_document(field, coefficient):
+    return {
+        "field": field,
+        "spaces": {"A": {"dim": 1}},
+        "algebra": {"space": "A", "mult": [{"i": 0, "j": 0, "k": 0, "c": coefficient}], "unit": [coefficient]},
+    }
+
+
+class TestInputContract:
+    def test_large_prime_modulus_is_accepted(self, tmp_path, capsys):
+        path = emit_to(tmp_path, "group-algebra", {"group": "Z2", "p": "2305843009213693951"})
+        assert main(["check", str(path), "--suite", "structures"]) == 0
+
+    @pytest.mark.parametrize("p", [561, 3215031751])
+    def test_pseudoprime_modulus_is_refused(self, tmp_path, capsys, p):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_z1_document({"kind": "prime", "p": p}, 1)), encoding="utf-8")
+        assert main(["check", str(path), "--suite", "structures"]) == 2
+        assert f"field.p: field modulus must be prime, got {p}" in capsys.readouterr().err
+
+    def test_modulus_beyond_exact_primality_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_z1_document({"kind": "prime", "p": 2**89 - 1}, 1)), encoding="utf-8")
+        assert main(["check", str(path), "--suite", "structures"]) == 2
+        assert "field.p: field modulus must be below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficient", ["1e5000", "1.5", " 1", "+1", "1_0", "1/-2"])
+    def test_coefficient_outside_the_grammar_is_refused(self, tmp_path, coefficient):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_z1_document({"kind": "rational"}, coefficient)), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "structures")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "malformed rational coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_oversized_json_integer_is_refused(self, tmp_path):
+        path = tmp_path / "doc.json"
+        text = json.dumps(_z1_document({"kind": "rational"}, "1")).replace('"c": "1"', '"c": 1' + "0" * 5000)
+        path.write_text(text, encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "structures")
+        assert proc.returncode == 2
+        assert "error: $: not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr

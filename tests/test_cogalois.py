@@ -193,6 +193,17 @@ class TestCoextensionCheck:
         assert not report.applicable and report.unique is None
 
 
+class TestCotensorWitness:
+    def test_missed_cotensor_vector_is_reported_in_the_tensor_square(self):
+        from entwine.cogalois import _decide_onto_cotensor
+
+        web = Subspace.from_spanning([[1, 1, 0, 0], [0, 0, 1, 0]], 4, QQ)
+        cocan = Matrix.from_rows([[1], [0]], QQ)  # injective, misses the second cotensor coordinate
+        decision = _decide_onto_cotensor(cocan, web)
+        assert decision.rank == 1 and decision.inverse is None
+        assert decision.witness == (0, 0, 1, 0)
+
+
 class TestDualUniqueness:
     def test_z2(self, z2_coextension):
         report = dual_uniqueness(coextension_check(z2_coextension))
@@ -242,7 +253,7 @@ class TestDualBundleEquivalence:
     def test_z2_round_trip(self, z2_hopf, z2_coextension):
         cert = coextension_check(z2_coextension)
         kappa = Character(z2_hopf.algebra, (1, 1))
-        report = dual_bundle_action_equivalence(cert.psi, kappa)
+        report = dual_bundle_action_equivalence(dual_bundle_check(cert.psi, kappa))
         assert report.applicable and report.ok
         assert report.action == z2_coextension.action  # recovered bit-exactly
         assert report.certificate.coideal == cert.coideal
@@ -251,14 +262,14 @@ class TestDualBundleEquivalence:
         x = trivial_module_coalgebra(z2_hopf.coalgebra)
         cert = coextension_check(x)
         kappa = Character(field_algebra(QQ), (1,))
-        report = dual_bundle_action_equivalence(cert.psi, kappa)
+        report = dual_bundle_action_equivalence(dual_bundle_check(cert.psi, kappa))
         assert report.applicable and report.ok
 
     def test_gated_when_not_bundle(self, z2_hopf):
         from entwine.entwining import flip_entwining
 
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
-        report = dual_bundle_action_equivalence(e, Character(z2_hopf.algebra, (1, 1)))
+        report = dual_bundle_action_equivalence(dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))))
         assert not report.applicable
 
 

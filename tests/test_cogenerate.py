@@ -93,7 +93,7 @@ class TestCogeneration:
 class TestCoinvariantIntersection:
     def test_s3_equality(self, s3_hopf, s3_coideals):
         x = self_extension(s3_hopf)
-        report = coinvariant_intersection_check(x, *s3_coideals, cutoff=7)
+        report = coinvariant_intersection_check(x, cogeneration_check(x.coalgebra, *s3_coideals, cutoff=7))
         assert report.inclusion_holds and report.equality_holds
         assert report.consistent
         assert report.full_coinvariants.dim == 1
@@ -103,7 +103,7 @@ class TestCoinvariantIntersection:
     def test_z4_strict_inclusion(self, z4_coideal):
         h = group_algebra({"group": "Z4"})
         x = self_extension(h)
-        report = coinvariant_intersection_check(x, z4_coideal, z4_coideal)
+        report = coinvariant_intersection_check(x, cogeneration_check(x.coalgebra, z4_coideal, z4_coideal))
         assert report.inclusion_holds
         assert not report.equality_holds
         assert report.consistent
@@ -113,6 +113,6 @@ class TestCoinvariantIntersection:
 
     def test_zero_coideal_collapses(self, z2_hopf, z2_self_extension):
         zero = Subspace.zero_subspace(2, QQ)
-        report = coinvariant_intersection_check(z2_self_extension, zero, zero)
+        report = coinvariant_intersection_check(z2_self_extension, cogeneration_check(z2_hopf.coalgebra, zero, zero))
         assert report.equality_holds and report.inclusion_holds
         assert report.full_coinvariants == report.intersection

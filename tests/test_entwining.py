@@ -14,7 +14,6 @@ from entwine.entwining import (
     invert_hopf_entwining,
     psi_to_structure_maps,
     structure_maps_to_psi,
-    validate_entwined_module,
     validate_entwining,
     validate_structure_maps,
 )
@@ -29,6 +28,8 @@ from entwine.structures import (
     field_coalgebra,
     transport_algebra,
     transport_coalgebra,
+    validate_comodule,
+    validate_module,
 )
 
 GF7 = GF(7)
@@ -121,7 +122,8 @@ class TestHopfEntwining:
         e = hopf_entwining(sweedler, sweedler_self_extension)
         module = RightModule(4, sweedler.algebra, sweedler.algebra.mult_matrix)
         comodule = RightComodule(4, sweedler.coalgebra, sweedler.coalgebra.comult_matrix)
-        assert validate_entwined_module(module, comodule, e).ok
+        assert validate_module(module).ok and validate_comodule(comodule).ok
+        assert entwined_module_check(module, comodule, e).ok
 
     def test_flip_fails_entwined_module_on_noncommutative_carrier(self, sweedler):
         e = flip_entwining(sweedler.algebra, sweedler.coalgebra)
@@ -137,7 +139,8 @@ class TestHopfEntwining:
         e = flip_entwining(a, z2_hopf.coalgebra)
         module = RightModule(1, a, Matrix.identity(1, QQ))
         comodule = RightComodule(1, z2_hopf.coalgebra, Matrix.from_rows([[0], [1]], QQ))
-        assert validate_entwined_module(module, comodule, e).ok
+        assert validate_module(module).ok and validate_comodule(comodule).ok
+        assert entwined_module_check(module, comodule, e).ok
 
 
 class TestHopfInverse:

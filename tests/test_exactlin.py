@@ -10,7 +10,7 @@ from entwine.exactlin import (
     NotInvertible,
     Subspace,
     basis_vector,
-    contains,
+    decide_bijection,
     flip_map,
     image,
     intersect,
@@ -81,8 +81,8 @@ class TestImageSumIntersect:
 
     def test_contains(self):
         s = Subspace.from_spanning([[1, 0, 1], [0, 1, 1]], 3, QQ)
-        assert contains(s, (1, 1, 2))
-        assert not contains(s, (1, 1, 1))
+        assert s.contains_vector((1, 1, 2))
+        assert not s.contains_vector((1, 1, 1))
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
@@ -115,6 +115,34 @@ class TestInvert:
         m = M([[2, 1], [1, 1]])
         inv = try_invert(m)
         assert (m @ inv).is_identity and (inv @ m).is_identity
+
+
+class TestDecideBijection:
+    def test_bijective_carries_inverse(self):
+        m = M([[2, 1], [1, 1]])
+        decision = decide_bijection(m)
+        assert decision.rank == 2 and decision.witness is None
+        assert (m @ decision.inverse).is_identity
+
+    def test_singular_square_gives_kernel_witness(self):
+        decision = decide_bijection(M([[1, 1], [1, 1]]))
+        assert decision.rank == 1 and decision.inverse is None
+        assert decision.witness == (Fraction(1), Fraction(-1))
+
+    def test_wide_map_gives_kernel_witness(self):
+        m = M([[1, 0, 1], [0, 1, 1]])
+        decision = decide_bijection(m)
+        assert decision.rank == 2 and decision.inverse is None
+        assert all(not x for x in m.apply(decision.witness))
+
+    def test_injective_tall_map_gives_first_missed_basis_vector(self):
+        decision = decide_bijection(M([[1], [0], [0]]))
+        assert decision.rank == 1 and decision.inverse is None
+        assert decision.witness == basis_vector(3, 1, QQ)
+
+    def test_empty_map_is_bijective(self):
+        decision = decide_bijection(Matrix.zero(0, 0, QQ))
+        assert decision.rank == 0 and decision.inverse == Matrix.zero(0, 0, QQ)
 
 
 class TestKron:

@@ -27,6 +27,7 @@ from entwine.galois import (
 )
 from entwine.structures import (
     ComoduleAlgebra,
+    coaction_algebra_map_checks,
     GroupLike,
     field_algebra,
     transport_algebra,
@@ -61,13 +62,15 @@ class TestCoinvariants:
         assert sub.dim == 1 and sub.basis == ((Fraction(1), Fraction(0)),)
 
     def test_classical_comparison_on_self_extension(self, z2_hopf, z2_self_extension):
-        report = classical_coinvariants_agree(z2_self_extension, z2_hopf)
+        report = classical_coinvariants_agree(
+            galois_check(z2_self_extension), coaction_algebra_map_checks(z2_self_extension, z2_hopf.algebra)
+        )
         assert report.applicable and report.agrees
         assert report.grouplike == (Fraction(1), Fraction(0))  # coaction(1) = 1 (x) 1
 
     def test_classical_comparison_on_quadratic(self, quadratic):
         dual = dual_group_algebra({"group": "Z2"})
-        report = classical_coinvariants_agree(quadratic, dual)
+        report = classical_coinvariants_agree(galois_check(quadratic), coaction_algebra_map_checks(quadratic, dual.algebra))
         assert report.applicable and report.agrees
         assert report.grouplike == (Fraction(1), Fraction(1))  # unit of the dual algebra
 
@@ -77,7 +80,7 @@ class TestCoinvariants:
         a = z2_hopf.algebra
         e = column_matrix((0, 1), QQ)
         x = ComoduleAlgebra(a, z2_hopf.coalgebra, kron(a.identity_matrix, e))
-        report = classical_coinvariants_agree(x)
+        report = classical_coinvariants_agree(galois_check(x))
         assert report.applicable and report.agrees
         assert report.grouplike == (Fraction(0), Fraction(1))
         assert coinvariants(x) == Subspace.full(2, QQ)
@@ -88,7 +91,7 @@ class TestCoinvariants:
         a = z2_hopf.algebra
         e = column_matrix((0, 1), QQ)
         x = ComoduleAlgebra(a, z2_hopf.coalgebra, kron(a.identity_matrix, e))
-        report = classical_coinvariants_agree(x, z2_hopf)
+        report = classical_coinvariants_agree(galois_check(x), coaction_algebra_map_checks(x, z2_hopf.algebra))
         assert not report.applicable
         assert "not an algebra map" in report.note
 
@@ -178,7 +181,7 @@ class TestUniqueness:
 
 class TestDifferentialSequence:
     def test_z2_dimensions(self, z2_self_extension):
-        report = differential_sequence(z2_self_extension)
+        report = differential_sequence(galois_check(z2_self_extension))
         assert report.exact and report.agrees_with_galois
         assert report.universal_forms.dim == 2
         assert report.augmented_target.dim == 2
@@ -186,14 +189,14 @@ class TestDifferentialSequence:
 
     def test_non_galois_not_exact(self, z2_hopf):
         x = trivial_comodule_algebra(z2_hopf.coalgebra, (1, 0))
-        report = differential_sequence(x)
+        report = differential_sequence(galois_check(x))
         assert not report.exact and not report.galois
         assert report.agrees_with_galois
         assert not report.image_fills_target
         assert report.universal_forms.dim == 0 and report.augmented_target.dim == 1
 
     def test_quadratic_exact(self, quadratic):
-        report = differential_sequence(quadratic)
+        report = differential_sequence(galois_check(quadratic))
         assert report.exact and report.agrees_with_galois
 
     def test_full_coinvariant_instance_agrees(self, z2_hopf):
@@ -201,11 +204,11 @@ class TestDifferentialSequence:
         a = z2_hopf.algebra
         e = column_matrix((0, 1), QQ)
         x = ComoduleAlgebra(a, z2_hopf.coalgebra, kron(a.identity_matrix, e))
-        report = differential_sequence(x)
+        report = differential_sequence(galois_check(x))
         assert report.agrees_with_galois
 
     def test_sweedler_agrees(self, sweedler_self_extension):
-        report = differential_sequence(sweedler_self_extension)
+        report = differential_sequence(galois_check(sweedler_self_extension))
         assert report.exact and report.agrees_with_galois
 
 
@@ -246,38 +249,44 @@ class TestBundles:
 class TestBundleEquivalence:
     def test_z2_round_trip(self, z2_hopf, z2_self_extension):
         psi = hopf_entwining(z2_hopf, z2_self_extension)
-        report = bundle_coaction_equivalence(psi, GroupLike(z2_hopf.coalgebra, (1, 0)))
+        report = bundle_coaction_equivalence(bundle_check(psi, GroupLike(z2_hopf.coalgebra, (1, 0))))
         assert report.applicable and report.ok
         assert report.coaction == z2_self_extension.coaction  # reproduced bit-exactly
         assert report.certificate.psi.psi == psi.psi
 
     def test_sweedler_round_trip(self, sweedler, sweedler_self_extension):
         psi = hopf_entwining(sweedler, sweedler_self_extension)
-        report = bundle_coaction_equivalence(psi, GroupLike(sweedler.coalgebra, (1, 0, 0, 0)))
+        report = bundle_coaction_equivalence(bundle_check(psi, GroupLike(sweedler.coalgebra, (1, 0, 0, 0))))
         assert report.ok
         assert report.coaction == sweedler_self_extension.coaction
 
     def test_gated_when_not_bundle(self, z2_hopf):
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
-        report = bundle_coaction_equivalence(e, GroupLike(z2_hopf.coalgebra, (1, 0)))
+        report = bundle_coaction_equivalence(bundle_check(e, GroupLike(z2_hopf.coalgebra, (1, 0))))
         assert not report.applicable
         assert "not a bundle" in report.note
 
 
 class TestLeftCanonical:
     def test_z2(self, z2_hopf, z2_self_extension):
-        report = left_canonical_check(z2_hopf, z2_self_extension)
+        report = left_canonical_check(
+            z2_hopf, galois_check(z2_self_extension), coaction_algebra_map_checks(z2_self_extension, z2_hopf.algebra)
+        )
         assert report.composite_matches and report.left_bijective
 
     def test_sweedler_16_by_16(self, sweedler, sweedler_self_extension):
-        report = left_canonical_check(sweedler, sweedler_self_extension)
+        report = left_canonical_check(
+            sweedler,
+            galois_check(sweedler_self_extension),
+            coaction_algebra_map_checks(sweedler_self_extension, sweedler.algebra),
+        )
         assert report.can_left.rows == 16 and report.can_left.cols == 16
         assert report.composite_matches and report.left_bijective
 
     def test_trivial_coalgebra_collapses_to_multiplication(self):
         h = group_algebra({"group": "Z1"})
         x = self_extension(h)
-        report = left_canonical_check(h, x)
+        report = left_canonical_check(h, galois_check(x), coaction_algebra_map_checks(x, h.algebra))
         assert report.composite_matches and report.left_bijective
 
 
