@@ -265,6 +265,8 @@ def parse_document(text: str) -> StructureDocument:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InvalidDocument([SchemaError("$", f"not valid JSON: {exc}")]) from None
+    except RecursionError:
+        raise InvalidDocument([SchemaError("$", "not valid JSON: nested too deeply")]) from None
     if not isinstance(obj, dict):
         raise InvalidDocument([SchemaError("$", "document root must be an object")])
     reader = _Reader(obj)
@@ -416,12 +418,7 @@ def parse_document(text: str) -> StructureDocument:
 
 
 def _format_matrix_entries(field, matrix: Matrix):
-    out = []
-    for i, row in enumerate(matrix.entries):
-        for j, c in enumerate(row):
-            if c:
-                out.append({"i": i, "j": j, "c": field.format(c)})
-    return out
+    return [{"i": i, "j": j, "c": field.format(c)} for i, row in enumerate(matrix.nonzeros) for j, c in row]
 
 
 def _format_tensor_entries(field, tensor):

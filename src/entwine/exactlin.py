@@ -1,9 +1,21 @@
-"""Dense exact linear algebra over the rationals and GF(p).
+"""Exact linear algebra over the rationals and GF(p) on nonzero-indexed matrices.
 
 Everything else in the library reduces to the operations here: canonical
 reduced row-echelon forms, kernels and images with canonical bases, exact
 inverses, Kronecker products under a fixed row-major tensor convention, and
 quotient presentations of vector spaces.
+
+A ``Matrix`` has two views of its cells: the dense ``entries`` and a per-row
+nonzero index, ``nonzeros``, which lists for each row the ``(column, value)``
+pairs of its nonzero entries in increasing column order.  Each view is
+computed at most once, on first use.  A matrix constructed from its entries
+computes its index when a kernel first needs it; every operation here that
+builds a matrix or a subspace attaches the index it already knows, so its
+output is never scanned, and a matrix's dense entries are materialised only
+if something reads them.  Products, Kronecker products, application to
+vectors, membership tests and elimination touch nonzero entries only,
+elimination works on sparse rows (dicts from column to value), and tensor
+permutations are built from their index maps.
 
 Conventions, fixed once for the whole library:
 
@@ -18,10 +30,14 @@ All values are immutable; all operations are pure and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
 from .fields import FieldSpec, Scalar
+
+# One row of a nonzero index: (column, nonzero value) pairs by increasing column.
+IndexRow = tuple[tuple[int, Scalar], ...]
 
 
 def _check_same_field(a: "Matrix | Subspace", b: "Matrix | Subspace"):
@@ -29,19 +45,98 @@ def _check_same_field(a: "Matrix | Subspace", b: "Matrix | Subspace"):
         raise FieldMismatch(f"{a.field} vs {b.field}")
 
 
-@dataclass(frozen=True)
+def _dense(index: Sequence[IndexRow], cols: int, field: FieldSpec) -> tuple[tuple[Scalar, ...], ...]:
+    """Dense rows of a nonzero index; all empty rows share one tuple."""
+    zero = field.zero
+    blank = (zero,) * cols
+    out = []
+    for pairs in index:
+        if pairs:
+            row = [zero] * cols
+            for j, x in pairs:
+                row[j] = x
+            out.append(tuple(row))
+        else:
+            out.append(blank)
+    return tuple(out)
+
+
+def _sorted_index(row: dict[int, Scalar]) -> IndexRow:
+    return tuple(sorted(row.items()))
+
+
+def _index_row(acc: dict[int, Scalar], p: int | None) -> IndexRow:
+    """The index row of accumulated column sums: reduced mod p (unless p is
+    None, over Q), zeros dropped, by increasing column."""
+    if p:
+        return tuple([(j, x) for j, x in sorted([(j, x % p) for j, x in acc.items()]) if x])
+    return tuple([(j, x) for j, x in sorted(acc.items()) if x])
+
+
+def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
+    """The matrix with the given nonzero index; its dense entries are
+    materialised only if something reads them."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(rows=rows, cols=cols, field=field, nonzeros=tuple(index))
+    return m
+
+
+def _subspace(ambient_dim: int, reduced: list[dict[int, Scalar]], field: FieldSpec) -> "Subspace":
+    """The subspace whose basis is the given RREF rows, with its index attached."""
+    index = tuple(_sorted_index(row) for row in reduced)
+    sub = Subspace(ambient_dim, _dense(index, ambient_dim, field), field)
+    sub.__dict__["nonzeros"] = index
+    return sub
+
+
 class Matrix:
+    """An immutable rows x cols matrix over ``field``.
+
+    It has two views, each computed at most once: the dense ``entries`` (a
+    tuple of row tuples) and the nonzero index ``nonzeros``.  A matrix
+    constructed from its entries computes the index on first use; one built
+    here from an index materialises its entries on first use.
+    """
+
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
     field: FieldSpec
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionMismatch(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionMismatch(f"expected {self.cols} columns, got {len(row)}")
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Scalar, ...], ...], field: FieldSpec):
+        if len(entries) != rows:
+            raise DimensionMismatch(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise DimensionMismatch(f"expected {cols} columns, got {len(row)}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries, field=field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Matrix")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Matrix")
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r}, field={self.field!r})"
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        return _dense(self.nonzeros, self.cols, self.field)
+
+    @cached_property
+    def nonzeros(self) -> tuple[IndexRow, ...]:
+        """Per row, the (column, value) pairs of its nonzero entries by increasing column."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.field) == (other.rows, other.cols, other.field) and (
+            self.nonzeros == other.nonzeros
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.field, self.nonzeros))
 
     @staticmethod
     def from_rows(data: Iterable[Iterable], field: FieldSpec) -> "Matrix":
@@ -51,77 +146,101 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int, field: FieldSpec) -> "Matrix":
-        z = field.zero
-        return Matrix(rows, cols, tuple((z,) * cols for _ in range(rows)), field)
+        return _from_index(rows, cols, ((),) * rows, field)
 
     @staticmethod
     def identity(n: int, field: FieldSpec) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), field)
+        one = field.one
+        return _from_index(n, n, [((i, one),) for i in range(n)], field)
 
     @property
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.nonzeros)
 
     @property
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        one = self.field.one
-        return all(x == (one if i == j else 0) for i, row in enumerate(self.entries) for j, x in enumerate(row))
+        return all(len(row) == 1 and row[0][0] == i and row[0][1] == 1 for i, row in enumerate(self.nonzeros))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         field = self.field
-        prime = field.is_prime_field
         p = field.p
-        zero = field.zero
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        bent = other.entries
-        for i, arow in enumerate(self.entries):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                for j, b in enumerate(bent[k]):
-                    if b:
-                        orow[j] += a * b
-            if prime:
-                out[i] = [x % p for x in orow]
-        return Matrix(self.rows, other.cols, tuple(tuple(r) for r in out), field)
+        bnz = other.nonzeros
+        out = []
+        for arow in self.nonzeros:
+            if len(arow) == 1:
+                k, a = arow[0]
+                if a == 1:
+                    out.append(bnz[k])
+                elif p:
+                    out.append(tuple((j, a * b % p) for j, b in bnz[k]))
+                else:
+                    out.append(tuple((j, a * b) for j, b in bnz[k]))
+                continue
+            acc: dict[int, Scalar] = {}
+            if p:
+                # int products: accumulate, then reduce once per output cell
+                get = acc.get
+                for k, a in arow:
+                    for j, b in bnz[k]:
+                        acc[j] = get(j, 0) + a * b
+                out.append(_index_row(acc, p))
+                continue
+            for k, a in arow:
+                if a == 1:  # no Fraction product for unit coefficients
+                    for j, b in bnz[k]:
+                        if j in acc:
+                            acc[j] += b
+                        else:
+                            acc[j] = b
+                else:
+                    for j, b in bnz[k]:
+                        if j in acc:
+                            acc[j] += a * b
+                        else:
+                            acc[j] = a * b
+            out.append(_index_row(acc, None))
+        return _from_index(self.rows, other.cols, out, field)
+
+    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        """self + sign * other, row by row over both indexes."""
+        _check_same_field(self, other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"matrix {what} shape mismatch")
+        p = self.field.p
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            if not rb:
+                out.append(ra)
+                continue
+            acc = dict(ra)
+            for j, b in rb:
+                if sign < 0:
+                    b = -b
+                acc[j] = acc[j] + b if j in acc else b
+            out.append(_index_row(acc, p))
+        return _from_index(self.rows, self.cols, out, self.field)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        add = self.field.add
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-            self.field,
-        )
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        sub = self.field.sub
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-            self.field,
-        )
+        return self._combine(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.rows, self.cols, tuple(tuple(neg(a) for a in row) for row in self.entries), self.field)
+        return _from_index(self.rows, self.cols, [tuple((j, neg(x)) for j, x in row) for row in self.nonzeros], self.field)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows and self.cols else tuple(() for _ in range(self.cols)), self.field)
+        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                cols[j].append((i, x))
+        return _from_index(self.cols, self.rows, [tuple(c) for c in cols], self.field)
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.entries)
@@ -133,13 +252,17 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
         field = self.field
+        zero = field.zero
         out = []
-        for row in self.entries:
-            acc = field.zero
-            for a, v in zip(row, vec):
-                if a and v:
+        for row in self.nonzeros:
+            acc = zero
+            for j, a in row:
+                v = vec[j]
+                if v:
                     acc += a * v
-            out.append(acc % field.p if field.is_prime_field else acc)
+            out.append(acc)
+        if field.is_prime_field:
+            return tuple(x % field.p for x in out)
         return tuple(out)
 
 
@@ -166,12 +289,19 @@ class Subspace:
 
     @staticmethod
     def from_spanning(vectors: Iterable[Sequence[Scalar]], ambient_dim: int, field: FieldSpec) -> "Subspace":
-        rows = [[field.coerce(x) for x in v] for v in vectors]
-        for v in rows:
+        coerce = field.coerce
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(f"vector length {len(v)} in ambient dimension {ambient_dim}")
-        reduced, pivots = _echelon(rows, ambient_dim, field)
-        return Subspace(ambient_dim, tuple(tuple(reduced[i]) for i in range(len(pivots))), field)
+            row = {}
+            for j, x in enumerate(v):
+                if x:
+                    y = coerce(x)
+                    if y:
+                        row[j] = y
+            rows.append(row)
+        return _subspace(ambient_dim, _echelon(rows, ambient_dim, field)[1], field)
 
     @staticmethod
     def zero_subspace(ambient_dim: int, field: FieldSpec) -> "Subspace":
@@ -179,37 +309,50 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int, field: FieldSpec) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim, field).entries, field)
+        one = field.one
+        return _subspace(ambient_dim, [{i: one} for i in range(ambient_dim)], field)
+
+    @cached_property
+    def nonzeros(self) -> tuple[IndexRow, ...]:
+        """The nonzero index of the basis, as for Matrix.nonzeros."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        return tuple(row[0][0] for row in self.nonzeros)
 
     def contains_vector(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
-        field = self.field
-        v = [field.coerce(x) for x in vec]
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j, r in enumerate(row):
-                    if r:
-                        v[j] = field.sub(v[j], field.mul(c, r))
-        return all(not x for x in v)
+        coerce = self.field.coerce
+        p = self.field.p
+        v = {}
+        for j, x in enumerate(vec):
+            if x:
+                y = coerce(x)
+                if y:
+                    v[j] = y
+        # Pivot rows are zero at every other pivot, so one pass clears them all.
+        for row, piv in zip(self.nonzeros, self.pivots):
+            c = v.get(piv)
+            if c is not None:
+                _subtract(v, c, row, p)
+        return not v
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
 
     def inclusion(self) -> Matrix:
         """ambient x dim matrix whose columns are the basis vectors."""
-        cols = self.dim
-        ent = tuple(tuple(self.basis[q][i] for q in range(cols)) for i in range(self.ambient_dim))
-        return Matrix(self.ambient_dim, cols, ent, self.field)
+        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.ambient_dim)]
+        for q, row in enumerate(self.nonzeros):
+            for j, x in row:
+                cols[j].append((q, x))
+        return _from_index(self.ambient_dim, self.dim, [tuple(c) for c in cols], self.field)
 
     def coordinates(self) -> Matrix:
         """dim x ambient matrix giving coordinates on this subspace.
@@ -217,10 +360,8 @@ class Subspace:
         Rows select the pivot positions; the result is only meaningful on
         vectors that lie in the subspace (coordinates . inclusion = id).
         """
-        z, o = self.field.zero, self.field.one
-        piv = self.pivots
-        ent = tuple(tuple(o if j == p else z for j in range(self.ambient_dim)) for p in piv)
-        return Matrix(self.dim, self.ambient_dim, ent, self.field)
+        one = self.field.one
+        return _from_index(self.dim, self.ambient_dim, [((p, one),) for p in self.pivots], self.field)
 
 
 @dataclass(frozen=True)
@@ -239,67 +380,114 @@ class QuotientPresentation:
     section: Matrix
 
 
-def _echelon(rows: list[list[Scalar]], ncols: int, field: FieldSpec) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.invert(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _subtract(row: dict[int, Scalar], f: Scalar, other: Iterable[tuple[int, Scalar]], p: int | None):
+    """row -= f * other in place, over the (column, value) pairs of other;
+    entries that cancel are dropped.  ``p`` is the modulus, None over Q."""
+    if p:
+        for j, y in other:
+            if j in row:
+                x = (row[j] - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            else:
+                row[j] = -f * y % p
+    else:
+        for j, y in other:
+            if j in row:
+                x = row[j] - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            else:
+                row[j] = -f * y
+
+
+def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) -> tuple[list[int], list[dict[int, Scalar]]]:
+    """Reduced row echelon form of sparse rows (dicts from column to nonzero value).
+
+    Returns the pivot columns in increasing order and the nonzero rows of the
+    unique RREF in the same order.  Rows are inserted one at a time against
+    the pivot rows found so far, each of which is zero at every other pivot
+    column: clearing a new row takes one membership test per entry and one
+    update over each pivot row's nonzeros.  ``holders`` maps each non-pivot
+    column to a superset of the pivot rows holding it, so a new pivot
+    revisits only those rows.  The input dicts are consumed.
+    """
+    p = field.p
+    invert = field.invert
+    pivot_rows: dict[int, dict[int, Scalar]] = {}
+    holders: dict[int, set[int]] = {}
+    for row in rows:
+        if len(pivot_rows) == ncols:
             break
-    return rows, pivots
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract(row, row[c], pivot_rows[c].items(), p)
+        if not row:
+            continue
+        c = min(row)
+        lead = row[c]
+        if lead != 1:
+            inv = invert(lead)
+            row = {j: x * inv % p for j, x in row.items()} if p else {j: x * inv for j, x in row.items()}
+        cleared = [c]
+        for k in holders.pop(c, ()):
+            other = pivot_rows[k]
+            f = other.get(c)
+            if f is not None:  # else an earlier update cancelled column c there
+                _subtract(other, f, row.items(), p)
+                cleared.append(k)
+        for j in row:
+            if j != c:
+                holders.setdefault(j, set()).update(cleared)
+        pivot_rows[c] = row
+    pivots = sorted(pivot_rows)
+    return pivots, [pivot_rows[c] for c in pivots]
+
+
+def _nonzero_rows(m: Matrix) -> list[dict[int, Scalar]]:
+    return [dict(row) for row in m.nonzeros]
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form (leftmost pivots, exact division)."""
-    rows = [list(r) for r in m.entries]
-    reduced, _ = _echelon(rows, m.cols, m.field)
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in reduced), m.field)
+    _, reduced = _echelon(_nonzero_rows(m), m.cols, m.field)
+    index = [_sorted_index(row) for row in reduced]
+    return _from_index(m.rows, m.cols, index + [()] * (m.rows - len(index)), m.field)
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.entries]
-    _, pivots = _echelon(rows, m.cols, m.field)
-    return len(pivots)
+    return len(_echelon(_nonzero_rows(m), m.cols, m.field)[0])
+
+
+def _kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) -> list[dict[int, Scalar]]:
+    """RREF basis rows of the null space of the matrix with the given sparse rows."""
+    pivots, reduced = _echelon(rows, ncols, field)
+    pivot_set = set(pivots)
+    one = field.one
+    p = field.p
+    vecs = {f: {f: one} for f in range(ncols) if f not in pivot_set}
+    for piv, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != piv:
+                vecs[j][piv] = -x % p if p else -x
+    return _echelon(vecs.values(), ncols, field)[1]
 
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space {v : m v = 0}."""
-    rows = [list(r) for r in m.entries]
-    reduced, pivots = _echelon(rows, m.cols, m.field)
-    field = m.field
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [field.zero] * m.cols
-        v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][f])
-        vecs.append(v)
-    return Subspace.from_spanning(vecs, m.cols, field)
+    return _subspace(m.cols, _kernel_rows(_nonzero_rows(m), m.cols, m.field), m.field)
 
 
 def image(m: Matrix) -> Subspace:
     """Canonical basis of the column space, as a subspace of k^rows."""
-    return Subspace.from_spanning(m.columns(), m.rows, m.field)
+    cols: list[dict[int, Scalar]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.nonzeros):
+        for j, x in row:
+            cols[j][i] = x
+    return _subspace(m.rows, _echelon(cols, m.rows, m.field)[1], m.field)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -309,30 +497,33 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero_subspace(s1.ambient_dim, s1.field)
     field = s1.field
+    p = field.p
     # Solve sum a_i u_i = sum b_j w_j via the kernel of [U | -W] (columns).
     n = s1.ambient_dim
-    cols1, cols2 = s1.dim, s2.dim
-    inc1, inc2 = s1.inclusion().entries, s2.inclusion().entries
-    ent = tuple(tuple(list(inc1[i]) + [field.neg(x) for x in inc2[i]]) for i in range(n))
-    stacked = Matrix(n, cols1 + cols2, ent, field)
+    cols1 = s1.dim
+    stacked: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for q, row in enumerate(s1.nonzeros):
+        for j, x in row:
+            stacked[j][q] = x
+    for q, row in enumerate(s2.nonzeros):
+        for j, x in row:
+            stacked[j][cols1 + q] = -x % p if p else -x
     vecs = []
-    for kv in kernel(stacked).basis:
-        coeffs = kv[:cols1]
-        v = [field.zero] * n
-        for a, u in zip(coeffs, s1.basis):
-            if a:
-                for j, x in enumerate(u):
-                    if x:
-                        v[j] = field.add(v[j], field.mul(a, x))
+    for kv in _kernel_rows(stacked, cols1 + s2.dim, field):
+        v: dict[int, Scalar] = {}
+        for q, a in kv.items():
+            if q < cols1:
+                _subtract(v, -a, s1.nonzeros[q], p)
         vecs.append(v)
-    return Subspace.from_spanning(vecs, n, field)
+    return _subspace(n, _echelon(vecs, n, field)[1], field)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     _check_same_field(s1, s2)
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(f"ambient {s1.ambient_dim} vs {s2.ambient_dim}")
-    return Subspace.from_spanning(list(s1.basis) + list(s2.basis), s1.ambient_dim, s1.field)
+    rows = [dict(row) for row in s1.nonzeros + s2.nonzeros]
+    return _subspace(s1.ambient_dim, _echelon(rows, s1.ambient_dim, s1.field)[1], s1.field)
 
 
 def try_invert(m: Matrix):
@@ -341,15 +532,16 @@ def try_invert(m: Matrix):
         raise NotSquare(f"{m.rows}x{m.cols} matrix")
     n = m.rows
     field = m.field
-    ident = Matrix.identity(n, field)
-    aug = [list(r) + list(i) for r, i in zip(m.entries, ident.entries)]
-    reduced, pivots = _echelon(aug, 2 * n, field)
+    one = field.one
+    aug = _nonzero_rows(m)
+    for i, row in enumerate(aug):
+        row[n + i] = one
+    pivots, reduced = _echelon(aug, 2 * n, field)
     if pivots != list(range(n)):
         ker = kernel(m)
         witness = ker.basis[0] if ker.dim else None
         return NotInvertible(rank=sum(1 for p in pivots if p < n), witness=witness)
-    inv = Matrix(n, n, tuple(tuple(row[n:]) for row in reduced), field)
-    return inv
+    return _from_index(n, n, [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced], field)
 
 
 @dataclass(frozen=True)
@@ -382,48 +574,43 @@ def kron(m1: Matrix, m2: Matrix) -> Matrix:
     """Kronecker product: the matrix of f (x) g on row-major tensor bases."""
     _check_same_field(m1, m2)
     field = m1.field
-    rows = m1.rows * m2.rows
-    cols = m1.cols * m2.cols
-    zero = field.zero
-    prime = field.is_prime_field
     p = field.p
-    out = [[zero] * cols for _ in range(rows)]
-    for i1, row1 in enumerate(m1.entries):
-        base_r = i1 * m2.rows
-        for j1, a in enumerate(row1):
-            if not a:
-                continue
-            base_c = j1 * m2.cols
-            for i2, row2 in enumerate(m2.entries):
-                orow = out[base_r + i2]
-                for j2, b in enumerate(row2):
-                    if b:
-                        orow[base_c + j2] = (a * b) % p if prime else a * b
-    return Matrix(rows, cols, tuple(tuple(r) for r in out), field)
+    c2 = m2.cols
+    nz2 = m2.nonzeros
+    out = []
+    for row1 in m1.nonzeros:
+        blocks = [(j1 * c2, a, a == 1) for j1, a in row1]
+        for row2 in nz2:
+            pairs: list[tuple[int, Scalar]] = []
+            for base, a, unit in blocks:
+                if unit:
+                    pairs.extend((base + j2, b) for j2, b in row2)
+                elif p:
+                    pairs.extend((base + j2, a * b % p) for j2, b in row2)
+                else:
+                    pairs.extend((base + j2, a * b) for j2, b in row2)
+            out.append(tuple(pairs))
+    return _from_index(m1.rows * m2.rows, m1.cols * c2, out, field)
 
 
 def tensor_permutation(dims: Sequence[int], perm: Sequence[int], field: FieldSpec) -> Matrix:
-    """Matrix reordering tensor factors: output factor k is input factor perm[k]."""
-    n = 1
-    for d in dims:
-        n *= d
+    """Matrix reordering tensor factors: output factor k is input factor perm[k].
+
+    Built from its index map: output basis vector number r (row-major over the
+    permuted factors) is input basis vector number sources[r].
+    """
     if sorted(perm) != list(range(len(dims))):
         raise DimensionMismatch(f"{perm!r} is not a permutation of {len(dims)} factors")
-    out_dims = [dims[k] for k in perm]
-    zero, one = field.zero, field.one
-    ent = [[zero] * n for _ in range(n)]
-    for flat_in in range(n):
-        idx = []
-        rem = flat_in
-        for d in reversed(dims):
-            idx.append(rem % d)
-            rem //= d
-        idx.reverse()
-        flat_out = 0
-        for k, d in zip(perm, out_dims):
-            flat_out = flat_out * d + idx[k]
-        ent[flat_out][flat_in] = one
-    return Matrix(n, n, tuple(tuple(r) for r in ent), field)
+    strides = [1] * len(dims)
+    for k in range(len(dims) - 2, -1, -1):
+        strides[k] = strides[k + 1] * dims[k + 1]
+    sources = [0]
+    for k in perm:
+        stride = strides[k]
+        sources = [s + i * stride for s in sources for i in range(dims[k])]
+    one = field.one
+    n = len(sources)
+    return _from_index(n, n, [((s, one),) for s in sources], field)
 
 
 def flip_map(dim1: int, dim2: int, field: FieldSpec) -> Matrix:
@@ -436,25 +623,26 @@ def quotient(ambient_dim: int, relations: Subspace) -> QuotientPresentation:
     if relations.ambient_dim != ambient_dim:
         raise DimensionMismatch(f"relations ambient {relations.ambient_dim} vs {ambient_dim}")
     field = relations.field
-    piv = relations.pivots
-    pivot_set = set(piv)
+    one = field.one
+    p = field.p
+    pivot_set = set(relations.pivots)
     nonpiv = [j for j in range(ambient_dim) if j not in pivot_set]
     qdim = len(nonpiv)
-    zero, one = field.zero, field.one
-    proj = [[zero] * ambient_dim for _ in range(qdim)]
-    for q, np_col in enumerate(nonpiv):
-        proj[q][np_col] = one
-        for i, p in enumerate(piv):
-            proj[q][p] = field.neg(relations.basis[i][np_col])
-    sect = [[zero] * qdim for _ in range(ambient_dim)]
-    for q, np_col in enumerate(nonpiv):
-        sect[np_col][q] = one
+    position = {col: q for q, col in enumerate(nonpiv)}
+    proj: list[list[tuple[int, Scalar]]] = [[(col, one)] for col in nonpiv]
+    for piv, row in zip(relations.pivots, relations.nonzeros):
+        for j, x in row:
+            if j != piv:
+                proj[position[j]].append((piv, -x % p if p else -x))
+    sect: list[IndexRow] = [()] * ambient_dim
+    for q, col in enumerate(nonpiv):
+        sect[col] = ((q, one),)
     return QuotientPresentation(
         ambient_dim=ambient_dim,
         relations=relations,
         quotient_dim=qdim,
-        projection=Matrix(qdim, ambient_dim, tuple(tuple(r) for r in proj), field),
-        section=Matrix(ambient_dim, qdim, tuple(tuple(r) for r in sect), field),
+        projection=_from_index(qdim, ambient_dim, [tuple(sorted(r)) for r in proj], field),
+        section=_from_index(ambient_dim, qdim, sect, field),
     )
 
 
@@ -468,8 +656,7 @@ def stack_rows(mats: Sequence[Matrix]) -> Matrix:
         _check_same_field(m, mats[0])
         if m.cols != cols:
             raise DimensionMismatch("stack_rows column mismatch")
-    ent = tuple(row for m in mats for row in m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, ent, field)
+    return _from_index(sum(m.rows for m in mats), cols, [row for m in mats for row in m.nonzeros], field)
 
 
 def column_matrix(vec: Sequence[Scalar], field: FieldSpec) -> Matrix:
@@ -498,24 +685,22 @@ def middle_linear_system(left: Matrix, right: Matrix, factor_dim: int, unknown_r
         raise DimensionMismatch("right factor height does not match I (x) X")
     _check_same_field(left, right)
     field = left.field
-    prime = field.is_prime_field
     p = field.p
-    out_rows = left.rows * right.cols
+    rnz = right.nonzeros
+    rcols = right.cols
+    out_rows = left.rows * rcols
     out_cols = unknown_rows * unknown_cols
-    big = [[field.zero] * out_cols for _ in range(out_rows)]
-    for u, lrow in enumerate(left.entries):
-        for idx, lv in enumerate(lrow):
-            if not lv:
-                continue
+    big: list[dict[int, Scalar]] = [{} for _ in range(out_rows)]
+    for u, lrow in enumerate(left.nonzeros):
+        base = u * rcols
+        for idx, lv in lrow:
             i, r = divmod(idx, unknown_rows)
             for s in range(unknown_cols):
-                rrow = right.entries[i * unknown_cols + s]
                 col = r * unknown_cols + s
-                for v, rv in enumerate(rrow):
-                    if rv:
-                        tgt = big[u * right.cols + v]
-                        tgt[col] = (tgt[col] + lv * rv) % p if prime else tgt[col] + lv * rv
-    return Matrix(out_rows, out_cols, tuple(tuple(r) for r in big), field)
+                for v, rv in rnz[i * unknown_cols + s]:
+                    tgt = big[base + v]
+                    tgt[col] = tgt.get(col, 0) + lv * rv
+    return _from_index(out_rows, out_cols, [_index_row(row, p) for row in big], field)
 
 
 def vectorize(m: Matrix) -> tuple[Scalar, ...]:

@@ -23,6 +23,11 @@ PRIME = "prime"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# The rational zero and one, shared: Fractions are immutable, and equal
+# entries that are one object compare by identity alone.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 # Rational coefficients in documents: an integer or a fraction of integers.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -80,11 +85,11 @@ class FieldSpec:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.kind == PRIME else Fraction(0)
+        return 0 if self.kind == PRIME else _Q_ZERO
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.kind == PRIME else Fraction(1)
+        return 1 if self.kind == PRIME else _Q_ONE
 
     def coerce(self, value) -> Scalar:
         """Bring an int/Fraction/str into canonical form for this field."""
@@ -94,7 +99,7 @@ class FieldSpec:
                     return self.mul(value.numerator % self.p, self.invert(value.denominator % self.p))
                 value = value.numerator
             return int(value) % self.p
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.kind == PRIME else a + b

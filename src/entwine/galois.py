@@ -475,13 +475,23 @@ class BundleEquivalenceReport:
         )
 
 
+def coaction_forced_by_unit(coaction: Matrix, psi: EntwiningStructure) -> bool:
+    """coaction(a) = (m (x) C)(A (x) psi)(coaction(1) (x) a): through psi, the
+    coaction is determined by its value on 1."""
+    a, c = psi.algebra, psi.coalgebra
+    rho_one = column_matrix(coaction.apply(a.unit), a.field)
+    ia = a.identity_matrix
+    return coaction == kron(a.mult_matrix, c.identity_matrix) @ kron(ia, psi.psi) @ kron(rho_one, ia)
+
+
 def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport:
     """Both directions of the bundle/Galois correspondence at the bundle's group-like.
 
     Forward: from a verified bundle, a |-> psi(e (x) a) is a coaction whose
     Galois certificate recovers psi, with coaction(1) = 1 (x) e.  Backward:
     that certificate's canonical map equals the bundle's.  The uniqueness
-    clause checks the coaction is forced by its value on 1.
+    clause checks, with the certificate's psi, that the coaction is forced by
+    its value on 1.
     """
     if not bundle.is_bundle:
         return BundleEquivalenceReport(False, "not a bundle: the canonical map is not bijective", bundle=bundle)
@@ -499,7 +509,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
     psi_recovered = cert.is_galois and cert.psi.psi == e.psi
     coinvariants_match = cert.coinvariants == bundle.invariants
     can_matches = coinvariants_match and cert.can == bundle.can_psi
-    forced = coaction == e.psi @ kron(e_col, a.identity_matrix)
+    forced = cert.is_galois and coaction_forced_by_unit(coaction, cert.psi)
     return BundleEquivalenceReport(
         True,
         "",

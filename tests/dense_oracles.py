@@ -1,0 +1,180 @@
+"""Dense oracles for the nonzero-indexed kernels of entwine.exactlin.
+
+These are the cell-by-cell kernels exactlin used before its matrices carried
+a nonzero index, kept only to test the sparse kernels against: every one of
+them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
+tuples (or, for elimination, rows and pivots), so results compare directly
+with ``Matrix.entries`` and ``Subspace.basis``.
+
+The last two functions are the spanning-set forms of the coideal and
+invariance tests that cogalois and cogenerate now decide through quotients.
+"""
+
+from __future__ import annotations
+
+from entwine.exactlin import Matrix, Subspace, basis_vector, column_matrix, kron, subspace_sum
+
+
+def matmul(a: Matrix, b: Matrix) -> tuple:
+    field = a.field
+    prime = field.is_prime_field
+    p = field.p
+    out = [[field.zero] * b.cols for _ in range(a.rows)]
+    for i, arow in enumerate(a.entries):
+        orow = out[i]
+        for k, x in enumerate(arow):
+            if not x:
+                continue
+            for j, y in enumerate(b.entries[k]):
+                if y:
+                    orow[j] += x * y
+        if prime:
+            out[i] = [x % p for x in orow]
+    return tuple(tuple(r) for r in out)
+
+
+def kron_dense(m1: Matrix, m2: Matrix) -> tuple:
+    field = m1.field
+    prime = field.is_prime_field
+    p = field.p
+    out = [[field.zero] * (m1.cols * m2.cols) for _ in range(m1.rows * m2.rows)]
+    for i1, row1 in enumerate(m1.entries):
+        for j1, a in enumerate(row1):
+            if not a:
+                continue
+            for i2, row2 in enumerate(m2.entries):
+                orow = out[i1 * m2.rows + i2]
+                for j2, b in enumerate(row2):
+                    if b:
+                        orow[j1 * m2.cols + j2] = (a * b) % p if prime else a * b
+    return tuple(tuple(r) for r in out)
+
+
+def apply_dense(m: Matrix, vec) -> tuple:
+    field = m.field
+    out = []
+    for row in m.entries:
+        acc = field.zero
+        for a, v in zip(row, vec):
+            if a and v:
+                acc += a * v
+        out.append(acc % field.p if field.is_prime_field else acc)
+    return tuple(out)
+
+
+def echelon(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
+    """Column-by-column Gauss-Jordan elimination in place; (rows, pivots)."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.invert(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_dense(m: Matrix) -> tuple:
+    rows, _ = echelon([list(r) for r in m.entries], m.cols, m.field)
+    return tuple(tuple(r) for r in rows)
+
+
+def rank_dense(m: Matrix) -> int:
+    return len(echelon([list(r) for r in m.entries], m.cols, m.field)[1])
+
+
+def span_basis(vectors, ambient_dim: int, field) -> tuple:
+    """RREF basis of the span of dense vectors."""
+    rows, pivots = echelon([[field.coerce(x) for x in v] for v in vectors], ambient_dim, field)
+    return tuple(tuple(rows[i]) for i in range(len(pivots)))
+
+
+def kernel_dense(m: Matrix) -> tuple:
+    """RREF basis of the null space."""
+    field = m.field
+    reduced, pivots = echelon([list(r) for r in m.entries], m.cols, field)
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in set(pivots)):
+        v = [field.zero] * m.cols
+        v[f] = field.one
+        for i, p in enumerate(pivots):
+            v[p] = field.neg(reduced[i][f])
+        vecs.append(v)
+    return span_basis(vecs, m.cols, field)
+
+
+def try_invert_dense(m: Matrix) -> tuple | None:
+    """Dense rows of the inverse, or None for a singular matrix."""
+    n = m.rows
+    field = m.field
+    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    reduced, pivots = echelon([list(r) + ident[i] for i, r in enumerate(m.entries)], 2 * n, field)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def tensor_permutation_dense(dims, perm, field) -> tuple:
+    n = 1
+    for d in dims:
+        n *= d
+    out_dims = [dims[k] for k in perm]
+    ent = [[field.zero] * n for _ in range(n)]
+    for flat_in in range(n):
+        idx = []
+        rem = flat_in
+        for d in reversed(dims):
+            idx.append(rem % d)
+            rem //= d
+        idx.reverse()
+        flat_out = 0
+        for k, d in zip(perm, out_dims):
+            flat_out = flat_out * d + idx[k]
+        ent[flat_out][flat_in] = field.one
+    return tuple(tuple(r) for r in ent)
+
+
+def _tensor_vector(u, v, field) -> tuple:
+    return kron(column_matrix(u, field), column_matrix(v, field)).column(0)
+
+
+def coproduct_in_mixed_span(c, sub: Subspace) -> bool:
+    """coproduct(I) inside C (x) I + I (x) C, against the span of the
+    2 * dim C * dim I vectors e_i (x) v and v (x) e_i."""
+    field = c.field
+    mixed_vectors = []
+    for i in range(c.dim):
+        e_i = basis_vector(c.dim, i, field)
+        for v in sub.basis:
+            mixed_vectors.append(_tensor_vector(e_i, v, field))
+            mixed_vectors.append(_tensor_vector(v, e_i, field))
+    mixed = Subspace.from_spanning(mixed_vectors, c.dim * c.dim, field)
+    return all(mixed.contains_vector(c.comult_matrix.apply(v)) for v in sub.basis)
+
+
+def invariance_by_spanning(c, coideals, k: Subspace) -> bool:
+    """K inside every I_i and coproduct(K) inside I_i (x) C + C (x) K, against
+    spanning sets of the two summands."""
+    field = c.field
+    if not all(sub.contains_subspace(k) for sub in coideals):
+        return False
+    n = c.dim
+    full_vectors = [basis_vector(n, i, field) for i in range(n)]
+    right_part = Subspace.from_spanning([_tensor_vector(e, v, field) for e in full_vectors for v in k.basis], n * n, field)
+    for sub in coideals:
+        left = Subspace.from_spanning([_tensor_vector(v, e, field) for v in sub.basis for e in full_vectors], n * n, field)
+        allowed = subspace_sum(left, right_part)
+        if not all(allowed.contains_vector(c.comult_matrix.apply(v)) for v in k.basis):
+            return False
+    return True

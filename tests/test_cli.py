@@ -203,3 +203,11 @@ class TestInputContract:
         assert proc.returncode == 2
         assert "error: $: not valid JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_deeply_nested_document_is_refused(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 200000, encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "structures")
+        assert proc.returncode == 2
+        assert "error: $: not valid JSON: nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr

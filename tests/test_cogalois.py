@@ -9,6 +9,7 @@ from entwine.catalogue import (
     self_extension,
 )
 from entwine.cogalois import (
+    action_forced_by_counit,
     canonical_coideal,
     coextension_check,
     coideal_checks,
@@ -20,7 +21,7 @@ from entwine.cogalois import (
     is_coideal,
     quotient_coalgebra,
 )
-from entwine.entwining import validate_entwining
+from entwine.entwining import EntwiningStructure, validate_entwining
 from entwine.errors import NotCharacter, NotCoideal
 from entwine.exactlin import Matrix, Subspace, kron
 from entwine.fields import GF, QQ
@@ -271,6 +272,16 @@ class TestDualBundleEquivalence:
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
         report = dual_bundle_action_equivalence(dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))))
         assert not report.applicable
+
+    def test_forced_clause_reads_psi(self, z2_coextension):
+        # act = ((counit . act) (x) C)(C (x) psi)(coproduct (x) A) holds for the certificate's psi ...
+        psi = coextension_check(z2_coextension).psi
+        assert action_forced_by_counit(z2_coextension.action, psi)
+        # ... and fails once an entry of psi that the composite reads is perturbed
+        rows = [list(r) for r in psi.psi.entries]
+        rows[0][0] += 1
+        perturbed = EntwiningStructure(psi.algebra, psi.coalgebra, Matrix.from_rows(rows, QQ))
+        assert not action_forced_by_counit(z2_coextension.action, perturbed)
 
 
 class TestDualityCrossCheck:

@@ -9,7 +9,7 @@ from entwine.catalogue import (
     group_algebra,
     self_extension,
 )
-from entwine.entwining import flip_entwining, hopf_entwining, validate_entwining
+from entwine.entwining import EntwiningStructure, flip_entwining, hopf_entwining, validate_entwining
 from entwine.errors import NotGalois, NotGroupLike, NotSubalgebra
 from entwine.exactlin import Matrix, Subspace, kron, column_matrix
 from entwine.fields import GF, QQ
@@ -18,6 +18,7 @@ from entwine.galois import (
     bundle_check,
     bundle_coaction_equivalence,
     canonical_entwining,
+    coaction_forced_by_unit,
     classical_coinvariants_agree,
     coinvariants,
     differential_sequence,
@@ -265,6 +266,16 @@ class TestBundleEquivalence:
         report = bundle_coaction_equivalence(bundle_check(e, GroupLike(z2_hopf.coalgebra, (1, 0))))
         assert not report.applicable
         assert "not a bundle" in report.note
+
+    def test_forced_clause_reads_psi(self, z2_hopf, z2_self_extension):
+        # rho(a) = (m (x) C)(A (x) psi)(rho(1) (x) a) holds for the certificate's psi ...
+        psi = galois_check(z2_self_extension).psi
+        assert coaction_forced_by_unit(z2_self_extension.coaction, psi)
+        # ... and fails once psi(1 (x) 1), which rho(1) = 1 (x) 1 reaches, is perturbed
+        rows = [list(r) for r in psi.psi.entries]
+        rows[0][0] += 1
+        perturbed = EntwiningStructure(psi.algebra, psi.coalgebra, Matrix.from_rows(rows, QQ))
+        assert not coaction_forced_by_unit(z2_self_extension.coaction, perturbed)
 
 
 class TestLeftCanonical:

@@ -1,0 +1,350 @@
+"""The nonzero-indexed kernels of exactlin against the dense oracles, over QQ
+and GF(7), on random densities, zero rows and columns, empty shapes and
+singular inputs; and the quotient forms of the coideal and invariance tests
+against their spanning-set forms."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracles as dense
+from entwine.catalogue import coset_coideal, dual_group_algebra, group_algebra, sweedler_hopf_algebra
+from entwine.cogalois import coideal_checks
+from entwine.cogenerate import _invariance_certificate
+from entwine.exactlin import (
+    Matrix,
+    NotInvertible,
+    Subspace,
+    image,
+    intersect,
+    kernel,
+    kron,
+    middle_linear_system,
+    quotient,
+    rank,
+    rref,
+    stack_rows,
+    tensor_permutation,
+    try_invert,
+    vectorize,
+)
+from entwine.fields import GF, QQ
+
+GF7 = GF(7)
+FIELDS = st.sampled_from([QQ, GF7])
+
+
+def recomputed(rows) -> tuple:
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def assert_indexed(m: Matrix):
+    """The index a kernel attached agrees with its dense entries and holds
+    canonical scalars only."""
+    assert m.nonzeros == recomputed(m.entries)
+    assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
+    assert all(m.field.coerce(x) == x for row in m.nonzeros for _, x in row)
+
+
+def assert_subspace_indexed(s: Subspace):
+    assert s.nonzeros == recomputed(s.basis)
+    assert s.pivots == tuple(row.index(next(x for x in row if x)) for row in s.basis)
+
+
+@st.composite
+def scalars(draw, field):
+    if field.is_prime_field:
+        return draw(st.integers(0, 6))
+    return draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def _nonzero(rnd, field):
+    if field.is_prime_field:
+        return rnd.randrange(1, 7)
+    return Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.choice([1, 1, 2, 3]))
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    """Random density, with some rows and columns forced to zero."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    density = draw(st.sampled_from([0.5, 1.0, 0.2, 0.0]))  # hypothesis favours the first
+    rnd = draw(st.randoms(use_true_random=False))
+    zero_rows = {i for i in range(rows) if rnd.random() < 0.15}
+    zero_cols = {j for j in range(cols) if rnd.random() < 0.15}
+    data = [
+        [
+            _nonzero(rnd, field) if i not in zero_rows and j not in zero_cols and rnd.random() < density else 0
+            for j in range(cols)
+        ]
+        for i in range(rows)
+    ]
+    # from_rows cannot tell the width of a matrix without rows
+    return Matrix(rows, cols, Matrix.from_rows(data, field).entries, field)
+
+
+@st.composite
+def products(draw):
+    field = draw(FIELDS)
+    inner = draw(st.integers(0, 6))
+    return draw(matrices(field, cols=inner)), draw(matrices(field, rows=inner))
+
+
+@st.composite
+def squares(draw):
+    """Square matrices, some made singular by repeating a row."""
+    field = draw(FIELDS)
+    n = draw(st.integers(0, 6))
+    m = draw(matrices(field, rows=n, cols=n))
+    if n > 1 and draw(st.booleans()):
+        rows = list(m.entries)
+        rows[draw(st.integers(1, n - 1))] = rows[0]
+        m = Matrix(n, n, tuple(rows), field)
+    return m
+
+
+@st.composite
+def any_matrix(draw):
+    return draw(matrices(draw(FIELDS)))
+
+
+class TestProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(products())
+    def test_matmul_matches_dense(self, pair):
+        a, b = pair
+        out = a @ b
+        assert (out.rows, out.cols) == (a.rows, b.cols)
+        assert out.entries == dense.matmul(a, b)
+        assert_indexed(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(FIELDS.flatmap(lambda f: st.tuples(matrices(f), matrices(f))))
+    def test_kron_matches_dense(self, pair):
+        a, b = pair
+        out = kron(a, b)
+        assert (out.rows, out.cols) == (a.rows * b.rows, a.cols * b.cols)
+        assert out.entries == dense.kron_dense(a, b)
+        assert_indexed(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_apply_matches_dense(self, data):
+        m = data.draw(any_matrix())
+        vec = data.draw(st.lists(scalars(m.field), min_size=m.cols, max_size=m.cols))
+        vec = tuple(m.field.coerce(x) for x in vec)
+        assert m.apply(vec) == dense.apply_dense(m, vec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sum_difference_and_negation(self, data):
+        field = data.draw(FIELDS)
+        a = data.draw(matrices(field))
+        b = data.draw(matrices(field, rows=a.rows, cols=a.cols))
+        for out, op in ((a + b, field.add), (a - b, field.sub)):
+            assert out.entries == tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
+            assert_indexed(out)
+        assert_indexed(-a)
+        assert (a - b).is_zero == (a == b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=2, max_size=3).flatmap(
+        lambda rows: st.tuples(FIELDS, st.integers(0, 4), st.just(rows))))
+    def test_stack_and_transpose(self, args):
+        field, cols, heights = args
+        mats = [Matrix.from_rows([[(i + 2 * j) % 3 for j in range(cols)] for i in range(h)], field) for h in heights]
+        mats = [m if m.rows else Matrix(0, cols, (), field) for m in mats]
+        stacked = stack_rows(mats)
+        assert stacked.entries == tuple(row for m in mats for row in m.entries)
+        assert_indexed(stacked)
+        flipped = stacked.transpose()
+        assert (flipped.rows, flipped.cols) == (cols, stacked.rows)
+        assert flipped.entries == tuple(tuple(row[j] for row in stacked.entries) for j in range(cols))
+        assert_indexed(flipped)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_middle_linear_system_is_the_map_it_names(self, data):
+        field = data.draw(FIELDS)
+        f, r, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+        left = data.draw(matrices(field, cols=f * r))
+        right = data.draw(matrices(field, rows=f * c))
+        x = data.draw(matrices(field, rows=r, cols=c))
+        system = middle_linear_system(left, right, f, r, c)
+        assert_indexed(system)
+        assert system.apply(vectorize(x)) == vectorize(left @ kron(Matrix.identity(f, field), x) @ right)
+
+
+class TestElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrix())
+    def test_rref_and_rank_match_dense(self, m):
+        out = rref(m)
+        assert out.entries == dense.rref_dense(m)
+        assert_indexed(out)
+        assert rank(m) == dense.rank_dense(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrix())
+    def test_kernel_matches_dense(self, m):
+        ker = kernel(m)
+        assert ker.basis == dense.kernel_dense(m)
+        assert_subspace_indexed(ker)
+        assert ker.dim == m.cols - dense.rank_dense(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_matrix())
+    def test_image_matches_span_of_columns(self, m):
+        img = image(m)
+        assert img.basis == dense.span_basis(m.columns(), m.rows, m.field)
+        assert_subspace_indexed(img)
+
+    @settings(max_examples=150, deadline=None)
+    @given(squares())
+    def test_try_invert_matches_dense(self, m):
+        expected = dense.try_invert_dense(m)
+        out = try_invert(m)
+        if expected is None:
+            assert isinstance(out, NotInvertible)
+            assert out.rank == dense.rank_dense(m)
+            if out.witness is not None:
+                assert not any(m.apply(out.witness))
+        else:
+            assert out.entries == expected
+            assert_indexed(out)
+            assert (m @ out).is_identity
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_subspace_operations_match_spans(self, data):
+        field = data.draw(FIELDS)
+        n = data.draw(st.integers(1, 7))
+        raw1, raw2 = (data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=5)) for _ in range(2))
+        s1 = Subspace.from_spanning(raw1, n, field)
+        s2 = Subspace.from_spanning(raw2, n, field)
+        assert s1.basis == dense.span_basis(raw1, n, field)
+        assert_subspace_indexed(s1)
+        meet = intersect(s1, s2)
+        assert_subspace_indexed(meet)
+        assert s1.contains_subspace(meet) and s2.contains_subspace(meet)
+        both = Matrix(s1.dim + s2.dim, n, s1.basis + s2.basis, field)
+        assert meet.dim == s1.dim + s2.dim - dense.rank_dense(both)
+        for v in raw2:
+            extended = Matrix(s1.dim + 1, n, s1.basis + (tuple(field.coerce(x) for x in v),), field)
+            assert s1.contains_vector(v) == (dense.rank_dense(extended) == s1.dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_quotient_is_indexed(self, data):
+        field = data.draw(FIELDS)
+        n = data.draw(st.integers(1, 6))
+        rel = Subspace.from_spanning(data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=4)), n, field)
+        q = quotient(n, rel)
+        assert_indexed(q.projection)
+        assert_indexed(q.section)
+        assert kernel(q.projection) == rel
+        assert (q.projection @ q.section).is_identity
+
+
+class TestPermutations:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.permutations(range(len(dims))), FIELDS)))
+    def test_tensor_permutation_matches_dense(self, args):
+        dims, perm, field = args
+        out = tensor_permutation(dims, perm, field)
+        assert out.entries == dense.tensor_permutation_dense(dims, perm, field)
+        assert_indexed(out)
+
+    def test_empty_factor_list(self):
+        assert tensor_permutation((), (), QQ) == Matrix.identity(1, QQ)
+
+
+class TestEmptyShapes:
+    def test_zero_by_n_and_n_by_zero(self):
+        for field in (QQ, GF7):
+            a = Matrix(0, 3, (), field)
+            b = Matrix(3, 0, ((), (), ()), field)
+            assert (a @ b) == Matrix(0, 0, (), field)
+            assert (b @ a).entries == ((field.zero,) * 3,) * 3
+            assert kernel(a) == Subspace.full(3, field)
+            assert kernel(b).dim == 0 and image(b).dim == 0
+            assert kron(a, b).rows == 0 and kron(a, b).cols == 0
+            assert rank(a) == rank(b) == 0
+            assert try_invert(Matrix(0, 0, (), field)) == Matrix(0, 0, (), field)
+            for m in (a @ b, b @ a, kron(b, a), rref(b)):
+                assert_indexed(m)
+
+
+# -- the quotient forms of the coideal and invariance tests
+
+
+# (coalgebra, whether its basis is group-like)
+COALGEBRAS = [
+    pair
+    for field in (QQ, GF7)
+    for pair in (
+        (group_algebra({"group": "S3"}, field).coalgebra, True),
+        (group_algebra({"group": "Z4"}, field).coalgebra, True),
+        (dual_group_algebra({"group": "S3"}, field).coalgebra, False),
+        (sweedler_hopf_algebra(field).coalgebra, False),
+    )
+]
+
+
+def _differences(n: int, pairs) -> list[list[int]]:
+    """The vectors e_i - e_j; on a group-like basis their span is a coideal."""
+    return [[1 if k == i else -1 if k == j else 0 for k in range(n)] for i, j in pairs]
+
+
+@st.composite
+def coalgebra_subspaces(draw):
+    """A coalgebra and a subspace: spans of differences of group-likes (always
+    coideals) on group coalgebras, or of random vectors."""
+    c, grouplike_basis = draw(st.sampled_from(COALGEBRAS))
+    n = c.dim
+    if grouplike_basis and draw(st.booleans()):
+        vectors = _differences(n, draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=4)))
+    else:
+        vectors = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), max_size=3))
+    return c, Subspace.from_spanning(vectors, n, c.field)
+
+
+class TestCoidealThroughQuotient:
+    @settings(max_examples=120, deadline=None)
+    @given(coalgebra_subspaces())
+    def test_matches_spanning_form(self, pair):
+        c, sub = pair
+        counit, coproduct = coideal_checks(c, sub)
+        assert coproduct.ok == dense.coproduct_in_mixed_span(c, sub)
+        assert counit.ok == all(not x for v in sub.basis for x in c.counit_matrix.apply(v))
+
+    def test_coset_coideals_pass(self):
+        c = group_algebra({"group": "S3"}, QQ).coalgebra
+        for gen in ("(12)", "(123)"):
+            assert all(chk.ok for chk in coideal_checks(c, coset_coideal({"group": "S3"}, gen)))
+
+
+class TestInvarianceThroughQuotient:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_spanning_form(self, data):
+        c, _ = data.draw(st.sampled_from([pair for pair in COALGEBRAS if pair[1]]))
+        n = c.dim
+        pairs = list(combinations(range(n), 2))
+        # I_2 contains I_1, so the meet is large enough to hold non-coideals
+        first = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+        second = first + data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+        coideals = [Subspace.from_spanning(_differences(n, chosen), n, c.field) for chosen in (first, second)]
+        meet = intersect(*coideals)
+        # random combinations of the meet's basis: often not coideals themselves
+        combos = data.draw(st.lists(st.lists(st.integers(-1, 2), min_size=meet.dim, max_size=meet.dim), min_size=1, max_size=2))
+        k = Subspace.from_spanning(
+            [[sum(a * v[j] for a, v in zip(combo, meet.basis)) for j in range(n)] for combo in combos], n, c.field
+        )
+        projections = [quotient(n, sub).projection for sub in coideals]
+        assert _invariance_certificate(c, coideals, projections, k) == dense.invariance_by_spanning(c, coideals, k)
