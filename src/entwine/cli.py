@@ -3,8 +3,9 @@
     entwine check FILE --suite NAME [--report json|text] [--cutoff N]
     entwine example NAME [--param key=value ...] [--emit PATH]
 
-``--cutoff`` bounds the chain length of the cogenerate suite (default
-dim C + 1); no other suite takes a cutoff.
+``--cutoff`` is the fixed-point step budget of the cogenerate suite, one
+step per chain length (default dim C + 1, within which the fixed point is
+always reached); no other suite takes a cutoff.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 input error
 (malformed document, missing section, unknown example or suite, a prime
@@ -37,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("file", help="path to a JSON structure document")
     check.add_argument("--suite", default="all", choices=SUITES, help="which battery to run")
     check.add_argument("--report", default="text", choices=("json", "text"), help="report format")
-    check.add_argument("--cutoff", type=int, default=None, help="chain-length cutoff for cogeneration")
+    check.add_argument("--cutoff", type=int, default=None, help="fixed-point step budget for cogeneration")
 
     example = sub.add_parser("example", help="emit a built-in example as a structure document")
     example.add_argument("name", help=f"one of {', '.join(EXAMPLE_NAMES)}")

@@ -37,13 +37,11 @@ from .exactlin import (
     image,
     kernel,
     kron,
-    middle_linear_system,
     quotient,
     row_matrix,
     stack_rows,
-    vectorize,
 )
-from .galois import UniquenessReport
+from .galois import UniquenessReport, uniqueness_system
 from .structures import (
     AxiomCheck,
     Character,
@@ -188,15 +186,21 @@ def action_coalgebra_map_checks(x: ModuleCoalgebra, hopf_coalgebra: FiniteCoalge
 
 
 def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoalgebra, Matrix]:
-    """B = C/I with its induced coproduct and counit, plus the projection."""
-    if not is_coideal(c, coideal):
-        raise NotCoideal("subspace is not a coideal")
+    """B = C/I with its induced coproduct and counit, plus the projection.
+
+    The projection pi is a coalgebra map, (pi (x) pi)coproduct = D_B . pi and
+    counit_B . pi = counit, exactly when I is a coideal: both sides agree off
+    I, and on I the left sides are (pi (x) pi)coproduct(I) and counit(I).
+    """
     field = c.field
     pres = quotient(c.dim, coideal)
     pi, sigma = pres.projection, pres.section
     b_dim = pres.quotient_dim
-    d_b = kron(pi, pi) @ c.comult_matrix @ sigma
+    squared = kron(pi, pi) @ c.comult_matrix
+    d_b = squared @ sigma
     e_b = c.counit_matrix @ sigma
+    if squared != d_b @ pi or e_b @ pi != c.counit_matrix:
+        raise NotCoideal("subspace is not a coideal")
     comult = tuple(
         tuple(tuple(d_b.entries[j * b_dim + k][i] for k in range(b_dim)) for j in range(b_dim))
         for i in range(b_dim)
@@ -205,10 +209,6 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     base = FiniteCoalgebra(b_dim, names, comult, e_b.entries[0] if b_dim else (), field)
     if not validate_coalgebra(base).ok:
         raise InternalCheckError("quotient coalgebra failed its axioms")
-    if kron(pi, pi) @ c.comult_matrix != base.comult_matrix @ pi:
-        raise InternalCheckError("projection is not a coalgebra map")
-    if base.counit_matrix @ pi != c.counit_matrix:
-        raise InternalCheckError("projection does not preserve the counit")
     return base, pi
 
 
@@ -416,13 +416,7 @@ def dual_uniqueness(cert: CoextensionCertificate) -> UniquenessReport:
     if not cert.is_coextension:
         return UniquenessReport(False, "not a Galois coextension; uniqueness is not asserted")
     x = cert.subject
-    c, a = x.coalgebra, x.algebra
-    left = kron(x.action, c.identity_matrix)
-    right = kron(c.comult_matrix, a.identity_matrix)
-    system = middle_linear_system(left, right, c.dim, a.dim * c.dim, c.dim * a.dim)
-    target = vectorize(c.comult_matrix @ x.action)
-    solves = system.apply(vectorize(cert.psi.psi)) == target
-    return UniquenessReport(True, "", solution_space_dim=kernel(system).dim, psi_solves=solves)
+    return uniqueness_system(cert.checks, x.action, x.coalgebra.comult_matrix, x.algebra.dim, x.coalgebra.dim)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,24 @@ intersection theorem it supports.
 
 A chain (i_1, ..., i_L) over {1, 2} names the composite
 C -> C^(x L) -> C/I_{i_1} (x) ... (x) C/I_{i_L} (iterated coproduct followed
-by one projection per tensor factor; chains are named by their full factor
-count, so the single-factor chains are the bare projections).  The quotients
-cogenerate C when the kernels of all such composites intersect to zero.
+by one projection per tensor factor).  The quotients cogenerate C when the
+kernels of all such composites intersect to zero.
 
-The defining intersection ranges over all finite chains, so the check runs to
-a cutoff.  Reaching kernel zero at any length is conclusive.  A nonzero
-kernel K that has stabilised is also conclusive once the invariance
-certificate coproduct(K) in I_i (x) C + C (x) K holds for i = 1, 2: by
-induction on chain length K then lies in every chain kernel, so the full
-intersection is nonzero.  Otherwise the verdict is inconclusive at the
-cutoff.
+The intersection K_L over the chains of length at most L is computed as a
+fixed point.  K_1, the meet of I_1 and I_2, is the joint kernel of the two
+projections, and with q_K: C -> C/K, K_{L+1} is the joint kernel of
+
+    (pi_1 (x) q_{K_L}) . coproduct  and  (pi_2 (x) q_{K_L}) . coproduct.
+
+By coassociativity the stacked chains of length at most L factor injectively
+through q_{K_L}, so this is the intersection at length L + 1; the step is
+monotone and K_2 lies in K_1 because the counit factors through q_{K_1}, so
+the kernels decrease.  A step that returns its input K is the invariance
+coproduct(K) in I_i (x) C + C (x) K for i = 1, 2, which pushes K through every
+longer chain: a nonzero fixed point means the quotients do not cogenerate,
+kernel zero means they do, and the fixed point is reached within dim C + 1
+steps.  The cutoff bounds the number of steps; a verdict not reached within
+it is reported inconclusive.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .exactlin import (
     kernel,
     kron,
     quotient,
+    stack_rows,
 )
 from .galois import coinvariants
 from .structures import ComoduleAlgebra, FiniteCoalgebra
@@ -38,25 +46,6 @@ from .cogalois import quotient_coalgebra
 COGENERATES = "cogenerates"
 DOES_NOT_COGENERATE = "does-not-cogenerate"
 INCONCLUSIVE = "inconclusive-at-cutoff"
-
-
-def _quotients(c: FiniteCoalgebra, coideals: Sequence[Subspace]) -> list[tuple[FiniteCoalgebra, Matrix]]:
-    """The quotient coalgebras C/I with their projections; raises NotCoideal."""
-    for sub in coideals:
-        if sub.ambient_dim != c.dim:
-            raise DimensionMismatch("coideal lives in the wrong ambient space")
-    return [quotient_coalgebra(c, sub) for sub in coideals]
-
-
-def chain_projection_matrix(c: FiniteCoalgebra, coideal_1: Subspace, coideal_2: Subspace, chain: Sequence[int]) -> Matrix:
-    """Matrix of one projection chain against the canonical quotient bases."""
-    if not chain or any(i not in (1, 2) for i in chain):
-        raise DimensionMismatch("chain must be a nonempty sequence over {1, 2}")
-    pi = [p for _, p in _quotients(c, (coideal_1, coideal_2))]
-    current = pi[chain[0] - 1]
-    for idx in chain[1:]:
-        current = kron(current, pi[idx - 1]) @ c.comult_matrix
-    return current
 
 
 @dataclass(frozen=True)
@@ -70,29 +59,17 @@ class CogenerationReport:
     cutoff: int
     verdict: str
     stabilized_at: int | None
-    invariance_certified: bool
 
     @property
     def final_kernel(self) -> Subspace:
         return self.kernels_by_length[-1]
 
 
-def _invariance_certificate(
-    c: FiniteCoalgebra, coideals: Sequence[Subspace], projections: Sequence[Matrix], k: Subspace
-) -> bool:
-    """coproduct(K) in I_i (x) C + C (x) K for i = 1, 2 (and K in I_1, I_2).
-
-    ``projections`` are the quotient maps pi_i: C -> C/I_i.  With
-    q: C -> C/K, ker(pi_i (x) q) = I_i (x) C + C (x) K, so the containment
-    holds iff (pi_i (x) q) . coproduct . incl_K = 0.  Together with K
-    surviving the single projections this pushes K through every longer
-    chain, so a stable nonzero K certifies non-cogeneration.
-    """
-    if not all(sub.contains_subspace(k) for sub in coideals):
-        return False
+def _kernel_step(c: FiniteCoalgebra, projections: Sequence[Matrix], k: Subspace) -> Subspace:
+    """The common kernel of (pi_i (x) q_K) . coproduct over the projections
+    pi_i, where q_K: C -> C/K; ker(pi_i (x) q_K) = I_i (x) C + C (x) K."""
     q = quotient(c.dim, k).projection
-    spread = c.comult_matrix @ k.inclusion()
-    return all((kron(pi, q) @ spread).is_zero for pi in projections)
+    return kernel(stack_rows([kron(pi, q) @ c.comult_matrix for pi in projections]))
 
 
 def cogeneration_check(
@@ -101,51 +78,42 @@ def cogeneration_check(
     coideal_2: Subspace,
     cutoff: int | None = None,
 ) -> CogenerationReport:
-    """Intersect chain kernels length by length up to the cutoff.
+    """Iterate the chain-kernel fixed point for at most ``cutoff`` steps.
 
-    The per-length kernels are weakly decreasing; the verdict is sound in
-    both conclusive directions and labelled inconclusive otherwise.
+    The first step starts from the kernel of the counit, the quotient map of
+    the empty chain, and gives K_1, the meet of I_1 and I_2.  Raises
+    NotCoideal when either subspace is not a coideal.
     """
     if cutoff is None:
         cutoff = c.dim + 1
     if cutoff < 1:
         raise DimensionMismatch("cutoff must be at least 1")
-    quotients = _quotients(c, (coideal_1, coideal_2))
-    pi = [p for _, p in quotients]
-    field = c.field
-    running = Subspace.full(c.dim, field)
+    for sub in (coideal_1, coideal_2):
+        if sub.ambient_dim != c.dim:
+            raise DimensionMismatch("coideal lives in the wrong ambient space")
+    quotients = tuple(quotient_coalgebra(c, sub) for sub in (coideal_1, coideal_2))
+    projections = [pi for _, pi in quotients]
+    running = kernel(c.counit_matrix)
     kernels: list[Subspace] = []
-    level = [pi[0], pi[1]]
     stabilized = None
     verdict = INCONCLUSIVE
-    certified = False
     for length in range(1, cutoff + 1):
-        if length > 1:
-            level = [kron(w, p) @ c.comult_matrix for w in level for p in pi]
-        for w in level:
-            running = intersect(running, kernel(w))
+        running = _kernel_step(c, projections, running)
         kernels.append(running)
-        if running.dim == 0:
-            verdict = COGENERATES
+        if running.dim == 0 or (length > 1 and kernels[-2] == running):
+            verdict = COGENERATES if running.dim == 0 else DOES_NOT_COGENERATE
             stabilized = length
             break
-        if length > 1 and kernels[-2] == running:
-            if _invariance_certificate(c, (coideal_1, coideal_2), pi, running):
-                verdict = DOES_NOT_COGENERATE
-                stabilized = length
-                certified = True
-                break
     for earlier, later in zip(kernels, kernels[1:]):
         if not earlier.contains_subspace(later):
             raise InternalCheckError("per-length kernels failed to decrease")
     return CogenerationReport(
         coalgebra=c,
-        quotients=tuple(quotients),
+        quotients=quotients,
         kernels_by_length=tuple(kernels),
         cutoff=cutoff,
         verdict=verdict,
         stabilized_at=stabilized,
-        invariance_certified=certified,
     )
 
 

@@ -671,38 +671,29 @@ def basis_vector(n: int, i: int, field: FieldSpec) -> tuple[Scalar, ...]:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
-def middle_linear_system(left: Matrix, right: Matrix, factor_dim: int, unknown_rows: int, unknown_cols: int) -> Matrix:
-    """Matrix of the linear map X |-> left @ kron(I_factor_dim, X) @ right.
+def middle_block(left: Matrix, right: Matrix, row_dim: int, col_dim: int) -> Matrix:
+    """The diagonal block of X |-> kron(left, I_g) @ kron(I_f, X) @ kron(right, I_h).
 
-    The unknown X has shape unknown_rows x unknown_cols and is vectorised
-    row-major; the output is vectorised row-major over
-    (left.rows x right.cols).  Used to pose entwining-uniqueness questions as
-    plain linear systems.
+    With left: k^f (x) k^row_dim -> k^K and right: k^P -> k^f (x) k^col_dim,
+    the map sends a (row_dim g) x (col_dim h) unknown X to a (K g) x (P h)
+    matrix.  It leaves the g and h indices of X alone, so it is g h copies of
+    B[(k, p), (j, y)] = sum_i left[k, (i, j)] right[(i, y), p], the block
+    returned here, and its kernel has dimension g h dim ker B.
     """
-    if left.cols != factor_dim * unknown_rows:
-        raise DimensionMismatch("left factor width does not match I (x) X")
-    if right.rows != factor_dim * unknown_cols:
-        raise DimensionMismatch("right factor height does not match I (x) X")
+    if left.cols * col_dim != right.rows * row_dim:
+        raise DimensionMismatch("left and right factors disagree on the middle factor")
     _check_same_field(left, right)
     field = left.field
-    p = field.p
     rnz = right.nonzeros
-    rcols = right.cols
-    out_rows = left.rows * rcols
-    out_cols = unknown_rows * unknown_cols
-    big: list[dict[int, Scalar]] = [{} for _ in range(out_rows)]
-    for u, lrow in enumerate(left.nonzeros):
-        base = u * rcols
+    out_cols = right.cols
+    block: list[dict[int, Scalar]] = [{} for _ in range(left.rows * out_cols)]
+    for k, lrow in enumerate(left.nonzeros):
+        base = k * out_cols
         for idx, lv in lrow:
-            i, r = divmod(idx, unknown_rows)
-            for s in range(unknown_cols):
-                col = r * unknown_cols + s
-                for v, rv in rnz[i * unknown_cols + s]:
-                    tgt = big[base + v]
+            i, j = divmod(idx, row_dim)
+            for y in range(col_dim):
+                col = j * col_dim + y
+                for q, rv in rnz[i * col_dim + y]:
+                    tgt = block[base + q]
                     tgt[col] = tgt.get(col, 0) + lv * rv
-    return _from_index(out_rows, out_cols, [_index_row(row, p) for row in big], field)
-
-
-def vectorize(m: Matrix) -> tuple[Scalar, ...]:
-    """Row-major flattening, matching middle_linear_system's conventions."""
-    return tuple(x for row in m.entries for x in row)
+    return _from_index(len(block), row_dim * col_dim, [_index_row(row, field.p) for row in block], field)

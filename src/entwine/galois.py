@@ -38,11 +38,10 @@ from .exactlin import (
     intersect,
     kernel,
     kron,
-    middle_linear_system,
+    middle_block,
     quotient,
     stack_rows,
     tensor_permutation,
-    vectorize,
 )
 from .structures import (
     AxiomCheck,
@@ -322,6 +321,20 @@ class UniquenessReport:
         return self.solution_space_dim == 0 and bool(self.psi_solves)
 
 
+def uniqueness_system(checks: ValidationReport, left: Matrix, right: Matrix, a_dim: int, c_dim: int) -> UniquenessReport:
+    """Uniqueness of psi in an entwined-module condition
+    target = (left (x) C)(F (x) psi')(right (x) A), linear in psi': C (x) A -> A (x) C.
+
+    The homogeneous map is a_dim c_dim copies of middle_block(left, right,
+    a_dim, c_dim), so the solution space has a_dim c_dim times its kernel
+    dimension.  That psi solves the system is the certificate's own
+    entwined-module check.
+    """
+    block = middle_block(left, right, a_dim, c_dim)
+    solves = next(chk.ok for chk in checks.checks if chk.name == "entwined-module")
+    return UniquenessReport(True, "", solution_space_dim=a_dim * c_dim * kernel(block).dim, psi_solves=solves)
+
+
 def entwining_uniqueness(cert: GaloisCertificate) -> UniquenessReport:
     """Linear system forcing psi: the entwined-module condition on A.
 
@@ -332,13 +345,7 @@ def entwining_uniqueness(cert: GaloisCertificate) -> UniquenessReport:
     if not cert.is_galois:
         return UniquenessReport(False, "not a Galois extension; uniqueness is not asserted")
     x = cert.subject
-    a, c = x.algebra, x.coalgebra
-    left = kron(a.mult_matrix, c.identity_matrix)
-    right = kron(x.coaction, a.identity_matrix)
-    system = middle_linear_system(left, right, a.dim, a.dim * c.dim, c.dim * a.dim)
-    target = vectorize(x.coaction @ a.mult_matrix)
-    solves = system.apply(vectorize(cert.psi.psi)) == target
-    return UniquenessReport(True, "", solution_space_dim=kernel(system).dim, psi_solves=solves)
+    return uniqueness_system(cert.checks, x.algebra.mult_matrix, x.coaction, x.algebra.dim, x.coalgebra.dim)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,29 @@ them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.
 
-The last two functions are the spanning-set forms of the coideal and
-invariance tests that cogalois and cogenerate now decide through quotients.
+Then come the spanning-set forms of the coideal and invariance tests, which
+cogalois and cogenerate decide through quotients, and the two larger
+formulations the library replaced with smaller ones: the full (ac)^2-unknown
+uniqueness system, of which the library solves one diagonal block, and the
+enumeration of all 2^L projection chains per length, which the library
+replaced with a kernel fixed point.
 """
 
 from __future__ import annotations
 
-from entwine.exactlin import Matrix, Subspace, basis_vector, column_matrix, kron, subspace_sum
+from entwine.cogalois import quotient_coalgebra
+from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
+from entwine.errors import DimensionMismatch
+from entwine.exactlin import (
+    Matrix,
+    Subspace,
+    basis_vector,
+    column_matrix,
+    intersect,
+    kernel,
+    kron,
+    subspace_sum,
+)
 
 
 def matmul(a: Matrix, b: Matrix) -> tuple:
@@ -178,3 +194,72 @@ def invariance_by_spanning(c, coideals, k: Subspace) -> bool:
         if not all(allowed.contains_vector(c.comult_matrix.apply(v)) for v in k.basis):
             return False
     return True
+
+
+def middle_linear_system(left: Matrix, right: Matrix, factor_dim: int, unknown_rows: int, unknown_cols: int) -> Matrix:
+    """Matrix of the linear map X |-> left @ kron(I_factor_dim, X) @ right.
+
+    The unknown X has shape unknown_rows x unknown_cols and is vectorised
+    row-major; the output is vectorised row-major over
+    (left.rows x right.cols).
+    """
+    if left.cols != factor_dim * unknown_rows:
+        raise DimensionMismatch("left factor width does not match I (x) X")
+    if right.rows != factor_dim * unknown_cols:
+        raise DimensionMismatch("right factor height does not match I (x) X")
+    field = left.field
+    rcols = right.cols
+    out_cols = unknown_rows * unknown_cols
+    big = [[field.zero] * out_cols for _ in range(left.rows * rcols)]
+    for u, lrow in enumerate(left.entries):
+        for idx, lv in enumerate(lrow):
+            if not lv:
+                continue
+            i, r = divmod(idx, unknown_rows)
+            for s in range(unknown_cols):
+                for v, rv in enumerate(right.entries[i * unknown_cols + s]):
+                    if not rv:
+                        continue
+                    tgt = big[u * rcols + v]
+                    tgt[r * unknown_cols + s] = field.add(tgt[r * unknown_cols + s], field.mul(lv, rv))
+    return Matrix(len(big), out_cols, tuple(tuple(row) for row in big), field)
+
+
+def vectorize(m: Matrix) -> tuple:
+    """Row-major flattening, matching middle_linear_system's conventions."""
+    return tuple(x for row in m.entries for x in row)
+
+
+def chain_projection_matrix(c, coideal_1: Subspace, coideal_2: Subspace, chain) -> Matrix:
+    """Matrix of one projection chain against the canonical quotient bases;
+    raises NotCoideal when either subspace is not a coideal."""
+    if not chain or any(i not in (1, 2) for i in chain):
+        raise DimensionMismatch("chain must be a nonempty sequence over {1, 2}")
+    pi = [quotient_coalgebra(c, sub)[1] for sub in (coideal_1, coideal_2)]
+    current = pi[chain[0] - 1]
+    for idx in chain[1:]:
+        current = kron(current, pi[idx - 1]) @ c.comult_matrix
+    return current
+
+
+def chain_kernels(c, coideal_1: Subspace, coideal_2: Subspace, cutoff: int) -> tuple[list, str, int | None]:
+    """(kernels by length, verdict, deciding length) by intersecting the
+    kernels of all 2^L chains of each length L up to the cutoff.  Kernel zero
+    decides; so does a repeated nonzero kernel that passes
+    invariance_by_spanning."""
+    coideals = (coideal_1, coideal_2)
+    pi = [quotient_coalgebra(c, sub)[1] for sub in coideals]
+    running = Subspace.full(c.dim, c.field)
+    kernels = []
+    level = list(pi)
+    for length in range(1, cutoff + 1):
+        if length > 1:
+            level = [kron(w, p) @ c.comult_matrix for w in level for p in pi]
+        for w in level:
+            running = intersect(running, kernel(w))
+        kernels.append(running)
+        if running.dim == 0:
+            return kernels, COGENERATES, length
+        if length > 1 and kernels[-2] == running and invariance_by_spanning(c, coideals, running):
+            return kernels, DOES_NOT_COGENERATE, length
+    return kernels, INCONCLUSIVE, None

@@ -13,9 +13,10 @@ import pytest
 import entwine.cogalois as cogalois
 import entwine.cogenerate as cogenerate
 import entwine.entwining as entwining
+import entwine.exactlin as exactlin
 import entwine.galois as galois
 import entwine.structures as structures
-from entwine.catalogue import build
+from entwine.catalogue import build, coset_coideal, group_algebra
 from entwine.docformat import document_from_example
 from entwine.suites import run_suite
 
@@ -44,7 +45,7 @@ def _run(name, params, suite):
     doc = document_from_example(build(name, params))
     report = run_suite(doc, suite)
     assert report.ok
-    return doc
+    return doc, report
 
 
 def test_s3_galois_builds_each_certificate_once(count_calls):
@@ -65,14 +66,14 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
 
 def test_bundle_report_is_passed_to_the_equivalence(count_calls):
     counts = count_calls(galois.bundle_check, galois.galois_check)
-    doc = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
+    doc, _ = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
     # the second galois_check certifies the bundle carrier, a different subject
     assert counts == {"bundle_check": len(doc.grouplikes), "galois_check": 2}
 
 
 def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
     counts = count_calls(cogalois.dual_bundle_check, cogalois.action_coalgebra_map_checks)
-    doc = _run("group-coextension", {"group": "Z3"}, "cogalois")
+    doc, _ = _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts == {"dual_bundle_check": len(doc.characters), "action_coalgebra_map_checks": 1}
 
 
@@ -81,7 +82,23 @@ def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
     [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
 )
 def test_cogeneration_report_is_passed_to_the_intersection(count_calls, params):
-    counts = count_calls(cogenerate.cogeneration_check, cogalois.is_coideal)
-    _run("coset-coideal", params, "cogenerate")
+    counts = count_calls(cogenerate.cogeneration_check, cogalois.is_coideal, cogenerate._kernel_step)
+    _, report = _run("coset-coideal", params, "cogenerate")
     assert counts["cogeneration_check"] == 1
-    assert counts["is_coideal"] <= 4
+    # the suite's own gate on the two coideals; quotient_coalgebra does not re-check
+    assert counts["is_coideal"] <= 2
+    (profile,) = [e.detail["profile"] for e in report.entries if e.check_id == "cogenerate.kernel-profile"]
+    assert counts["_kernel_step"] == len(profile)
+
+
+def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
+    c = group_algebra({"group": "S3"}).coalgebra
+    counts = count_calls(exactlin.quotient)
+    cogalois.quotient_coalgebra(c, coset_coideal({"group": "S3"}, "(12)"))
+    assert counts == {"quotient": 1}
+
+
+def test_group_coextension_quotient_count(count_calls):
+    counts = count_calls(exactlin.quotient)
+    _run("group-coextension", {"group": "Z3"}, "cogalois")
+    assert counts["quotient"] <= 7

@@ -1,17 +1,22 @@
 import pytest
 
-from entwine.catalogue import coset_coideal, group_algebra, self_extension
+import dense_oracles as dense
+from dense_oracles import chain_projection_matrix
+from entwine.catalogue import GROUPS, coset_coideal, dual_group_algebra, group_algebra, self_extension, subgroup_closure
 from entwine.cogenerate import (
     COGENERATES,
     DOES_NOT_COGENERATE,
     INCONCLUSIVE,
-    chain_projection_matrix,
     cogeneration_check,
     coinvariant_intersection_check,
 )
 from entwine.errors import DimensionMismatch, NotCoideal
 from entwine.exactlin import Subspace, kernel
 from entwine.fields import QQ
+
+# The coset-coideal generators of the cogenerate benchmark: 25 + 9 ordered pairs.
+COSET_GENERATORS = {"S3": ("e", "(12)", "(13)", "(23)", "(123)"), "Z4": ("1", "g2", "g")}
+COSET_PAIRS = [(group, a, b) for group, names in COSET_GENERATORS.items() for a in names for b in names]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,7 @@ class TestChainMatrix:
     def test_rejects_non_coideal(self, z2_hopf):
         bad = Subspace.from_spanning([[1, 0]], 2, QQ)
         with pytest.raises(NotCoideal):
-            chain_projection_matrix(z2_hopf.coalgebra, bad, bad, [1])
+            cogeneration_check(z2_hopf.coalgebra, bad, bad)
 
 
 class TestCogeneration:
@@ -70,7 +75,7 @@ class TestCogeneration:
         h = group_algebra({"group": "Z4"})
         report = cogeneration_check(h.coalgebra, z4_coideal, z4_coideal)
         assert report.verdict == DOES_NOT_COGENERATE
-        assert report.invariance_certified
+        assert dense.invariance_by_spanning(h.coalgebra, (z4_coideal, z4_coideal), report.final_kernel)
         assert report.final_kernel.dim == 2
 
     def test_zero_coideals_cogenerate_at_length_one(self, z2_hopf):
@@ -84,10 +89,52 @@ class TestCogeneration:
         dims = [k.dim for k in report.kernels_by_length]
         assert all(a >= b for a, b in zip(dims, dims[1:]))
 
+    def test_two_transpositions_decide_at_length_three(self):
+        # functions on S3: words of length three in two transpositions reach all of S3
+        c = dual_group_algebra({"group": "S3"}).coalgebra
+        report = cogeneration_check(c, _subgroup_annihilator("S3", "(12)"), _subgroup_annihilator("S3", "(13)"))
+        assert [k.dim for k in report.kernels_by_length] == [3, 1, 0]
+        assert report.verdict == COGENERATES and report.stabilized_at == 3
+
     def test_cutoff_one_inconclusive_when_kernel_nonzero(self, s3_hopf, s3_coideals):
         report = cogeneration_check(s3_hopf.coalgebra, *s3_coideals, cutoff=1)
         assert report.verdict == INCONCLUSIVE
         assert report.final_kernel.dim > 0
+
+
+def _profile(report):
+    return list(report.kernels_by_length), report.verdict, report.stabilized_at
+
+
+def _against_chains(c, coideal_1, coideal_2):
+    """The fixed point agrees with the chain enumeration at every cutoff up to
+    dim C + 1 and decides at the default cutoff."""
+    for cutoff in range(1, c.dim + 2):
+        assert _profile(cogeneration_check(c, coideal_1, coideal_2, cutoff)) == dense.chain_kernels(
+            c, coideal_1, coideal_2, cutoff
+        )
+    assert cogeneration_check(c, coideal_1, coideal_2).verdict != INCONCLUSIVE
+
+
+def _subgroup_annihilator(group, generator):
+    """Functions on G vanishing on <generator>: a coideal of the dual group
+    algebra, with quotient the functions on the subgroup."""
+    names, table, _ = GROUPS[group]
+    members = subgroup_closure(table, [names.index(generator)])
+    n = len(names)
+    return Subspace.from_spanning([[int(k == i) for k in range(n)] for i in range(n) if i not in members], n, QQ)
+
+
+class TestFixedPointAgainstChains:
+    @pytest.mark.parametrize("group,first,second", COSET_PAIRS)
+    def test_coset_pairs(self, group, first, second):
+        c = group_algebra({"group": group}).coalgebra
+        _against_chains(c, coset_coideal({"group": group}, first), coset_coideal({"group": group}, second))
+
+    @pytest.mark.parametrize("first,second", [("(12)", "(13)"), ("(12)", "(123)"), ("(123)", "(132)"), ("e", "(23)")])
+    def test_dual_s3_subgroup_pairs(self, first, second):
+        c = dual_group_algebra({"group": "S3"}).coalgebra
+        _against_chains(c, _subgroup_annihilator("S3", first), _subgroup_annihilator("S3", second))
 
 
 class TestCoinvariantIntersection:

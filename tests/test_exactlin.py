@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import middle_linear_system, vectorize
 from entwine.errors import DimensionMismatch, FieldMismatch, NotSquare
 from entwine.exactlin import (
     Matrix,
@@ -16,7 +17,6 @@ from entwine.exactlin import (
     intersect,
     kernel,
     kron,
-    middle_linear_system,
     quotient,
     rank,
     rref,
@@ -24,7 +24,6 @@ from entwine.exactlin import (
     subspace_sum,
     tensor_permutation,
     try_invert,
-    vectorize,
 )
 from entwine.fields import GF, QQ
 

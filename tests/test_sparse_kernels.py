@@ -1,7 +1,8 @@
 """The nonzero-indexed kernels of exactlin against the dense oracles, over QQ
 and GF(7), on random densities, zero rows and columns, empty shapes and
-singular inputs; and the quotient forms of the coideal and invariance tests
-against their spanning-set forms."""
+singular inputs; the quotient forms of the coideal and invariance tests
+against their spanning-set forms; and the block uniqueness system against
+the full one."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,26 +11,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles as dense
-from entwine.catalogue import coset_coideal, dual_group_algebra, group_algebra, sweedler_hopf_algebra
-from entwine.cogalois import coideal_checks
-from entwine.cogenerate import _invariance_certificate
+from dense_oracles import middle_linear_system, vectorize
+from entwine.catalogue import (
+    coset_coideal,
+    dual_group_algebra,
+    group_algebra,
+    group_self_coextension,
+    quadratic_field_extension,
+    self_extension,
+    sweedler_hopf_algebra,
+)
+from entwine.cogalois import coextension_check, coideal_checks, dual_uniqueness
+from entwine.cogenerate import _kernel_step
 from entwine.exactlin import (
     Matrix,
     NotInvertible,
     Subspace,
+    basis_vector,
+    column_matrix,
     image,
     intersect,
     kernel,
     kron,
-    middle_linear_system,
+    middle_block,
     quotient,
     rank,
     rref,
     stack_rows,
     tensor_permutation,
     try_invert,
-    vectorize,
 )
+from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
 
 GF7 = GF(7)
@@ -347,4 +359,75 @@ class TestInvarianceThroughQuotient:
             [[sum(a * v[j] for a, v in zip(combo, meet.basis)) for j in range(n)] for combo in combos], n, c.field
         )
         projections = [quotient(n, sub).projection for sub in coideals]
-        assert _invariance_certificate(c, coideals, projections, k) == dense.invariance_by_spanning(c, coideals, k)
+        assert _kernel_step(c, projections, k).contains_subspace(k) == dense.invariance_by_spanning(c, coideals, k)
+
+
+@st.composite
+def factors(draw, field, rows, cols):
+    """A random factor, about half the time of rank at most one."""
+    if draw(st.booleans()):
+        return draw(matrices(field, rows=rows, cols=1)) @ draw(matrices(field, rows=1, cols=cols))
+    return draw(matrices(field, rows=rows, cols=cols))
+
+
+def _full_system(left, right, a_dim, c_dim):
+    """The (a c)^2-unknown system in psi': C (x) A -> A (x) C."""
+    a_id, c_id = Matrix.identity(a_dim, left.field), Matrix.identity(c_dim, left.field)
+    return middle_linear_system(kron(left, c_id), kron(right, a_id), left.cols // a_dim, a_dim * c_dim, c_dim * a_dim)
+
+
+class TestUniquenessBlock:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_block_kernel_matches_full_system(self, data):
+        field = data.draw(FIELDS)
+        f, j, y, g, h = (data.draw(st.integers(1, 3)) for _ in range(5))
+        left = data.draw(factors(field, data.draw(st.integers(1, 3)), f * j))
+        right = data.draw(factors(field, f * y, data.draw(st.integers(1, 3))))
+        block = middle_block(left, right, j, y)
+        assert_indexed(block)
+        full = middle_linear_system(
+            kron(left, Matrix.identity(g, field)), kron(right, Matrix.identity(h, field)), f, j * g, y * h
+        )
+        assert g * h * kernel(block).dim == kernel(full).dim
+        # the full system is block diagonal: one copy of the block per (z, v)
+        out, p = left.rows, right.cols
+        for z in range(g):
+            for v in range(h):
+                rows = [(k * g + z) * p * h + q * h + v for k in range(out) for q in range(p)]
+                cols = [(jj * g + z) * y * h + yy * h + v for jj in range(j) for yy in range(y)]
+                assert tuple(tuple(full.entries[r][col] for col in cols) for r in rows) == block.entries
+        assert sum(map(len, full.nonzeros)) == g * h * sum(map(len, block.nonzeros))
+
+    def test_catalogue_instances_match_full_system(self):
+        s3 = group_algebra({"group": "S3"})
+        extensions = [
+            self_extension(group_algebra({"group": "Z3"})),
+            self_extension(s3),
+            self_extension(sweedler_hopf_algebra(QQ)),
+            quadratic_field_extension(2, QQ),
+        ]
+        for x in extensions:
+            a, c = x.algebra, x.coalgebra
+            cert = galois_check(x)
+            report = entwining_uniqueness(cert)
+            full = _full_system(a.mult_matrix, x.coaction, a.dim, c.dim)
+            assert report.solution_space_dim == kernel(full).dim == 0
+            assert report.psi_solves == (full.apply(vectorize(cert.psi.psi)) == vectorize(x.coaction @ a.mult_matrix))
+        for x in (group_self_coextension(group_algebra({"group": "Z3"})), group_self_coextension(s3)):
+            a, c = x.algebra, x.coalgebra
+            cert = coextension_check(x)
+            report = dual_uniqueness(cert)
+            full = _full_system(x.action, c.comult_matrix, a.dim, c.dim)
+            assert report.solution_space_dim == kernel(full).dim == 0
+            assert report.psi_solves == (full.apply(vectorize(cert.psi.psi)) == vectorize(c.comult_matrix @ x.action))
+
+    def test_trivial_coaction_kernels(self):
+        # a -> a (x) e, not Galois, so the solution spaces are large
+        for group, expected in (("Z2", 8), ("Z3", 54)):
+            h = group_algebra({"group": group})
+            a, c = h.algebra, h.coalgebra
+            coaction = kron(a.identity_matrix, column_matrix(basis_vector(c.dim, 0, QQ), QQ))
+            block = middle_block(a.mult_matrix, coaction, a.dim, c.dim)
+            assert a.dim * c.dim * kernel(block).dim == kernel(_full_system(a.mult_matrix, coaction, a.dim, c.dim)).dim
+            assert kernel(_full_system(a.mult_matrix, coaction, a.dim, c.dim)).dim == expected
