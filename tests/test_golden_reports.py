@@ -1,8 +1,9 @@
 """Byte-identity gate for suite reports.
 
 Every catalogue variant of ``scripts/verify_catalogue.py``, plus a few
-non-Galois and non-algebra-map documents that exercise witnesses and skip
-notes, is run through each applicable suite with the CLI default cutoff.
+non-Galois, non-algebra-map and non-coideal documents that exercise
+witnesses, skip notes and gates, is run through each applicable suite and
+through ``all`` with the CLI default cutoff.
 The sha256 of each JSON report must equal the digest recorded in
 ``golden_reports.json``.  A refactor that changes any report byte fails here.
 
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from entwine.catalogue import ExampleSpec, build, group_algebra
+from entwine.catalogue import ExampleSpec, build, coset_coideal, group_algebra, self_extension
 from entwine.docformat import document_from_example
-from entwine.exactlin import Matrix
+from entwine.exactlin import Matrix, Subspace
 from entwine.fields import QQ
 from entwine.structures import ComoduleAlgebra, ModuleCoalgebra, field_algebra, field_coalgebra
 from entwine.suites import run_suite
@@ -60,12 +61,26 @@ def _extra_examples():
     collapsed = ModuleCoalgebra(field_coalgebra(QQ), z2.algebra, Matrix.from_rows([[1, 1]], QQ))
     # k[Z2] acted on by itself through the sign character: not a coalgebra map
     sign = ModuleCoalgebra(z2.coalgebra, z2.algebra, Matrix.from_rows([[1, -1, 0, 0], [0, 0, 1, -1]], QQ))
+    # coideal documents over k[Z4]: span{1} fails the counit condition and
+    # span{g + g2 - 2} the coproduct condition
+    z4_self = self_extension(z4)
+    cosets = {g: coset_coideal({"group": "Z4"}, g) for g in ("g", "g2")}
+    unit_line = Subspace.from_spanning([[1, 0, 0, 0]], 4, QQ)
+    no_coproduct = Subspace.from_spanning([[-2, 1, 1, 0]], 4, QQ)
+
+    def cogenerate_doc(*coideals):
+        return {"hopf": z4, "comodule_algebra": z4_self, "coideals": list(coideals)}
+
     return {
         "field-over-Z2": {"comodule_algebra": field_over_z2},
         "trivial-coaction-Z4": {"hopf": z4, "comodule_algebra": trivial},
         "shifted-coaction-Z2": {"hopf": z2, "comodule_algebra": shifted},
         "collapsed-action-Z2": {"module_coalgebra": collapsed},
         "sign-action-Z2": {"hopf": z2, "module_coalgebra": sign},
+        "first-not-coideal-Z4": cogenerate_doc(unit_line, cosets["g2"]),
+        "second-not-coideal-Z4": cogenerate_doc(cosets["g2"], no_coproduct),
+        "third-not-coideal-Z4": cogenerate_doc(cosets["g2"], cosets["g"], no_coproduct),
+        "three-coideals-Z4": cogenerate_doc(cosets["g2"], cosets["g"], cosets["g2"]),
     }
 
 
@@ -80,7 +95,7 @@ def _documents():
 def report_digests() -> dict[str, str]:
     digests = {}
     for label, doc in _documents():
-        for suite in _SCRIPT.applicable_suites(doc):
+        for suite in _SCRIPT.applicable_suites(doc) + ["all"]:
             text = run_suite(doc, suite).to_json()
             digests[f"{label}/{suite}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests
@@ -100,7 +115,7 @@ def test_every_report_matches_its_recorded_digest(digests):
 
 def test_gate_covers_every_suite(digests):
     suites = {key.rsplit("/", 1)[1] for key in digests}
-    assert suites == {"structures", "entwining", "galois", "cogalois", "cogenerate"}
+    assert suites == {"structures", "entwining", "galois", "cogalois", "cogenerate", "all"}
 
 
 if __name__ == "__main__":
