@@ -6,6 +6,7 @@ subgroups of S3 against a non-generating subgroup of Z4 at several cutoffs."""
 import sys
 
 from entwine.catalogue import coset_coideal, group_algebra, self_extension
+from entwine.cogalois import quotient_coalgebra
 from entwine.cogenerate import cogeneration_check, coinvariant_intersection_check
 
 
@@ -20,8 +21,8 @@ CASES = [
 def main() -> int:
     for label, group, gens in CASES:
         hopf = group_algebra({"group": group})
-        subs = [coset_coideal({"group": group}, g[0]) for g in gens]
-        report = cogeneration_check(hopf.coalgebra, subs[0], subs[1], cutoff=7)
+        quotients = [quotient_coalgebra(hopf.coalgebra, coset_coideal({"group": group}, g[0])) for g in gens]
+        report = cogeneration_check(hopf.coalgebra, quotients[0], quotients[1], cutoff=7)
         profile = [k.dim for k in report.kernels_by_length]
         print(label)
         print(f"  kernel profile: {profile}   verdict: {report.verdict}"

@@ -30,6 +30,7 @@ from .errors import (
 from .exactlin import (
     Bijectivity,
     Matrix,
+    QuotientPresentation,
     Subspace,
     basis_vector,
     column_matrix,
@@ -83,22 +84,17 @@ class CoextensionCertificate:
     checks: ValidationReport
 
 
-def _require_module(x: ModuleCoalgebra):
-    report = validate_module(x.module)
-    if not report.ok:
-        raise AxiomViolation("action does not satisfy the module axioms", report=report)
-
-
-def coideal_checks(c: FiniteCoalgebra, sub: Subspace) -> tuple[AxiomCheck, ...]:
-    """counit(I) = 0 and coproduct(I) inside C (x) I + I (x) C.
+def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tuple[AxiomCheck, ...]:
+    """counit(I) = 0 and coproduct(I) inside C (x) I + I (x) C, for I the
+    relations of the presentation of C/I.
 
     The second is decided through the quotient: with pi: C -> C/I,
     ker(pi (x) pi) = I (x) C + C (x) I, so it holds iff
     (pi (x) pi) . coproduct . incl_I = 0.
     """
-    incl = sub.inclusion()
+    incl = presentation.relations.inclusion()
     counit_ok = (c.counit_matrix @ incl).is_zero
-    pi = quotient(c.dim, sub).projection
+    pi = presentation.projection
     coproduct_ok = (kron(pi, pi) @ c.comult_matrix @ incl).is_zero
     return (
         AxiomCheck("coideal-counit", "counit vanishes on the coideal", None, counit_ok),
@@ -106,19 +102,14 @@ def coideal_checks(c: FiniteCoalgebra, sub: Subspace) -> tuple[AxiomCheck, ...]:
     )
 
 
-def is_coideal(c: FiniteCoalgebra, sub: Subspace) -> bool:
-    return all(chk.ok for chk in coideal_checks(c, sub))
-
-
 def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
     """The coideal spanned, over all basis inputs and dual-basis functionals, by
     act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
 
     Letting f range over the dual basis exhausts all functionals because the
-    expression is linear in f.  The coideal property is re-verified on every
-    run; a failure would be a library bug.
+    expression is linear in f.  The action must already satisfy the module
+    axioms; quotient_coalgebra decides the coideal property.
     """
-    _require_module(x)
     c, a = x.coalgebra, x.algebra
     field = c.field
     nc = c.dim
@@ -133,16 +124,15 @@ def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
             pick = kron(c.identity_matrix, row_matrix(basis_vector(nc, k, field), field))
             diff = pick @ first - pick @ second
             vectors.extend(diff.columns())
-    sub = Subspace.from_spanning(vectors, nc, field)
-    if not is_coideal(c, sub):
-        raise InternalCheckError("canonical coideal failed the coideal property")
-    return sub
+    return Subspace.from_spanning(vectors, nc, field)
 
 
 def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra: FiniteCoalgebra) -> Subspace:
     """span{act(c, h) - counit(h) c} for a module coalgebra whose action is a
-    coalgebra map against the given bialgebra structure on the acting space."""
-    _require_module(x)
+    coalgebra map against the given bialgebra structure on the acting space.
+
+    The action must already satisfy the module axioms.
+    """
     if hopf_algebra != x.algebra:
         raise DimensionMismatch("acting algebra differs from the module structure")
     c = x.coalgebra
@@ -152,11 +142,7 @@ def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra
     if bad:
         raise AxiomViolation(f"action is not a coalgebra map ({bad[0].name})", report=checks)
     eps_h = row_matrix(hopf_coalgebra.counit, field)
-    spanning = x.action - kron(c.identity_matrix, eps_h)
-    sub = image(spanning)
-    if not is_coideal(c, sub):
-        raise InternalCheckError("module-coalgebra coideal failed the coideal property")
-    return sub
+    return image(x.action - kron(c.identity_matrix, eps_h))
 
 
 def action_coalgebra_map_checks(x: ModuleCoalgebra, hopf_coalgebra: FiniteCoalgebra) -> tuple[AxiomCheck, ...]:
@@ -194,13 +180,12 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     """
     field = c.field
     pres = quotient(c.dim, coideal)
+    if not all(chk.ok for chk in coideal_checks(c, pres)):
+        raise NotCoideal("subspace is not a coideal")
     pi, sigma = pres.projection, pres.section
     b_dim = pres.quotient_dim
-    squared = kron(pi, pi) @ c.comult_matrix
-    d_b = squared @ sigma
+    d_b = kron(pi, pi) @ c.comult_matrix @ sigma
     e_b = c.counit_matrix @ sigma
-    if squared != d_b @ pi or e_b @ pi != c.counit_matrix:
-        raise NotCoideal("subspace is not a coideal")
     comult = tuple(
         tuple(tuple(d_b.entries[j * b_dim + k][i] for k in range(b_dim)) for j in range(b_dim))
         for i in range(b_dim)
@@ -262,11 +247,20 @@ def _raw_cocanonical_map(x: ModuleCoalgebra) -> Matrix:
 
 
 def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
-    """Build the canonical map onto the cotensor product, decide bijectivity,
-    and certify the cotranslation identities and canonical entwining map."""
-    _require_module(x)
+    """Build the canonical map onto the cotensor product over the quotient by
+    the canonical coideal, decide bijectivity, and certify the cotranslation
+    identities and canonical entwining map."""
+    report = validate_module(x.module)
+    if not report.ok:
+        raise AxiomViolation("action does not satisfy the module axioms", report=report)
+    return _certify(x, canonical_coideal(x))
+
+
+def _certify(x: ModuleCoalgebra, coideal: Subspace) -> CoextensionCertificate:
+    """coextension_check over the given coideal in place of the canonical one;
+    the caller has established the module axioms.  Raises NotCoideal when
+    ``coideal`` is not a coideal."""
     c, a = x.coalgebra, x.algebra
-    coideal = canonical_coideal(x)
     base, pi = quotient_coalgebra(c, coideal)
     web = _cotensor_square(c, pi)
     incl = web.inclusion()
@@ -421,24 +415,36 @@ def dual_uniqueness(cert: CoextensionCertificate) -> UniquenessReport:
 
 @dataclass(frozen=True)
 class DualBundleReport:
-    """Outcome of the fixed-entwining dual bundle test for one character."""
+    """Outcome of the fixed-entwining dual bundle test for one character kappa.
+
+    The dual bundle is the coextension certificate of the induced action
+    (kappa (x) C)psi over the quotient by the induced coideal.
+    """
 
     entwining: EntwiningStructure
     character: tuple
-    induced_action: Matrix
-    coideal: Subspace
-    base: FiniteCoalgebra
-    base_projection: Matrix
-    cotensor: Subspace
-    cocan_psi: Matrix
-    rank: int
-    is_bundle: bool
-    witness: tuple | None
+    certificate: CoextensionCertificate
+
+    @property
+    def coideal(self) -> Subspace:
+        return self.certificate.coideal
+
+    @property
+    def is_bundle(self) -> bool:
+        return self.certificate.is_coextension
+
+    @property
+    def rank(self) -> int:
+        return self.certificate.rank
 
 
 def dual_bundle_check(e: EntwiningStructure, character: Character) -> DualBundleReport:
     """I = span{(kappa (x) C)psi(c (x) a) - c kappa(a)}; dual bundle iff the
-    induced canonical map onto the cotensor over C/I is bijective."""
+    induced canonical map onto the cotensor over C/I is bijective.
+
+    The entwining identities and kappa a character make (kappa (x) C)psi a
+    right action and I a coideal.
+    """
     a, c = e.algebra, e.coalgebra
     field = a.field
     if character.algebra != a:
@@ -449,22 +455,9 @@ def dual_bundle_check(e: EntwiningStructure, character: Character) -> DualBundle
     if not report.ok:
         raise AxiomViolation("entwining identities fail", report=report)
     kap = row_matrix(character.coords, field)
-    induced_action = kron(kap, c.identity_matrix) @ e.psi
-    coideal = image(induced_action - kron(c.identity_matrix, kap))
-    if not is_coideal(c, coideal):
-        raise InternalCheckError("induced subspace failed the coideal property")
-    base, pi = quotient_coalgebra(c, coideal)
-    web = _cotensor_square(c, pi)
-    incl, coords = web.inclusion(), web.coordinates()
-    cocan_full = kron(c.identity_matrix, induced_action) @ kron(c.comult_matrix, a.identity_matrix)
-    if (incl @ coords) @ cocan_full != cocan_full:
-        raise ImageEscape("dual bundle canonical map leaves the cotensor product")
-    cocan_psi = coords @ cocan_full
-    decision = _decide_onto_cotensor(cocan_psi, web)
-    return DualBundleReport(
-        e, tuple(character.coords), induced_action, coideal, base, pi, web, cocan_psi,
-        rank=decision.rank, is_bundle=decision.inverse is not None, witness=decision.witness,
-    )
+    action = kron(kap, c.identity_matrix) @ e.psi
+    coideal = image(action - kron(c.identity_matrix, kap))
+    return DualBundleReport(e, tuple(character.coords), _certify(ModuleCoalgebra(c, a, action), coideal))
 
 
 @dataclass(frozen=True)
@@ -477,10 +470,8 @@ class DualBundleEquivalenceReport:
     action: Matrix | None = None
     certificate: CoextensionCertificate | None = None
     counit_normalized: bool | None = None
-    coextension_from_bundle: bool | None = None
     psi_recovered: bool | None = None
     coideal_matches: bool | None = None
-    cocan_matches: bool | None = None
     action_forced: bool | None = None
 
     @property
@@ -488,12 +479,11 @@ class DualBundleEquivalenceReport:
         if not self.applicable:
             return True
         return bool(
-            self.coextension_from_bundle
-            and self.counit_normalized
+            self.counit_normalized
             and self.psi_recovered
             and self.coideal_matches
-            and self.cocan_matches
             and self.action_forced
+            and self.certificate.checks.ok
         )
 
 
@@ -511,36 +501,28 @@ def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquiva
 
     Forward: from a verified dual bundle, act = (kappa (x) C)psi is an action
     whose coextension certificate recovers psi, with counit . act =
-    counit (x) kappa.  Backward: the certificate's coideal and canonical map
-    equal the bundle's.  The uniqueness clause checks, with the certificate's
-    psi, that the action is forced by counit . act.
+    counit (x) kappa.  Backward: the canonical coideal of that action is the
+    bundle's coideal, so its coextension certificate is the bundle's own.  The
+    uniqueness clause checks, with the certificate's psi, that the action is
+    forced by counit . act.
     """
     if not bundle.is_bundle:
         return DualBundleEquivalenceReport(False, "not a dual bundle: the canonical map is not bijective", bundle=bundle)
-    e = bundle.entwining
-    a, c = e.algebra, e.coalgebra
-    kap = row_matrix(bundle.character, a.field)
-    action = bundle.induced_action
-    carrier = ModuleCoalgebra(c, a, action)
-    module_ok = validate_module(carrier.module).ok
-    if not module_ok:
+    cert = bundle.certificate
+    carrier = cert.subject
+    c = carrier.coalgebra
+    if not validate_module(carrier.module).ok:
         return DualBundleEquivalenceReport(False, "induced map is not an action", bundle=bundle)
-    cert = coextension_check(carrier)
-    counit_normalized = c.counit_matrix @ action == kron(c.counit_matrix, kap)
-    psi_recovered = cert.is_coextension and cert.psi.psi == e.psi
-    coideal_matches = cert.coideal == bundle.coideal
-    cocan_matches = coideal_matches and cert.cocan == bundle.cocan_psi
-    forced = cert.is_coextension and action_forced_by_counit(action, cert.psi)
+    action = carrier.action
+    kap = row_matrix(bundle.character, c.field)
     return DualBundleEquivalenceReport(
         True,
         "",
         bundle=bundle,
         action=action,
         certificate=cert,
-        counit_normalized=counit_normalized,
-        coextension_from_bundle=cert.is_coextension,
-        psi_recovered=psi_recovered,
-        coideal_matches=coideal_matches,
-        cocan_matches=cocan_matches,
-        action_forced=forced,
+        counit_normalized=c.counit_matrix @ action == kron(c.counit_matrix, kap),
+        psi_recovered=cert.psi.psi == bundle.entwining.psi,
+        coideal_matches=canonical_coideal(carrier) == cert.coideal,
+        action_forced=action_forced_by_counit(action, cert.psi),
     )

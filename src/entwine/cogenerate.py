@@ -40,7 +40,6 @@ from .exactlin import (
 )
 from .galois import coinvariants
 from .structures import ComoduleAlgebra, FiniteCoalgebra
-from .cogalois import quotient_coalgebra
 
 
 COGENERATES = "cogenerates"
@@ -74,25 +73,24 @@ def _kernel_step(c: FiniteCoalgebra, projections: Sequence[Matrix], k: Subspace)
 
 def cogeneration_check(
     c: FiniteCoalgebra,
-    coideal_1: Subspace,
-    coideal_2: Subspace,
+    quotient_1: tuple[FiniteCoalgebra, Matrix],
+    quotient_2: tuple[FiniteCoalgebra, Matrix],
     cutoff: int | None = None,
 ) -> CogenerationReport:
     """Iterate the chain-kernel fixed point for at most ``cutoff`` steps.
 
-    The first step starts from the kernel of the counit, the quotient map of
-    the empty chain, and gives K_1, the meet of I_1 and I_2.  Raises
-    NotCoideal when either subspace is not a coideal.
+    The quotients are quotient_coalgebra results (C/I, pi) for the two
+    coideals.  The first step starts from the kernel of the counit, the
+    quotient map of the empty chain, and gives K_1, the meet of I_1 and I_2.
     """
     if cutoff is None:
         cutoff = c.dim + 1
     if cutoff < 1:
         raise DimensionMismatch("cutoff must be at least 1")
-    for sub in (coideal_1, coideal_2):
-        if sub.ambient_dim != c.dim:
-            raise DimensionMismatch("coideal lives in the wrong ambient space")
-    quotients = tuple(quotient_coalgebra(c, sub) for sub in (coideal_1, coideal_2))
+    quotients = (quotient_1, quotient_2)
     projections = [pi for _, pi in quotients]
+    if any(pi.cols != c.dim for pi in projections):
+        raise DimensionMismatch("quotient map leaves from the wrong space")
     running = kernel(c.counit_matrix)
     kernels: list[Subspace] = []
     stabilized = None

@@ -18,11 +18,9 @@ from .errors import FieldParseError, InvalidDocument, SchemaError
 from .exactlin import Matrix, Subspace
 from .fields import PRIME, QQ, RATIONAL, FieldSpec
 from .structures import (
-    Character,
     ComoduleAlgebra,
     FiniteAlgebra,
     FiniteCoalgebra,
-    GroupLike,
     HopfAlgebra,
     ModuleCoalgebra,
 )
@@ -94,12 +92,6 @@ class StructureDocument:
         from .entwining import EntwiningStructure
 
         return EntwiningStructure(self.algebra, self.coalgebra, self.psi)
-
-    def grouplike_objects(self) -> tuple[GroupLike, ...]:
-        return tuple(GroupLike(self.coalgebra, coords) for _, coords in self.grouplikes)
-
-    def character_objects(self) -> tuple[Character, ...]:
-        return tuple(Character(self.algebra, coords) for _, coords in self.characters)
 
     def coideal_subspaces(self) -> tuple[Subspace, ...]:
         return tuple(

@@ -61,9 +61,11 @@ from .structures import (
 class GaloisCertificate:
     """Everything galois_check establishes about one comodule algebra.
 
-    ``can`` is the induced map on the balanced tensor product (quotient
-    coordinates); ``translation`` sends C into the quotient; ``psi`` is the
-    canonical entwining map, present exactly when the extension is Galois.
+    ``coinvariants`` is the balancing subalgebra B: the coinvariants, or for
+    a bundle the fixed invariants of its group-like.  ``can`` is the induced
+    map on the balanced tensor product (quotient coordinates);
+    ``translation`` sends C into the quotient; ``psi`` is the canonical
+    entwining map, present exactly when the extension is Galois.
     """
 
     subject: ComoduleAlgebra
@@ -201,7 +203,8 @@ def _quotient_coaction(x: ComoduleAlgebra, presentation: QuotientPresentation) -
 
 
 def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
-    """Build the canonical map on A (x)_B A, decide bijectivity, and certify.
+    """Build the canonical map on A (x)_B A over the coinvariants B, decide
+    bijectivity, and certify.
 
     When the map is bijective the certificate carries its inverse, the
     translation map, its three defining identities, and the canonical
@@ -210,8 +213,13 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     report = validate_comodule(x.comodule)
     if not report.ok:
         raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
+    return _certify(x, coinvariants(x))
+
+
+def _certify(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertificate:
+    """galois_check balanced over the given subalgebra ``sub`` in place of the
+    coinvariants; the caller has established the comodule axioms."""
     a, c = x.algebra, x.coalgebra
-    sub = coinvariants(x)
     presentation = balanced_tensor(x, sub)
     can_full = _raw_canonical_map(x)
     can = _descend(can_full, presentation, "the canonical map")
@@ -416,20 +424,35 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
 
 @dataclass(frozen=True)
 class BundleReport:
-    """Outcome of the fixed-entwining bundle test for one group-like."""
+    """Outcome of the fixed-entwining bundle test for one group-like e.
+
+    The bundle is the Galois certificate of the induced coaction
+    a |-> psi(e (x) a), balanced over the fixed invariants.
+    """
 
     entwining: EntwiningStructure
     grouplike: tuple
-    invariants: Subspace
-    balanced: QuotientPresentation
-    can_psi: Matrix
-    rank: int
-    is_bundle: bool
-    witness: tuple | None
+    certificate: GaloisCertificate
+
+    @property
+    def invariants(self) -> Subspace:
+        return self.certificate.coinvariants
+
+    @property
+    def is_bundle(self) -> bool:
+        return self.certificate.is_galois
+
+    @property
+    def rank(self) -> int:
+        return self.certificate.rank
 
 
 def bundle_check(e: EntwiningStructure, grouplike: GroupLike) -> BundleReport:
-    """B = {b : psi(e (x) b) = b (x) e}; bundle iff a psi(e (x) a') is bijective."""
+    """B = {b : psi(e (x) b) = b (x) e}; bundle iff a psi(e (x) a') is bijective.
+
+    The entwining identities and e group-like make a |-> psi(e (x) a) a
+    coaction, and B is balanced because psi(e (x) b a) = b psi(e (x) a).
+    """
     a, c = e.algebra, e.coalgebra
     field = a.field
     if grouplike.coalgebra != c:
@@ -440,16 +463,9 @@ def bundle_check(e: EntwiningStructure, grouplike: GroupLike) -> BundleReport:
     if not report.ok:
         raise AxiomViolation("entwining identities fail", report=report)
     e_col = column_matrix(grouplike.coords, field)
-    coaction_candidate = e.psi @ kron(e_col, a.identity_matrix)
-    invariants = kernel(coaction_candidate - kron(a.identity_matrix, e_col))
-    carrier = ComoduleAlgebra(a, c, coaction_candidate)
-    presentation = balanced_tensor(carrier, invariants)
-    can_psi = _descend(_raw_canonical_map(carrier), presentation, "the bundle canonical map")
-    decision = decide_bijection(can_psi)
-    return BundleReport(
-        e, tuple(grouplike.coords), invariants, presentation, can_psi,
-        rank=decision.rank, is_bundle=decision.inverse is not None, witness=decision.witness,
-    )
+    coaction = e.psi @ kron(e_col, a.identity_matrix)
+    invariants = kernel(coaction - kron(a.identity_matrix, e_col))
+    return BundleReport(e, tuple(grouplike.coords), _certify(ComoduleAlgebra(a, c, coaction), invariants))
 
 
 @dataclass(frozen=True)
@@ -462,10 +478,8 @@ class BundleEquivalenceReport:
     coaction: Matrix | None = None
     certificate: GaloisCertificate | None = None
     unit_normalized: bool | None = None
-    galois_from_bundle: bool | None = None
     psi_recovered: bool | None = None
     coinvariants_match: bool | None = None
-    can_matches: bool | None = None
     coaction_forced: bool | None = None
 
     @property
@@ -473,12 +487,11 @@ class BundleEquivalenceReport:
         if not self.applicable:
             return True
         return bool(
-            self.galois_from_bundle
-            and self.unit_normalized
+            self.unit_normalized
             and self.psi_recovered
             and self.coinvariants_match
-            and self.can_matches
             and self.coaction_forced
+            and self.certificate.checks.ok
         )
 
 
@@ -496,39 +509,29 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
 
     Forward: from a verified bundle, a |-> psi(e (x) a) is a coaction whose
     Galois certificate recovers psi, with coaction(1) = 1 (x) e.  Backward:
-    that certificate's canonical map equals the bundle's.  The uniqueness
-    clause checks, with the certificate's psi, that the coaction is forced by
-    its value on 1.
+    the coinvariants of that coaction are the bundle's invariants, so its
+    Galois certificate is the bundle's own.  The uniqueness clause checks,
+    with the certificate's psi, that the coaction is forced by its value on 1.
     """
     if not bundle.is_bundle:
         return BundleEquivalenceReport(False, "not a bundle: the canonical map is not bijective", bundle=bundle)
-    e = bundle.entwining
-    a, c = e.algebra, e.coalgebra
-    field = a.field
-    e_col = column_matrix(bundle.grouplike, field)
-    coaction = e.psi @ kron(e_col, a.identity_matrix)
-    carrier = ComoduleAlgebra(a, c, coaction)
-    comodule_ok = validate_comodule(carrier.comodule).ok
-    if not comodule_ok:
+    cert = bundle.certificate
+    carrier = cert.subject
+    a = carrier.algebra
+    if not validate_comodule(carrier.comodule).ok:
         return BundleEquivalenceReport(False, "induced map is not a coaction", bundle=bundle)
-    cert = galois_check(carrier)
-    unit_normalized = tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, field), e_col).column(0)
-    psi_recovered = cert.is_galois and cert.psi.psi == e.psi
-    coinvariants_match = cert.coinvariants == bundle.invariants
-    can_matches = coinvariants_match and cert.can == bundle.can_psi
-    forced = cert.is_galois and coaction_forced_by_unit(coaction, cert.psi)
+    coaction = carrier.coaction
+    e_col = column_matrix(bundle.grouplike, a.field)
     return BundleEquivalenceReport(
         True,
         "",
         bundle=bundle,
         coaction=coaction,
         certificate=cert,
-        unit_normalized=unit_normalized,
-        galois_from_bundle=cert.is_galois,
-        psi_recovered=psi_recovered,
-        coinvariants_match=coinvariants_match,
-        can_matches=can_matches,
-        coaction_forced=forced,
+        unit_normalized=tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, a.field), e_col).column(0),
+        psi_recovered=cert.psi.psi == bundle.entwining.psi,
+        coinvariants_match=coinvariants(carrier) == cert.coinvariants,
+        coaction_forced=coaction_forced_by_unit(coaction, cert.psi),
     )
 
 

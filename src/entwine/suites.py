@@ -15,7 +15,7 @@ from .cogalois import (
     dual_bundle_check,
     dual_uniqueness,
     hopf_coideal,
-    is_coideal,
+    quotient_coalgebra,
 )
 from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersection_check
 from .docformat import StructureDocument
@@ -25,8 +25,8 @@ from .entwining import (
     validate_entwining,
     validate_structure_maps,
 )
-from .errors import AxiomViolation, EntwineError, MissingSection, NotInvertibleError
-from .exactlin import Subspace
+from .errors import AxiomViolation, EntwineError, MissingSection, NotCoideal, NotInvertibleError
+from .exactlin import Subspace, quotient
 from .galois import (
     bundle_check,
     bundle_coaction_equivalence,
@@ -112,7 +112,7 @@ def run_structures(doc: StructureDocument) -> SuiteReport:
         if doc.coalgebra is None:
             raise MissingSection("coalgebra", "structures")
         sub = Subspace.from_spanning(vectors, doc.coalgebra.dim, doc.field)
-        for chk in coideal_checks(doc.coalgebra, sub):
+        for chk in coideal_checks(doc.coalgebra, quotient(doc.coalgebra.dim, sub)):
             report.add(f"structures.coideal.{name}.{chk.name}", chk.statement, chk.ok)
     return report
 
@@ -327,13 +327,17 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
     if len(doc.coideals) < 2:
         raise MissingSection("coideals (two are needed)", "cogenerate")
     report = SuiteReport("cogenerate")
-    subs = doc.coideal_subspaces()
-    for (name, _), sub in zip(doc.coideals, subs):
-        ok = is_coideal(doc.coalgebra, sub)
+    quotients = []
+    for (name, _), sub in zip(doc.coideals, doc.coideal_subspaces()):
+        ok = True
+        try:
+            quotients.append(quotient_coalgebra(doc.coalgebra, sub))
+        except NotCoideal:
+            ok = False
         report.add(f"cogenerate.coideal.{name}", "the subspace is a coideal", ok, subspace_detail(doc.field, sub))
         if not ok:
             return report
-    result = cogeneration_check(doc.coalgebra, subs[0], subs[1], cutoff)
+    result = cogeneration_check(doc.coalgebra, quotients[0], quotients[1], cutoff)
     profile = [k.dim for k in result.kernels_by_length]
     report.add(
         "cogenerate.kernel-profile",

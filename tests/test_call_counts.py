@@ -65,10 +65,14 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
 
 
 def test_bundle_report_is_passed_to_the_equivalence(count_calls):
-    counts = count_calls(galois.bundle_check, galois.galois_check)
+    counts = count_calls(galois.bundle_check, galois.galois_check, galois.balanced_tensor)
     doc, _ = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
-    # the second galois_check certifies the bundle carrier, a different subject
-    assert counts == {"bundle_check": len(doc.grouplikes), "galois_check": 2}
+    # the bundle is the Galois certificate of its carrier: no second galois_check
+    assert counts == {
+        "bundle_check": len(doc.grouplikes),
+        "galois_check": 1,
+        "balanced_tensor": 1 + len(doc.grouplikes),
+    }
 
 
 def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
@@ -82,13 +86,16 @@ def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
     [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
 )
 def test_cogeneration_report_is_passed_to_the_intersection(count_calls, params):
-    counts = count_calls(cogenerate.cogeneration_check, cogalois.is_coideal, cogenerate._kernel_step)
+    counts = count_calls(
+        cogenerate.cogeneration_check, cogalois.quotient_coalgebra, exactlin.quotient, cogenerate._kernel_step
+    )
     _, report = _run("coset-coideal", params, "cogenerate")
     assert counts["cogeneration_check"] == 1
-    # the suite's own gate on the two coideals; quotient_coalgebra does not re-check
-    assert counts["is_coideal"] <= 2
+    # one quotient coalgebra per coideal, which is also its coideal gate
+    assert counts["quotient_coalgebra"] == 2
     (profile,) = [e.detail["profile"] for e in report.entries if e.check_id == "cogenerate.kernel-profile"]
     assert counts["_kernel_step"] == len(profile)
+    assert counts["quotient"] == 2 + len(profile)
 
 
 def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
@@ -99,6 +106,8 @@ def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
 
 
 def test_group_coextension_quotient_count(count_calls):
-    counts = count_calls(exactlin.quotient)
+    counts = count_calls(cogalois.coextension_check, exactlin.quotient, structures.validate_module)
     _run("group-coextension", {"group": "Z3"}, "cogalois")
-    assert counts["quotient"] <= 7
+    assert counts["coextension_check"] == 1
+    assert counts["quotient"] <= 2
+    assert counts["validate_module"] <= 3

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,11 @@ from entwine.cogalois import (
     dual_bundle_check,
     dual_uniqueness,
     hopf_coideal,
-    is_coideal,
     quotient_coalgebra,
 )
 from entwine.entwining import EntwiningStructure, validate_entwining
 from entwine.errors import NotCharacter, NotCoideal
-from entwine.exactlin import Matrix, Subspace, kron
+from entwine.exactlin import Matrix, Subspace, kron, quotient
 from entwine.fields import GF, QQ
 from entwine.structures import Character, ModuleCoalgebra, dualize, field_algebra
 
@@ -55,7 +55,7 @@ class TestCanonicalCoideal:
         x = group_self_coextension(sweedler)
         sub = hopf_coideal(x, sweedler.algebra, sweedler.coalgebra)
         assert sub.dim == 3  # spanned by g - 1, x, gx
-        ok_counit, _ = coideal_checks(sweedler.coalgebra, sub)
+        ok_counit, _ = coideal_checks(sweedler.coalgebra, quotient(4, sub))
         assert ok_counit.ok
         assert canonical_coideal(x) == sub
 
@@ -90,7 +90,9 @@ class TestQuotientCoalgebra:
             quotient_coalgebra(z2_hopf.coalgebra, Subspace.from_spanning([[0, 1]], 2, QQ))
 
     def test_coideal_checks_reject_bad_counit(self, z2_hopf):
-        assert not is_coideal(z2_hopf.coalgebra, Subspace.from_spanning([[1, 0]], 2, QQ))
+        sub = Subspace.from_spanning([[1, 0]], 2, QQ)
+        counit, _ = coideal_checks(z2_hopf.coalgebra, quotient(2, sub))
+        assert not counit.ok
 
 
 class TestCotensor:
@@ -282,6 +284,15 @@ class TestDualBundleEquivalence:
         rows[0][0] += 1
         perturbed = EntwiningStructure(psi.algebra, psi.coalgebra, Matrix.from_rows(rows, QQ))
         assert not action_forced_by_counit(z2_coextension.action, perturbed)
+
+    def test_verdict_reads_the_certificate_checks(self, z2_hopf, z2_coextension):
+        psi = coextension_check(z2_coextension).psi
+        report = dual_bundle_action_equivalence(dual_bundle_check(psi, Character(z2_hopf.algebra, (1, 1))))
+        assert report.ok
+        cert = report.certificate
+        first, *rest = cert.checks.checks
+        broken = replace(cert.checks, checks=(replace(first, ok=False), *rest))
+        assert not replace(report, certificate=replace(cert, checks=broken)).ok
 
 
 class TestDualityCrossCheck:

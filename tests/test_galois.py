@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -232,7 +233,7 @@ class TestBundles:
         # flip fixes everything, so B = A and A (x)_A A has dim 2 < dim A (x) C = 4
         assert report.invariants == Subspace.full(2, QQ)
         assert not report.is_bundle
-        assert report.balanced.quotient_dim == 2
+        assert report.certificate.balanced.quotient_dim == 2
 
     def test_flip_bundle_trivial_coalgebra(self, z2_hopf):
         from entwine.structures import field_coalgebra
@@ -276,6 +277,15 @@ class TestBundleEquivalence:
         rows[0][0] += 1
         perturbed = EntwiningStructure(psi.algebra, psi.coalgebra, Matrix.from_rows(rows, QQ))
         assert not coaction_forced_by_unit(z2_self_extension.coaction, perturbed)
+
+    def test_verdict_reads_the_certificate_checks(self, z2_hopf, z2_self_extension):
+        psi = hopf_entwining(z2_hopf, z2_self_extension)
+        report = bundle_coaction_equivalence(bundle_check(psi, GroupLike(z2_hopf.coalgebra, (1, 0))))
+        assert report.ok
+        cert = report.certificate
+        first, *rest = cert.checks.checks
+        broken = replace(cert.checks, checks=(replace(first, ok=False), *rest))
+        assert not replace(report, certificate=replace(cert, checks=broken)).ok
 
 
 class TestLeftCanonical:
