@@ -21,6 +21,15 @@ longer chain: a nonzero fixed point means the quotients do not cogenerate,
 kernel zero means they do, and the fixed point is reached within dim C + 1
 steps.  The cutoff bounds the number of steps; a verdict not reached within
 it is reported inconclusive.
+
+The coinvariants over C and over both quotients come from one coinvariant
+system D = coaction . m - (m (x) C)(A (x) coaction): the quotient coaction
+(A (x) pi)coaction has the system (A (x) pi) . D.  Both need valid input,
+and the cogenerate suite gates on it: it validates the coalgebra before it
+presents any quotient, and the comodule axioms of the coaction before it
+compares coinvariants.  A failing axiom is reported as a failed
+``cogenerate.coalgebra.<axiom>`` or ``cogenerate.comodule.<axiom>`` check
+with its residual, and the suite stops there.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .exactlin import (
     quotient,
     stack_rows,
 )
-from .galois import coinvariants
+from .galois import _raw_canonical_map, coinvariant_system, coinvariants
 from .structures import ComoduleAlgebra, FiniteCoalgebra
 
 
@@ -144,11 +153,11 @@ def coinvariant_intersection_check(x: ComoduleAlgebra, cogeneration: Cogeneratio
     """
     if cogeneration.coalgebra != x.coalgebra:
         raise DimensionMismatch("cogeneration report is about a different coalgebra")
-    sub_1, sub_2 = (
-        coinvariants(ComoduleAlgebra(x.algebra, base, kron(x.algebra.identity_matrix, p) @ x.coaction))
-        for base, p in cogeneration.quotients
-    )
-    full = coinvariants(x)
+    a = x.algebra
+    system = coinvariant_system(x, _raw_canonical_map(x))
+    full = coinvariants(a, system)
+    # the system of the quotient coaction (A (x) pi)coaction is (A (x) pi) . D
+    sub_1, sub_2 = (coinvariants(a, kron(a.identity_matrix, pi) @ system) for _, pi in cogeneration.quotients)
     meet = intersect(sub_1, sub_2)
     inclusion = meet.contains_subspace(full)
     equality = full == meet

@@ -32,6 +32,7 @@ from .exactlin import (
     Matrix,
     QuotientPresentation,
     Subspace,
+    _from_index,
     basis_vector,
     column_matrix,
     decide_bijection,
@@ -40,12 +41,12 @@ from .exactlin import (
     kron,
     middle_block,
     quotient,
-    stack_rows,
     tensor_permutation,
 )
 from .structures import (
     AxiomCheck,
     ComoduleAlgebra,
+    FiniteAlgebra,
     GroupLike,
     HopfAlgebra,
     RightComodule,
@@ -81,24 +82,39 @@ class GaloisCertificate:
     checks: ValidationReport
 
 
-def coinvariants(x: ComoduleAlgebra) -> Subspace:
-    """{b : coaction(b a) = b coaction(a) for all a}, the general coinvariants.
+def coinvariant_system(x: ComoduleAlgebra, raw_can: Matrix) -> Matrix:
+    """D = coaction . m - (m (x) C)(A (x) coaction): A (x) A -> A (x) C, from
+    its second term ``raw_can``, the canonical map of x on the full A (x) A.
+
+    b is coinvariant iff D(b (x) a) = 0 for every a.  For a quotient
+    pi: C -> B, the system of the coaction (A (x) pi)coaction is
+    (A (x) pi) . D, since (m (x) B)(A (x) (A (x) pi)coaction) =
+    (A (x) pi)(m (x) C)(A (x) coaction).
+    """
+    return x.coaction @ x.algebra.mult_matrix - raw_can
+
+
+def _stacked_system(system: Matrix, dim: int) -> Matrix:
+    """b |-> (D(b (x) a_j))_j for D on A (x) A with dim A = ``dim``: D's
+    nonzero index with column (b, j) moved to row block j."""
+    rows = system.rows
+    stacked: list[list] = [[] for _ in range(dim * rows)]
+    for r, pairs in enumerate(system.nonzeros):
+        for col, v in pairs:
+            b, j = divmod(col, dim)
+            stacked[j * rows + r].append((b, v))
+    return _from_index(dim * rows, dim, [tuple(row) for row in stacked], system.field)
+
+
+def coinvariants(a: FiniteAlgebra, system: Matrix) -> Subspace:
+    """{b : D(b (x) a) = 0 for all a}, the general coinvariants
+    {b : coaction(b a) = b coaction(a) for all a} of the coaction on A whose
+    coinvariant system is D.
 
     The result is verified to contain the unit and to be closed under
     multiplication; a failure there would be a library bug, not bad input.
     """
-    a, c = x.algebra, x.coalgebra
-    field = a.field
-    ia, ic = a.identity_matrix, c.identity_matrix
-    rho = x.coaction
-    m = a.mult_matrix
-    blocks = []
-    for j in range(a.dim):
-        aj = column_matrix(basis_vector(a.dim, j, field), field)
-        left = rho @ m @ kron(ia, aj)
-        right = kron(m, ic) @ kron(ia, rho @ aj)
-        blocks.append(left - right)
-    sub = kernel(stack_rows(blocks))
+    sub = kernel(_stacked_system(system, a.dim))
     if not sub.contains_vector(a.unit):
         raise InternalCheckError("coinvariants lost the unit")
     for u in sub.basis:
@@ -213,15 +229,16 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     report = validate_comodule(x.comodule)
     if not report.ok:
         raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
-    return _certify(x, coinvariants(x))
+    can_full = _raw_canonical_map(x)
+    return _certify(x, coinvariants(x.algebra, coinvariant_system(x, can_full)), can_full)
 
 
-def _certify(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertificate:
+def _certify(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCertificate:
     """galois_check balanced over the given subalgebra ``sub`` in place of the
-    coinvariants; the caller has established the comodule axioms."""
+    coinvariants, with ``can_full`` = _raw_canonical_map(x); the caller has
+    established the comodule axioms."""
     a, c = x.algebra, x.coalgebra
     presentation = balanced_tensor(x, sub)
-    can_full = _raw_canonical_map(x)
     can = _descend(can_full, presentation, "the canonical map")
     left_action = _quotient_left_action(x, presentation)
     coact_q = _quotient_coaction(x, presentation)
@@ -465,7 +482,8 @@ def bundle_check(e: EntwiningStructure, grouplike: GroupLike) -> BundleReport:
     e_col = column_matrix(grouplike.coords, field)
     coaction = e.psi @ kron(e_col, a.identity_matrix)
     invariants = kernel(coaction - kron(a.identity_matrix, e_col))
-    return BundleReport(e, tuple(grouplike.coords), _certify(ComoduleAlgebra(a, c, coaction), invariants))
+    carrier = ComoduleAlgebra(a, c, coaction)
+    return BundleReport(e, tuple(grouplike.coords), _certify(carrier, invariants, _raw_canonical_map(carrier)))
 
 
 @dataclass(frozen=True)
@@ -522,6 +540,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         return BundleEquivalenceReport(False, "induced map is not a coaction", bundle=bundle)
     coaction = carrier.coaction
     e_col = column_matrix(bundle.grouplike, a.field)
+    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier, _raw_canonical_map(carrier)))
     return BundleEquivalenceReport(
         True,
         "",
@@ -530,7 +549,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         certificate=cert,
         unit_normalized=tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, a.field), e_col).column(0),
         psi_recovered=cert.psi.psi == bundle.entwining.psi,
-        coinvariants_match=coinvariants(carrier) == cert.coinvariants,
+        coinvariants_match=carrier_coinvariants == cert.coinvariants,
         coaction_forced=coaction_forced_by_unit(coaction, cert.psi),
     )
 

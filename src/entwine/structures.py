@@ -97,8 +97,21 @@ class FiniteAlgebra:
         return Matrix.identity(self.dim, self.field)
 
     def multiply(self, x, y) -> tuple[Scalar, ...]:
-        """Product of two coordinate vectors."""
-        return self.mult_matrix.apply(tuple(kron(column_matrix(x, self.field), column_matrix(y, self.field)).column(0)))
+        """Product of two coordinate vectors, contracted over the nonzero
+        structure constants."""
+        d = self.dim
+        if len(x) != d or len(y) != d:
+            raise DimensionMismatch(f"factors of length {len(x)} and {len(y)} in an algebra of dimension {d}")
+        out = []
+        for row in self.mult_matrix.nonzeros:
+            acc = self.field.zero
+            for ij, c in row:
+                i, j = divmod(ij, d)
+                if x[i] and y[j]:
+                    acc += c * x[i] * y[j]
+            out.append(acc)
+        p = self.field.p
+        return tuple(v % p for v in out) if p else tuple(out)
 
     def left_multiplication(self, x) -> Matrix:
         """The operator a |-> x . a."""

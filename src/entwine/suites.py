@@ -8,6 +8,8 @@ absent; the ``all`` suite runs every sub-suite whose inputs are present.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .cogalois import (
     coextension_check,
     coideal_checks,
@@ -59,6 +61,12 @@ def _add_validation(report: SuiteReport, prefix: str, validation):
         if not chk.ok and chk.residual is not None:
             detail = {"residual": [[str(x) for x in row] for row in chk.residual.entries]}
         report.add(f"{prefix}.{chk.name}", chk.statement, chk.ok, detail)
+
+
+def _gate(report: SuiteReport, prefix: str, validation) -> bool:
+    """Add only the failing checks of an input validation; True when it passes."""
+    _add_validation(report, prefix, replace(validation, checks=validation.failures()))
+    return validation.ok
 
 
 def _require(doc: StructureDocument, suite: str, **needs):
@@ -327,6 +335,8 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
     if len(doc.coideals) < 2:
         raise MissingSection("coideals (two are needed)", "cogenerate")
     report = SuiteReport("cogenerate")
+    if not _gate(report, "cogenerate.coalgebra", validate_coalgebra(doc.coalgebra)):
+        return report
     quotients = []
     for (name, _), sub in zip(doc.coideals, doc.coideal_subspaces()):
         ok = True
@@ -346,7 +356,10 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
         {"profile": profile, "verdict": result.verdict, "cutoff": result.cutoff},
     )
     if doc.coaction is not None and doc.algebra is not None:
-        pr = coinvariant_intersection_check(doc.comodule_algebra, result)
+        x = doc.comodule_algebra
+        if not _gate(report, "cogenerate.comodule", validate_comodule(x.comodule)):
+            return report
+        pr = coinvariant_intersection_check(x, result)
         report.add(
             "cogenerate.coinvariant-inclusion",
             "coinvariants over C lie in the intersection of the quotient coinvariants",

@@ -9,9 +9,10 @@ with ``Matrix.entries`` and ``Subspace.basis``.
 Then come the spanning-set forms of the coideal and invariance tests, which
 cogalois and cogenerate decide through quotients, and the two larger
 formulations the library replaced with smaller ones: the full (ac)^2-unknown
-uniqueness system, of which the library solves one diagonal block, and the
+uniqueness system, of which the library solves one diagonal block, the
 enumeration of all 2^L projection chains per length, which the library
-replaced with a kernel fixed point.
+replaced with a kernel fixed point, and the per-basis-vector coinvariant
+blocks, which the library reads off one coinvariant system.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from entwine.exactlin import (
     intersect,
     kernel,
     kron,
+    stack_rows,
     subspace_sum,
 )
 
@@ -263,3 +265,21 @@ def chain_kernels(c, coideal_1: Subspace, coideal_2: Subspace, cutoff: int) -> t
         if length > 1 and kernels[-2] == running and invariance_by_spanning(c, coideals, running):
             return kernels, DOES_NOT_COGENERATE, length
     return kernels, INCONCLUSIVE, None
+
+
+def coinvariants_by_basis(x) -> Subspace:
+    """The kernel of the stacked blocks, one per basis vector a_j,
+
+        coaction . m . (A (x) a_j) - (m (x) C)(A (x) coaction(a_j)),
+
+    each built from scratch.  These are the coinvariants of x whenever x is
+    a comodule algebra; no unit or closure check is made."""
+    a, c = x.algebra, x.coalgebra
+    field = a.field
+    ia, ic = a.identity_matrix, c.identity_matrix
+    rho, m = x.coaction, a.mult_matrix
+    blocks = []
+    for j in range(a.dim):
+        aj = column_matrix(basis_vector(a.dim, j, field), field)
+        blocks.append(rho @ m @ kron(ia, aj) - kron(m, ic) @ kron(ia, rho @ aj))
+    return kernel(stack_rows(blocks))

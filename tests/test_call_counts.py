@@ -52,13 +52,18 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
     counts = count_calls(
         galois.galois_check,
         galois.coinvariants,
+        galois.coinvariant_system,
+        galois._raw_canonical_map,
         entwining.validate_entwining,
         structures.coaction_algebra_map_checks,
     )
     _run("coset-coideal", {"group": "S3"}, "galois")
+    # coinvariants and the certificate share one (m (x) C)(A (x) coaction)
     assert counts == {
         "galois_check": 1,
         "coinvariants": 1,
+        "coinvariant_system": 1,
+        "_raw_canonical_map": 1,
         "validate_entwining": 1,
         "coaction_algebra_map_checks": 1,
     }
@@ -96,6 +101,17 @@ def test_cogeneration_report_is_passed_to_the_intersection(count_calls, params):
     (profile,) = [e.detail["profile"] for e in report.entries if e.check_id == "cogenerate.kernel-profile"]
     assert counts["_kernel_step"] == len(profile)
     assert counts["quotient"] == 2 + len(profile)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
+)
+def test_one_coinvariant_system_per_cogenerate_check(count_calls, params):
+    counts = count_calls(galois.coinvariant_system, galois._raw_canonical_map, galois.coinvariants)
+    _run("coset-coideal", params, "cogenerate")
+    # the full system is built once; both quotient systems are pushed from it
+    assert counts == {"coinvariant_system": 1, "_raw_canonical_map": 1, "coinvariants": 3}
 
 
 def test_quotient_coalgebra_presents_the_quotient_once(count_calls):

@@ -204,6 +204,38 @@ class TestInputContract:
         assert "error: $: not valid JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_cogenerate_reports_an_invalid_coalgebra_before_any_quotient(self, tmp_path):
+        doc = json.loads(emit_to(tmp_path, "coset-coideal", {"group": "Z4"}).read_text(encoding="utf-8"))
+        doc["coalgebra"]["comult"].append({"c": "1", "i": 3, "j": 0, "k": 1})
+        for coideal in doc["coideals"]:
+            coideal["vectors"] = []
+        path = tmp_path / "bad_coalgebra.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "cogenerate", "--report", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "InternalCheckError" not in proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        assert [c["id"] for c in checks] == [
+            "cogenerate.coalgebra.coassociativity",
+            "cogenerate.coalgebra.left-counit",
+            "cogenerate.coalgebra.right-counit",
+        ]
+        assert all(c["status"] == "fail" and "residual" in c["detail"] for c in checks)
+
+    def test_cogenerate_reports_an_invalid_coaction_before_the_coinvariants(self, tmp_path):
+        doc = json.loads(emit_to(tmp_path, "coset-coideal", {"group": "Z4"}).read_text(encoding="utf-8"))
+        for entry in doc["coaction"]["entries"]:
+            entry["c"] = "2"
+        path = tmp_path / "bad_coaction.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "cogenerate", "--report", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        failing = [c["id"] for c in checks if c["status"] == "fail"]
+        assert failing == ["cogenerate.comodule.coaction-coassociativity", "cogenerate.comodule.coaction-counit"]
+        assert not any(c["id"].startswith("cogenerate.coinvariant") for c in checks)
+
     def test_deeply_nested_document_is_refused(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 200000, encoding="utf-8")

@@ -1,0 +1,108 @@
+"""One coinvariant system per comodule algebra.
+
+galois.coinvariants reads the coinvariants off the kernel of one system,
+D = coaction . m - (m (x) C)(A (x) coaction), and a quotient pi: C -> B
+reuses it as (A (x) pi) . D.  The oracle is the per-basis-vector loop it
+replaced, ``dense_oracles.coinvariants_by_basis``, which builds one block
+per basis vector of A from scratch.  The quotient systems of the 34 coset
+pairs are tested in test_cogenerate.py.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracles as dense
+from entwine.catalogue import build, group_algebra, self_extension, sweedler_hopf_algebra
+from entwine.exactlin import Matrix, kernel, kron
+from entwine.fields import GF, QQ
+from entwine.galois import _raw_canonical_map, _stacked_system, coinvariant_system, coinvariants
+from entwine.structures import ComoduleAlgebra, field_algebra
+
+GF7 = GF(7)
+
+# every catalogue instance that carries a comodule algebra, or a Hopf algebra
+# coacting on itself
+CATALOGUE = [
+    ("group-algebra", {"group": "Z2"}),
+    ("group-algebra", {"group": "Z3"}),
+    ("group-algebra", {"group": "Z4"}),
+    ("group-algebra", {"group": "S3"}),
+    ("dual-group-algebra", {"group": "Z2"}),
+    ("dual-group-algebra", {"group": "S3"}),
+    ("sweedler-h4", {}),
+    ("trivial-hopf-galois", {"group": "Z2"}),
+    ("trivial-hopf-galois", {"group": "Z3"}),
+    ("trivial-hopf-galois", {"group": "Z4"}),
+    ("quadratic-field-extension", {"d": 2}),
+    ("quadratic-field-extension", {"d": 3}),
+    ("quadratic-field-extension", {"d": -1}),
+    ("coset-coideal", {"group": "S3"}),
+    ("coset-coideal", {"group": "Z4"}),
+]
+
+
+def system(x):
+    return coinvariant_system(x, _raw_canonical_map(x))
+
+
+def _comodule_algebra(name, params):
+    structures = build(name, params).structures
+    return structures.get("comodule_algebra") or self_extension(structures["hopf"])
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("name,params", CATALOGUE)
+def test_catalogue_coinvariants_match_the_per_basis_blocks(name, params, p):
+    x = _comodule_algebra(name, params if p is None else {**params, "p": p})
+    assert coinvariants(x.algebra, system(x)) == dense.coinvariants_by_basis(x)
+
+
+def _entry(rnd, field, density):
+    if rnd.random() >= density:
+        return 0
+    if field.is_prime_field:
+        return rnd.randrange(1, 7)
+    return Fraction(rnd.choice([-2, -1, 1, 2, 3]), rnd.choice([1, 2]))
+
+
+def _random_matrix(rnd, field, rows, cols, density):
+    data = [[_entry(rnd, field, density) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(rows, cols, Matrix.from_rows(data, field).entries, field)
+
+
+@st.composite
+def random_coactions(draw):
+    """An algebra and a coalgebra of dimension 1 to 4 with an arbitrary linear
+    map A -> A (x) C, the zero map included, and a linear map pi: C -> B."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    algebra = draw(st.sampled_from(["k", "Z2", "Z3", "H4"]))
+    if algebra == "k":
+        a = field_algebra(field)
+    elif algebra == "H4":
+        a = sweedler_hopf_algebra(field).algebra
+    else:
+        a = group_algebra({"group": algebra}, field).algebra
+    c = group_algebra({"group": draw(st.sampled_from(["Z1", "Z2", "Z3", "Z4"]))}, field).coalgebra
+    b = group_algebra({"group": draw(st.sampled_from(["Z1", "Z2", "Z3"]))}, field).coalgebra
+    density = draw(st.sampled_from([0.5, 0.2, 1.0, 0.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    coaction = _random_matrix(rnd, field, a.dim * c.dim, a.dim, density)
+    pi = _random_matrix(rnd, field, b.dim, c.dim, draw(st.sampled_from([0.5, 1.0, 0.0])))
+    return ComoduleAlgebra(a, c, coaction), b, pi
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_coactions())
+def test_random_coactions_kernel_matches_the_per_basis_blocks(data):
+    x, b, pi = data
+    a = x.algebra
+    d = system(x)
+    assert kernel(_stacked_system(d, a.dim)) == dense.coinvariants_by_basis(x)
+    pushed_x = ComoduleAlgebra(a, b, kron(a.identity_matrix, pi) @ x.coaction)
+    pushed = kron(a.identity_matrix, pi) @ d
+    assert pushed == system(pushed_x)
+    assert kernel(_stacked_system(pushed, a.dim)) == dense.coinvariants_by_basis(pushed_x)
+

@@ -1,12 +1,13 @@
-"""The nonzero-indexed kernels of exactlin against the dense oracles, over QQ
-and GF(7), on random densities, zero rows and columns, empty shapes and
-singular inputs; the quotient forms of the coideal and invariance tests
-against their spanning-set forms; and the block uniqueness system against
-the full one."""
+"""The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply)
+against the dense oracles, over QQ and GF(7), on random densities, zero rows
+and columns, empty shapes and singular inputs; the quotient forms of the
+coideal and invariance tests against their spanning-set forms; and the block
+uniqueness system against the full one."""
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from entwine.catalogue import (
 )
 from entwine.cogalois import coextension_check, coideal_checks, dual_uniqueness
 from entwine.cogenerate import _kernel_step
+from entwine.errors import DimensionMismatch
 from entwine.exactlin import (
     Matrix,
     NotInvertible,
@@ -149,6 +151,28 @@ class TestProducts:
         vec = data.draw(st.lists(scalars(m.field), min_size=m.cols, max_size=m.cols))
         vec = tuple(m.field.coerce(x) for x in vec)
         assert m.apply(vec) == dense.apply_dense(m, vec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_multiply_matches_the_kronecker_column(self, data):
+        field = data.draw(FIELDS)
+        a = data.draw(
+            st.sampled_from(
+                [
+                    group_algebra({"group": "Z1"}, field).algebra,
+                    group_algebra({"group": "S3"}, field).algebra,
+                    sweedler_hopf_algebra(field).algebra,
+                ]
+            )
+        )
+        x, y = (tuple(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim))) for _ in range(2))
+        product = a.multiply(x, y)
+        assert product == dense.apply_dense(a.mult_matrix, kron(column_matrix(x, field), column_matrix(y, field)).column(0))
+        assert all(field.coerce(v) == v for v in product)
+
+    def test_multiply_rejects_factors_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            group_algebra({"group": "Z3"}).algebra.multiply((1, 0), (1, 0, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
