@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .entwining import (
+    CheckedEntwining,
     EntwiningStructure,
+    check_entwining,
     entwined_module_check,
-    validate_entwining,
 )
 from .errors import (
     AxiomViolation,
@@ -64,8 +65,9 @@ class CoextensionCertificate:
     """Everything coextension_check establishes about one module coalgebra.
 
     ``cocan`` is co-restricted to the cotensor product (coordinates against
-    its echelon basis); ``cotranslation`` maps those coordinates to A; ``psi``
-    is the canonical entwining map, present exactly when the coextension is
+    its echelon basis); ``cotranslation`` maps those coordinates to A;
+    ``entwining`` is the canonical entwining map ``psi`` with its
+    validate_entwining report, present exactly when the coextension is
     Galois.
     """
 
@@ -79,9 +81,13 @@ class CoextensionCertificate:
     is_coextension: bool
     cocan_inverse: Matrix | None
     cotranslation: Matrix | None
-    psi: EntwiningStructure | None
+    entwining: CheckedEntwining | None
     witness: tuple | None
     checks: ValidationReport
+
+    @property
+    def psi(self) -> EntwiningStructure | None:
+        return self.entwining.structure if self.entwining else None
 
 
 def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tuple[AxiomCheck, ...]:
@@ -246,20 +252,22 @@ def _raw_cocanonical_map(x: ModuleCoalgebra) -> Matrix:
     return kron(c.identity_matrix, x.action) @ kron(c.comult_matrix, a.identity_matrix)
 
 
-def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
+def coextension_check(x: ModuleCoalgebra, module_checks: ValidationReport | None = None) -> CoextensionCertificate:
     """Build the canonical map onto the cotensor product over the quotient by
     the canonical coideal, decide bijectivity, and certify the cotranslation
-    identities and canonical entwining map."""
-    report = validate_module(x.module)
+    identities and canonical entwining map.  ``module_checks`` is
+    validate_module(x.module) when the caller holds it."""
+    report = validate_module(x.module) if module_checks is None else module_checks
     if not report.ok:
         raise AxiomViolation("action does not satisfy the module axioms", report=report)
     return _certify(x, canonical_coideal(x))
 
 
-def _certify(x: ModuleCoalgebra, coideal: Subspace) -> CoextensionCertificate:
+def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | None = None) -> CoextensionCertificate:
     """coextension_check over the given coideal in place of the canonical one;
     the caller has established the module axioms.  Raises NotCoideal when
-    ``coideal`` is not a coideal."""
+    ``coideal`` is not a coideal.  The canonical psi is validated unless it
+    is ``known``'s structure (check_entwining)."""
     c, a = x.coalgebra, x.algebra
     base, pi = quotient_coalgebra(c, coideal)
     web = _cotensor_square(c, pi)
@@ -300,7 +308,7 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace) -> CoextensionCertificate:
         is_coextension=is_galois,
         cocan_inverse=decision.inverse,
         cotranslation=None,
-        psi=None,
+        entwining=None,
         witness=decision.witness,
         checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
     )
@@ -309,16 +317,16 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace) -> CoextensionCertificate:
     cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
     cert = replace(cert, cotranslation=cotranslation)
     checks.extend(_cotranslation_checks(cert))
-    psi_structure = canonical_entwining_dual(cert)
-    checks.extend(validate_entwining(psi_structure).checks)
+    checked = check_entwining(canonical_entwining_dual(cert), known)
+    checks.extend(checked.report.checks)
     checks.append(
         entwined_module_check(
             RightModule(c.dim, a, x.action),
             RightComodule(c.dim, c, c.comult_matrix),
-            psi_structure,
+            checked.structure,
         )
     )
-    return replace(cert, psi=psi_structure, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
+    return replace(cert, entwining=checked, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
 def _cotranslation_checks(cert: CoextensionCertificate) -> list[AxiomCheck]:
@@ -438,26 +446,38 @@ class DualBundleReport:
         return self.certificate.rank
 
 
-def dual_bundle_check(e: EntwiningStructure, character: Character) -> DualBundleReport:
+def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, character: Character) -> DualBundleReport:
     """I = span{(kappa (x) C)psi(c (x) a) - c kappa(a)}; dual bundle iff the
     induced canonical map onto the cotensor over C/I is bijective.
 
     The entwining identities and kappa a character make (kappa (x) C)psi a
     right action and I a coideal.
+
+    ``source`` is psi, or a coextension certificate, whose psi comes with
+    its entwining report.  When the induced action and I equal that
+    certificate's action and coideal, the dual bundle's certificate is that
+    certificate, since _certify is deterministic in them.
     """
+    extension = source if isinstance(source, CoextensionCertificate) else None
+    if extension is not None and not extension.is_coextension:
+        raise NotGaloisCoextension("a dual bundle needs the canonical entwining of a Galois coextension")
+    e = source if extension is None else extension.psi
     a, c = e.algebra, e.coalgebra
     field = a.field
     if character.algebra != a:
         raise DimensionMismatch("character lives on a different algebra")
     if not verify_character(a, character.coords):
         raise NotCharacter("supplied functional is not a character")
-    report = validate_entwining(e)
-    if not report.ok:
-        raise AxiomViolation("entwining identities fail", report=report)
+    checked = check_entwining(e) if extension is None else extension.entwining
+    if not checked.report.ok:
+        raise AxiomViolation("entwining identities fail", report=checked.report)
     kap = row_matrix(character.coords, field)
     action = kron(kap, c.identity_matrix) @ e.psi
     coideal = image(action - kron(c.identity_matrix, kap))
-    return DualBundleReport(e, tuple(character.coords), _certify(ModuleCoalgebra(c, a, action), coideal))
+    carrier = ModuleCoalgebra(c, a, action)
+    if extension is not None and carrier == extension.subject and coideal == extension.coideal:
+        return DualBundleReport(e, tuple(character.coords), extension)
+    return DualBundleReport(e, tuple(character.coords), _certify(carrier, coideal, checked))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,22 @@ def validate_entwining(e: EntwiningStructure) -> ValidationReport:
     return ValidationReport("entwining structure", checks)
 
 
+@dataclass(frozen=True)
+class CheckedEntwining:
+    """An entwining structure with its validate_entwining report."""
+
+    structure: EntwiningStructure
+    report: ValidationReport
+
+
+def check_entwining(e: EntwiningStructure, known: CheckedEntwining | None = None) -> CheckedEntwining:
+    """e with validate_entwining(e), which is ``known``'s report when e equals
+    its structure over the same A and C: the report depends on nothing else."""
+    if known is not None and known.structure == e:
+        return known
+    return CheckedEntwining(e, validate_entwining(e))
+
+
 def flip_entwining(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> EntwiningStructure:
     """The always-valid entwining psi(c (x) a) = a (x) c."""
     if algebra.field != coalgebra.field:
@@ -131,9 +147,12 @@ def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
     return kron(h.algebra.mult_matrix, ia) @ reverse @ kron(ia, kron(sinv, ih)) @ kron(x.coaction, ih)
 
 
-def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
-    """mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A)."""
-    report = validate_entwining(e)
+def psi_to_structure_maps(e: EntwiningStructure, known: CheckedEntwining | None = None) -> StructureMapPair:
+    """mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A).
+
+    e is validated unless ``known`` holds its report (check_entwining).
+    """
+    report = check_entwining(e, known).report
     if not report.ok:
         raise AxiomViolation("input does not satisfy the entwining identities", report=report)
     a, c = e.algebra, e.coalgebra
@@ -189,8 +208,12 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
     return ValidationReport("structure-map pair", checks)
 
 
-def structure_maps_to_psi(p: StructureMapPair) -> EntwiningStructure:
-    """Recover psi two ways and insist they agree; the result is a valid entwining."""
+def structure_maps_to_psi(p: StructureMapPair, known: CheckedEntwining | None = None) -> EntwiningStructure:
+    """Recover psi two ways and insist they agree; the result is a valid entwining.
+
+    The recovered map is validated unless it is ``known``'s structure
+    (check_entwining), as when p was built from that entwining.
+    """
     report = validate_structure_maps(p)
     if not report.ok:
         raise AxiomViolation("structure-map pair fails its axioms", report=report)
@@ -204,7 +227,7 @@ def structure_maps_to_psi(p: StructureMapPair) -> EntwiningStructure:
             report=(AxiomCheck("psi-agreement", "(counit (x) A (x) C)delta = mu(unit (x) C (x) A)", difference, False),),
         )
     e = EntwiningStructure(a, c, from_delta)
-    validation = validate_entwining(e)
+    validation = check_entwining(e, known).report
     if not validation.ok:
         raise AxiomViolation("recovered map is not an entwining", report=validation)
     return e

@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .entwining import (
+    CheckedEntwining,
     EntwiningStructure,
     _hopf_psi,
+    check_entwining,
     entwined_module_check,
-    validate_entwining,
 )
 from .errors import (
     AxiomViolation,
@@ -63,23 +64,30 @@ class GaloisCertificate:
     """Everything galois_check establishes about one comodule algebra.
 
     ``coinvariants`` is the balancing subalgebra B: the coinvariants, or for
-    a bundle the fixed invariants of its group-like.  ``can`` is the induced
-    map on the balanced tensor product (quotient coordinates);
-    ``translation`` sends C into the quotient; ``psi`` is the canonical
-    entwining map, present exactly when the extension is Galois.
+    a bundle the fixed invariants of its group-like.  ``raw_can`` is the
+    canonical map (m (x) C)(A (x) coaction) on the full A (x) A, and ``can``
+    the map it induces on the balanced tensor product (quotient
+    coordinates); ``translation`` sends C into the quotient; ``entwining``
+    is the canonical entwining map ``psi`` with its validate_entwining
+    report, present exactly when the extension is Galois.
     """
 
     subject: ComoduleAlgebra
     coinvariants: Subspace
     balanced: QuotientPresentation
+    raw_can: Matrix
     can: Matrix
     rank: int
     is_galois: bool
     can_inverse: Matrix | None
     translation: Matrix | None
-    psi: EntwiningStructure | None
+    entwining: CheckedEntwining | None
     witness: tuple | None
     checks: ValidationReport
+
+    @property
+    def psi(self) -> EntwiningStructure | None:
+        return self.entwining.structure if self.entwining else None
 
 
 def coinvariant_system(x: ComoduleAlgebra, raw_can: Matrix) -> Matrix:
@@ -218,25 +226,30 @@ def _quotient_coaction(x: ComoduleAlgebra, presentation: QuotientPresentation) -
     return kron(presentation.projection, c.identity_matrix) @ lift
 
 
-def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
+def galois_check(x: ComoduleAlgebra, comodule_checks: ValidationReport | None = None) -> GaloisCertificate:
     """Build the canonical map on A (x)_B A over the coinvariants B, decide
     bijectivity, and certify.
 
     When the map is bijective the certificate carries its inverse, the
     translation map, its three defining identities, and the canonical
     entwining map together with the entwined-module property of A itself.
+    ``comodule_checks`` is validate_comodule(x.comodule) when the caller
+    holds it.
     """
-    report = validate_comodule(x.comodule)
+    report = validate_comodule(x.comodule) if comodule_checks is None else comodule_checks
     if not report.ok:
         raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
     can_full = _raw_canonical_map(x)
     return _certify(x, coinvariants(x.algebra, coinvariant_system(x, can_full)), can_full)
 
 
-def _certify(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCertificate:
+def _certify(
+    x: ComoduleAlgebra, sub: Subspace, can_full: Matrix, known: CheckedEntwining | None = None
+) -> GaloisCertificate:
     """galois_check balanced over the given subalgebra ``sub`` in place of the
     coinvariants, with ``can_full`` = _raw_canonical_map(x); the caller has
-    established the comodule axioms."""
+    established the comodule axioms.  The canonical psi is validated unless
+    it is ``known``'s structure (check_entwining)."""
     a, c = x.algebra, x.coalgebra
     presentation = balanced_tensor(x, sub)
     can = _descend(can_full, presentation, "the canonical map")
@@ -263,12 +276,13 @@ def _certify(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCerti
         subject=x,
         coinvariants=sub,
         balanced=presentation,
+        raw_can=can_full,
         can=can,
         rank=decision.rank,
         is_galois=is_galois,
         can_inverse=decision.inverse,
         translation=None,
-        psi=None,
+        entwining=None,
         witness=decision.witness,
         checks=ValidationReport("coalgebra-Galois extension", tuple(checks)),
     )
@@ -277,16 +291,16 @@ def _certify(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCerti
     translation = decision.inverse @ kron(a.unit_matrix, c.identity_matrix)
     cert = replace(cert, translation=translation)
     checks.extend(_translation_checks(cert))
-    psi_structure = canonical_entwining(cert)
-    checks.extend(validate_entwining(psi_structure).checks)
+    checked = check_entwining(canonical_entwining(cert), known)
+    checks.extend(checked.report.checks)
     checks.append(
         entwined_module_check(
             RightModule(a.dim, a, a.mult_matrix),
             RightComodule(a.dim, c, x.coaction),
-            psi_structure,
+            checked.structure,
         )
     )
-    return replace(cert, psi=psi_structure, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
+    return replace(cert, entwining=checked, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
 
 
 def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:
@@ -412,19 +426,18 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
     ]
     bb = Subspace.from_spanning(bb_vectors, a.dim * a.dim, field)
     omega_b = intersect(bb, omega_a)
-    horizontal_vectors = []
-    for w in omega_b.basis:
-        for i in range(a.dim):
-            li = kron(a.left_multiplication(basis_vector(a.dim, i, field)), a.identity_matrix)
-            for j in range(a.dim):
-                rj = kron(a.identity_matrix, a.right_multiplication(basis_vector(a.dim, j, field)))
-                horizontal_vectors.append((li @ rj).apply(w))
+    # A(dB)A is spanned by the (L_i (x) R_j)w = (L_i (x) A)(A (x) R_j)w for w
+    # in Omega_B; the a^2 operators are built once, and only when Omega_B != 0
+    operators = []
+    if omega_b.basis:
+        left = [a.left_multiplication(basis_vector(a.dim, i, field)) for i in range(a.dim)]
+        right = [a.right_multiplication(basis_vector(a.dim, j, field)) for j in range(a.dim)]
+        operators = [kron(li, rj) for li in left for rj in right]
+    horizontal_vectors = [op.apply(w) for w in omega_b.basis for op in operators]
     horizontal = Subspace.from_spanning(horizontal_vectors, a.dim * a.dim, field)
-    # the canonical map on A (x) A, which vanishes on the balancing relations
-    can_full = cert.can @ cert.balanced.projection
-    restricted_images = [can_full.apply(w) for w in omega_a.basis]
+    restricted_images = [cert.raw_can.apply(w) for w in omega_a.basis]
     restricted_image = Subspace.from_spanning(restricted_images, a.dim * c.dim, field)
-    restriction_kernel = intersect(omega_a, kernel(can_full))
+    restriction_kernel = intersect(omega_a, kernel(cert.raw_can))
     image_ok = restricted_image == target
     kernel_ok = restriction_kernel == horizontal
     exact = image_ok and kernel_ok
@@ -464,26 +477,37 @@ class BundleReport:
         return self.certificate.rank
 
 
-def bundle_check(e: EntwiningStructure, grouplike: GroupLike) -> BundleReport:
+def bundle_check(source: EntwiningStructure | GaloisCertificate, grouplike: GroupLike) -> BundleReport:
     """B = {b : psi(e (x) b) = b (x) e}; bundle iff a psi(e (x) a') is bijective.
 
     The entwining identities and e group-like make a |-> psi(e (x) a) a
     coaction, and B is balanced because psi(e (x) b a) = b psi(e (x) a).
+
+    ``source`` is psi, or a Galois certificate, whose psi comes with its
+    entwining report.  When the induced coaction and B equal that
+    certificate's coaction and coinvariants, the bundle's certificate is
+    that certificate, since _certify is deterministic in them.
     """
+    extension = source if isinstance(source, GaloisCertificate) else None
+    if extension is not None and not extension.is_galois:
+        raise NotGalois("a bundle needs the canonical entwining of a Galois extension")
+    e = source if extension is None else extension.psi
     a, c = e.algebra, e.coalgebra
     field = a.field
     if grouplike.coalgebra != c:
         raise DimensionMismatch("group-like lives in a different coalgebra")
     if not verify_grouplike(c, grouplike.coords):
         raise NotGroupLike("supplied vector is not group-like")
-    report = validate_entwining(e)
-    if not report.ok:
-        raise AxiomViolation("entwining identities fail", report=report)
+    checked = check_entwining(e) if extension is None else extension.entwining
+    if not checked.report.ok:
+        raise AxiomViolation("entwining identities fail", report=checked.report)
     e_col = column_matrix(grouplike.coords, field)
     coaction = e.psi @ kron(e_col, a.identity_matrix)
     invariants = kernel(coaction - kron(a.identity_matrix, e_col))
     carrier = ComoduleAlgebra(a, c, coaction)
-    return BundleReport(e, tuple(grouplike.coords), _certify(carrier, invariants, _raw_canonical_map(carrier)))
+    if extension is not None and carrier == extension.subject and invariants == extension.coinvariants:
+        return BundleReport(e, tuple(grouplike.coords), extension)
+    return BundleReport(e, tuple(grouplike.coords), _certify(carrier, invariants, _raw_canonical_map(carrier), checked))
 
 
 @dataclass(frozen=True)
@@ -540,7 +564,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         return BundleEquivalenceReport(False, "induced map is not a coaction", bundle=bundle)
     coaction = carrier.coaction
     e_col = column_matrix(bundle.grouplike, a.field)
-    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier, _raw_canonical_map(carrier)))
+    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier, cert.raw_can))
     return BundleEquivalenceReport(
         True,
         "",

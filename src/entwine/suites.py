@@ -22,9 +22,9 @@ from .cogalois import (
 from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersection_check
 from .docformat import StructureDocument
 from .entwining import (
+    check_entwining,
     psi_to_structure_maps,
     structure_maps_to_psi,
-    validate_entwining,
     validate_structure_maps,
 )
 from .errors import AxiomViolation, EntwineError, MissingSection, NotCoideal, NotInvertibleError
@@ -129,14 +129,14 @@ def run_entwining(doc: StructureDocument) -> SuiteReport:
     _require(doc, "entwining", algebra=doc.algebra is not None, coalgebra=doc.coalgebra is not None, psi=doc.psi is not None)
     report = SuiteReport("entwining")
     e = doc.entwining
-    validation = validate_entwining(e)
-    _add_validation(report, "entwining", validation)
-    if not validation.ok:
+    checked = check_entwining(e)
+    _add_validation(report, "entwining", checked.report)
+    if not checked.report.ok:
         report.skip("entwining.structure-maps", "round trip through the structure-map pair", "entwining identities fail")
         return report
-    pair = psi_to_structure_maps(e)
+    pair = psi_to_structure_maps(e, checked)
     _add_validation(report, "entwining.pair", validate_structure_maps(pair))
-    recovered = structure_maps_to_psi(pair)
+    recovered = structure_maps_to_psi(pair, checked)
     report.add(
         "entwining.round-trip",
         "structure maps recover the same entwining map",
@@ -160,7 +160,7 @@ def run_galois(doc: StructureDocument) -> SuiteReport:
     if not comodule_validation.ok:
         report.skip("galois.certificate", "coalgebra-Galois certificate", "coaction axioms fail")
         return report
-    cert = galois_check(x)
+    cert = galois_check(x, comodule_validation)
     report.add(
         "galois.coinvariants",
         "coinvariants form a unital subalgebra",
@@ -220,7 +220,7 @@ def run_galois(doc: StructureDocument) -> SuiteReport:
             report.skip("galois.left-canonical", "psi composed with the left canonical map equals the canonical map", str(exc))
     if cert.is_galois and doc.grouplikes:
         for name, coords in doc.grouplikes:
-            bundle = bundle_check(cert.psi, GroupLike(doc.coalgebra, coords))
+            bundle = bundle_check(cert, GroupLike(doc.coalgebra, coords))
             report.add(
                 f"galois.bundle.{name}",
                 "the canonical map of the bundle at this group-like is bijective",
@@ -258,7 +258,7 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
     if not module_validation.ok:
         report.skip("cogalois.certificate", "algebra-Galois coextension certificate", "action axioms fail")
         return report
-    cert = coextension_check(x)
+    cert = coextension_check(x, module_validation)
     report.add(
         "cogalois.coideal",
         "the canonical subspace is a coideal",
@@ -307,7 +307,7 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
         report.skip("cogalois.entwining-unique", "the compatible entwining map is unique", uniq.note)
     if cert.is_coextension and doc.characters:
         for name, coords in doc.characters:
-            bundle = dual_bundle_check(cert.psi, Character(doc.algebra, coords))
+            bundle = dual_bundle_check(cert, Character(doc.algebra, coords))
             report.add(
                 f"cogalois.dual-bundle.{name}",
                 "the canonical map of the dual bundle at this character is bijective",

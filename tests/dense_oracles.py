@@ -11,8 +11,10 @@ cogalois and cogenerate decide through quotients, and the two larger
 formulations the library replaced with smaller ones: the full (ac)^2-unknown
 uniqueness system, of which the library solves one diagonal block, the
 enumeration of all 2^L projection chains per length, which the library
-replaced with a kernel fixed point, and the per-basis-vector coinvariant
-blocks, which the library reads off one coinvariant system.
+replaced with a kernel fixed point, the per-basis-vector coinvariant
+blocks, which the library reads off one coinvariant system, and the
+horizontal forms with one operator rebuilt per (w, i, j), which the library
+builds once per check.
 """
 
 from __future__ import annotations
@@ -283,3 +285,18 @@ def coinvariants_by_basis(x) -> Subspace:
         aj = column_matrix(basis_vector(a.dim, j, field), field)
         blocks.append(rho @ m @ kron(ia, aj) - kron(m, ic) @ kron(ia, rho @ aj))
     return kernel(stack_rows(blocks))
+
+
+def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
+    """A(dB)A as the span of (L_i (x) A)(A (x) R_j)w over w in Omega_B and
+    basis vectors a_i, a_j, with L_i = a_i . - and R_j = - . a_j rebuilt
+    for every (w, i, j)."""
+    field = a.field
+    vectors = []
+    for w in omega_b.basis:
+        for i in range(a.dim):
+            li = kron(a.left_multiplication(basis_vector(a.dim, i, field)), a.identity_matrix)
+            for j in range(a.dim):
+                rj = kron(a.identity_matrix, a.right_multiplication(basis_vector(a.dim, j, field)))
+                vectors.append((li @ rj).apply(w))
+    return Subspace.from_spanning(vectors, a.dim * a.dim, field)

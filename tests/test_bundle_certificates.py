@@ -5,15 +5,38 @@ dual_bundle_check certifies (kappa (x) C)psi over the induced coideal.
 Whenever those equal the coinvariants (resp. the canonical coideal) of the
 carrier, the bundle certificate must equal the one galois_check (resp.
 coextension_check) builds for the carrier from scratch, which is the oracle.
+
+Given the extension's certificate in place of its psi, a bundle whose
+carrier and invariants (resp. coideal) equal the extension's is that
+certificate, and a carrier whose canonical psi is the given psi reads its
+entwining report; both must agree with the oracle, on the catalogue bases
+and on random GF(7) bases.
 """
+
+import random
 
 import pytest
 
-from entwine.catalogue import build, group_algebra, group_self_coextension, self_extension
+import entwine.cogalois as cogalois
+import entwine.galois as galois
+from entwine.catalogue import build, group_algebra, group_self_coextension, self_extension, sweedler_hopf_algebra
 from entwine.cogalois import canonical_coideal, coextension_check, dual_bundle_check
-from entwine.entwining import flip_entwining
+from entwine.entwining import CheckedEntwining, flip_entwining, validate_entwining
+from entwine.errors import NotGalois
+from entwine.exactlin import Matrix, NotInvertible, column_matrix, kron, try_invert
+from entwine.fields import GF
 from entwine.galois import _raw_canonical_map, bundle_check, coinvariant_system, coinvariants, galois_check
-from entwine.structures import GroupLike
+from entwine.structures import (
+    Character,
+    ComoduleAlgebra,
+    GroupLike,
+    ModuleCoalgebra,
+    ValidationReport,
+    transport_algebra,
+    transport_coalgebra,
+)
+
+GF7 = GF(7)
 
 # the catalogue variants of scripts/verify_catalogue.py that carry group-likes or characters
 VARIANTS = [
@@ -37,6 +60,9 @@ VARIANTS = [
 ]
 WITH_GROUPLIKES = [v for v in VARIANTS if v[0] != "group-coextension"]
 WITH_CHARACTERS = [v for v in VARIANTS if v[0] != "quadratic-field-extension"]
+# the native-Q variants of dimension <= 4, moved to GF(7): S3 on a random basis
+# has almost no zero entries and takes tens of seconds per certificate
+TRANSPORTED = [v for v in VARIANTS if "p" not in v[1] and v[1].get("group") != "S3"]
 
 
 def coinvariants_of(x):
@@ -82,3 +108,119 @@ def test_dual_bundle_certificate_matches_coextension_check(name, params):
         carrier = bundle.certificate.subject
         assert canonical_coideal(carrier) == bundle.coideal
         assert bundle.certificate == coextension_check(carrier)
+
+
+def _random_basis(n, rng):
+    """A seeded random invertible n x n matrix over GF(7) with its inverse."""
+    while True:
+        t = Matrix.from_rows([[rng.randrange(7) for _ in range(n)] for _ in range(n)], GF7)
+        inverse = try_invert(t)
+        if not isinstance(inverse, NotInvertible):
+            return t, inverse
+
+
+def _transported(name, params, seed):
+    """The GF(7) instance with A and C on independent random bases: new
+    coordinates are T^-1 times old, so a functional f becomes f T."""
+    structures = build(name, {**params, "p": 7}).structures
+    hopf = structures.get("hopf")
+    x = structures.get("comodule_algebra") or (hopf and self_extension(hopf))
+    y = structures.get("module_coalgebra") or (hopf and group_self_coextension(hopf))
+    a, c = (x.algebra, x.coalgebra) if x else (y.algebra, y.coalgebra)
+    rng = random.Random(f"{name}:{sorted(params.items())}:{seed}")
+    ta, ta_inv = _random_basis(a.dim, rng)
+    tc, tc_inv = _random_basis(c.dim, rng)
+    a2, c2 = transport_algebra(a, ta), transport_coalgebra(c, tc)
+    moved_x = x and ComoduleAlgebra(a2, c2, kron(ta_inv, tc_inv) @ x.coaction @ ta)
+    moved_y = y and ModuleCoalgebra(c2, a2, tc_inv @ y.action @ kron(tc, ta))
+    grouplikes = [GroupLike(c2, tc_inv.apply(g.coords)) for g in structures.get("grouplikes", ())]
+    characters = [
+        Character(a2, (Matrix.from_rows([k.coords], GF7) @ ta).entries[0]) for k in structures.get("characters", ())
+    ]
+    return moved_x, grouplikes, moved_y, characters
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name,params", [v for v in TRANSPORTED if v in WITH_GROUPLIKES])
+def test_transported_bundles_reuse_the_extension_certificate(name, params, seed):
+    x, grouplikes, _, _ = _transported(name, params, seed)
+    cert = galois_check(x)
+    assert cert.is_galois
+    for grouplike in grouplikes:
+        bundle = bundle_check(cert, grouplike)
+        e_col = column_matrix(grouplike.coords, GF7)
+        coaction = cert.psi.psi @ kron(e_col, x.algebra.identity_matrix)
+        # the extension's certificate is reused exactly when the inputs equal its own
+        reused = coaction == x.coaction and bundle.invariants == cert.coinvariants
+        assert (bundle.certificate is cert) == reused
+        assert bundle.certificate == galois_check(bundle.certificate.subject)
+        assert bundle == bundle_check(cert.psi, grouplike)
+        _assert_bundle_is_galois_certificate(bundle)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name,params", [v for v in TRANSPORTED if v in WITH_CHARACTERS])
+def test_transported_dual_bundles_reuse_the_extension_certificate(name, params, seed):
+    _, _, y, characters = _transported(name, params, seed)
+    cert = coextension_check(y)
+    assert cert.is_coextension
+    for character in characters:
+        bundle = dual_bundle_check(cert, character)
+        kap = Matrix.from_rows([character.coords], GF7)
+        action = kron(kap, y.coalgebra.identity_matrix) @ cert.psi.psi
+        reused = action == y.action and bundle.coideal == cert.coideal
+        assert (bundle.certificate is cert) == reused
+        carrier = bundle.certificate.subject
+        assert canonical_coideal(carrier) == bundle.coideal
+        assert bundle.certificate == coextension_check(carrier)
+        assert bundle == dual_bundle_check(cert.psi, character)
+
+
+def test_sweedler_g_bundle_gets_its_own_certificate():
+    h = sweedler_hopf_algebra()
+    x = self_extension(h)
+    cert = galois_check(x)
+    bundle = bundle_check(cert, GroupLike(h.coalgebra, (0, 1, 0, 0)))
+    carrier = bundle.certificate.subject
+    # a |-> psi(g (x) a) is not the coaction of x, so nothing is reused
+    assert carrier != x
+    assert bundle.certificate is not cert
+    assert bundle.certificate == galois_check(carrier)
+    # its canonical psi is the given one, whose report it read
+    assert bundle.certificate.entwining == cert.entwining
+
+
+def test_bundle_needs_a_galois_certificate():
+    h = group_algebra({"group": "Z2"})
+    e = h.coalgebra.field.one, h.coalgebra.field.zero
+    x = ComoduleAlgebra(h.algebra, h.coalgebra, kron(h.algebra.identity_matrix, column_matrix(e, h.coalgebra.field)))
+    cert = galois_check(x)
+    assert not cert.is_galois
+    with pytest.raises(NotGalois):
+        bundle_check(cert, GroupLike(h.coalgebra, e))
+
+
+def test_canonical_psi_reads_a_known_report_only_when_equal():
+    x = self_extension(group_algebra({"group": "Z2"}))
+    cert = galois_check(x)
+    stand_in = ValidationReport("stand-in", ())
+    same = galois._certify(x, cert.coinvariants, cert.raw_can, CheckedEntwining(cert.psi, stand_in))
+    assert same.entwining.report is stand_in
+    flip = flip_entwining(x.algebra, x.coalgebra)
+    assert flip != cert.psi
+    fresh = galois._certify(x, cert.coinvariants, cert.raw_can, CheckedEntwining(flip, stand_in))
+    assert fresh.entwining.report == validate_entwining(cert.psi)
+    assert fresh == cert
+
+
+def test_dual_canonical_psi_reads_a_known_report_only_when_equal():
+    y = group_self_coextension(group_algebra({"group": "Z2"}))
+    cert = coextension_check(y)
+    stand_in = ValidationReport("stand-in", ())
+    same = cogalois._certify(y, cert.coideal, CheckedEntwining(cert.psi, stand_in))
+    assert same.entwining.report is stand_in
+    flip = flip_entwining(y.algebra, y.coalgebra)
+    assert flip != cert.psi
+    fresh = cogalois._certify(y, cert.coideal, CheckedEntwining(flip, stand_in))
+    assert fresh.entwining.report == validate_entwining(cert.psi)
+    assert fresh == cert

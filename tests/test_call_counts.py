@@ -56,9 +56,11 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
         galois._raw_canonical_map,
         entwining.validate_entwining,
         structures.coaction_algebra_map_checks,
+        structures.validate_comodule,
     )
     _run("coset-coideal", {"group": "S3"}, "galois")
-    # coinvariants and the certificate share one (m (x) C)(A (x) coaction)
+    # coinvariants and the certificate share one (m (x) C)(A (x) coaction),
+    # and galois_check reads the suite's comodule report
     assert counts == {
         "galois_check": 1,
         "coinvariants": 1,
@@ -66,24 +68,56 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
         "_raw_canonical_map": 1,
         "validate_entwining": 1,
         "coaction_algebra_map_checks": 1,
+        "validate_comodule": 1,
     }
 
 
 def test_bundle_report_is_passed_to_the_equivalence(count_calls):
-    counts = count_calls(galois.bundle_check, galois.galois_check, galois.balanced_tensor)
+    counts = count_calls(
+        galois.bundle_check,
+        galois.galois_check,
+        galois.balanced_tensor,
+        galois._raw_canonical_map,
+        entwining.validate_entwining,
+    )
     doc, _ = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
-    # the bundle is the Galois certificate of its carrier: no second galois_check
+    # the bundle at the unit induces the extension's own coaction and
+    # coinvariants, so its certificate is the extension's, and the
+    # equivalence reads the certificate's raw canonical map
     assert counts == {
         "bundle_check": len(doc.grouplikes),
         "galois_check": 1,
-        "balanced_tensor": 1 + len(doc.grouplikes),
+        "balanced_tensor": 1,
+        "_raw_canonical_map": 1,
+        "validate_entwining": 1,
     }
 
 
+def test_sweedler_bundles_validate_psi_once(count_calls):
+    counts = count_calls(galois.bundle_check, galois.balanced_tensor, entwining.validate_entwining)
+    doc, _ = _run("sweedler-h4", {}, "galois")
+    # the g bundle has a carrier of its own, whose canonical psi is the given psi
+    assert counts == {"bundle_check": len(doc.grouplikes), "balanced_tensor": 2, "validate_entwining": 1}
+
+
 def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
-    counts = count_calls(cogalois.dual_bundle_check, cogalois.action_coalgebra_map_checks)
+    counts = count_calls(
+        cogalois.dual_bundle_check, cogalois.action_coalgebra_map_checks, entwining.validate_entwining
+    )
     doc, _ = _run("group-coextension", {"group": "Z3"}, "cogalois")
-    assert counts == {"dual_bundle_check": len(doc.characters), "action_coalgebra_map_checks": 1}
+    assert counts == {
+        "dual_bundle_check": len(doc.characters),
+        "action_coalgebra_map_checks": 1,
+        "validate_entwining": 1,
+    }
+
+
+@pytest.mark.parametrize("params", [{}, {"algebra": "Z3", "coalgebra": "Z2"}])
+def test_entwining_suite_validates_psi_once(count_calls, params):
+    counts = count_calls(entwining.validate_entwining)
+    _run("flip-entwining", params, "entwining")
+    # the structure maps are built from, and recover, the validated psi
+    assert counts == {"validate_entwining": 1}
 
 
 @pytest.mark.parametrize(
@@ -126,4 +160,5 @@ def test_group_coextension_quotient_count(count_calls):
     _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts["coextension_check"] == 1
     assert counts["quotient"] <= 2
-    assert counts["validate_module"] <= 3
+    # the suite's gate, read by coextension_check, and the dual bundle equivalence
+    assert counts["validate_module"] == 2

@@ -6,6 +6,11 @@ reuses it as (A (x) pi) . D.  The oracle is the per-basis-vector loop it
 replaced, ``dense_oracles.coinvariants_by_basis``, which builds one block
 per basis vector of A from scratch.  The quotient systems of the 34 coset
 pairs are tested in test_cogenerate.py.
+
+The horizontal forms A(dB)A over those coinvariants B are checked against
+``dense_oracles.horizontal_forms_by_triple_loop`` on the same instances, where
+Omega_B = 0, and on k[G] coacting through a quotient by a coset coideal,
+where B is a proper subalgebra with Omega_B != 0.
 """
 
 from fractions import Fraction
@@ -15,10 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles as dense
-from entwine.catalogue import build, group_algebra, self_extension, sweedler_hopf_algebra
-from entwine.exactlin import Matrix, kernel, kron
+from entwine.catalogue import build, coset_coideal, group_algebra, self_extension, sweedler_hopf_algebra
+from entwine.cogalois import quotient_coalgebra
+from entwine.exactlin import Matrix, Subspace, column_matrix, intersect, kernel, kron
 from entwine.fields import GF, QQ
-from entwine.galois import _raw_canonical_map, _stacked_system, coinvariant_system, coinvariants
+from entwine.galois import (
+    _raw_canonical_map,
+    _stacked_system,
+    coinvariant_system,
+    coinvariants,
+    differential_sequence,
+    galois_check,
+)
 from entwine.structures import ComoduleAlgebra, field_algebra
 
 GF7 = GF(7)
@@ -106,3 +119,30 @@ def test_random_coactions_kernel_matches_the_per_basis_blocks(data):
     assert pushed == system(pushed_x)
     assert kernel(_stacked_system(pushed, a.dim)) == dense.coinvariants_by_basis(pushed_x)
 
+
+def _assert_horizontal_forms_match_the_triple_loop(x):
+    cert = galois_check(x)
+    report = differential_sequence(cert)
+    field = x.algebra.field
+    b = cert.coinvariants.basis
+    squares = [kron(column_matrix(u, field), column_matrix(v, field)).column(0) for u in b for v in b]
+    omega_b = intersect(Subspace.from_spanning(squares, x.algebra.dim**2, field), report.universal_forms)
+    assert report.horizontal_forms == dense.horizontal_forms_by_triple_loop(x.algebra, omega_b)
+    return omega_b.dim
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("name,params", CATALOGUE)
+def test_catalogue_horizontal_forms_match_the_triple_loop(name, params, p):
+    _assert_horizontal_forms_match_the_triple_loop(_comodule_algebra(name, params if p is None else {**params, "p": p}))
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("group,generator", [("Z4", "g2"), ("Z4", "g"), ("S3", "(123)")])
+def test_quotient_coaction_horizontal_forms_match_the_triple_loop(group, generator, p):
+    params = {"group": group} if p is None else {"group": group, "p": p}
+    field = QQ if p is None else GF7
+    h = group_algebra(params, field)
+    base, pi = quotient_coalgebra(h.coalgebra, coset_coideal(params, generator, field))
+    x = ComoduleAlgebra(h.algebra, base, kron(h.algebra.identity_matrix, pi) @ h.coalgebra.comult_matrix)
+    assert _assert_horizontal_forms_match_the_triple_loop(x) > 0
