@@ -102,7 +102,10 @@ def validate_cayley_table(table) -> tuple[int, tuple[int, ...]]:
 
 def _group_data(params: Mapping[str, Any]):
     if "table" in params:
-        table = tuple(tuple(int(x) for x in row) for row in params["table"])
+        try:
+            table = tuple(tuple(int(x) for x in row) for row in params["table"])
+        except (TypeError, ValueError):
+            raise BadParams("Cayley table entries must be integers") from None
         identity, inverse = validate_cayley_table(table)
         if identity != 0:
             raise BadParams("custom Cayley table must list the identity first")
@@ -121,18 +124,13 @@ def group_algebra(params: Mapping[str, Any], field: FieldSpec = QQ) -> HopfAlgeb
     names, table, inverse = _group_data(params)
     n = len(names)
     zero, one = field.zero, field.one
-    mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[i][j][table[i][j]] = one
-    comult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        comult[i][i][i] = one
-    unit = [one if i == 0 else zero for i in range(n)]
-    counit = [one] * n
-    antipode = Matrix(n, n, tuple(tuple(one if i == inverse[j] else zero for j in range(n)) for i in range(n)), field)
-    algebra = FiniteAlgebra(n, names, tuple(tuple(tuple(r) for r in p) for p in mult), tuple(unit), field)
-    coalgebra = FiniteCoalgebra(n, names, tuple(tuple(tuple(r) for r in p) for p in comult), tuple(counit), field)
+    # e_i e_j = e_(table[i][j]) and coproduct(e_i) = e_i (x) e_i
+    mult = Matrix.from_triples(n, n * n, ((table[i][j], i * n + j, one) for i in range(n) for j in range(n)), field)
+    comult = Matrix.from_triples(n * n, n, ((i * n + i, i, one) for i in range(n)), field)
+    unit = tuple(one if i == 0 else zero for i in range(n))
+    antipode = Matrix.from_triples(n, n, ((inverse[j], j, one) for j in range(n)), field)
+    algebra = FiniteAlgebra(n, names, mult, unit, field)
+    coalgebra = FiniteCoalgebra(n, names, comult, (one,) * n, field)
     return HopfAlgebra(algebra, coalgebra, antipode)
 
 
@@ -141,21 +139,14 @@ def dual_group_algebra(params: Mapping[str, Any], field: FieldSpec = QQ) -> Hopf
     names, table, inverse = _group_data(params)
     n = len(names)
     zero, one = field.zero, field.one
-    mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        mult[i][i][i] = one
-    comult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for g in range(n):
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == g:
-                    comult[g][i][j] = one
-    unit = [one] * n
-    counit = [one if i == 0 else zero for i in range(n)]
-    antipode = Matrix(n, n, tuple(tuple(one if inverse[i] == j else zero for j in range(n)) for i in range(n)), field)
+    # p_i p_i = p_i and coproduct(p_g) = sum of p_i (x) p_j over ij = g
+    mult = Matrix.from_triples(n, n * n, ((i, i * n + i, one) for i in range(n)), field)
+    comult = Matrix.from_triples(n * n, n, ((i * n + j, table[i][j], one) for i in range(n) for j in range(n)), field)
+    counit = tuple(one if i == 0 else zero for i in range(n))
+    antipode = Matrix.from_triples(n, n, ((i, inverse[i], one) for i in range(n)), field)
     dual_names = tuple(f"p[{x}]" for x in names)
-    algebra = FiniteAlgebra(n, dual_names, tuple(tuple(tuple(r) for r in p) for p in mult), tuple(unit), field)
-    coalgebra = FiniteCoalgebra(n, dual_names, tuple(tuple(tuple(r) for r in p) for p in comult), tuple(counit), field)
+    algebra = FiniteAlgebra(n, dual_names, mult, (one,) * n, field)
+    coalgebra = FiniteCoalgebra(n, dual_names, comult, counit, field)
     return HopfAlgebra(algebra, coalgebra, antipode)
 
 
@@ -169,32 +160,32 @@ def sweedler_hopf_algebra(field: FieldSpec = QQ) -> HopfAlgebra:
     minus = field.neg(one)
     names = ("1", "g", "x", "gx")
     n = 4
-    mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-
-    def set_product(i, j, k, coeff):
-        mult[i][j][k] = coeff
-
-    # row: left factor, column: right factor
-    set_product(0, 0, 0, one)
-    set_product(0, 1, 1, one)
-    set_product(0, 2, 2, one)
-    set_product(0, 3, 3, one)
-    set_product(1, 0, 1, one)
-    set_product(1, 1, 0, one)       # g g = 1
-    set_product(1, 2, 3, one)       # g x = gx
-    set_product(1, 3, 2, one)       # g gx = x
-    set_product(2, 0, 2, one)
-    set_product(2, 1, 3, minus)     # x g = -gx
-    set_product(3, 0, 3, one)
-    set_product(3, 1, 2, minus)     # gx g = -x
-    # x x = x gx = gx x = gx gx = 0
-    comult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    comult[0][0][0] = one                       # 1 -> 1 (x) 1
-    comult[1][1][1] = one                       # g -> g (x) g
-    comult[2][2][0] = one                       # x -> x (x) 1 + g (x) x
-    comult[2][1][2] = one
-    comult[3][3][1] = one                       # gx -> gx (x) g + 1 (x) gx
-    comult[3][0][3] = one
+    # (i, j, k, c): e_i e_j = ... + c e_k
+    products = (
+        (0, 0, 0, one),
+        (0, 1, 1, one),
+        (0, 2, 2, one),
+        (0, 3, 3, one),
+        (1, 0, 1, one),
+        (1, 1, 0, one),     # g g = 1
+        (1, 2, 3, one),     # g x = gx
+        (1, 3, 2, one),     # g gx = x
+        (2, 0, 2, one),
+        (2, 1, 3, minus),   # x g = -gx
+        (3, 0, 3, one),
+        (3, 1, 2, minus),   # gx g = -x
+    )  # x x = x gx = gx x = gx gx = 0
+    # (i, j, k, c): coproduct(e_i) = ... + c e_j (x) e_k
+    coproducts = (
+        (0, 0, 0, one),     # 1 -> 1 (x) 1
+        (1, 1, 1, one),     # g -> g (x) g
+        (2, 2, 0, one),     # x -> x (x) 1 + g (x) x
+        (2, 1, 2, one),
+        (3, 3, 1, one),     # gx -> gx (x) g + 1 (x) gx
+        (3, 0, 3, one),
+    )
+    mult = Matrix.from_triples(n, n * n, ((k, i * n + j, c) for i, j, k, c in products), field)
+    comult = Matrix.from_triples(n * n, n, ((j * n + k, i, c) for i, j, k, c in coproducts), field)
     counit = (one, one, zero, zero)
     unit = (one, zero, zero, zero)
     antipode = Matrix.from_rows(
@@ -206,8 +197,8 @@ def sweedler_hopf_algebra(field: FieldSpec = QQ) -> HopfAlgebra:
         ],
         field,
     )
-    algebra = FiniteAlgebra(n, names, tuple(tuple(tuple(r) for r in p) for p in mult), unit, field)
-    coalgebra = FiniteCoalgebra(n, names, tuple(tuple(tuple(r) for r in p) for p in comult), counit, field)
+    algebra = FiniteAlgebra(n, names, mult, unit, field)
+    coalgebra = FiniteCoalgebra(n, names, comult, counit, field)
     return HopfAlgebra(algebra, coalgebra, antipode)
 
 
@@ -223,17 +214,17 @@ def quadratic_field_extension(d, field: FieldSpec = QQ) -> ComoduleAlgebra:
     the sign of s; over Q with non-square d this is the classical quadratic
     Galois extension in coalgebra form.
     """
-    d = field.coerce(d)
+    try:
+        d = field.coerce(d)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"parameter d is not a valid scalar: {d!r}") from None
     if not d:
         raise BadParams("parameter d must be nonzero")
     zero, one = field.zero, field.one
     names = ("1", "s")
-    mult = [[[zero, zero], [zero, zero]] for _ in range(2)]
-    mult[0][0][0] = one
-    mult[0][1][1] = one
-    mult[1][0][1] = one
-    mult[1][1][0] = d
-    algebra = FiniteAlgebra(2, names, tuple(tuple(tuple(r) for r in p) for p in mult), (one, zero), field)
+    # 1 1 = 1, 1 s = s 1 = s, s s = d
+    mult = Matrix.from_triples(2, 4, ((0, 0, one), (1, 1, one), (1, 2, one), (0, 3, d)), field)
+    algebra = FiniteAlgebra(2, names, mult, (one, zero), field)
     dual = dual_group_algebra({"group": "Z2"}, field)
     # rows of the coaction are indexed by (a-basis, c-basis) pairs
     coaction = Matrix.from_rows(

@@ -192,12 +192,8 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     b_dim = pres.quotient_dim
     d_b = kron(pi, pi) @ c.comult_matrix @ sigma
     e_b = c.counit_matrix @ sigma
-    comult = tuple(
-        tuple(tuple(d_b.entries[j * b_dim + k][i] for k in range(b_dim)) for j in range(b_dim))
-        for i in range(b_dim)
-    )
     names = tuple(f"q{i}" for i in range(b_dim))
-    base = FiniteCoalgebra(b_dim, names, comult, e_b.entries[0] if b_dim else (), field)
+    base = FiniteCoalgebra(b_dim, names, d_b, e_b.entries[0], field)
     if not validate_coalgebra(base).ok:
         raise InternalCheckError("quotient coalgebra failed its axioms")
     return base, pi

@@ -3,9 +3,10 @@ canonical emission (sorted keys, coefficients in lowest terms with positive
 denominator, sparse tensor entries sorted by index, byte-stable round trips).
 
 Structure tensors are sparse quadruple lists {i, j, k, c} and matrices sparse
-triple lists {i, j, c}; omitted entries are zero.  Vector-valued data (units,
-counits, group-like coordinates, character coordinates, coideal basis
-vectors) are dense coefficient lists.
+triple lists {i, j, c}; omitted entries are zero, and of two entries for one
+cell the later wins.  Both parse straight into nonzero-indexed matrices.
+Vector-valued data (units, counits, group-like coordinates, character
+coordinates, coideal basis vectors) are dense coefficient lists.
 """
 
 from __future__ import annotations
@@ -151,12 +152,13 @@ class _Reader:
         return tuple(self.coefficient(field, x, f"{path}[{i}]") for i, x in enumerate(lst))
 
     def sparse_tensor(self, field, value, path, dims):
-        """Sparse entries {i, j, k, c} (3 indices) or {i, j, c} (2 indices)."""
+        """Sparse entries {i, j, k, c} (3 indices) or {i, j, c} (2 indices),
+        as (index..., coefficient) tuples in document order."""
         lst = self.expect_list(value, path)
         keys = ("i", "j", "k")[: len(dims)]
-        shape = {}
+        entries = []
         if lst is None:
-            return shape
+            return entries
         for n, item in enumerate(lst):
             here = f"{path}[{n}]"
             entry = self.expect_dict(item, here)
@@ -183,8 +185,8 @@ class _Reader:
             if "c" not in entry:
                 self.fail(here, "missing coefficient 'c'")
                 continue
-            shape[tuple(idx)] = self.coefficient(field, entry["c"], f"{here}.c")
-        return shape
+            entries.append((*idx, self.coefficient(field, entry["c"], f"{here}.c")))
+        return entries
 
 
 def _parse_field(reader: _Reader) -> FieldSpec:
@@ -244,13 +246,6 @@ def _space_ref(reader: _Reader, spaces, section, key, path) -> SpaceDecl | None:
     return spaces[name]
 
 
-def _dense_matrix(field, shape_map, rows, cols) -> Matrix:
-    ent = [[field.zero] * cols for _ in range(rows)]
-    for (i, j), c in shape_map.items():
-        ent[i][j] = c
-    return Matrix(rows, cols, tuple(tuple(r) for r in ent), field)
-
-
 def parse_document(text: str) -> StructureDocument:
     """Parse and validate a document; raises InvalidDocument with all problems."""
     try:
@@ -275,14 +270,10 @@ def parse_document(text: str) -> StructureDocument:
             space = _space_ref(reader, spaces, section, "space", "algebra")
             if space is not None:
                 d = space.dim
-                tensor_map = reader.sparse_tensor(field, section.get("mult", []), "algebra.mult", (d, d, d))
+                terms = reader.sparse_tensor(field, section.get("mult", []), "algebra.mult", (d, d, d))
                 unit = reader.vector(field, section.get("unit", [0] * d), "algebra.unit", d)
-                mult = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-                for (i, j, k), c in tensor_map.items():
-                    mult[i][j][k] = c
-                doc.algebra = FiniteAlgebra(
-                    d, space.basis_names, tuple(tuple(tuple(r) for r in p) for p in mult), unit, field
-                )
+                mult = Matrix.from_triples(d, d * d, ((k, i * d + j, c) for i, j, k, c in terms), field)
+                doc.algebra = FiniteAlgebra(d, space.basis_names, mult, unit, field)
                 doc.algebra_space = space.name
 
     if "coalgebra" in obj:
@@ -291,14 +282,10 @@ def parse_document(text: str) -> StructureDocument:
             space = _space_ref(reader, spaces, section, "space", "coalgebra")
             if space is not None:
                 d = space.dim
-                tensor_map = reader.sparse_tensor(field, section.get("comult", []), "coalgebra.comult", (d, d, d))
+                terms = reader.sparse_tensor(field, section.get("comult", []), "coalgebra.comult", (d, d, d))
                 counit = reader.vector(field, section.get("counit", [0] * d), "coalgebra.counit", d)
-                comult = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-                for (i, j, k), c in tensor_map.items():
-                    comult[i][j][k] = c
-                doc.coalgebra = FiniteCoalgebra(
-                    d, space.basis_names, tuple(tuple(tuple(r) for r in p) for p in comult), counit, field
-                )
+                comult = Matrix.from_triples(d * d, d, ((j * d + k, i, c) for i, j, k, c in terms), field)
+                doc.coalgebra = FiniteCoalgebra(d, space.basis_names, comult, counit, field)
                 doc.coalgebra_space = space.name
 
     if "antipode" in obj:
@@ -309,8 +296,8 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.algebra_space != space.name or doc.coalgebra_space != space.name:
                     reader.fail("antipode.space", "antipode needs algebra and coalgebra on its space")
                 d = space.dim
-                shape = reader.sparse_tensor(field, section.get("entries", []), "antipode.entries", (d, d))
-                doc.antipode = _dense_matrix(field, shape, d, d)
+                entries = reader.sparse_tensor(field, section.get("entries", []), "antipode.entries", (d, d))
+                doc.antipode = Matrix.from_triples(d, d, entries, field)
 
     if "coaction" in obj:
         section = reader.expect_dict(obj["coaction"], "coaction")
@@ -323,8 +310,8 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.coalgebra_space != cspace.name:
                     reader.fail("coaction.coalgebra", "coaction must land in the coalgebra's space")
                 rows, cols = space.dim * cspace.dim, space.dim
-                shape = reader.sparse_tensor(field, section.get("entries", []), "coaction.entries", (rows, cols))
-                doc.coaction = _dense_matrix(field, shape, rows, cols)
+                entries = reader.sparse_tensor(field, section.get("entries", []), "coaction.entries", (rows, cols))
+                doc.coaction = Matrix.from_triples(rows, cols, entries, field)
 
     if "action" in obj:
         section = reader.expect_dict(obj["action"], "action")
@@ -337,8 +324,8 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.algebra_space != aspace.name:
                     reader.fail("action.algebra", "action must use the algebra's space")
                 rows, cols = space.dim, space.dim * aspace.dim
-                shape = reader.sparse_tensor(field, section.get("entries", []), "action.entries", (rows, cols))
-                doc.action = _dense_matrix(field, shape, rows, cols)
+                entries = reader.sparse_tensor(field, section.get("entries", []), "action.entries", (rows, cols))
+                doc.action = Matrix.from_triples(rows, cols, entries, field)
 
     if "psi" in obj:
         section = reader.expect_dict(obj["psi"], "psi")
@@ -351,8 +338,8 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.coalgebra_space != cspace.name:
                     reader.fail("psi.coalgebra", "psi must use the coalgebra's space")
                 rows, cols = aspace.dim * cspace.dim, cspace.dim * aspace.dim
-                shape = reader.sparse_tensor(field, section.get("entries", []), "psi.entries", (rows, cols))
-                doc.psi = _dense_matrix(field, shape, rows, cols)
+                entries = reader.sparse_tensor(field, section.get("entries", []), "psi.entries", (rows, cols))
+                doc.psi = Matrix.from_triples(rows, cols, entries, field)
 
     def named_vectors(key, expect_space_of):
         items = []
@@ -413,13 +400,18 @@ def _format_matrix_entries(field, matrix: Matrix):
     return [{"i": i, "j": j, "c": field.format(c)} for i, row in enumerate(matrix.nonzeros) for j, c in row]
 
 
-def _format_tensor_entries(field, tensor):
+def _format_tensor_entries(field, dim: int, transposed: Matrix):
+    """Entries {i, j, k, c} of a structure tensor on a space of dimension
+    dim, read from the transpose of its matrix.  Both transposes (d^2 x d of
+    m, d x d^2 of the coproduct) put entry (i, j, k) at flat index
+    i*d^2 + j*d + k, so their index lists the entries in (i, j, k) order."""
     out = []
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, c in enumerate(row):
-                if c:
-                    out.append({"i": i, "j": j, "k": k, "c": field.format(c)})
+    cols = transposed.cols
+    for r, row in enumerate(transposed.nonzeros):
+        for s, c in row:
+            i, jk = divmod(r * cols + s, dim * dim)
+            j, k = divmod(jk, dim)
+            out.append({"i": i, "j": j, "k": k, "c": field.format(c)})
     return out
 
 
@@ -435,13 +427,13 @@ def document_to_obj(doc: StructureDocument) -> dict:
     if doc.algebra is not None:
         obj["algebra"] = {
             "space": doc.algebra_space,
-            "mult": _format_tensor_entries(field, doc.algebra.mult),
+            "mult": _format_tensor_entries(field, doc.algebra.dim, doc.algebra.mult_matrix.transpose()),
             "unit": [field.format(x) for x in doc.algebra.unit],
         }
     if doc.coalgebra is not None:
         obj["coalgebra"] = {
             "space": doc.coalgebra_space,
-            "comult": _format_tensor_entries(field, doc.coalgebra.comult),
+            "comult": _format_tensor_entries(field, doc.coalgebra.dim, doc.coalgebra.comult_matrix.transpose()),
             "counit": [field.format(x) for x in doc.coalgebra.counit],
         }
     if doc.antipode is not None:

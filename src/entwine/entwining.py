@@ -208,13 +208,16 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
     return ValidationReport("structure-map pair", checks)
 
 
-def structure_maps_to_psi(p: StructureMapPair, known: CheckedEntwining | None = None) -> EntwiningStructure:
+def structure_maps_to_psi(
+    p: StructureMapPair, known: CheckedEntwining | None = None, pair_checks: ValidationReport | None = None
+) -> EntwiningStructure:
     """Recover psi two ways and insist they agree; the result is a valid entwining.
 
     The recovered map is validated unless it is ``known``'s structure
     (check_entwining), as when p was built from that entwining.
+    ``pair_checks`` is validate_structure_maps(p) when the caller holds it.
     """
-    report = validate_structure_maps(p)
+    report = validate_structure_maps(p) if pair_checks is None else pair_checks
     if not report.ok:
         raise AxiomViolation("structure-map pair fails its axioms", report=report)
     a, c = p.algebra, p.coalgebra

@@ -145,6 +145,24 @@ class Matrix:
         return Matrix(len(rows), ncols, rows, field)
 
     @staticmethod
+    def from_triples(rows: int, cols: int, triples: Iterable[tuple[int, int, object]], field: FieldSpec) -> "Matrix":
+        """The matrix with value c at (i, j) for each triple (i, j, c), zero
+        elsewhere, built straight into its nonzero index.  Values are coerced
+        into the field, a later triple for a cell replaces an earlier one, and
+        cells whose value is zero stay out of the index."""
+        coerce = field.coerce
+        cells: dict[tuple[int, int], Scalar] = {}
+        for i, j, c in triples:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            cells[i, j] = coerce(c)
+        by_row: dict[int, list[tuple[int, Scalar]]] = {}
+        for (i, j), c in sorted(cells.items()):
+            if c:
+                by_row.setdefault(i, []).append((j, c))
+        return _from_index(rows, cols, [tuple(by_row[i]) if i in by_row else () for i in range(rows)], field)
+
+    @staticmethod
     def zero(rows: int, cols: int, field: FieldSpec) -> "Matrix":
         return _from_index(rows, cols, ((),) * rows, field)
 

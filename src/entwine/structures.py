@@ -1,11 +1,14 @@
 """Structure-constant models of algebras, coalgebras, Hopf algebras, modules
 and comodules, with validators for every defining axiom.
 
-Multiplication is stored as the tensor m[i][j][k] with
-e_i . e_j = sum_k m[i][j][k] e_k, comultiplication as d[i][j][k] with
-coproduct(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k.  Validators return residual
-reports rather than failing fast, so a violated axiom comes back with the
-exact witness matrix.
+A structure is its structure-constant matrices, and nothing else: the
+multiplication is the dim x dim^2 matrix m: A (x) A -> A, whose entry at row
+k and column i*dim + j is the coefficient of e_k in e_i . e_j, and the
+comultiplication is the dim^2 x dim matrix coproduct: C -> C (x) C, whose
+entry at row j*dim + k and column i is the coefficient of e_j (x) e_k in
+coproduct(e_i).  Both are held as nonzero-indexed ``Matrix`` values, so no
+dim^3 object is ever built.  Validators return residual reports rather than
+failing fast, so a violated axiom comes back with the exact witness matrix.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class FiniteAlgebra:
 
     dim: int
     basis_names: tuple[str, ...]
-    mult: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    mult_matrix: Matrix  # m: A (x) A -> A on the row-major tensor basis
     unit: tuple[Scalar, ...]
     field: FieldSpec
 
@@ -68,24 +71,8 @@ class FiniteAlgebra:
         d = self.dim
         if len(self.basis_names) != d or len(self.unit) != d:
             raise DimensionMismatch("algebra basis/unit length disagrees with dim")
-        if len(self.mult) != d or any(len(r) != d or any(len(c) != d for c in r) for r in self.mult):
-            raise DimensionMismatch("multiplication tensor is not dim^3")
-
-    @staticmethod
-    def build(basis_names, mult, unit, field) -> "FiniteAlgebra":
-        names = tuple(basis_names)
-        d = len(names)
-        tensor = tuple(
-            tuple(tuple(field.coerce(mult[i][j][k]) for k in range(d)) for j in range(d)) for i in range(d)
-        )
-        return FiniteAlgebra(d, names, tensor, tuple(field.coerce(x) for x in unit), field)
-
-    @cached_property
-    def mult_matrix(self) -> Matrix:
-        """m: A (x) A -> A on the row-major tensor basis."""
-        d = self.dim
-        ent = tuple(tuple(self.mult[i][j][k] for i in range(d) for j in range(d)) for k in range(d))
-        return Matrix(d, d * d, ent, self.field)
+        if self.mult_matrix.rows != d or self.mult_matrix.cols != d * d:
+            raise DimensionMismatch("multiplication is not dim x dim^2")
 
     @cached_property
     def unit_matrix(self) -> Matrix:
@@ -128,7 +115,7 @@ class FiniteCoalgebra:
 
     dim: int
     basis_names: tuple[str, ...]
-    comult: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    comult_matrix: Matrix  # coproduct: C -> C (x) C on the row-major tensor basis
     counit: tuple[Scalar, ...]
     field: FieldSpec
 
@@ -136,24 +123,8 @@ class FiniteCoalgebra:
         d = self.dim
         if len(self.basis_names) != d or len(self.counit) != d:
             raise DimensionMismatch("coalgebra basis/counit length disagrees with dim")
-        if len(self.comult) != d or any(len(r) != d or any(len(c) != d for c in r) for r in self.comult):
-            raise DimensionMismatch("comultiplication tensor is not dim^3")
-
-    @staticmethod
-    def build(basis_names, comult, counit, field) -> "FiniteCoalgebra":
-        names = tuple(basis_names)
-        d = len(names)
-        tensor = tuple(
-            tuple(tuple(field.coerce(comult[i][j][k]) for k in range(d)) for j in range(d)) for i in range(d)
-        )
-        return FiniteCoalgebra(d, names, tensor, tuple(field.coerce(x) for x in counit), field)
-
-    @cached_property
-    def comult_matrix(self) -> Matrix:
-        """coproduct: C -> C (x) C on the row-major tensor basis."""
-        d = self.dim
-        ent = tuple(tuple(self.comult[i][j][k] for i in range(d)) for j in range(d) for k in range(d))
-        return Matrix(d * d, d, ent, self.field)
+        if self.comult_matrix.rows != d * d or self.comult_matrix.cols != d:
+            raise DimensionMismatch("comultiplication is not dim^2 x dim")
 
     @cached_property
     def counit_matrix(self) -> Matrix:
@@ -441,15 +412,11 @@ def dualize(x):
     dualize(dualize(x)) has the same structure constants as x.
     """
     if isinstance(x, FiniteCoalgebra):
-        d = x.dim
-        mult = tuple(tuple(tuple(x.comult[k][i][j] for k in range(d)) for j in range(d)) for i in range(d))
         names = tuple(f"{n}*" for n in x.basis_names)
-        return FiniteAlgebra(d, names, mult, x.counit, x.field)
+        return FiniteAlgebra(x.dim, names, x.comult_matrix.transpose(), x.counit, x.field)
     if isinstance(x, FiniteAlgebra):
-        d = x.dim
-        comult = tuple(tuple(tuple(x.mult[j][k][i] for k in range(d)) for j in range(d)) for i in range(d))
         names = tuple(f"{n}*" for n in x.basis_names)
-        return FiniteCoalgebra(d, names, comult, x.unit, x.field)
+        return FiniteCoalgebra(x.dim, names, x.mult_matrix.transpose(), x.unit, x.field)
     raise TypeError(f"cannot dualize {type(x).__name__}")
 
 
@@ -468,14 +435,12 @@ def convolution_unit(source: FiniteCoalgebra, target: FiniteAlgebra) -> Matrix:
 
 def field_algebra(field: FieldSpec) -> FiniteAlgebra:
     """The ground field as a one-dimensional algebra."""
-    one = field.one
-    return FiniteAlgebra(1, ("1",), (((one,),),), (one,), field)
+    return FiniteAlgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)
 
 
 def field_coalgebra(field: FieldSpec) -> FiniteCoalgebra:
     """The ground field as a one-dimensional coalgebra."""
-    one = field.one
-    return FiniteCoalgebra(1, ("1",), (((one,),),), (one,), field)
+    return FiniteCoalgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)
 
 
 def transport_algebra(a: FiniteAlgebra, t: Matrix) -> FiniteAlgebra:
@@ -484,12 +449,7 @@ def transport_algebra(a: FiniteAlgebra, t: Matrix) -> FiniteAlgebra:
     if isinstance(tinv, NotInvertible):
         raise AxiomViolation("change of basis must be invertible")
     m = tinv @ a.mult_matrix @ kron(t, t)
-    u = tinv @ a.unit_matrix
-    d = a.dim
-    mult = tuple(
-        tuple(tuple(m.entries[k][i * d + j] for k in range(d)) for j in range(d)) for i in range(d)
-    )
-    return FiniteAlgebra(d, a.basis_names, mult, u.column(0), a.field)
+    return FiniteAlgebra(a.dim, a.basis_names, m, (tinv @ a.unit_matrix).column(0), a.field)
 
 
 def transport_coalgebra(c: FiniteCoalgebra, t: Matrix) -> FiniteCoalgebra:
@@ -497,9 +457,4 @@ def transport_coalgebra(c: FiniteCoalgebra, t: Matrix) -> FiniteCoalgebra:
     if isinstance(tinv, NotInvertible):
         raise AxiomViolation("change of basis must be invertible")
     dm = kron(tinv, tinv) @ c.comult_matrix @ t
-    e = c.counit_matrix @ t
-    d = c.dim
-    comult = tuple(
-        tuple(tuple(dm.entries[j * d + k][i] for k in range(d)) for j in range(d)) for i in range(d)
-    )
-    return FiniteCoalgebra(d, c.basis_names, comult, e.entries[0], c.field)
+    return FiniteCoalgebra(c.dim, c.basis_names, dm, (c.counit_matrix @ t).entries[0], c.field)

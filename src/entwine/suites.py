@@ -135,8 +135,9 @@ def run_entwining(doc: StructureDocument) -> SuiteReport:
         report.skip("entwining.structure-maps", "round trip through the structure-map pair", "entwining identities fail")
         return report
     pair = psi_to_structure_maps(e, checked)
-    _add_validation(report, "entwining.pair", validate_structure_maps(pair))
-    recovered = structure_maps_to_psi(pair, checked)
+    pair_checks = validate_structure_maps(pair)
+    _add_validation(report, "entwining.pair", pair_checks)
+    recovered = structure_maps_to_psi(pair, checked, pair_checks)
     report.add(
         "entwining.round-trip",
         "structure maps recover the same entwining map",

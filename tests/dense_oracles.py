@@ -6,6 +6,11 @@ them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.
 
+Next come the dense structure tensors that algebras and coalgebras were
+stored as before their structure-constant matrices became their only form:
+the cell-by-cell tensor -> matrix conversions, and readers that rebuild
+the tensor from a structure's matrix.
+
 Then come the spanning-set forms of the coideal and invariance tests, which
 cogalois and cogenerate decide through quotients, and the two larger
 formulations the library replaced with smaller ones: the full (ac)^2-unknown
@@ -163,6 +168,36 @@ def tensor_permutation_dense(dims, perm, field) -> tuple:
             flat_out = flat_out * d + idx[k]
         ent[flat_out][flat_in] = field.one
     return tuple(tuple(r) for r in ent)
+
+
+def mult_matrix_from_tensor(mult, field) -> Matrix:
+    """m: A (x) A -> A from the tensor with e_i e_j = sum_k mult[i][j][k] e_k."""
+    d = len(mult)
+    ent = tuple(tuple(field.coerce(mult[i][j][k]) for i in range(d) for j in range(d)) for k in range(d))
+    return Matrix(d, d * d, ent, field)
+
+
+def comult_matrix_from_tensor(comult, field) -> Matrix:
+    """coproduct: C -> C (x) C from the tensor with
+    coproduct(e_i) = sum_{j,k} comult[i][j][k] e_j (x) e_k."""
+    d = len(comult)
+    ent = tuple(tuple(field.coerce(comult[i][j][k]) for i in range(d)) for j in range(d) for k in range(d))
+    return Matrix(d * d, d, ent, field)
+
+
+def mult_tensor(algebra) -> tuple:
+    """mult[i][j][k], the coefficient of e_k in e_i e_j, read from mult_matrix."""
+    d = algebra.dim
+    ent = algebra.mult_matrix.entries
+    return tuple(tuple(tuple(ent[k][i * d + j] for k in range(d)) for j in range(d)) for i in range(d))
+
+
+def comult_tensor(coalgebra) -> tuple:
+    """comult[i][j][k], the coefficient of e_j (x) e_k in coproduct(e_i), read
+    from comult_matrix."""
+    d = coalgebra.dim
+    ent = coalgebra.comult_matrix.entries
+    return tuple(tuple(tuple(ent[j * d + k][i] for k in range(d)) for j in range(d)) for i in range(d))
 
 
 def _tensor_vector(u, v, field) -> tuple:

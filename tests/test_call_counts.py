@@ -114,10 +114,11 @@ def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
 
 @pytest.mark.parametrize("params", [{}, {"algebra": "Z3", "coalgebra": "Z2"}])
 def test_entwining_suite_validates_psi_once(count_calls, params):
-    counts = count_calls(entwining.validate_entwining)
+    counts = count_calls(entwining.validate_entwining, entwining.validate_structure_maps)
     _run("flip-entwining", params, "entwining")
-    # the structure maps are built from, and recover, the validated psi
-    assert counts == {"validate_entwining": 1}
+    # the structure maps are built from, and recover, the validated psi, and
+    # the recovery reads the suite's report on the pair
+    assert counts == {"validate_entwining": 1, "validate_structure_maps": 1}
 
 
 @pytest.mark.parametrize(

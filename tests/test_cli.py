@@ -236,6 +236,20 @@ class TestInputContract:
         assert failing == ["cogenerate.comodule.coaction-coassociativity", "cogenerate.comodule.coaction-counit"]
         assert not any(c["id"].startswith("cogenerate.coinvariant") for c in checks)
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("quadratic-field-extension", "d=x"),
+            ("quadratic-field-extension", "d=1/0"),
+            ("group-algebra", "table=abc"),
+        ],
+    )
+    def test_malformed_example_parameter_is_refused(self, name, param):
+        proc = _run_cli("example", name, "--param", param)
+        assert proc.returncode == 2
+        assert "error: BadParams" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_deeply_nested_document_is_refused(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 200000, encoding="utf-8")

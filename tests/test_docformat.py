@@ -1,7 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracles import comult_matrix_from_tensor, mult_matrix_from_tensor
 from entwine.catalogue import EXAMPLE_NAMES, build
 from entwine.docformat import (
     document_from_example,
@@ -9,7 +13,9 @@ from entwine.docformat import (
     parse_document,
 )
 from entwine.errors import FieldParseError, InvalidDocument, SchemaError
-from entwine.fields import GF
+from entwine.exactlin import Matrix
+from entwine.fields import GF, QQ
+from entwine.structures import dualize
 
 
 def emit_example(name, params=None):
@@ -156,3 +162,126 @@ class TestDocumentShape:
         doc = parse_document(emit_example("quadratic-field-extension"))
         assert set(doc.spaces) == {"A", "C"}
         assert doc.algebra_space == "A" and doc.coalgebra_space == "C"
+
+
+def _coefficients(field):
+    """Document coefficients with explicit zeros and, over GF(7), c = p."""
+    if field.is_prime_field:
+        return st.sampled_from([0, 1, 3, 6, 7, 8, 14, -1])
+    return st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "0/5", 0, 5])
+
+
+@st.composite
+def sparse_documents(draw):
+    """A document on one space H whose every section is a random sparse list,
+    with duplicated cells, explicit zeros and coefficients equal to p."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.integers(1, 3))
+    coeff = _coefficients(field)
+    index = st.integers(0, n - 1)
+
+    def quadruples():
+        return draw(st.lists(st.tuples(index, index, index, coeff), max_size=3 * n * n))
+
+    def triples(rows, cols):
+        return draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), coeff), max_size=2 * n * n))
+
+    sections = {
+        "mult": quadruples(),
+        "comult": quadruples(),
+        "antipode": triples(n, n),
+        "coaction": triples(n * n, n),
+        "action": triples(n, n * n),
+        "psi": triples(n * n, n * n),
+    }
+    vector = [draw(coeff) for _ in range(n)]
+
+    def listed(name):
+        return [dict(zip("ijkc" if name.endswith("mult") else "ijc", entry)) for entry in sections[name]]
+
+    obj = {
+        "field": {"kind": "prime", "p": 7} if field.is_prime_field else {"kind": "rational"},
+        "spaces": {"H": {"dim": n}},
+        "algebra": {"space": "H", "unit": vector, "mult": listed("mult")},
+        "coalgebra": {"space": "H", "counit": vector, "comult": listed("comult")},
+        "antipode": {"space": "H", "entries": listed("antipode")},
+        "coaction": {"space": "H", "coalgebra": "H", "entries": listed("coaction")},
+        "action": {"space": "H", "algebra": "H", "entries": listed("action")},
+        "psi": {"algebra": "H", "coalgebra": "H", "entries": listed("psi")},
+    }
+    return field, n, sections, json.dumps(obj)
+
+
+def _dense_tensor(field, n, quadruples):
+    tensor = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in quadruples:
+        tensor[i][j][k] = field.parse(c)
+    return tensor
+
+
+def _dense_matrix(field, rows, cols, triples):
+    ent = [[field.zero] * cols for _ in range(rows)]
+    for i, j, c in triples:
+        ent[i][j] = field.parse(c)
+    return Matrix(rows, cols, tuple(tuple(r) for r in ent), field)
+
+
+class TestSparseParsing:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_documents())
+    def test_parsed_matrices_match_the_dense_oracle(self, drawn):
+        field, n, sections, text = drawn
+        doc = parse_document(text)
+        # the last entry for a cell wins, and zeros stay out of the index
+        assert doc.algebra.mult_matrix == mult_matrix_from_tensor(_dense_tensor(field, n, sections["mult"]), field)
+        assert doc.coalgebra.comult_matrix == comult_matrix_from_tensor(
+            _dense_tensor(field, n, sections["comult"]), field
+        )
+        assert doc.antipode == _dense_matrix(field, n, n, sections["antipode"])
+        assert doc.coaction == _dense_matrix(field, n * n, n, sections["coaction"])
+        assert doc.action == _dense_matrix(field, n, n * n, sections["action"])
+        assert doc.psi == _dense_matrix(field, n * n, n * n, sections["psi"])
+
+        text2 = document_to_text(doc)
+        again = parse_document(text2)
+        assert (again.algebra, again.coalgebra) == (doc.algebra, doc.coalgebra)
+        assert hash(again.algebra) == hash(doc.algebra) and hash(again.coalgebra) == hash(doc.coalgebra)
+        for name in ("antipode", "coaction", "action", "psi"):
+            assert getattr(again, name) == getattr(doc, name)
+        assert document_to_text(again) == text2
+
+        assert dualize(dualize(doc.algebra)).mult_matrix == doc.algebra.mult_matrix
+        assert dualize(dualize(doc.coalgebra)).comult_matrix == doc.coalgebra.comult_matrix
+
+    @staticmethod
+    def _one_term_document(dim, extra_terms=()):
+        terms = [{"i": 0, "j": 0, "k": 0, "c": "1"}, *extra_terms]
+        basis_vector = ["1"] + ["0"] * (dim - 1)
+        return json.dumps(
+            {
+                "field": {"kind": "rational"},
+                "spaces": {"H": {"dim": dim}},
+                "algebra": {"space": "H", "mult": terms, "unit": basis_vector},
+                "coalgebra": {"space": "H", "comult": terms, "counit": basis_vector},
+            }
+        )
+
+    def test_parse_allocates_no_dim_cubed_cells(self):
+        text = self._one_term_document(200)
+        tracemalloc.start()
+        try:
+            doc = parse_document(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 200^3 cells are 8 million pointers, 64 MB, before any scalar
+        assert peak < 4 * 2**20
+        assert doc.algebra.mult_matrix.nonzeros[0] == ((0, QQ.one),)
+        assert doc.coalgebra.comult_matrix.nonzeros[0] == ((0, QQ.one),)
+
+    def test_explicit_zero_term_equals_an_omitted_one(self):
+        zero_terms = [{"i": 1, "j": 2, "k": 3, "c": "0"}, {"i": 3, "j": 3, "k": 3, "c": "-0/7"}]
+        with_zeros = parse_document(self._one_term_document(4, zero_terms))
+        without = parse_document(self._one_term_document(4))
+        assert with_zeros.algebra == without.algebra and with_zeros.coalgebra == without.coalgebra
+        assert document_to_text(with_zeros) == document_to_text(without)
