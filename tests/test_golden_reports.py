@@ -2,7 +2,8 @@
 
 Every catalogue variant of ``scripts/verify_catalogue.py``, plus a few
 non-Galois, non-algebra-map and non-coideal documents that exercise
-witnesses, skip notes and gates, is run through each applicable suite and
+witnesses, skip notes and gates, and subgroup coextensions whose base
+coalgebra has dimension two or three, is run through each applicable suite and
 through ``all`` with the CLI default cutoff.
 The sha256 of each JSON report must equal the digest recorded in
 ``golden_reports.json``.  A refactor that changes any report byte fails here.
@@ -24,8 +25,14 @@ from entwine.catalogue import ExampleSpec, build, coset_coideal, group_algebra, 
 from entwine.docformat import document_from_example
 from entwine.exactlin import Matrix, Subspace
 from entwine.fields import QQ
-from entwine.structures import ComoduleAlgebra, ModuleCoalgebra, field_algebra, field_coalgebra
+from entwine.structures import Character, ComoduleAlgebra, ModuleCoalgebra, field_algebra, field_coalgebra
 from entwine.suites import run_suite
+from subgroup_coextensions import (
+    subgroup_coextension,
+    transport_character,
+    transport_coextension,
+    upper_unitriangular,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_reports.json")
@@ -42,7 +49,8 @@ _SCRIPT = _load_script()
 
 
 def _extra_examples():
-    """Documents outside the catalogue that reach the failure paths."""
+    """Documents outside the catalogue that reach the failure paths or a
+    base coalgebra of dimension above one."""
     z2 = group_algebra({"group": "Z2"}, QQ)
     z4 = group_algebra({"group": "Z4"}, QQ)
     # k coacted on by k[Z2] through 1 |-> 1 (x) 1: the canonical map is not onto
@@ -71,6 +79,17 @@ def _extra_examples():
     def cogenerate_doc(*coideals):
         return {"hopf": z4, "comodule_algebra": z4_self, "coideals": list(coideals)}
 
+    # subgroup coextensions k[G] acted on by k[H]: the base k[G/H] has
+    # dimension two or three, the last one on a non-diagonal basis
+    def subgroup_doc(group, generator, basis_change=False):
+        x = subgroup_coextension(group, generator, QQ)
+        kappa = (QQ.one,) * x.algebra.dim
+        if basis_change:
+            s = upper_unitriangular(x.algebra.dim, QQ)
+            x = transport_coextension(x, upper_unitriangular(x.coalgebra.dim, QQ), s)
+            kappa = transport_character(kappa, s)
+        return {"module_coalgebra": x, "characters": [Character(x.algebra, kappa)]}
+
     return {
         "field-over-Z2": {"comodule_algebra": field_over_z2},
         "trivial-coaction-Z4": {"hopf": z4, "comodule_algebra": trivial},
@@ -81,6 +100,9 @@ def _extra_examples():
         "second-not-coideal-Z4": cogenerate_doc(cosets["g2"], no_coproduct),
         "third-not-coideal-Z4": cogenerate_doc(cosets["g2"], cosets["g"], no_coproduct),
         "three-coideals-Z4": cogenerate_doc(cosets["g2"], cosets["g"], cosets["g2"]),
+        "subgroup-Z4-Z2": subgroup_doc("Z4", "g2"),
+        "subgroup-S3-Z3": subgroup_doc("S3", "(123)"),
+        "subgroup-S3-Z2-basis": subgroup_doc("S3", "(12)", basis_change=True),
     }
 
 
