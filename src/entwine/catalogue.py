@@ -6,6 +6,7 @@ entwinings.  These are the shared fixtures for the test suite and the CLI.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Mapping
 
@@ -102,14 +103,24 @@ def validate_cayley_table(table) -> tuple[int, tuple[int, ...]]:
 
 def _group_data(params: Mapping[str, Any]):
     if "table" in params:
+        # from the command line a table is JSON text and names a comma-separated list
+        table = params["table"]
+        if isinstance(table, str):
+            try:
+                table = json.loads(table)
+            except (ValueError, RecursionError):
+                raise BadParams("Cayley table must be a JSON list of rows") from None
         try:
-            table = tuple(tuple(int(x) for x in row) for row in params["table"])
+            table = tuple(tuple(int(x) for x in row) for row in table)
         except (TypeError, ValueError):
             raise BadParams("Cayley table entries must be integers") from None
         identity, inverse = validate_cayley_table(table)
         if identity != 0:
             raise BadParams("custom Cayley table must list the identity first")
-        names = tuple(params.get("names", tuple(f"g{i}" for i in range(len(table)))))
+        names = params.get("names", tuple(f"g{i}" for i in range(len(table))))
+        if isinstance(names, str):
+            names = [name.strip() for name in names.split(",")]
+        names = tuple(names)
         if len(names) != len(table):
             raise BadParams("names length must match table size")
         return names, table, inverse

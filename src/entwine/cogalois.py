@@ -1,12 +1,17 @@
 """Algebra-Galois coextensions, the dual story: the canonical coideal of a
-module coalgebra, the quotient coalgebra, the cotensor product, the canonical
-map into it, the cotranslation map with its identities, the induced entwining
+module coalgebra, the quotient coalgebra, the canonical map onto the cotensor
+product, the cotranslation map with its identities, the induced entwining
 map with uniqueness, and the dual bundle repackaging through a character.
 
-Domains matter on this side: the cotranslation identities live on the
-cotensor product and its iterates, so those subspaces are constructed
-explicitly and every identity is checked only after verifying the relevant
-containment.
+A coextension is the dual of an extension, and so is its certificate: it is
+the Galois certificate of the dual comodule algebra x* = (C*, A*, act^T),
+read back through the transpose.  The canonical coideal annihilates the
+coinvariants of x*, the cotensor product C box_B C annihilates the balancing
+relations of x* over the annihilator of the coideal, and the canonical map,
+its inverse, the cotranslation map, the entwining map and six of the seven
+identities are the transposes of the dual's.  Only the composite
+cotranslation identity, stated on the threefold cotensor product, has no
+Galois counterpart and is checked here, after its containments.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ from .exactlin import (
     Matrix,
     QuotientPresentation,
     Subspace,
-    basis_vector,
-    column_matrix,
     decide_bijection,
     image,
     kernel,
@@ -43,16 +46,26 @@ from .exactlin import (
     row_matrix,
     stack_rows,
 )
-from .galois import UniquenessReport, uniqueness_system
+from .galois import (
+    UniquenessReport,
+    _raw_canonical_map,
+    canonical_entwining,
+    canonical_map_certificate,
+    coinvariant_system,
+    coinvariants,
+    uniqueness_system,
+)
 from .structures import (
     AxiomCheck,
     Character,
+    ComoduleAlgebra,
     FiniteAlgebra,
     FiniteCoalgebra,
     ModuleCoalgebra,
     RightComodule,
     RightModule,
     ValidationReport,
+    dualize,
     residual_check,
     validate_coalgebra,
     validate_module,
@@ -108,29 +121,29 @@ def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tu
     )
 
 
+def dual_comodule_algebra(x: ModuleCoalgebra) -> ComoduleAlgebra:
+    """x* = (C*, A*, act^T): the algebra C* coacted on by the coalgebra A*
+    through the transposed action."""
+    return ComoduleAlgebra(dualize(x.coalgebra), dualize(x.algebra), x.action.transpose())
+
+
+def _annihilator(sub: Subspace) -> Subspace:
+    """The functionals vanishing on ``sub``, in the dual basis: the kernel of
+    the matrix whose rows are its basis."""
+    return kernel(sub.inclusion().transpose())
+
+
 def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
-    """The coideal spanned, over all basis inputs and dual-basis functionals, by
+    """The coideal spanned, over all inputs c, a and functionals f, by
     act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
 
-    Letting f range over the dual basis exhausts all functionals because the
-    expression is linear in f.  The action must already satisfy the module
-    axioms; quotient_coalgebra decides the coideal property.
+    A functional annihilates it exactly when it is coinvariant in the dual
+    comodule algebra x*, so it is the annihilator of those coinvariants.  The
+    action must already satisfy the module axioms over a coalgebra;
+    quotient_coalgebra decides the coideal property.
     """
-    c, a = x.coalgebra, x.algebra
-    field = c.field
-    nc = c.dim
-    d = c.comult_matrix
-    vectors = []
-    for j in range(a.dim):
-        aj = column_matrix(basis_vector(a.dim, j, field), field)
-        act_j = x.action @ kron(c.identity_matrix, aj)          # c |-> act(c, a_j)
-        first = d @ act_j                                       # C -> C (x) C
-        second = kron(c.identity_matrix, act_j) @ d             # c |-> c_(1) (x) act(c_(2), a_j)
-        for k in range(nc):
-            pick = kron(c.identity_matrix, row_matrix(basis_vector(nc, k, field), field))
-            diff = pick @ first - pick @ second
-            vectors.extend(diff.columns())
-    return Subspace.from_spanning(vectors, nc, field)
+    xd = dual_comodule_algebra(x)
+    return _annihilator(coinvariants(xd.algebra, coinvariant_system(xd, _raw_canonical_map(xd))))
 
 
 def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra: FiniteCoalgebra) -> Subspace:
@@ -199,31 +212,6 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     return base, pi
 
 
-def cotensor(right_coaction: Matrix, left_coaction: Matrix) -> Subspace:
-    """Kernel of the coaction-equalising map inside M (x) N.
-
-    ``right_coaction``: M -> M (x) B; ``left_coaction``: N -> B (x) N.
-    """
-    m_dim = right_coaction.cols
-    n_dim = left_coaction.cols
-    if m_dim == 0 or n_dim == 0:
-        return Subspace.zero_subspace(m_dim * n_dim, right_coaction.field)
-    if right_coaction.rows % m_dim or left_coaction.rows % n_dim:
-        raise DimensionMismatch("coaction shapes are not multiples of the carrier")
-    b_dim = right_coaction.rows // m_dim
-    if left_coaction.rows != b_dim * n_dim:
-        raise DimensionMismatch("the two coactions disagree on the base coalgebra")
-    field = right_coaction.field
-    ell = kron(right_coaction, Matrix.identity(n_dim, field)) - kron(Matrix.identity(m_dim, field), left_coaction)
-    return kernel(ell)
-
-
-def _cotensor_square(c: FiniteCoalgebra, pi: Matrix) -> Subspace:
-    rc = kron(c.identity_matrix, pi) @ c.comult_matrix
-    lc = kron(pi, c.identity_matrix) @ c.comult_matrix
-    return cotensor(rc, lc)
-
-
 def _cotensor_cube(c: FiniteCoalgebra, pi: Matrix) -> Subspace:
     """C box_B C box_B C as the joint kernel of both equalising maps."""
     rc = kron(c.identity_matrix, pi) @ c.comult_matrix
@@ -242,57 +230,55 @@ def _decide_onto_cotensor(cocan: Matrix, web: Subspace) -> Bijectivity:
     return decision
 
 
-def _raw_cocanonical_map(x: ModuleCoalgebra) -> Matrix:
-    """(C (x) act)(coproduct (x) A) on the full C (x) A, landing in C (x) C."""
-    c, a = x.coalgebra, x.algebra
-    return kron(c.identity_matrix, x.action) @ kron(c.comult_matrix, a.identity_matrix)
-
-
 def coextension_check(x: ModuleCoalgebra, module_checks: ValidationReport | None = None) -> CoextensionCertificate:
-    """Build the canonical map onto the cotensor product over the quotient by
-    the canonical coideal, decide bijectivity, and certify the cotranslation
-    identities and canonical entwining map.  ``module_checks`` is
-    validate_module(x.module) when the caller holds it."""
+    """Certify x over the quotient by its canonical coideal: the canonical
+    map onto the cotensor product with its bijectivity decision, the
+    cotranslation identities and the canonical entwining map, read off the
+    Galois certificate of the dual comodule algebra.  C must satisfy the
+    coalgebra axioms, as the cogalois suite checks first.  ``module_checks``
+    is validate_module(x.module) when the caller holds it."""
     report = validate_module(x.module) if module_checks is None else module_checks
     if not report.ok:
         raise AxiomViolation("action does not satisfy the module axioms", report=report)
     return _certify(x, canonical_coideal(x))
 
 
+# The dual's canonical-map checks, in its order, as they read on the
+# coextension side; each keeps its residual, transposed.
+_TRANSPOSED_CHECKS = (
+    ("cocan-left-colinear", "(coproduct (x) C)cocan = (C (x) cocan)(coproduct (x) A)"),
+    ("cocan-right-linear", "cocan(C (x) m) = (C (x) act)(cocan (x) A)"),
+    ("cocan-bijective", "the canonical map is a bijection onto the cotensor product"),
+    ("cotranslation-counit", "cotranslation . coproduct = unit counit"),
+    ("cotranslation-splits-action", "act(C (x) cotranslation)(coproduct (x) C) = counit (x) C on the cotensor"),
+    ("cotranslation-right-linear", "cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A"),
+)
+
+
 def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | None = None) -> CoextensionCertificate:
     """coextension_check over the given coideal in place of the canonical one;
-    the caller has established the module axioms.  Raises NotCoideal when
-    ``coideal`` is not a coideal.  The canonical psi is validated unless it
-    is ``known``'s structure (check_entwining)."""
+    the caller has established the coalgebra and module axioms.  Raises
+    NotCoideal when ``coideal`` is not a coideal.  The canonical psi is
+    validated unless it is ``known``'s structure (check_entwining).
+
+    The dual x* is balanced over the annihilator of the coideal, a
+    subalgebra of C*.  With P and S the projection and section of that
+    balanced tensor product, the canonical map on the full C (x) A is
+    raw_can(x*)^T = P^T can^T, so it lands in the cotensor image(P^T), and
+    in its echelon coordinates it is T can^T with T = coordinates . P^T,
+    whose inverse is S^T . inclusion.
+    """
     c, a = x.coalgebra, x.algebra
     base, pi = quotient_coalgebra(c, coideal)
-    web = _cotensor_square(c, pi)
-    incl = web.inclusion()
-    coords = web.coordinates()
-    projector = incl @ coords
-    cocan_full = _raw_cocanonical_map(x)
-    if projector @ cocan_full != cocan_full:
-        raise ImageEscape("canonical map image leaves the cotensor product")
-    cocan = coords @ cocan_full
-    ic, ia = c.identity_matrix, a.identity_matrix
-    checks = [
-        AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True),
-        residual_check(
-            "cocan-left-colinear",
-            "(coproduct (x) C)cocan = (C (x) cocan)(coproduct (x) A)",
-            kron(c.comult_matrix, ic) @ cocan_full,
-            kron(ic, cocan_full) @ kron(c.comult_matrix, ia),
-        ),
-        residual_check(
-            "cocan-right-linear",
-            "cocan(C (x) m) = (C (x) act)(cocan (x) A)",
-            cocan_full @ kron(ic, a.mult_matrix),
-            kron(ic, x.action) @ kron(cocan_full, ia),
-        ),
-    ]
-    decision = _decide_onto_cotensor(cocan, web)
-    is_galois = decision.inverse is not None
-    checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, is_galois))
+    xd = dual_comodule_algebra(x)
+    dual = canonical_map_certificate(xd, _annihilator(coideal), _raw_canonical_map(xd))
+    web = image(dual.balanced.projection.transpose())
+    cocan = web.coordinates() @ dual.raw_can.transpose()
+    # the dual's can is defined only if raw_can(x*) vanishes on the balancing
+    # relations (IllDefined otherwise), which is cocan landing in the cotensor
+    checks = [AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True)]
+    for chk, (name, statement) in zip(dual.checks.checks, _TRANSPOSED_CHECKS):
+        checks.append(AxiomCheck(name, statement, None if chk.residual is None else chk.residual.transpose(), chk.ok))
     cert = CoextensionCertificate(
         subject=x,
         coideal=coideal,
@@ -300,20 +286,24 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | No
         base_projection=pi,
         cotensor=web,
         cocan=cocan,
-        rank=decision.rank,
-        is_coextension=is_galois,
-        cocan_inverse=decision.inverse,
+        rank=dual.rank,
+        is_coextension=dual.is_galois,
+        cocan_inverse=None,
         cotranslation=None,
         entwining=None,
-        witness=decision.witness,
+        witness=None if dual.is_galois else _decide_onto_cotensor(cocan, web).witness,
         checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
     )
-    if not is_galois:
+    if not dual.is_galois:
         return cert
-    cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
-    cert = replace(cert, cotranslation=cotranslation)
-    checks.extend(_cotranslation_checks(cert))
-    checked = check_entwining(canonical_entwining_dual(cert), known)
+    from_web = dual.balanced.section.transpose() @ web.inclusion()
+    cert = replace(
+        cert,
+        cocan_inverse=dual.can_inverse.transpose() @ from_web,
+        cotranslation=dual.translation.transpose() @ from_web,
+    )
+    checks.append(_composite_check(cert))
+    checked = check_entwining(EntwiningStructure(a, c, canonical_entwining(dual).psi.transpose()), known)
     checks.extend(checked.report.checks)
     checks.append(
         entwined_module_check(
@@ -325,88 +315,30 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | No
     return replace(cert, entwining=checked, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
-def _cotranslation_checks(cert: CoextensionCertificate) -> list[AxiomCheck]:
-    """The cotranslation identities, each stated on its proper domain."""
+def _composite_check(cert: CoextensionCertificate) -> AxiomCheck:
+    """m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) =
+    cotranslation(C (x) counit (x) C) on the threefold cotensor, checked
+    after both sides are shown to land where the cotranslation is defined."""
     x = cert.subject
     c, a = x.coalgebra, x.algebra
     web = cert.cotensor
-    incl, coords = web.inclusion(), web.coordinates()
-    projector = incl @ coords
-    tau = cert.cotranslation
-    ic, ia = c.identity_matrix, a.identity_matrix
-    d, eps = c.comult_matrix, c.counit_matrix
-    checks: list[AxiomCheck] = []
-    # (i) applying the cotranslation to coproduct(c) returns counit(c) 1.
-    if projector @ d != d:
-        raise ImageEscape("coproduct image leaves the cotensor product")
-    checks.append(
-        residual_check(
-            "cotranslation-counit",
-            "cotranslation . coproduct = unit counit",
-            tau @ coords @ d,
-            a.unit_matrix @ eps,
-        )
-    )
-    # (ii) act(c_(1), cotranslation(c_(2) (x) c')) = counit(c) c' on the cotensor.
-    spread = kron(d, ic) @ incl
-    if kron(ic, projector) @ spread != spread:
-        raise ImageEscape("(coproduct (x) C) leaves C (x) cotensor")
-    checks.append(
-        residual_check(
-            "cotranslation-splits-action",
-            "act(C (x) cotranslation)(coproduct (x) C) = counit (x) C on the cotensor",
-            x.action @ kron(ic, tau @ coords) @ spread,
-            kron(eps, ic) @ incl,
-        )
-    )
-    # (iii) cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A.
-    acted = kron(ic, x.action) @ kron(incl, ia)
-    if projector @ acted != acted:
-        raise ImageEscape("the right action leaves the cotensor product")
-    checks.append(
-        residual_check(
-            "cotranslation-right-linear",
-            "cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A",
-            tau @ coords @ acted,
-            a.mult_matrix @ kron(tau, ia),
-        )
-    )
-    # Composite identity on the threefold cotensor:
-    # m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C).
-    cube = _cotensor_cube(c, cert.base_projection)
-    incl2 = cube.inclusion()
-    middle = kron(ic, kron(d, ic)) @ incl2
+    coords = web.coordinates()
+    projector = web.inclusion() @ coords
+    tau = cert.cotranslation @ coords
+    ic = c.identity_matrix
+    incl = _cotensor_cube(c, cert.base_projection).inclusion()
+    middle = kron(ic, kron(c.comult_matrix, ic)) @ incl
     if kron(projector, projector) @ middle != middle:
         raise ImageEscape("(C (x) coproduct (x) C) leaves cotensor (x) cotensor")
-    squeezed = kron(ic, kron(eps, ic)) @ incl2
+    squeezed = kron(ic, kron(c.counit_matrix, ic)) @ incl
     if projector @ squeezed != squeezed:
         raise ImageEscape("(C (x) counit (x) C) leaves the cotensor product")
-    checks.append(
-        residual_check(
-            "cotranslation-composite",
-            "m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C)",
-            a.mult_matrix @ kron(tau @ coords, tau @ coords) @ middle,
-            tau @ coords @ squeezed,
-        )
+    return residual_check(
+        "cotranslation-composite",
+        "m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C)",
+        a.mult_matrix @ kron(tau, tau) @ middle,
+        tau @ squeezed,
     )
-    return checks
-
-
-def canonical_entwining_dual(cert: CoextensionCertificate) -> EntwiningStructure:
-    """psi = (cotranslation (x) C)(C (x) coproduct) . cocan."""
-    if not cert.is_coextension:
-        raise NotGaloisCoextension("canonical entwining requires a bijective canonical map")
-    x = cert.subject
-    c, a = x.coalgebra, x.algebra
-    web = cert.cotensor
-    incl, coords = web.inclusion(), web.coordinates()
-    projector = incl @ coords
-    ic = c.identity_matrix
-    stretched = kron(ic, c.comult_matrix) @ incl
-    if kron(projector, ic) @ stretched != stretched:
-        raise ImageEscape("(C (x) coproduct) leaves cotensor (x) C")
-    psi = kron(cert.cotranslation @ coords, ic) @ stretched @ cert.cocan
-    return EntwiningStructure(a, c, psi)
 
 
 def dual_uniqueness(cert: CoextensionCertificate) -> UniquenessReport:

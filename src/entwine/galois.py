@@ -243,13 +243,13 @@ def galois_check(x: ComoduleAlgebra, comodule_checks: ValidationReport | None = 
     return _certify(x, coinvariants(x.algebra, coinvariant_system(x, can_full)), can_full)
 
 
-def _certify(
-    x: ComoduleAlgebra, sub: Subspace, can_full: Matrix, known: CheckedEntwining | None = None
-) -> GaloisCertificate:
-    """galois_check balanced over the given subalgebra ``sub`` in place of the
-    coinvariants, with ``can_full`` = _raw_canonical_map(x); the caller has
-    established the comodule axioms.  The canonical psi is validated unless
-    it is ``known``'s structure (check_entwining)."""
+def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCertificate:
+    """The canonical map of x balanced over the subalgebra ``sub``, with
+    ``can_full`` = _raw_canonical_map(x): the balanced tensor product, the
+    induced map ``can`` with its linearity and colinearity checks, the
+    bijectivity decision, and when ``can`` is bijective its inverse and the
+    translation map with its three identities.  The caller has established
+    the comodule axioms; the certificate carries no entwining."""
     a, c = x.algebra, x.coalgebra
     presentation = balanced_tensor(x, sub)
     can = _descend(can_full, presentation, "the canonical map")
@@ -288,19 +288,30 @@ def _certify(
     )
     if not is_galois:
         return cert
-    translation = decision.inverse @ kron(a.unit_matrix, c.identity_matrix)
-    cert = replace(cert, translation=translation)
+    cert = replace(cert, translation=decision.inverse @ kron(a.unit_matrix, c.identity_matrix))
     checks.extend(_translation_checks(cert))
+    return replace(cert, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
+
+
+def _certify(
+    x: ComoduleAlgebra, sub: Subspace, can_full: Matrix, known: CheckedEntwining | None = None
+) -> GaloisCertificate:
+    """galois_check balanced over the given subalgebra ``sub`` in place of the
+    coinvariants: the canonical map certificate, and when it is Galois the
+    canonical psi with the entwined-module property of A.  The canonical psi
+    is validated unless it is ``known``'s structure (check_entwining)."""
+    cert = canonical_map_certificate(x, sub, can_full)
+    if not cert.is_galois:
+        return cert
+    a = x.algebra
     checked = check_entwining(canonical_entwining(cert), known)
-    checks.extend(checked.report.checks)
-    checks.append(
-        entwined_module_check(
-            RightModule(a.dim, a, a.mult_matrix),
-            RightComodule(a.dim, c, x.coaction),
-            checked.structure,
-        )
+    module = entwined_module_check(
+        RightModule(a.dim, a, a.mult_matrix),
+        RightComodule(a.dim, x.coalgebra, x.coaction),
+        checked.structure,
     )
-    return replace(cert, entwining=checked, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
+    checks = cert.checks.checks + checked.report.checks + (module,)
+    return replace(cert, entwining=checked, checks=ValidationReport("coalgebra-Galois extension", checks))
 
 
 def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:

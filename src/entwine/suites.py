@@ -253,6 +253,8 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
         action=doc.action is not None,
     )
     report = SuiteReport("cogalois")
+    if not _gate(report, "cogalois.coalgebra", validate_coalgebra(doc.coalgebra)):
+        return report
     x = doc.module_coalgebra
     module_validation = validate_module(x.module)
     _add_validation(report, "cogalois.module", module_validation)

@@ -20,13 +20,28 @@ replaced with a kernel fixed point, the per-basis-vector coinvariant
 blocks, which the library reads off one coinvariant system, and the
 horizontal forms with one operator rebuilt per (w, i, j), which the library
 builds once per check.
+
+Last comes the coextension certificate built on the cotensor product
+C box_B C itself: the canonical coideal spanned over basis inputs and
+dual-basis functionals, the cotensor as the kernel of the equalising map,
+the canonical map co-restricted to it, the cotranslation identities each
+checked after its containment, and the dual entwining formula.  The library
+reads all of it off the Galois certificate of the dual comodule algebra.
 """
 
 from __future__ import annotations
 
-from entwine.cogalois import quotient_coalgebra
+from dataclasses import replace
+
+from entwine.cogalois import (
+    CoextensionCertificate,
+    _cotensor_cube,
+    _decide_onto_cotensor,
+    quotient_coalgebra,
+)
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
-from entwine.errors import DimensionMismatch
+from entwine.entwining import EntwiningStructure, check_entwining, entwined_module_check
+from entwine.errors import DimensionMismatch, ImageEscape, NotGaloisCoextension
 from entwine.exactlin import (
     Matrix,
     Subspace,
@@ -35,9 +50,11 @@ from entwine.exactlin import (
     intersect,
     kernel,
     kron,
+    row_matrix,
     stack_rows,
     subspace_sum,
 )
+from entwine.structures import AxiomCheck, RightComodule, RightModule, ValidationReport, residual_check
 
 
 def matmul(a: Matrix, b: Matrix) -> tuple:
@@ -335,3 +352,205 @@ def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
                 rj = kron(a.identity_matrix, a.right_multiplication(basis_vector(a.dim, j, field)))
                 vectors.append((li @ rj).apply(w))
     return Subspace.from_spanning(vectors, a.dim * a.dim, field)
+
+
+def canonical_coideal_by_basis(x) -> Subspace:
+    """The coideal spanned, over all basis inputs and dual-basis functionals, by
+    act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
+
+    Letting f range over the dual basis exhausts all functionals because the
+    expression is linear in f."""
+    c, a = x.coalgebra, x.algebra
+    field = c.field
+    nc = c.dim
+    d = c.comult_matrix
+    vectors = []
+    for j in range(a.dim):
+        aj = column_matrix(basis_vector(a.dim, j, field), field)
+        act_j = x.action @ kron(c.identity_matrix, aj)          # c |-> act(c, a_j)
+        first = d @ act_j                                       # C -> C (x) C
+        second = kron(c.identity_matrix, act_j) @ d             # c |-> c_(1) (x) act(c_(2), a_j)
+        for k in range(nc):
+            pick = kron(c.identity_matrix, row_matrix(basis_vector(nc, k, field), field))
+            diff = pick @ first - pick @ second
+            vectors.extend(diff.columns())
+    return Subspace.from_spanning(vectors, nc, field)
+
+
+def cotensor(right_coaction: Matrix, left_coaction: Matrix) -> Subspace:
+    """Kernel of the coaction-equalising map inside M (x) N.
+
+    ``right_coaction``: M -> M (x) B; ``left_coaction``: N -> B (x) N.
+    """
+    m_dim = right_coaction.cols
+    n_dim = left_coaction.cols
+    if m_dim == 0 or n_dim == 0:
+        return Subspace.zero_subspace(m_dim * n_dim, right_coaction.field)
+    if right_coaction.rows % m_dim or left_coaction.rows % n_dim:
+        raise DimensionMismatch("coaction shapes are not multiples of the carrier")
+    b_dim = right_coaction.rows // m_dim
+    if left_coaction.rows != b_dim * n_dim:
+        raise DimensionMismatch("the two coactions disagree on the base coalgebra")
+    field = right_coaction.field
+    ell = kron(right_coaction, Matrix.identity(n_dim, field)) - kron(Matrix.identity(m_dim, field), left_coaction)
+    return kernel(ell)
+
+
+def _cotensor_square(c, pi: Matrix) -> Subspace:
+    rc = kron(c.identity_matrix, pi) @ c.comult_matrix
+    lc = kron(pi, c.identity_matrix) @ c.comult_matrix
+    return cotensor(rc, lc)
+
+
+def _raw_cocanonical_map(x) -> Matrix:
+    """(C (x) act)(coproduct (x) A) on the full C (x) A, landing in C (x) C."""
+    c, a = x.coalgebra, x.algebra
+    return kron(c.identity_matrix, x.action) @ kron(c.comult_matrix, a.identity_matrix)
+
+
+def certify_by_cotensor(x, coideal: Subspace, known=None) -> CoextensionCertificate:
+    """The coextension certificate over ``coideal``, built on the cotensor
+    product: the canonical map must land in it, and the cotranslation
+    identities are stated on it and its iterates."""
+    c, a = x.coalgebra, x.algebra
+    base, pi = quotient_coalgebra(c, coideal)
+    web = _cotensor_square(c, pi)
+    incl = web.inclusion()
+    coords = web.coordinates()
+    projector = incl @ coords
+    cocan_full = _raw_cocanonical_map(x)
+    if projector @ cocan_full != cocan_full:
+        raise ImageEscape("canonical map image leaves the cotensor product")
+    cocan = coords @ cocan_full
+    ic, ia = c.identity_matrix, a.identity_matrix
+    checks = [
+        AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True),
+        residual_check(
+            "cocan-left-colinear",
+            "(coproduct (x) C)cocan = (C (x) cocan)(coproduct (x) A)",
+            kron(c.comult_matrix, ic) @ cocan_full,
+            kron(ic, cocan_full) @ kron(c.comult_matrix, ia),
+        ),
+        residual_check(
+            "cocan-right-linear",
+            "cocan(C (x) m) = (C (x) act)(cocan (x) A)",
+            cocan_full @ kron(ic, a.mult_matrix),
+            kron(ic, x.action) @ kron(cocan_full, ia),
+        ),
+    ]
+    decision = _decide_onto_cotensor(cocan, web)
+    is_galois = decision.inverse is not None
+    checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, is_galois))
+    cert = CoextensionCertificate(
+        subject=x,
+        coideal=coideal,
+        base=base,
+        base_projection=pi,
+        cotensor=web,
+        cocan=cocan,
+        rank=decision.rank,
+        is_coextension=is_galois,
+        cocan_inverse=decision.inverse,
+        cotranslation=None,
+        entwining=None,
+        witness=decision.witness,
+        checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
+    )
+    if not is_galois:
+        return cert
+    cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
+    cert = replace(cert, cotranslation=cotranslation)
+    checks.extend(_cotranslation_checks(cert))
+    checked = check_entwining(canonical_entwining_dual(cert), known)
+    checks.extend(checked.report.checks)
+    checks.append(
+        entwined_module_check(
+            RightModule(c.dim, a, x.action),
+            RightComodule(c.dim, c, c.comult_matrix),
+            checked.structure,
+        )
+    )
+    return replace(cert, entwining=checked, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
+
+
+def _cotranslation_checks(cert: CoextensionCertificate) -> list:
+    """The cotranslation identities, each stated on its proper domain."""
+    x = cert.subject
+    c, a = x.coalgebra, x.algebra
+    web = cert.cotensor
+    incl, coords = web.inclusion(), web.coordinates()
+    projector = incl @ coords
+    tau = cert.cotranslation
+    ic, ia = c.identity_matrix, a.identity_matrix
+    d, eps = c.comult_matrix, c.counit_matrix
+    checks = []
+    # (i) applying the cotranslation to coproduct(c) returns counit(c) 1.
+    if projector @ d != d:
+        raise ImageEscape("coproduct image leaves the cotensor product")
+    checks.append(
+        residual_check(
+            "cotranslation-counit",
+            "cotranslation . coproduct = unit counit",
+            tau @ coords @ d,
+            a.unit_matrix @ eps,
+        )
+    )
+    # (ii) act(c_(1), cotranslation(c_(2) (x) c')) = counit(c) c' on the cotensor.
+    spread = kron(d, ic) @ incl
+    if kron(ic, projector) @ spread != spread:
+        raise ImageEscape("(coproduct (x) C) leaves C (x) cotensor")
+    checks.append(
+        residual_check(
+            "cotranslation-splits-action",
+            "act(C (x) cotranslation)(coproduct (x) C) = counit (x) C on the cotensor",
+            x.action @ kron(ic, tau @ coords) @ spread,
+            kron(eps, ic) @ incl,
+        )
+    )
+    # (iii) cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A.
+    acted = kron(ic, x.action) @ kron(incl, ia)
+    if projector @ acted != acted:
+        raise ImageEscape("the right action leaves the cotensor product")
+    checks.append(
+        residual_check(
+            "cotranslation-right-linear",
+            "cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A",
+            tau @ coords @ acted,
+            a.mult_matrix @ kron(tau, ia),
+        )
+    )
+    # Composite identity on the threefold cotensor.
+    cube = _cotensor_cube(c, cert.base_projection)
+    incl2 = cube.inclusion()
+    middle = kron(ic, kron(d, ic)) @ incl2
+    if kron(projector, projector) @ middle != middle:
+        raise ImageEscape("(C (x) coproduct (x) C) leaves cotensor (x) cotensor")
+    squeezed = kron(ic, kron(eps, ic)) @ incl2
+    if projector @ squeezed != squeezed:
+        raise ImageEscape("(C (x) counit (x) C) leaves the cotensor product")
+    checks.append(
+        residual_check(
+            "cotranslation-composite",
+            "m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C)",
+            a.mult_matrix @ kron(tau @ coords, tau @ coords) @ middle,
+            tau @ coords @ squeezed,
+        )
+    )
+    return checks
+
+
+def canonical_entwining_dual(cert: CoextensionCertificate) -> EntwiningStructure:
+    """psi = (cotranslation (x) C)(C (x) coproduct) . cocan."""
+    if not cert.is_coextension:
+        raise NotGaloisCoextension("canonical entwining requires a bijective canonical map")
+    x = cert.subject
+    c, a = x.coalgebra, x.algebra
+    web = cert.cotensor
+    incl, coords = web.inclusion(), web.coordinates()
+    projector = incl @ coords
+    ic = c.identity_matrix
+    stretched = kron(ic, c.comult_matrix) @ incl
+    if kron(projector, ic) @ stretched != stretched:
+        raise ImageEscape("(C (x) coproduct) leaves cotensor (x) C")
+    psi = kron(cert.cotranslation @ coords, ic) @ stretched @ cert.cocan
+    return EntwiningStructure(a, c, psi)

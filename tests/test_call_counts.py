@@ -157,9 +157,23 @@ def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
 
 
 def test_group_coextension_quotient_count(count_calls):
-    counts = count_calls(cogalois.coextension_check, exactlin.quotient, structures.validate_module)
+    counts = count_calls(
+        cogalois.coextension_check,
+        exactlin.quotient,
+        structures.validate_module,
+        galois.balanced_tensor,
+        galois._raw_canonical_map,
+        entwining.validate_entwining,
+    )
     _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts["coextension_check"] == 1
     assert counts["quotient"] <= 2
     # the suite's gate, read by coextension_check, and the dual bundle equivalence
     assert counts["validate_module"] == 2
+    # the certificate is the dual's one canonical map certificate, and the
+    # dual bundle at the trivial character is the certificate itself
+    assert counts["balanced_tensor"] == 1
+    assert counts["validate_entwining"] == 1
+    # the dual's raw canonical map: for the canonical coideal, for the
+    # certificate, and for the canonical coideal in the equivalence
+    assert counts["_raw_canonical_map"] == 3

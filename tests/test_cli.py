@@ -236,12 +236,28 @@ class TestInputContract:
         assert failing == ["cogenerate.comodule.coaction-coassociativity", "cogenerate.comodule.coaction-counit"]
         assert not any(c["id"].startswith("cogenerate.coinvariant") for c in checks)
 
+    @pytest.mark.parametrize("group", ["Z2", "Z3"])
+    def test_cogalois_reports_an_invalid_coalgebra_before_the_coideal(self, tmp_path, group):
+        doc = json.loads(emit_to(tmp_path, "group-coextension", {"group": group}).read_text(encoding="utf-8"))
+        doc["coalgebra"]["comult"].append({"c": "1", "i": 1, "j": 0, "k": 1})
+        path = tmp_path / "bad_coalgebra.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "cogalois", "--report", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "NotCoideal" not in proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        assert checks and all(c["id"].startswith("cogalois.coalgebra.") for c in checks)
+        assert all(c["status"] == "fail" and "residual" in c["detail"] for c in checks)
+
     @pytest.mark.parametrize(
         "name, param",
         [
             ("quadratic-field-extension", "d=x"),
             ("quadratic-field-extension", "d=1/0"),
             ("group-algebra", "table=abc"),
+            ("group-algebra", "table=[[0,1],[1,0]"),
+            ("group-algebra", "table=5"),
+            ("group-algebra", "table=" + "[" * 100000),
         ],
     )
     def test_malformed_example_parameter_is_refused(self, name, param):
@@ -249,6 +265,17 @@ class TestInputContract:
         assert proc.returncode == 2
         assert "error: BadParams" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_cayley_table_and_names_from_the_command_line(self):
+        custom = _run_cli("example", "group-algebra", "--param", "table=[[0,1],[1,0]]", "--param", "names=1,g")
+        named = _run_cli("example", "group-algebra", "--param", "group=Z2")
+        assert custom.returncode == named.returncode == 0
+        assert custom.stdout == named.stdout
+
+    def test_cayley_table_names_must_match_its_size(self):
+        proc = _run_cli("example", "group-algebra", "--param", "table=[[0,1],[1,0]]", "--param", "names=1")
+        assert proc.returncode == 2
+        assert "error: BadParams: names length must match table size" in proc.stderr
 
     def test_deeply_nested_document_is_refused(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -1,21 +1,23 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dense_oracles import comult_tensor
+from dense_oracles import canonical_coideal_by_basis, certify_by_cotensor, comult_tensor, cotensor
 from entwine.catalogue import (
     coset_coideal,
     group_algebra,
     group_self_coextension,
+    quadratic_field_extension,
     self_extension,
+    sweedler_hopf_algebra,
 )
 from entwine.cogalois import (
     action_forced_by_counit,
     canonical_coideal,
     coextension_check,
     coideal_checks,
-    cotensor,
     dual_bundle_action_equivalence,
     dual_bundle_check,
     dual_uniqueness,
@@ -26,7 +28,14 @@ from entwine.entwining import EntwiningStructure, validate_entwining
 from entwine.errors import NotCharacter, NotCoideal
 from entwine.exactlin import Matrix, Subspace, kron, quotient
 from entwine.fields import GF, QQ
-from entwine.structures import Character, ModuleCoalgebra, dualize, field_algebra
+from entwine.structures import Character, ModuleCoalgebra, dualize, field_algebra, field_coalgebra
+from subgroup_coextensions import (
+    random_basis,
+    subgroup_coextension,
+    transport_character,
+    transport_coextension,
+    trivial_coextension,
+)
 
 GF7 = GF(7)
 
@@ -321,3 +330,95 @@ class TestDualityCrossCheck:
         cert = coextension_check(dual_x)
         assert cert.is_coextension
         assert cert.psi.psi == primal.psi.psi.transpose()
+
+
+def _dual_of(x):
+    """The module coalgebra dual to a comodule algebra."""
+    return ModuleCoalgebra(dualize(x.algebra), dualize(x.coalgebra), x.coaction.transpose())
+
+
+def _on_dense_basis(x, seed):
+    """x and its trivial character moved to seeded random bases over GF(7)."""
+    rng = random.Random(seed)
+    t = random_basis(x.coalgebra.dim, GF7, rng)
+    s = random_basis(x.algebra.dim, GF7, rng)
+    return transport_coextension(x, t, s), transport_character((GF7.one,) * x.algebra.dim, s)
+
+
+def _coextension_inputs():
+    """(label, module coalgebra, character of its algebra or None)."""
+    inputs = []
+    for group in ("Z2", "Z3", "Z4", "S3"):
+        h = group_algebra({"group": group}, QQ)
+        inputs.append((f"group-coextension {group}", group_self_coextension(h), (QQ.one,) * h.dim))
+    h = group_algebra({"group": "Z3"}, GF7)
+    inputs.append(("group-coextension Z3 GF(7)", group_self_coextension(h), (GF7.one,) * h.dim))
+    sweedler = sweedler_hopf_algebra(QQ)
+    inputs.append(("sweedler-h4", group_self_coextension(sweedler), tuple(sweedler.coalgebra.counit)))
+    inputs.append(("dual of quadratic-field-extension", _dual_of(quadratic_field_extension(2, QQ)), None))
+    inputs.append(("dual of trivial-hopf-galois S3", _dual_of(self_extension(group_algebra({"group": "S3"}, QQ))), None))
+    z2 = group_algebra({"group": "Z2"}, QQ)
+    inputs.append(("collapsed action", ModuleCoalgebra(field_coalgebra(QQ), z2.algebra, Matrix.from_rows([[1, 1]], QQ)), None))
+    for group, generator in (("Z4", "g2"), ("S3", "(12)"), ("S3", "(123)")):
+        for build, kind in ((subgroup_coextension, "subgroup"), (trivial_coextension, "trivial")):
+            x = build(group, generator, QQ)
+            inputs.append((f"{kind} {group}>{generator}", x, (QQ.one,) * x.algebra.dim))
+            for seed in (1, 2):
+                y, kappa = _on_dense_basis(build(group, generator, GF7), seed)
+                inputs.append((f"{kind} {group}>{generator} GF(7) seed {seed}", y, kappa))
+    return inputs
+
+
+_INPUTS = _coextension_inputs()
+
+
+def _fields(cert) -> dict:
+    """Every field of a coextension certificate, with its checks as (name, status)."""
+    return {
+        "coideal": cert.coideal,
+        "base": cert.base,
+        "base_projection": cert.base_projection,
+        "cotensor": cert.cotensor,
+        "cocan": cert.cocan,
+        "rank": cert.rank,
+        "is_coextension": cert.is_coextension,
+        "cocan_inverse": cert.cocan_inverse,
+        "cotranslation": cert.cotranslation,
+        "psi": cert.psi.psi if cert.psi else None,
+        "witness": cert.witness,
+        "checks": [(chk.name, chk.ok) for chk in cert.checks.checks],
+    }
+
+
+def _assert_same_certificate(cert, oracle):
+    mine, theirs = _fields(cert), _fields(oracle)
+    assert [key for key in mine if mine[key] != theirs[key]] == []
+
+
+class TestAgainstTheCotensorOracle:
+    """The certificate read off the dual's Galois certificate equals the one
+    built on the cotensor product, field by field."""
+
+    @pytest.mark.parametrize("label, x, kappa", _INPUTS, ids=[label for label, _, _ in _INPUTS])
+    def test_certificate_fields_match(self, label, x, kappa):
+        coideal = canonical_coideal(x)
+        assert coideal == canonical_coideal_by_basis(x)
+        cert = coextension_check(x)
+        _assert_same_certificate(cert, certify_by_cotensor(x, coideal))
+        if cert.is_coextension and kappa is not None:
+            bundle = dual_bundle_check(cert.psi, Character(x.algebra, kappa)).certificate
+            _assert_same_certificate(bundle, certify_by_cotensor(bundle.subject, bundle.coideal))
+
+    def test_inputs_reach_every_base_dimension_and_the_witness(self):
+        certs = {label: coextension_check(x) for label, x, _ in _INPUTS}
+        dense = {cert.base.dim for label, cert in certs.items() if "GF(7)" in label}
+        assert {2, 3, 6} <= dense
+        assert any(cert.witness is not None for label, cert in certs.items() if "GF(7)" in label)
+
+    def test_flip_dual_bundle_matches(self, z2_hopf):
+        from entwine.entwining import flip_entwining
+
+        e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
+        bundle = dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))).certificate
+        assert not bundle.is_coextension
+        _assert_same_certificate(bundle, certify_by_cotensor(bundle.subject, bundle.coideal))
