@@ -272,11 +272,6 @@ class TestInputContract:
         assert custom.returncode == named.returncode == 0
         assert custom.stdout == named.stdout
 
-    def test_cayley_table_names_must_match_its_size(self):
-        proc = _run_cli("example", "group-algebra", "--param", "table=[[0,1],[1,0]]", "--param", "names=1")
-        assert proc.returncode == 2
-        assert "error: BadParams: names length must match table size" in proc.stderr
-
     def test_deeply_nested_document_is_refused(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 200000, encoding="utf-8")
