@@ -69,7 +69,8 @@ class GaloisCertificate:
     the map it induces on the balanced tensor product (quotient
     coordinates); ``translation`` sends C into the quotient; ``entwining``
     is the canonical entwining map ``psi`` with its validate_entwining
-    report, present exactly when the extension is Galois.
+    report, present exactly when the extension is Galois, except in a bare
+    canonical_map_certificate, which carries none.
     """
 
     subject: ComoduleAlgebra
