@@ -9,7 +9,8 @@ always reached); no other suite takes a cutoff.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 input error
 (malformed document, missing section, unknown example or suite, a prime
-modulus too large for exact primality testing).
+modulus too large for exact primality testing, a document too large to check
+or report in the memory available).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from .catalogue import EXAMPLE_NAMES, build
 from .docformat import document_from_example, document_to_text, parse_document
-from .errors import BadParams, EntwineError, InvalidDocument, MissingSection, UnknownExample
+from .errors import BadParams, EntwineError, InvalidDocument, UnknownExample
 from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
@@ -72,19 +73,19 @@ def _cmd_check(args) -> int:
         return EXIT_INPUT
     try:
         doc = parse_document(text)
+        report = run_suite(doc, args.suite, args.cutoff)
+        out = report.to_json() if args.report == "json" else report.render_text()
     except InvalidDocument as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        report = run_suite(doc, args.suite, args.cutoff)
-    except MissingSection as exc:
-        print(f"error: MissingSection: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except EntwineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(report.to_json() if args.report == "json" else report.render_text())
+    except MemoryError:
+        print("error: MemoryError: not enough memory to check and report this document", file=sys.stderr)
+        return EXIT_INPUT
+    sys.stdout.write(out)
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .entwining import (
-    CheckedEntwining,
-    EntwiningStructure,
-    check_entwining,
-    entwined_module_check,
-)
+from .entwining import EntwiningStructure, entwined_module_check, known_entwining
 from .errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -48,7 +43,6 @@ from .exactlin import (
 )
 from .galois import (
     UniquenessReport,
-    _raw_canonical_map,
     canonical_entwining,
     canonical_map_certificate,
     coinvariant_system,
@@ -58,17 +52,13 @@ from .galois import (
 from .structures import (
     AxiomCheck,
     Character,
-    ComoduleAlgebra,
     FiniteAlgebra,
     FiniteCoalgebra,
     ModuleCoalgebra,
     RightComodule,
     RightModule,
     ValidationReport,
-    dualize,
     residual_check,
-    validate_coalgebra,
-    validate_module,
     verify_character,
 )
 
@@ -79,9 +69,8 @@ class CoextensionCertificate:
 
     ``cocan`` is co-restricted to the cotensor product (coordinates against
     its echelon basis); ``cotranslation`` maps those coordinates to A;
-    ``entwining`` is the canonical entwining map ``psi`` with its
-    validate_entwining report, present exactly when the coextension is
-    Galois.
+    ``psi`` is the canonical entwining map, present exactly when the
+    coextension is Galois.
     """
 
     subject: ModuleCoalgebra
@@ -94,13 +83,9 @@ class CoextensionCertificate:
     is_coextension: bool
     cocan_inverse: Matrix | None
     cotranslation: Matrix | None
-    entwining: CheckedEntwining | None
+    psi: EntwiningStructure | None
     witness: tuple | None
     checks: ValidationReport
-
-    @property
-    def psi(self) -> EntwiningStructure | None:
-        return self.entwining.structure if self.entwining else None
 
 
 def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tuple[AxiomCheck, ...]:
@@ -121,12 +106,6 @@ def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tu
     )
 
 
-def dual_comodule_algebra(x: ModuleCoalgebra) -> ComoduleAlgebra:
-    """x* = (C*, A*, act^T): the algebra C* coacted on by the coalgebra A*
-    through the transposed action."""
-    return ComoduleAlgebra(dualize(x.coalgebra), dualize(x.algebra), x.action.transpose())
-
-
 def _annihilator(sub: Subspace) -> Subspace:
     """The functionals vanishing on ``sub``, in the dual basis: the kernel of
     the matrix whose rows are its basis."""
@@ -138,12 +117,11 @@ def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
     act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
 
     A functional annihilates it exactly when it is coinvariant in the dual
-    comodule algebra x*, so it is the annihilator of those coinvariants.  The
-    action must already satisfy the module axioms over a coalgebra;
+    comodule algebra x.dual, so it is the annihilator of those coinvariants.
+    The action must already satisfy the module axioms over a coalgebra;
     quotient_coalgebra decides the coideal property.
     """
-    xd = dual_comodule_algebra(x)
-    return _annihilator(coinvariants(xd.algebra, coinvariant_system(xd, _raw_canonical_map(xd))))
+    return _annihilator(coinvariants(x.dual.algebra, coinvariant_system(x.dual)))
 
 
 def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra: FiniteCoalgebra) -> Subspace:
@@ -207,7 +185,7 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     e_b = c.counit_matrix @ sigma
     names = tuple(f"q{i}" for i in range(b_dim))
     base = FiniteCoalgebra(b_dim, names, d_b, e_b.entries[0], field)
-    if not validate_coalgebra(base).ok:
+    if not base.checks.ok:
         raise InternalCheckError("quotient coalgebra failed its axioms")
     return base, pi
 
@@ -230,16 +208,14 @@ def _decide_onto_cotensor(cocan: Matrix, web: Subspace) -> Bijectivity:
     return decision
 
 
-def coextension_check(x: ModuleCoalgebra, module_checks: ValidationReport | None = None) -> CoextensionCertificate:
+def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
     """Certify x over the quotient by its canonical coideal: the canonical
     map onto the cotensor product with its bijectivity decision, the
     cotranslation identities and the canonical entwining map, read off the
     Galois certificate of the dual comodule algebra.  C must satisfy the
-    coalgebra axioms, as the cogalois suite checks first.  ``module_checks``
-    is validate_module(x.module) when the caller holds it."""
-    report = validate_module(x.module) if module_checks is None else module_checks
-    if not report.ok:
-        raise AxiomViolation("action does not satisfy the module axioms", report=report)
+    coalgebra axioms, as the cogalois suite checks first."""
+    if not x.module_checks.ok:
+        raise AxiomViolation("action does not satisfy the module axioms", report=x.module_checks)
     return _certify(x, canonical_coideal(x))
 
 
@@ -255,11 +231,11 @@ _TRANSPOSED_CHECKS = (
 )
 
 
-def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | None = None) -> CoextensionCertificate:
+def _certify(x: ModuleCoalgebra, coideal: Subspace, known: EntwiningStructure | None = None) -> CoextensionCertificate:
     """coextension_check over the given coideal in place of the canonical one;
     the caller has established the coalgebra and module axioms.  Raises
-    NotCoideal when ``coideal`` is not a coideal.  The canonical psi is
-    validated unless it is ``known``'s structure (check_entwining).
+    NotCoideal when ``coideal`` is not a coideal.  A canonical psi equal to
+    ``known`` is ``known`` (known_entwining).
 
     The dual x* is balanced over the annihilator of the coideal, a
     subalgebra of C*.  With P and S the projection and section of that
@@ -270,10 +246,9 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | No
     """
     c, a = x.coalgebra, x.algebra
     base, pi = quotient_coalgebra(c, coideal)
-    xd = dual_comodule_algebra(x)
-    dual = canonical_map_certificate(xd, _annihilator(coideal), _raw_canonical_map(xd))
+    dual = canonical_map_certificate(x.dual, _annihilator(coideal))
     web = image(dual.balanced.projection.transpose())
-    cocan = web.coordinates() @ dual.raw_can.transpose()
+    cocan = web.coordinates() @ x.dual.raw_can.transpose()
     # the dual's can is defined only if raw_can(x*) vanishes on the balancing
     # relations (IllDefined otherwise), which is cocan landing in the cotensor
     checks = [AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True)]
@@ -290,7 +265,7 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | No
         is_coextension=dual.is_galois,
         cocan_inverse=None,
         cotranslation=None,
-        entwining=None,
+        psi=None,
         witness=None if dual.is_galois else _decide_onto_cotensor(cocan, web).witness,
         checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
     )
@@ -303,16 +278,16 @@ def _certify(x: ModuleCoalgebra, coideal: Subspace, known: CheckedEntwining | No
         cotranslation=dual.translation.transpose() @ from_web,
     )
     checks.append(_composite_check(cert))
-    checked = check_entwining(EntwiningStructure(a, c, canonical_entwining(dual).psi.transpose()), known)
-    checks.extend(checked.report.checks)
+    psi = known_entwining(EntwiningStructure(a, c, canonical_entwining(dual).psi.transpose()), known)
+    checks.extend(psi.checks.checks)
     checks.append(
         entwined_module_check(
             RightModule(c.dim, a, x.action),
             RightComodule(c.dim, c, c.comult_matrix),
-            checked.structure,
+            psi,
         )
     )
-    return replace(cert, entwining=checked, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
+    return replace(cert, psi=psi, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
 def _composite_check(cert: CoextensionCertificate) -> AxiomCheck:
@@ -381,10 +356,10 @@ def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, chara
     The entwining identities and kappa a character make (kappa (x) C)psi a
     right action and I a coideal.
 
-    ``source`` is psi, or a coextension certificate, whose psi comes with
-    its entwining report.  When the induced action and I equal that
-    certificate's action and coideal, the dual bundle's certificate is that
-    certificate, since _certify is deterministic in them.
+    ``source`` is psi, or a coextension certificate, whose psi is then the
+    one used.  When the induced action and I equal that certificate's action
+    and coideal, the dual bundle's certificate is that certificate, since
+    _certify is deterministic in them.
     """
     extension = source if isinstance(source, CoextensionCertificate) else None
     if extension is not None and not extension.is_coextension:
@@ -396,16 +371,15 @@ def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, chara
         raise DimensionMismatch("character lives on a different algebra")
     if not verify_character(a, character.coords):
         raise NotCharacter("supplied functional is not a character")
-    checked = check_entwining(e) if extension is None else extension.entwining
-    if not checked.report.ok:
-        raise AxiomViolation("entwining identities fail", report=checked.report)
+    if not e.checks.ok:
+        raise AxiomViolation("entwining identities fail", report=e.checks)
     kap = row_matrix(character.coords, field)
     action = kron(kap, c.identity_matrix) @ e.psi
     coideal = image(action - kron(c.identity_matrix, kap))
     carrier = ModuleCoalgebra(c, a, action)
     if extension is not None and carrier == extension.subject and coideal == extension.coideal:
         return DualBundleReport(e, tuple(character.coords), extension)
-    return DualBundleReport(e, tuple(character.coords), _certify(carrier, coideal, checked))
+    return DualBundleReport(e, tuple(character.coords), _certify(carrier, coideal, e))
 
 
 @dataclass(frozen=True)
@@ -459,7 +433,7 @@ def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquiva
     cert = bundle.certificate
     carrier = cert.subject
     c = carrier.coalgebra
-    if not validate_module(carrier.module).ok:
+    if not carrier.module_checks.ok:
         return DualBundleEquivalenceReport(False, "induced map is not an action", bundle=bundle)
     action = carrier.action
     kap = row_matrix(bundle.character, c.field)

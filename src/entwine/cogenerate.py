@@ -47,7 +47,7 @@ from .exactlin import (
     quotient,
     stack_rows,
 )
-from .galois import _raw_canonical_map, coinvariant_system, coinvariants
+from .galois import coinvariant_system, coinvariants
 from .structures import ComoduleAlgebra, FiniteCoalgebra
 
 
@@ -154,7 +154,7 @@ def coinvariant_intersection_check(x: ComoduleAlgebra, cogeneration: Cogeneratio
     if cogeneration.coalgebra != x.coalgebra:
         raise DimensionMismatch("cogeneration report is about a different coalgebra")
     a = x.algebra
-    system = coinvariant_system(x, _raw_canonical_map(x))
+    system = coinvariant_system(x)
     full = coinvariants(a, system)
     # the system of the quotient coaction (A (x) pi)coaction is (A (x) pi) . D
     sub_1, sub_2 = (coinvariants(a, kron(a.identity_matrix, pi) @ system) for _, pi in cogeneration.quotients)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalogue import ExampleSpec
 from .errors import FieldParseError, InvalidDocument, SchemaError
@@ -50,7 +51,12 @@ class SpaceDecl:
 
 @dataclass
 class StructureDocument:
-    """Parsed, shape-checked document contents; sections absent are None/empty."""
+    """Parsed, shape-checked document contents; sections absent are None/empty.
+
+    The structures built from the sections are cached, so every suite run on
+    one document reads the same objects and their cached reports; set the
+    sections before reading them.
+    """
 
     field: FieldSpec
     spaces: dict[str, SpaceDecl]
@@ -66,7 +72,7 @@ class StructureDocument:
     coideals: tuple[tuple[str, tuple[tuple, ...]], ...] = ()
     psi: Matrix | None = None
 
-    @property
+    @cached_property
     def hopf(self) -> HopfAlgebra | None:
         if self.algebra is None or self.coalgebra is None or self.antipode is None:
             return None
@@ -74,19 +80,19 @@ class StructureDocument:
             return None
         return HopfAlgebra(self.algebra, self.coalgebra, self.antipode)
 
-    @property
+    @cached_property
     def comodule_algebra(self) -> ComoduleAlgebra | None:
         if self.algebra is None or self.coalgebra is None or self.coaction is None:
             return None
         return ComoduleAlgebra(self.algebra, self.coalgebra, self.coaction)
 
-    @property
+    @cached_property
     def module_coalgebra(self) -> ModuleCoalgebra | None:
         if self.algebra is None or self.coalgebra is None or self.action is None:
             return None
         return ModuleCoalgebra(self.coalgebra, self.algebra, self.action)
 
-    @property
+    @cached_property
     def entwining(self):
         if self.algebra is None or self.coalgebra is None or self.psi is None:
             return None

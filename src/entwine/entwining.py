@@ -10,6 +10,7 @@ composites instead of re-deriving index arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AxiomViolation, DimensionMismatch, NotInvertibleError
 from .exactlin import Matrix, flip_map, kron, tensor_permutation
@@ -40,6 +41,11 @@ class EntwiningStructure:
         if self.psi.rows != a * c or self.psi.cols != c * a:
             raise DimensionMismatch("psi is not (|A||C|) x (|C||A|)")
 
+    @cached_property
+    def checks(self) -> ValidationReport:
+        """validate_entwining(self)."""
+        return validate_entwining(self)
+
 
 @dataclass(frozen=True)
 class StructureMapPair:
@@ -49,6 +55,11 @@ class StructureMapPair:
     coalgebra: FiniteCoalgebra
     mu: Matrix      # A (x) C (x) A -> A (x) C
     delta: Matrix   # C (x) A -> C (x) A (x) C
+
+    @cached_property
+    def checks(self) -> ValidationReport:
+        """validate_structure_maps(self)."""
+        return validate_structure_maps(self)
 
 
 def validate_entwining(e: EntwiningStructure) -> ValidationReport:
@@ -87,20 +98,10 @@ def validate_entwining(e: EntwiningStructure) -> ValidationReport:
     return ValidationReport("entwining structure", checks)
 
 
-@dataclass(frozen=True)
-class CheckedEntwining:
-    """An entwining structure with its validate_entwining report."""
-
-    structure: EntwiningStructure
-    report: ValidationReport
-
-
-def check_entwining(e: EntwiningStructure, known: CheckedEntwining | None = None) -> CheckedEntwining:
-    """e with validate_entwining(e), which is ``known``'s report when e equals
-    its structure over the same A and C: the report depends on nothing else."""
-    if known is not None and known.structure == e:
-        return known
-    return CheckedEntwining(e, validate_entwining(e))
+def known_entwining(e: EntwiningStructure, known: EntwiningStructure | None) -> EntwiningStructure:
+    """``known`` when it equals e, else e: an equal psi over the same A and C
+    is that object, so its cached checks are read rather than recomputed."""
+    return known if known == e else e
 
 
 def flip_entwining(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> EntwiningStructure:
@@ -147,14 +148,10 @@ def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
     return kron(h.algebra.mult_matrix, ia) @ reverse @ kron(ia, kron(sinv, ih)) @ kron(x.coaction, ih)
 
 
-def psi_to_structure_maps(e: EntwiningStructure, known: CheckedEntwining | None = None) -> StructureMapPair:
-    """mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A).
-
-    e is validated unless ``known`` holds its report (check_entwining).
-    """
-    report = check_entwining(e, known).report
-    if not report.ok:
-        raise AxiomViolation("input does not satisfy the entwining identities", report=report)
+def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
+    """mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A)."""
+    if not e.checks.ok:
+        raise AxiomViolation("input does not satisfy the entwining identities", report=e.checks)
     a, c = e.algebra, e.coalgebra
     mu = kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, e.psi)
     delta = kron(c.identity_matrix, e.psi) @ kron(c.comult_matrix, a.identity_matrix)
@@ -208,18 +205,14 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
     return ValidationReport("structure-map pair", checks)
 
 
-def structure_maps_to_psi(
-    p: StructureMapPair, known: CheckedEntwining | None = None, pair_checks: ValidationReport | None = None
-) -> EntwiningStructure:
+def structure_maps_to_psi(p: StructureMapPair, known: EntwiningStructure | None = None) -> EntwiningStructure:
     """Recover psi two ways and insist they agree; the result is a valid entwining.
 
-    The recovered map is validated unless it is ``known``'s structure
-    (check_entwining), as when p was built from that entwining.
-    ``pair_checks`` is validate_structure_maps(p) when the caller holds it.
+    A recovered map equal to ``known``, as when p was built from that
+    entwining, is ``known`` itself (known_entwining).
     """
-    report = validate_structure_maps(p) if pair_checks is None else pair_checks
-    if not report.ok:
-        raise AxiomViolation("structure-map pair fails its axioms", report=report)
+    if not p.checks.ok:
+        raise AxiomViolation("structure-map pair fails its axioms", report=p.checks)
     a, c = p.algebra, p.coalgebra
     from_delta = kron(c.counit_matrix, Matrix.identity(a.dim * c.dim, a.field)) @ p.delta
     from_mu = p.mu @ kron(a.unit_matrix, Matrix.identity(c.dim * a.dim, a.field))
@@ -229,10 +222,9 @@ def structure_maps_to_psi(
             "the two candidate entwining maps disagree",
             report=(AxiomCheck("psi-agreement", "(counit (x) A (x) C)delta = mu(unit (x) C (x) A)", difference, False),),
         )
-    e = EntwiningStructure(a, c, from_delta)
-    validation = check_entwining(e, known).report
-    if not validation.ok:
-        raise AxiomViolation("recovered map is not an entwining", report=validation)
+    e = known_entwining(EntwiningStructure(a, c, from_delta), known)
+    if not e.checks.ok:
+        raise AxiomViolation("recovered map is not an entwining", report=e.checks)
     return e
 
 

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .entwining import (
-    CheckedEntwining,
-    EntwiningStructure,
-    _hopf_psi,
-    check_entwining,
-    entwined_module_check,
-)
+from .entwining import EntwiningStructure, _hopf_psi, entwined_module_check, known_entwining
 from .errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -54,7 +48,6 @@ from .structures import (
     RightModule,
     ValidationReport,
     residual_check,
-    validate_comodule,
     verify_grouplike,
 )
 
@@ -64,43 +57,36 @@ class GaloisCertificate:
     """Everything galois_check establishes about one comodule algebra.
 
     ``coinvariants`` is the balancing subalgebra B: the coinvariants, or for
-    a bundle the fixed invariants of its group-like.  ``raw_can`` is the
-    canonical map (m (x) C)(A (x) coaction) on the full A (x) A, and ``can``
-    the map it induces on the balanced tensor product (quotient
-    coordinates); ``translation`` sends C into the quotient; ``entwining``
-    is the canonical entwining map ``psi`` with its validate_entwining
-    report, present exactly when the extension is Galois, except in a bare
-    canonical_map_certificate, which carries none.
+    a bundle the fixed invariants of its group-like.  ``can`` is the map the
+    subject's raw_can induces on the balanced tensor product (quotient
+    coordinates); ``translation`` sends C into the quotient; ``psi`` is the
+    canonical entwining map, present exactly when the extension is Galois,
+    except in a bare canonical_map_certificate, which carries none.
     """
 
     subject: ComoduleAlgebra
     coinvariants: Subspace
     balanced: QuotientPresentation
-    raw_can: Matrix
     can: Matrix
     rank: int
     is_galois: bool
     can_inverse: Matrix | None
     translation: Matrix | None
-    entwining: CheckedEntwining | None
+    psi: EntwiningStructure | None
     witness: tuple | None
     checks: ValidationReport
 
-    @property
-    def psi(self) -> EntwiningStructure | None:
-        return self.entwining.structure if self.entwining else None
 
-
-def coinvariant_system(x: ComoduleAlgebra, raw_can: Matrix) -> Matrix:
-    """D = coaction . m - (m (x) C)(A (x) coaction): A (x) A -> A (x) C, from
-    its second term ``raw_can``, the canonical map of x on the full A (x) A.
+def coinvariant_system(x: ComoduleAlgebra) -> Matrix:
+    """D = coaction . m - (m (x) C)(A (x) coaction): A (x) A -> A (x) C, whose
+    second term is x.raw_can, the canonical map of x on the full A (x) A.
 
     b is coinvariant iff D(b (x) a) = 0 for every a.  For a quotient
     pi: C -> B, the system of the coaction (A (x) pi)coaction is
     (A (x) pi) . D, since (m (x) B)(A (x) (A (x) pi)coaction) =
     (A (x) pi)(m (x) C)(A (x) coaction).
     """
-    return x.coaction @ x.algebra.mult_matrix - raw_can
+    return x.coaction @ x.algebra.mult_matrix - x.raw_can
 
 
 def _stacked_system(system: Matrix, dim: int) -> Matrix:
@@ -192,12 +178,6 @@ def balanced_tensor(x: ComoduleAlgebra, sub: Subspace) -> QuotientPresentation:
     return quotient(a.dim * a.dim, relations)
 
 
-def _raw_canonical_map(x: ComoduleAlgebra) -> Matrix:
-    """(m (x) C)(A (x) coaction) on the full A (x) A."""
-    a, c = x.algebra, x.coalgebra
-    return kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, x.coaction)
-
-
 def _descend(full: Matrix, presentation: QuotientPresentation, what: str) -> Matrix:
     """Restrict a map on A (x) A to the balanced quotient, checking balance first."""
     for rel in presentation.relations.basis:
@@ -227,33 +207,29 @@ def _quotient_coaction(x: ComoduleAlgebra, presentation: QuotientPresentation) -
     return kron(presentation.projection, c.identity_matrix) @ lift
 
 
-def galois_check(x: ComoduleAlgebra, comodule_checks: ValidationReport | None = None) -> GaloisCertificate:
+def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     """Build the canonical map on A (x)_B A over the coinvariants B, decide
     bijectivity, and certify.
 
     When the map is bijective the certificate carries its inverse, the
     translation map, its three defining identities, and the canonical
     entwining map together with the entwined-module property of A itself.
-    ``comodule_checks`` is validate_comodule(x.comodule) when the caller
-    holds it.
     """
-    report = validate_comodule(x.comodule) if comodule_checks is None else comodule_checks
-    if not report.ok:
-        raise AxiomViolation("coaction does not satisfy the comodule axioms", report=report)
-    can_full = _raw_canonical_map(x)
-    return _certify(x, coinvariants(x.algebra, coinvariant_system(x, can_full)), can_full)
+    if not x.comodule_checks.ok:
+        raise AxiomViolation("coaction does not satisfy the comodule axioms", report=x.comodule_checks)
+    return _certify(x, coinvariants(x.algebra, coinvariant_system(x)))
 
 
-def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace, can_full: Matrix) -> GaloisCertificate:
-    """The canonical map of x balanced over the subalgebra ``sub``, with
-    ``can_full`` = _raw_canonical_map(x): the balanced tensor product, the
-    induced map ``can`` with its linearity and colinearity checks, the
-    bijectivity decision, and when ``can`` is bijective its inverse and the
-    translation map with its three identities.  The caller has established
-    the comodule axioms; the certificate carries no entwining."""
+def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertificate:
+    """The canonical map of x balanced over the subalgebra ``sub``: the
+    balanced tensor product, the map ``can`` induced by x.raw_can with its
+    linearity and colinearity checks, the bijectivity decision, and when
+    ``can`` is bijective its inverse and the translation map with its three
+    identities.  The caller has established the comodule axioms; the
+    certificate carries no entwining."""
     a, c = x.algebra, x.coalgebra
     presentation = balanced_tensor(x, sub)
-    can = _descend(can_full, presentation, "the canonical map")
+    can = _descend(x.raw_can, presentation, "the canonical map")
     left_action = _quotient_left_action(x, presentation)
     coact_q = _quotient_coaction(x, presentation)
     checks = [
@@ -277,13 +253,12 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace, can_full: Matri
         subject=x,
         coinvariants=sub,
         balanced=presentation,
-        raw_can=can_full,
         can=can,
         rank=decision.rank,
         is_galois=is_galois,
         can_inverse=decision.inverse,
         translation=None,
-        entwining=None,
+        psi=None,
         witness=decision.witness,
         checks=ValidationReport("coalgebra-Galois extension", tuple(checks)),
     )
@@ -294,25 +269,23 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace, can_full: Matri
     return replace(cert, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
 
 
-def _certify(
-    x: ComoduleAlgebra, sub: Subspace, can_full: Matrix, known: CheckedEntwining | None = None
-) -> GaloisCertificate:
+def _certify(x: ComoduleAlgebra, sub: Subspace, known: EntwiningStructure | None = None) -> GaloisCertificate:
     """galois_check balanced over the given subalgebra ``sub`` in place of the
     coinvariants: the canonical map certificate, and when it is Galois the
-    canonical psi with the entwined-module property of A.  The canonical psi
-    is validated unless it is ``known``'s structure (check_entwining)."""
-    cert = canonical_map_certificate(x, sub, can_full)
+    canonical psi with the entwined-module property of A.  A canonical psi
+    equal to ``known`` is ``known`` (known_entwining)."""
+    cert = canonical_map_certificate(x, sub)
     if not cert.is_galois:
         return cert
     a = x.algebra
-    checked = check_entwining(canonical_entwining(cert), known)
+    psi = known_entwining(canonical_entwining(cert), known)
     module = entwined_module_check(
         RightModule(a.dim, a, a.mult_matrix),
         RightComodule(a.dim, x.coalgebra, x.coaction),
-        checked.structure,
+        psi,
     )
-    checks = cert.checks.checks + checked.report.checks + (module,)
-    return replace(cert, entwining=checked, checks=ValidationReport("coalgebra-Galois extension", checks))
+    checks = cert.checks.checks + psi.checks.checks + (module,)
+    return replace(cert, psi=psi, checks=ValidationReport("coalgebra-Galois extension", checks))
 
 
 def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:
@@ -447,9 +420,9 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
         operators = [kron(li, rj) for li in left for rj in right]
     horizontal_vectors = [op.apply(w) for w in omega_b.basis for op in operators]
     horizontal = Subspace.from_spanning(horizontal_vectors, a.dim * a.dim, field)
-    restricted_images = [cert.raw_can.apply(w) for w in omega_a.basis]
+    restricted_images = [x.raw_can.apply(w) for w in omega_a.basis]
     restricted_image = Subspace.from_spanning(restricted_images, a.dim * c.dim, field)
-    restriction_kernel = intersect(omega_a, kernel(cert.raw_can))
+    restriction_kernel = intersect(omega_a, kernel(x.raw_can))
     image_ok = restricted_image == target
     kernel_ok = restriction_kernel == horizontal
     exact = image_ok and kernel_ok
@@ -495,10 +468,10 @@ def bundle_check(source: EntwiningStructure | GaloisCertificate, grouplike: Grou
     The entwining identities and e group-like make a |-> psi(e (x) a) a
     coaction, and B is balanced because psi(e (x) b a) = b psi(e (x) a).
 
-    ``source`` is psi, or a Galois certificate, whose psi comes with its
-    entwining report.  When the induced coaction and B equal that
-    certificate's coaction and coinvariants, the bundle's certificate is
-    that certificate, since _certify is deterministic in them.
+    ``source`` is psi, or a Galois certificate, whose psi is then the one
+    used.  When the induced coaction and B equal that certificate's coaction
+    and coinvariants, the bundle's certificate is that certificate, since
+    _certify is deterministic in them.
     """
     extension = source if isinstance(source, GaloisCertificate) else None
     if extension is not None and not extension.is_galois:
@@ -510,16 +483,15 @@ def bundle_check(source: EntwiningStructure | GaloisCertificate, grouplike: Grou
         raise DimensionMismatch("group-like lives in a different coalgebra")
     if not verify_grouplike(c, grouplike.coords):
         raise NotGroupLike("supplied vector is not group-like")
-    checked = check_entwining(e) if extension is None else extension.entwining
-    if not checked.report.ok:
-        raise AxiomViolation("entwining identities fail", report=checked.report)
+    if not e.checks.ok:
+        raise AxiomViolation("entwining identities fail", report=e.checks)
     e_col = column_matrix(grouplike.coords, field)
     coaction = e.psi @ kron(e_col, a.identity_matrix)
     invariants = kernel(coaction - kron(a.identity_matrix, e_col))
     carrier = ComoduleAlgebra(a, c, coaction)
     if extension is not None and carrier == extension.subject and invariants == extension.coinvariants:
         return BundleReport(e, tuple(grouplike.coords), extension)
-    return BundleReport(e, tuple(grouplike.coords), _certify(carrier, invariants, _raw_canonical_map(carrier), checked))
+    return BundleReport(e, tuple(grouplike.coords), _certify(carrier, invariants, e))
 
 
 @dataclass(frozen=True)
@@ -572,11 +544,11 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
     cert = bundle.certificate
     carrier = cert.subject
     a = carrier.algebra
-    if not validate_comodule(carrier.comodule).ok:
+    if not carrier.comodule_checks.ok:
         return BundleEquivalenceReport(False, "induced map is not a coaction", bundle=bundle)
     coaction = carrier.coaction
     e_col = column_matrix(bundle.grouplike, a.field)
-    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier, cert.raw_can))
+    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier))
     return BundleEquivalenceReport(
         True,
         "",

@@ -9,6 +9,9 @@ entry at row j*dim + k and column i is the coefficient of e_j (x) e_k in
 coproduct(e_i).  Both are held as nonzero-indexed ``Matrix`` values, so no
 dim^3 object is ever built.  Validators return residual reports rather than
 failing fast, so a violated axiom comes back with the exact witness matrix.
+A report depends only on its immutable structure, so each structure caches
+the report of its own axioms (``checks``, ``comodule_checks``,
+``module_checks``), computed by the validator on first read.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ class FiniteAlgebra:
     def identity_matrix(self) -> Matrix:
         return Matrix.identity(self.dim, self.field)
 
+    @cached_property
+    def checks(self) -> ValidationReport:
+        """validate_algebra(self)."""
+        return validate_algebra(self)
+
     def multiply(self, x, y) -> tuple[Scalar, ...]:
         """Product of two coordinate vectors, contracted over the nonzero
         structure constants."""
@@ -134,6 +142,11 @@ class FiniteCoalgebra:
     @cached_property
     def identity_matrix(self) -> Matrix:
         return Matrix.identity(self.dim, self.field)
+
+    @cached_property
+    def checks(self) -> ValidationReport:
+        """validate_coalgebra(self)."""
+        return validate_coalgebra(self)
 
 
 @dataclass(frozen=True)
@@ -223,6 +236,17 @@ class ComoduleAlgebra:
     def comodule(self) -> RightComodule:
         return RightComodule(self.algebra.dim, self.coalgebra, self.coaction)
 
+    @cached_property
+    def comodule_checks(self) -> ValidationReport:
+        """validate_comodule(self.comodule)."""
+        return validate_comodule(self.comodule)
+
+    @cached_property
+    def raw_can(self) -> Matrix:
+        """The canonical map (m (x) C)(A (x) coaction) on the full A (x) A."""
+        a, c = self.algebra, self.coalgebra
+        return kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, self.coaction)
+
 
 @dataclass(frozen=True)
 class ModuleCoalgebra:
@@ -240,6 +264,17 @@ class ModuleCoalgebra:
     @property
     def module(self) -> RightModule:
         return RightModule(self.coalgebra.dim, self.algebra, self.action)
+
+    @cached_property
+    def module_checks(self) -> ValidationReport:
+        """validate_module(self.module)."""
+        return validate_module(self.module)
+
+    @cached_property
+    def dual(self) -> ComoduleAlgebra:
+        """x* = (C*, A*, act^T): the algebra C* coacted on by the coalgebra A*
+        through the transposed action."""
+        return ComoduleAlgebra(dualize(self.coalgebra), dualize(self.algebra), self.action.transpose())
 
 
 def validate_algebra(a: FiniteAlgebra) -> ValidationReport:
@@ -335,8 +370,6 @@ def bialgebra_checks(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> tupl
 
 
 def validate_hopf(h: HopfAlgebra) -> ValidationReport:
-    alg = validate_algebra(h.algebra)
-    coa = validate_coalgebra(h.coalgebra)
     s = h.antipode
     ident = h.algebra.identity_matrix
     unit_counit = convolution_unit(h.coalgebra, h.algebra)
@@ -360,10 +393,8 @@ def validate_hopf(h: HopfAlgebra) -> ValidationReport:
             h.antipode_inverse is not None,
         ),
     )
-    return ValidationReport(
-        "hopf algebra",
-        alg.checks + coa.checks + bialgebra_checks(h.algebra, h.coalgebra) + antipode_checks,
-    )
+    axioms = h.algebra.checks.checks + h.coalgebra.checks.checks
+    return ValidationReport("hopf algebra", axioms + bialgebra_checks(h.algebra, h.coalgebra) + antipode_checks)
 
 
 def coaction_algebra_map_checks(x: ComoduleAlgebra, coacting_algebra: FiniteAlgebra) -> tuple[AxiomCheck, ...]:

@@ -4,6 +4,8 @@ Each suite turns the relevant document sections into library structures and
 runs the corresponding battery of exact checks, producing an ordered
 SuiteReport.  A suite raises MissingSection when a section it needs is
 absent; the ``all`` suite runs every sub-suite whose inputs are present.
+The document caches its structures and each structure its axiom reports,
+so the sub-suites of ``all`` validate each structure once.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from .cogalois import (
 )
 from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersection_check
 from .docformat import StructureDocument
-from .entwining import (
-    check_entwining,
-    psi_to_structure_maps,
-    structure_maps_to_psi,
-    validate_structure_maps,
-)
+from .entwining import psi_to_structure_maps, structure_maps_to_psi
 from .errors import AxiomViolation, EntwineError, MissingSection, NotCoideal, NotInvertibleError
 from .exactlin import Subspace, quotient
 from .galois import (
@@ -43,11 +40,7 @@ from .structures import (
     Character,
     GroupLike,
     coaction_algebra_map_checks,
-    validate_algebra,
-    validate_coalgebra,
-    validate_comodule,
     validate_hopf,
-    validate_module,
     verify_character,
     verify_grouplike,
 )
@@ -80,9 +73,9 @@ def run_structures(doc: StructureDocument) -> SuiteReport:
     if doc.algebra is None and doc.coalgebra is None:
         raise MissingSection("algebra or coalgebra", "structures")
     if doc.algebra is not None:
-        _add_validation(report, "structures.algebra", validate_algebra(doc.algebra))
+        _add_validation(report, "structures.algebra", doc.algebra.checks)
     if doc.coalgebra is not None:
-        _add_validation(report, "structures.coalgebra", validate_coalgebra(doc.coalgebra))
+        _add_validation(report, "structures.coalgebra", doc.coalgebra.checks)
     if doc.antipode is not None:
         hopf = doc.hopf
         if hopf is None:
@@ -92,12 +85,12 @@ def run_structures(doc: StructureDocument) -> SuiteReport:
         comodule = doc.comodule_algebra
         if comodule is None:
             raise MissingSection("algebra and coalgebra for the coaction", "structures")
-        _add_validation(report, "structures.comodule", validate_comodule(comodule.comodule))
+        _add_validation(report, "structures.comodule", comodule.comodule_checks)
     if doc.action is not None:
         module = doc.module_coalgebra
         if module is None:
             raise MissingSection("algebra and coalgebra for the action", "structures")
-        _add_validation(report, "structures.module", validate_module(module.module))
+        _add_validation(report, "structures.module", module.module_checks)
     for name, coords in doc.grouplikes:
         if doc.coalgebra is None:
             raise MissingSection("coalgebra", "structures")
@@ -129,15 +122,13 @@ def run_entwining(doc: StructureDocument) -> SuiteReport:
     _require(doc, "entwining", algebra=doc.algebra is not None, coalgebra=doc.coalgebra is not None, psi=doc.psi is not None)
     report = SuiteReport("entwining")
     e = doc.entwining
-    checked = check_entwining(e)
-    _add_validation(report, "entwining", checked.report)
-    if not checked.report.ok:
+    _add_validation(report, "entwining", e.checks)
+    if not e.checks.ok:
         report.skip("entwining.structure-maps", "round trip through the structure-map pair", "entwining identities fail")
         return report
-    pair = psi_to_structure_maps(e, checked)
-    pair_checks = validate_structure_maps(pair)
-    _add_validation(report, "entwining.pair", pair_checks)
-    recovered = structure_maps_to_psi(pair, checked, pair_checks)
+    pair = psi_to_structure_maps(e)
+    _add_validation(report, "entwining.pair", pair.checks)
+    recovered = structure_maps_to_psi(pair, e)
     report.add(
         "entwining.round-trip",
         "structure maps recover the same entwining map",
@@ -155,13 +146,14 @@ def run_galois(doc: StructureDocument) -> SuiteReport:
         coaction=doc.coaction is not None,
     )
     report = SuiteReport("galois")
+    if not _gate(report, "galois.algebra", doc.algebra.checks):
+        return report
     x = doc.comodule_algebra
-    comodule_validation = validate_comodule(x.comodule)
-    _add_validation(report, "galois.comodule", comodule_validation)
-    if not comodule_validation.ok:
+    _add_validation(report, "galois.comodule", x.comodule_checks)
+    if not x.comodule_checks.ok:
         report.skip("galois.certificate", "coalgebra-Galois certificate", "coaction axioms fail")
         return report
-    cert = galois_check(x, comodule_validation)
+    cert = galois_check(x)
     report.add(
         "galois.coinvariants",
         "coinvariants form a unital subalgebra",
@@ -253,15 +245,14 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
         action=doc.action is not None,
     )
     report = SuiteReport("cogalois")
-    if not _gate(report, "cogalois.coalgebra", validate_coalgebra(doc.coalgebra)):
+    if not _gate(report, "cogalois.coalgebra", doc.coalgebra.checks):
         return report
     x = doc.module_coalgebra
-    module_validation = validate_module(x.module)
-    _add_validation(report, "cogalois.module", module_validation)
-    if not module_validation.ok:
+    _add_validation(report, "cogalois.module", x.module_checks)
+    if not x.module_checks.ok:
         report.skip("cogalois.certificate", "algebra-Galois coextension certificate", "action axioms fail")
         return report
-    cert = coextension_check(x, module_validation)
+    cert = coextension_check(x)
     report.add(
         "cogalois.coideal",
         "the canonical subspace is a coideal",
@@ -338,7 +329,7 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
     if len(doc.coideals) < 2:
         raise MissingSection("coideals (two are needed)", "cogenerate")
     report = SuiteReport("cogenerate")
-    if not _gate(report, "cogenerate.coalgebra", validate_coalgebra(doc.coalgebra)):
+    if not _gate(report, "cogenerate.coalgebra", doc.coalgebra.checks):
         return report
     quotients = []
     for (name, _), sub in zip(doc.coideals, doc.coideal_subspaces()):
@@ -360,7 +351,7 @@ def run_cogenerate(doc: StructureDocument, cutoff: int | None = None) -> SuiteRe
     )
     if doc.coaction is not None and doc.algebra is not None:
         x = doc.comodule_algebra
-        if not _gate(report, "cogenerate.comodule", validate_comodule(x.comodule)):
+        if not _gate(report, "cogenerate.comodule", x.comodule_checks):
             return report
         pr = coinvariant_intersection_check(x, result)
         report.add(

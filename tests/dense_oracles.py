@@ -40,7 +40,7 @@ from entwine.cogalois import (
     quotient_coalgebra,
 )
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
-from entwine.entwining import EntwiningStructure, check_entwining, entwined_module_check
+from entwine.entwining import EntwiningStructure, entwined_module_check, validate_entwining
 from entwine.errors import DimensionMismatch, ImageEscape, NotGaloisCoextension
 from entwine.exactlin import (
     Matrix,
@@ -408,7 +408,7 @@ def _raw_cocanonical_map(x) -> Matrix:
     return kron(c.identity_matrix, x.action) @ kron(c.comult_matrix, a.identity_matrix)
 
 
-def certify_by_cotensor(x, coideal: Subspace, known=None) -> CoextensionCertificate:
+def certify_by_cotensor(x, coideal: Subspace) -> CoextensionCertificate:
     """The coextension certificate over ``coideal``, built on the cotensor
     product: the canonical map must land in it, and the cotranslation
     identities are stated on it and its iterates."""
@@ -452,7 +452,7 @@ def certify_by_cotensor(x, coideal: Subspace, known=None) -> CoextensionCertific
         is_coextension=is_galois,
         cocan_inverse=decision.inverse,
         cotranslation=None,
-        entwining=None,
+        psi=None,
         witness=decision.witness,
         checks=ValidationReport("algebra-Galois coextension", tuple(checks)),
     )
@@ -461,16 +461,16 @@ def certify_by_cotensor(x, coideal: Subspace, known=None) -> CoextensionCertific
     cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
     cert = replace(cert, cotranslation=cotranslation)
     checks.extend(_cotranslation_checks(cert))
-    checked = check_entwining(canonical_entwining_dual(cert), known)
-    checks.extend(checked.report.checks)
+    psi = canonical_entwining_dual(cert)
+    checks.extend(validate_entwining(psi).checks)
     checks.append(
         entwined_module_check(
             RightModule(c.dim, a, x.action),
             RightComodule(c.dim, c, c.comult_matrix),
-            checked.structure,
+            psi,
         )
     )
-    return replace(cert, entwining=checked, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
+    return replace(cert, psi=psi, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
 def _cotranslation_checks(cert: CoextensionCertificate) -> list:

@@ -50,7 +50,6 @@ from entwine.fields import GF, QQ
 from entwine.galois import (
     bundle_check,
     bundle_coaction_equivalence,
-    _raw_canonical_map,
     coinvariant_system,
     coinvariants,
     differential_sequence,
@@ -76,7 +75,7 @@ GF7 = GF(7)
 
 def coinvariants_of(x):
     """The coinvariants of a comodule algebra, from its one coinvariant system."""
-    return coinvariants(x.algebra, coinvariant_system(x, _raw_canonical_map(x)))
+    return coinvariants(x.algebra, coinvariant_system(x))
 
 
 def conclude(number: int, text: str):

@@ -8,9 +8,10 @@ coextension_check) builds for the carrier from scratch, which is the oracle.
 
 Given the extension's certificate in place of its psi, a bundle whose
 carrier and invariants (resp. coideal) equal the extension's is that
-certificate, and a carrier whose canonical psi is the given psi reads its
-entwining report; both must agree with the oracle, on the catalogue bases
-and on random GF(7) bases.
+certificate, and a carrier whose canonical psi equals the given psi has that
+psi, with its cached report; both must agree with the oracle, on the
+catalogue bases and on random GF(7) bases.  Every cached report equals a
+fresh call of its validator.
 """
 
 import random
@@ -21,11 +22,18 @@ import entwine.cogalois as cogalois
 import entwine.galois as galois
 from entwine.catalogue import build, group_algebra, group_self_coextension, self_extension, sweedler_hopf_algebra
 from entwine.cogalois import canonical_coideal, coextension_check, dual_bundle_check
-from entwine.entwining import CheckedEntwining, flip_entwining, validate_entwining
+from entwine.docformat import document_from_example
+from entwine.entwining import (
+    EntwiningStructure,
+    flip_entwining,
+    psi_to_structure_maps,
+    validate_entwining,
+    validate_structure_maps,
+)
 from entwine.errors import NotGalois
 from entwine.exactlin import Matrix, NotInvertible, column_matrix, kron, try_invert
 from entwine.fields import GF
-from entwine.galois import _raw_canonical_map, bundle_check, coinvariant_system, coinvariants, galois_check
+from entwine.galois import bundle_check, coinvariant_system, coinvariants, galois_check
 from entwine.structures import (
     Character,
     ComoduleAlgebra,
@@ -34,6 +42,10 @@ from entwine.structures import (
     ValidationReport,
     transport_algebra,
     transport_coalgebra,
+    validate_algebra,
+    validate_coalgebra,
+    validate_comodule,
+    validate_module,
 )
 
 GF7 = GF(7)
@@ -67,7 +79,7 @@ TRANSPORTED = [v for v in VARIANTS if "p" not in v[1] and v[1].get("group") != "
 
 def coinvariants_of(x):
     """The coinvariants of a comodule algebra, from its one coinvariant system."""
-    return coinvariants(x.algebra, coinvariant_system(x, _raw_canonical_map(x)))
+    return coinvariants(x.algebra, coinvariant_system(x))
 
 
 def _assert_bundle_is_galois_certificate(bundle):
@@ -186,8 +198,8 @@ def test_sweedler_g_bundle_gets_its_own_certificate():
     assert carrier != x
     assert bundle.certificate is not cert
     assert bundle.certificate == galois_check(carrier)
-    # its canonical psi is the given one, whose report it read
-    assert bundle.certificate.entwining == cert.entwining
+    # its canonical psi equals the given one, so it is that object
+    assert bundle.certificate.psi is cert.psi
 
 
 def test_bundle_needs_a_galois_certificate():
@@ -200,16 +212,26 @@ def test_bundle_needs_a_galois_certificate():
         bundle_check(cert, GroupLike(h.coalgebra, e))
 
 
+def _with_report(e, report):
+    """e with ``report`` in place of its cached checks, to show which report a
+    certificate reads."""
+    vars(e)["checks"] = report
+    return e
+
+
 def test_canonical_psi_reads_a_known_report_only_when_equal():
     x = self_extension(group_algebra({"group": "Z2"}))
     cert = galois_check(x)
     stand_in = ValidationReport("stand-in", ())
-    same = galois._certify(x, cert.coinvariants, cert.raw_can, CheckedEntwining(cert.psi, stand_in))
-    assert same.entwining.report is stand_in
-    flip = flip_entwining(x.algebra, x.coalgebra)
+    known = _with_report(EntwiningStructure(x.algebra, x.coalgebra, cert.psi.psi), stand_in)
+    same = galois._certify(x, cert.coinvariants, known)
+    assert same.psi is known
+    assert same.checks.checks == tuple(c for c in cert.checks.checks if c not in cert.psi.checks.checks)
+    flip = _with_report(flip_entwining(x.algebra, x.coalgebra), stand_in)
     assert flip != cert.psi
-    fresh = galois._certify(x, cert.coinvariants, cert.raw_can, CheckedEntwining(flip, stand_in))
-    assert fresh.entwining.report == validate_entwining(cert.psi)
+    fresh = galois._certify(x, cert.coinvariants, flip)
+    assert fresh.psi is not flip
+    assert fresh.psi.checks == validate_entwining(cert.psi)
     assert fresh == cert
 
 
@@ -217,10 +239,38 @@ def test_dual_canonical_psi_reads_a_known_report_only_when_equal():
     y = group_self_coextension(group_algebra({"group": "Z2"}))
     cert = coextension_check(y)
     stand_in = ValidationReport("stand-in", ())
-    same = cogalois._certify(y, cert.coideal, CheckedEntwining(cert.psi, stand_in))
-    assert same.entwining.report is stand_in
-    flip = flip_entwining(y.algebra, y.coalgebra)
+    known = _with_report(EntwiningStructure(y.algebra, y.coalgebra, cert.psi.psi), stand_in)
+    same = cogalois._certify(y, cert.coideal, known)
+    assert same.psi is known
+    assert same.checks.checks == tuple(c for c in cert.checks.checks if c not in cert.psi.checks.checks)
+    flip = _with_report(flip_entwining(y.algebra, y.coalgebra), stand_in)
     assert flip != cert.psi
-    fresh = cogalois._certify(y, cert.coideal, CheckedEntwining(flip, stand_in))
-    assert fresh.entwining.report == validate_entwining(cert.psi)
+    fresh = cogalois._certify(y, cert.coideal, flip)
+    assert fresh.psi is not flip
+    assert fresh.psi.checks == validate_entwining(cert.psi)
     assert fresh == cert
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize(
+    "name,params", [v for v in VARIANTS if "p" not in v[1]] + [("coset-coideal", {"group": "S3"}), ("flip-entwining", {})]
+)
+def test_cached_reports_equal_fresh_validation(name, params, p):
+    doc = document_from_example(build(name, {**params, "p": p}))
+    assert doc.algebra.checks == validate_algebra(doc.algebra)
+    assert doc.coalgebra.checks == validate_coalgebra(doc.coalgebra)
+    entwinings = []
+    if doc.comodule_algebra is not None:
+        x = doc.comodule_algebra
+        assert x.comodule_checks == validate_comodule(x.comodule)
+        entwinings.append(galois_check(x).psi)
+    if doc.module_coalgebra is not None:
+        y = doc.module_coalgebra
+        assert y.module_checks == validate_module(y.module)
+        entwinings.append(coextension_check(y).psi)
+    if doc.entwining is not None:
+        entwinings.append(doc.entwining)
+    for e in entwinings:
+        assert e.checks == validate_entwining(e)
+        pair = psi_to_structure_maps(e)
+        assert pair.checks == validate_structure_maps(pair)

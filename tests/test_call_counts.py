@@ -1,12 +1,15 @@
-"""Each suite builds each certificate once and passes it to its consumers.
+"""Each suite builds each certificate once and passes it to its consumers,
+and each structure computes each of its cached reports once.
 
 Counting wrappers replace every binding of the named functions across the
 ``entwine`` modules (``from .galois import coinvariants`` gives each
-importing module its own binding), then one suite runs on one document.
+importing module its own binding), or the named cached property on its
+class, then one suite runs on one document.
 """
 
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -28,6 +31,10 @@ def count_calls(monkeypatch):
     def install(*functions):
         modules = [m for n, m in sys.modules.items() if n == "entwine" or n.startswith("entwine.")]
         for original in functions:
+            if isinstance(original, cached_property):
+                _install_property(original)
+                continue
+
             def wrapper(*args, _original=original, **kwargs):
                 counts[_original.__name__] += 1
                 return _original(*args, **kwargs)
@@ -37,6 +44,19 @@ def count_calls(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(module, key, wrapper)
         return counts
+
+    def _install_property(original):
+        """Count the computations of a cached property, once per structure."""
+        name = original.attrname
+        owner = getattr(sys.modules[original.func.__module__], original.func.__qualname__.split(".")[0])
+
+        def compute(self):
+            counts[name] += 1
+            return original.func(self)
+
+        prop = cached_property(compute)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
 
     return install
 
@@ -53,19 +73,19 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
         galois.galois_check,
         galois.coinvariants,
         galois.coinvariant_system,
-        galois._raw_canonical_map,
+        structures.ComoduleAlgebra.raw_can,
         entwining.validate_entwining,
         structures.coaction_algebra_map_checks,
         structures.validate_comodule,
     )
     _run("coset-coideal", {"group": "S3"}, "galois")
     # coinvariants and the certificate share one (m (x) C)(A (x) coaction),
-    # and galois_check reads the suite's comodule report
+    # and galois_check reads the comodule report the suite computed
     assert counts == {
         "galois_check": 1,
         "coinvariants": 1,
         "coinvariant_system": 1,
-        "_raw_canonical_map": 1,
+        "raw_can": 1,
         "validate_entwining": 1,
         "coaction_algebra_map_checks": 1,
         "validate_comodule": 1,
@@ -77,19 +97,22 @@ def test_bundle_report_is_passed_to_the_equivalence(count_calls):
         galois.bundle_check,
         galois.galois_check,
         galois.balanced_tensor,
-        galois._raw_canonical_map,
+        structures.ComoduleAlgebra.raw_can,
         entwining.validate_entwining,
+        structures.validate_comodule,
     )
     doc, _ = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
     # the bundle at the unit induces the extension's own coaction and
     # coinvariants, so its certificate is the extension's, and the
-    # equivalence reads the certificate's raw canonical map
+    # equivalence reads the raw canonical map and comodule report of its
+    # subject, the document's comodule algebra
     assert counts == {
         "bundle_check": len(doc.grouplikes),
         "galois_check": 1,
         "balanced_tensor": 1,
-        "_raw_canonical_map": 1,
+        "raw_can": 1,
         "validate_entwining": 1,
+        "validate_comodule": 1,
     }
 
 
@@ -143,10 +166,10 @@ def test_cogeneration_report_is_passed_to_the_intersection(count_calls, params):
     [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
 )
 def test_one_coinvariant_system_per_cogenerate_check(count_calls, params):
-    counts = count_calls(galois.coinvariant_system, galois._raw_canonical_map, galois.coinvariants)
+    counts = count_calls(galois.coinvariant_system, structures.ComoduleAlgebra.raw_can, galois.coinvariants)
     _run("coset-coideal", params, "cogenerate")
     # the full system is built once; both quotient systems are pushed from it
-    assert counts == {"coinvariant_system": 1, "_raw_canonical_map": 1, "coinvariants": 3}
+    assert counts == {"coinvariant_system": 1, "raw_can": 1, "coinvariants": 3}
 
 
 def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
@@ -162,18 +185,40 @@ def test_group_coextension_quotient_count(count_calls):
         exactlin.quotient,
         structures.validate_module,
         galois.balanced_tensor,
-        galois._raw_canonical_map,
+        structures.ComoduleAlgebra.raw_can,
         entwining.validate_entwining,
     )
     _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts["coextension_check"] == 1
     assert counts["quotient"] <= 2
-    # the suite's gate, read by coextension_check, and the dual bundle equivalence
-    assert counts["validate_module"] == 2
+    # the suite's gate, which coextension_check and the dual bundle
+    # equivalence read from the document's module coalgebra
+    assert counts["validate_module"] == 1
     # the certificate is the dual's one canonical map certificate, and the
     # dual bundle at the trivial character is the certificate itself
     assert counts["balanced_tensor"] == 1
     assert counts["validate_entwining"] == 1
-    # the dual's raw canonical map: for the canonical coideal, for the
-    # certificate, and for the canonical coideal in the equivalence
-    assert counts["_raw_canonical_map"] == 3
+    # the dual's raw canonical map, shared by the canonical coideal, the
+    # certificate and the canonical coideal in the equivalence
+    assert counts["raw_can"] == 1
+
+
+def test_all_validates_each_structure_once(count_calls):
+    counts = count_calls(
+        structures.validate_algebra,
+        structures.validate_coalgebra,
+        structures.validate_hopf,
+        structures.validate_comodule,
+    )
+    _run("sweedler-h4", {}, "all")
+    # every sub-suite reads the document's structures, and validate_hopf reads
+    # the algebra and coalgebra reports; the second comodule is the carrier
+    # of the g bundle
+    assert counts == {"validate_algebra": 1, "validate_coalgebra": 1, "validate_hopf": 1, "validate_comodule": 2}
+
+
+def test_all_validates_the_comodule_algebra_once(count_calls):
+    counts = count_calls(structures.validate_comodule)
+    _run("coset-coideal", {"group": "S3"}, "all")
+    # structures, galois and cogenerate read one comodule report
+    assert counts == {"validate_comodule": 1}

@@ -249,6 +249,32 @@ class TestInputContract:
         assert checks and all(c["id"].startswith("cogalois.coalgebra.") for c in checks)
         assert all(c["status"] == "fail" and "residual" in c["detail"] for c in checks)
 
+    def test_galois_reports_an_invalid_algebra_before_the_certificate(self, tmp_path):
+        doc = json.loads(emit_to(tmp_path, "trivial-hopf-galois", {"group": "Z3"}).read_text(encoding="utf-8"))
+        doc["algebra"]["mult"].append({"c": "1", "i": 1, "j": 1, "k": 1})
+        path = tmp_path / "bad_algebra.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "galois", "--report", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "AxiomViolation" not in proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        assert checks and all(c["id"].startswith("galois.algebra.") for c in checks)
+        assert all(c["status"] == "fail" and "residual" in c["detail"] for c in checks)
+
+    @pytest.mark.parametrize(
+        "stage", ["entwine.cli.parse_document", "entwine.cli.run_suite", "entwine.reports.SuiteReport.to_json"]
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, stage):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(stage, exhausted)
+        path = emit_to(tmp_path, "group-algebra")
+        assert main(["check", str(path), "--suite", "structures", "--report", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: MemoryError") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "name, param",
         [

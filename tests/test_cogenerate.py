@@ -14,7 +14,7 @@ from entwine.cogenerate import (
 from entwine.errors import DimensionMismatch, NotCoideal
 from entwine.exactlin import Subspace, kernel, kron
 from entwine.fields import QQ
-from entwine.galois import _raw_canonical_map, coinvariant_system
+from entwine.galois import coinvariant_system
 from entwine.structures import ComoduleAlgebra
 
 # The coset-coideal generators of the cogenerate benchmark: 25 + 9 ordered pairs.
@@ -173,11 +173,11 @@ class TestCoinvariantIntersection:
         quotients = [quotient_coalgebra(h.coalgebra, coset_coideal({"group": group}, g)) for g in (first, second)]
         report = coinvariant_intersection_check(x, cogeneration_check(h.coalgebra, *quotients))
         assert report.full_coinvariants == dense.coinvariants_by_basis(x)
-        system = coinvariant_system(x, _raw_canonical_map(x))
+        system = coinvariant_system(x)
         for (base, pi), sub in zip(quotients, report.quotient_coinvariants):
             quotient_x = ComoduleAlgebra(a, base, kron(a.identity_matrix, pi) @ x.coaction)
             # (A (x) pi) . D is the system built from the quotient coaction itself
-            assert kron(a.identity_matrix, pi) @ system == coinvariant_system(quotient_x, _raw_canonical_map(quotient_x))
+            assert kron(a.identity_matrix, pi) @ system == coinvariant_system(quotient_x)
             assert sub == dense.coinvariants_by_basis(quotient_x)
 
     def test_zero_coideal_collapses(self, z2_hopf, z2_self_extension):

@@ -25,7 +25,6 @@ from entwine.cogalois import quotient_coalgebra
 from entwine.exactlin import Matrix, Subspace, column_matrix, intersect, kernel, kron
 from entwine.fields import GF, QQ
 from entwine.galois import (
-    _raw_canonical_map,
     _stacked_system,
     coinvariant_system,
     coinvariants,
@@ -58,7 +57,7 @@ CATALOGUE = [
 
 
 def system(x):
-    return coinvariant_system(x, _raw_canonical_map(x))
+    return coinvariant_system(x)
 
 
 def _comodule_algebra(name, params):

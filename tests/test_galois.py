@@ -21,7 +21,6 @@ from entwine.galois import (
     canonical_entwining,
     coaction_forced_by_unit,
     classical_coinvariants_agree,
-    _raw_canonical_map,
     coinvariant_system,
     coinvariants,
     differential_sequence,
@@ -43,7 +42,7 @@ GF7 = GF(7)
 
 def coinvariants_of(x):
     """The coinvariants of a comodule algebra, from its one coinvariant system."""
-    return coinvariants(x.algebra, coinvariant_system(x, _raw_canonical_map(x)))
+    return coinvariants(x.algebra, coinvariant_system(x))
 
 
 def trivial_comodule_algebra(coalgebra, grouplike_coords):
