@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Time the dimension-24 frontier inputs: S4 built from its Cayley table.
+
+    PYTHONPATH=src python3 scripts/frontier.py
+
+Runs four inputs, each in a fresh child process so that its peak resident
+set is its own: ``trivial-hopf-galois`` through the ``galois`` suite and
+``group-coextension`` through the ``cogalois`` suite, each over Q and over
+GF(7).  Prints one JSON line per input with the seconds taken by
+``run_suite`` and by the JSON report, the report's size and sha256, the
+child's peak ``ru_maxrss`` in MB, and the verdict.  S4 ``cogalois`` peaks near 1.5 GB.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import resource
+import subprocess
+import sys
+import time
+from itertools import permutations
+
+INPUTS = (
+    ("trivial-hopf-galois", "galois", None),
+    ("trivial-hopf-galois", "galois", 7),
+    ("group-coextension", "cogalois", None),
+    ("group-coextension", "cogalois", 7),
+)
+
+
+def s4_table() -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of S4 with the identity first: entry (i, j) is the
+    index of the composite permutation perms[i] . perms[j]."""
+    perms = list(permutations(range(4)))
+    index = {p: k for k, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(4))] for q in perms) for p in perms)
+
+
+def run_one(k: int) -> dict:
+    from entwine.catalogue import build
+    from entwine.docformat import document_from_example
+    from entwine.suites import run_suite
+
+    name, suite, p = INPUTS[k]
+    params = {"table": s4_table()}
+    if p is not None:
+        params["p"] = p
+    doc = document_from_example(build(name, params))
+    start = time.perf_counter()
+    report = run_suite(doc, suite)
+    checked = time.perf_counter()
+    text = report.to_json()
+    done = time.perf_counter()
+    return {
+        "input": f"S4 {name}",
+        "suite": suite,
+        "field": "Q" if p is None else f"GF({p})",
+        "seconds": round(checked - start, 3),
+        "report_seconds": round(done - checked, 3),
+        "report_bytes": len(text.encode("utf-8")),
+        "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "verdict": "pass" if report.ok else "fail",
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--one":
+        print(json.dumps(run_one(int(argv[1]))))
+        return 0
+    if argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    status = 0
+    for k in range(len(INPUTS)):
+        child = subprocess.run([sys.executable, __file__, "--one", str(k)], capture_output=True, text=True)
+        if child.returncode != 0:
+            print(child.stderr, file=sys.stderr, end="")
+            status = 1
+            continue
+        print(child.stdout.strip(), flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

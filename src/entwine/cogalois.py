@@ -33,10 +33,12 @@ from .exactlin import (
     Matrix,
     QuotientPresentation,
     Subspace,
+    apply_kron,
     decide_bijection,
     image,
     kernel,
     kron,
+    kron_apply,
     quotient,
     row_matrix,
     stack_rows,
@@ -45,8 +47,6 @@ from .galois import (
     UniquenessReport,
     canonical_entwining,
     canonical_map_certificate,
-    coinvariant_system,
-    coinvariants,
     uniqueness_system,
 )
 from .structures import (
@@ -88,18 +88,22 @@ class CoextensionCertificate:
     checks: ValidationReport
 
 
-def coideal_checks(c: FiniteCoalgebra, presentation: QuotientPresentation) -> tuple[AxiomCheck, ...]:
+def coideal_checks(
+    c: FiniteCoalgebra, presentation: QuotientPresentation, split: Matrix | None = None
+) -> tuple[AxiomCheck, ...]:
     """counit(I) = 0 and coproduct(I) inside C (x) I + I (x) C, for I the
     relations of the presentation of C/I.
 
     The second is decided through the quotient: with pi: C -> C/I,
     ker(pi (x) pi) = I (x) C + C (x) I, so it holds iff
-    (pi (x) pi) . coproduct . incl_I = 0.
+    (pi (x) pi) . coproduct . incl_I = 0.  ``split`` is
+    (pi (x) pi) . coproduct when the caller has formed it already.
     """
     incl = presentation.relations.inclusion()
     counit_ok = (c.counit_matrix @ incl).is_zero
-    pi = presentation.projection
-    coproduct_ok = (kron(pi, pi) @ c.comult_matrix @ incl).is_zero
+    if split is None:
+        split = kron_apply(presentation.projection, presentation.projection, c.comult_matrix)
+    coproduct_ok = (split @ incl).is_zero
     return (
         AxiomCheck("coideal-counit", "counit vanishes on the coideal", None, counit_ok),
         AxiomCheck("coideal-coproduct", "coproduct(I) lies in C (x) I + I (x) C", None, coproduct_ok),
@@ -121,7 +125,7 @@ def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
     The action must already satisfy the module axioms over a coalgebra;
     quotient_coalgebra decides the coideal property.
     """
-    return _annihilator(coinvariants(x.dual.algebra, coinvariant_system(x.dual)))
+    return _annihilator(x.dual.coinvariants)
 
 
 def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra: FiniteCoalgebra) -> Subspace:
@@ -157,7 +161,7 @@ def action_coalgebra_map_checks(x: ModuleCoalgebra, hopf_coalgebra: FiniteCoalge
             "action-comultiplicative",
             "coproduct(act) = (act (x) act)(C (x) swap (x) H)(coproduct (x) coproduct)",
             c.comult_matrix @ x.action,
-            kron(x.action, x.action) @ mid_swap @ kron(c.comult_matrix, hopf_coalgebra.comult_matrix),
+            kron_apply(x.action, x.action, apply_kron(mid_swap, c.comult_matrix, hopf_coalgebra.comult_matrix)),
         ),
         residual_check(
             "action-counital",
@@ -177,11 +181,12 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
     """
     field = c.field
     pres = quotient(c.dim, coideal)
-    if not all(chk.ok for chk in coideal_checks(c, pres)):
-        raise NotCoideal("subspace is not a coideal")
     pi, sigma = pres.projection, pres.section
+    split = kron_apply(pi, pi, c.comult_matrix)
+    if not all(chk.ok for chk in coideal_checks(c, pres, split)):
+        raise NotCoideal("subspace is not a coideal")
     b_dim = pres.quotient_dim
-    d_b = kron(pi, pi) @ c.comult_matrix @ sigma
+    d_b = split @ sigma
     e_b = c.counit_matrix @ sigma
     names = tuple(f"q{i}" for i in range(b_dim))
     base = FiniteCoalgebra(b_dim, names, d_b, e_b.entries[0], field)
@@ -192,8 +197,8 @@ def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoa
 
 def _cotensor_cube(c: FiniteCoalgebra, pi: Matrix) -> Subspace:
     """C box_B C box_B C as the joint kernel of both equalising maps."""
-    rc = kron(c.identity_matrix, pi) @ c.comult_matrix
-    lc = kron(pi, c.identity_matrix) @ c.comult_matrix
+    rc = kron_apply(c.identity_matrix, pi, c.comult_matrix)
+    lc = kron_apply(pi, c.identity_matrix, c.comult_matrix)
     ic = c.identity_matrix
     ell = kron(rc, ic) - kron(ic, lc)
     return kernel(stack_rows([kron(ell, ic), kron(ic, ell)]))
@@ -302,16 +307,16 @@ def _composite_check(cert: CoextensionCertificate) -> AxiomCheck:
     tau = cert.cotranslation @ coords
     ic = c.identity_matrix
     incl = _cotensor_cube(c, cert.base_projection).inclusion()
-    middle = kron(ic, kron(c.comult_matrix, ic)) @ incl
-    if kron(projector, projector) @ middle != middle:
+    middle = kron_apply(ic, kron(c.comult_matrix, ic), incl)
+    if kron_apply(projector, projector, middle) != middle:
         raise ImageEscape("(C (x) coproduct (x) C) leaves cotensor (x) cotensor")
-    squeezed = kron(ic, kron(c.counit_matrix, ic)) @ incl
+    squeezed = kron_apply(ic, kron(c.counit_matrix, ic), incl)
     if projector @ squeezed != squeezed:
         raise ImageEscape("(C (x) counit (x) C) leaves the cotensor product")
     return residual_check(
         "cotranslation-composite",
         "m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C)",
-        a.mult_matrix @ kron(tau, tau) @ middle,
+        a.mult_matrix @ kron_apply(tau, tau, middle),
         tau @ squeezed,
     )
 
@@ -374,7 +379,7 @@ def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, chara
     if not e.checks.ok:
         raise AxiomViolation("entwining identities fail", report=e.checks)
     kap = row_matrix(character.coords, field)
-    action = kron(kap, c.identity_matrix) @ e.psi
+    action = kron_apply(kap, c.identity_matrix, e.psi)
     coideal = image(action - kron(c.identity_matrix, kap))
     carrier = ModuleCoalgebra(c, a, action)
     if extension is not None and carrier == extension.subject and coideal == extension.coideal:
@@ -415,7 +420,7 @@ def action_forced_by_counit(action: Matrix, psi: EntwiningStructure) -> bool:
     a, c = psi.algebra, psi.coalgebra
     ic = c.identity_matrix
     eps_act = c.counit_matrix @ action
-    return action == kron(eps_act, ic) @ kron(ic, psi.psi) @ kron(c.comult_matrix, a.identity_matrix)
+    return action == kron_apply(eps_act, ic, kron_apply(ic, psi.psi, kron(c.comult_matrix, a.identity_matrix)))
 
 
 def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquivalenceReport:
@@ -423,8 +428,9 @@ def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquiva
 
     Forward: from a verified dual bundle, act = (kappa (x) C)psi is an action
     whose coextension certificate recovers psi, with counit . act =
-    counit (x) kappa.  Backward: the canonical coideal of that action is the
-    bundle's coideal, so its coextension certificate is the bundle's own.  The
+    counit (x) kappa.  Backward: the coinvariants of the dual of that action
+    are the annihilator of the bundle's coideal, so its canonical coideal is
+    that coideal and its coextension certificate is the bundle's own.  The
     uniqueness clause checks, with the certificate's psi, that the action is
     forced by counit . act.
     """
@@ -445,6 +451,6 @@ def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquiva
         certificate=cert,
         counit_normalized=c.counit_matrix @ action == kron(c.counit_matrix, kap),
         psi_recovered=cert.psi.psi == bundle.entwining.psi,
-        coideal_matches=canonical_coideal(carrier) == cert.coideal,
+        coideal_matches=carrier.dual.coinvariants == _annihilator(cert.coideal),
         action_forced=action_forced_by_counit(action, cert.psi),
     )

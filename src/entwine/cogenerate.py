@@ -43,7 +43,7 @@ from .exactlin import (
     Subspace,
     intersect,
     kernel,
-    kron,
+    kron_apply,
     quotient,
     stack_rows,
 )
@@ -77,7 +77,7 @@ def _kernel_step(c: FiniteCoalgebra, projections: Sequence[Matrix], k: Subspace)
     """The common kernel of (pi_i (x) q_K) . coproduct over the projections
     pi_i, where q_K: C -> C/K; ker(pi_i (x) q_K) = I_i (x) C + C (x) K."""
     q = quotient(c.dim, k).projection
-    return kernel(stack_rows([kron(pi, q) @ c.comult_matrix for pi in projections]))
+    return kernel(stack_rows([kron_apply(pi, q, c.comult_matrix) for pi in projections]))
 
 
 def cogeneration_check(
@@ -157,7 +157,7 @@ def coinvariant_intersection_check(x: ComoduleAlgebra, cogeneration: Cogeneratio
     system = coinvariant_system(x)
     full = coinvariants(a, system)
     # the system of the quotient coaction (A (x) pi)coaction is (A (x) pi) . D
-    sub_1, sub_2 = (coinvariants(a, kron(a.identity_matrix, pi) @ system) for _, pi in cogeneration.quotients)
+    sub_1, sub_2 = (coinvariants(a, kron_apply(a.identity_matrix, pi, system)) for _, pi in cogeneration.quotients)
     meet = intersect(sub_1, sub_2)
     inclusion = meet.contains_subspace(full)
     equality = full == meet

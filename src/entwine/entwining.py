@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AxiomViolation, DimensionMismatch, NotInvertibleError
-from .exactlin import Matrix, flip_map, kron, tensor_permutation
+from .errors import AxiomViolation, DimensionMismatch
+from .exactlin import Matrix, apply_kron, flip_map, kron, kron_apply
 from .structures import (
     AxiomCheck,
     ComoduleAlgebra,
@@ -73,25 +73,25 @@ def validate_entwining(e: EntwiningStructure) -> ValidationReport:
         residual_check(
             "multiplication-compat",
             "psi(C (x) m) = (m (x) C)(A (x) psi)(psi (x) A)",
-            psi @ kron(ic, m),
-            kron(m, ic) @ kron(ia, psi) @ kron(psi, ia),
+            apply_kron(psi, ic, m),
+            kron_apply(m, ic, kron_apply(ia, psi, kron(psi, ia))),
         ),
         residual_check(
             "unit-compat",
             "psi(C (x) unit) = unit (x) C",
-            psi @ kron(ic, u),
+            apply_kron(psi, ic, u),
             kron(u, ic),
         ),
         residual_check(
             "comultiplication-compat",
             "(A (x) coproduct)psi = (psi (x) C)(C (x) psi)(coproduct (x) A)",
-            kron(ia, d) @ psi,
-            kron(psi, ic) @ kron(ic, psi) @ kron(d, ia),
+            kron_apply(ia, d, psi),
+            kron_apply(psi, ic, kron_apply(ic, psi, kron(d, ia))),
         ),
         residual_check(
             "counit-compat",
             "(A (x) counit)psi = counit (x) A",
-            kron(ia, eps) @ psi,
+            kron_apply(ia, eps, psi),
             kron(eps, ia),
         ),
     )
@@ -131,21 +131,7 @@ def _hopf_psi(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
     na, nh = a.dim, h.dim
     ia = a.identity_matrix
     ih = h.algebra.identity_matrix
-    return kron(ia, h.algebra.mult_matrix) @ kron(flip_map(nh, na, a.field), ih) @ kron(ih, x.coaction)
-
-
-def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
-    """The exact inverse psi^{-1}(a (x) h) = h S^{-1}(a_(1)) (x) a_(0)."""
-    sinv = h.antipode_inverse
-    if sinv is None:
-        raise NotInvertibleError("antipode is not invertible")
-    a = x.algebra
-    na, nh = a.dim, h.dim
-    field = a.field
-    ia = a.identity_matrix
-    ih = h.algebra.identity_matrix
-    reverse = tensor_permutation((na, nh, nh), (2, 1, 0), field)
-    return kron(h.algebra.mult_matrix, ia) @ reverse @ kron(ia, kron(sinv, ih)) @ kron(x.coaction, ih)
+    return kron_apply(ia, h.algebra.mult_matrix, kron_apply(flip_map(nh, na, a.field), ih, kron(ih, x.coaction)))
 
 
 def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
@@ -153,8 +139,8 @@ def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
     if not e.checks.ok:
         raise AxiomViolation("input does not satisfy the entwining identities", report=e.checks)
     a, c = e.algebra, e.coalgebra
-    mu = kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, e.psi)
-    delta = kron(c.identity_matrix, e.psi) @ kron(c.comult_matrix, a.identity_matrix)
+    mu = kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, e.psi))
+    delta = kron_apply(c.identity_matrix, e.psi, kron(c.comult_matrix, a.identity_matrix))
     return StructureMapPair(a, c, mu, delta)
 
 
@@ -172,34 +158,34 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
         residual_check(
             "right-action-associative",
             "mu(mu (x) A) = mu(A (x) C (x) m)",
-            p.mu @ kron(p.mu, ia),
-            p.mu @ kron(iac, m),
+            apply_kron(p.mu, p.mu, ia),
+            apply_kron(p.mu, iac, m),
         ),
-        residual_check("right-action-unital", "mu(A (x) C (x) unit) = id", p.mu @ kron(iac, u), iac),
+        residual_check("right-action-unital", "mu(A (x) C (x) unit) = id", apply_kron(p.mu, iac, u), iac),
         residual_check(
             "left-linear-over-m",
             "mu(m (x) C (x) A) = (m (x) C)(A (x) mu)",
-            p.mu @ kron(m, kron(ic, ia)),
-            kron(m, ic) @ kron(ia, p.mu),
+            apply_kron(p.mu, m, ica),
+            kron_apply(m, ic, kron(ia, p.mu)),
         ),
         residual_check(
             "right-coaction-coassociative",
             "(delta (x) C)delta = (C (x) A (x) coproduct)delta",
-            kron(p.delta, ic) @ p.delta,
-            kron(ica, d) @ p.delta,
+            kron_apply(p.delta, ic, p.delta),
+            kron_apply(ica, d, p.delta),
         ),
-        residual_check("right-coaction-counital", "(C (x) A (x) counit)delta = id", kron(ica, eps) @ p.delta, ica),
+        residual_check("right-coaction-counital", "(C (x) A (x) counit)delta = id", kron_apply(ica, eps, p.delta), ica),
         residual_check(
             "left-colinear-over-coproduct",
             "(coproduct (x) A (x) C)delta = (C (x) delta)(coproduct (x) A)",
-            kron(d, kron(ia, ic)) @ p.delta,
-            kron(ic, p.delta) @ kron(d, ia),
+            kron_apply(d, iac, p.delta),
+            kron_apply(ic, p.delta, kron(d, ia)),
         ),
         residual_check(
             "pair-compatibility",
             "(counit (x) A (x) C)delta = mu(unit (x) C (x) A)",
-            kron(eps, iac) @ p.delta,
-            p.mu @ kron(u, ica),
+            kron_apply(eps, iac, p.delta),
+            apply_kron(p.mu, u, ica),
         ),
     )
     return ValidationReport("structure-map pair", checks)
@@ -214,8 +200,8 @@ def structure_maps_to_psi(p: StructureMapPair, known: EntwiningStructure | None 
     if not p.checks.ok:
         raise AxiomViolation("structure-map pair fails its axioms", report=p.checks)
     a, c = p.algebra, p.coalgebra
-    from_delta = kron(c.counit_matrix, Matrix.identity(a.dim * c.dim, a.field)) @ p.delta
-    from_mu = p.mu @ kron(a.unit_matrix, Matrix.identity(c.dim * a.dim, a.field))
+    from_delta = kron_apply(c.counit_matrix, Matrix.identity(a.dim * c.dim, a.field), p.delta)
+    from_mu = apply_kron(p.mu, a.unit_matrix, Matrix.identity(c.dim * a.dim, a.field))
     difference = from_delta - from_mu
     if not difference.is_zero:
         raise AxiomViolation(
@@ -237,10 +223,10 @@ def entwined_module_check(module: RightModule, comodule: RightComodule, e: Entwi
     nv = module.dim
     iv = Matrix.identity(nv, e.algebra.field)
     lhs = comodule.coaction @ module.action
-    rhs = (
-        kron(module.action, e.coalgebra.identity_matrix)
-        @ kron(iv, e.psi)
-        @ kron(comodule.coaction, e.algebra.identity_matrix)
+    rhs = kron_apply(
+        module.action,
+        e.coalgebra.identity_matrix,
+        kron_apply(iv, e.psi, kron(comodule.coaction, e.algebra.identity_matrix)),
     )
     return residual_check(
         "entwined-module",

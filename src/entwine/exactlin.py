@@ -17,6 +17,21 @@ vectors, membership tests and elimination touch nonzero entries only,
 elimination works on sparse rows (dicts from column to value), and tensor
 permutations are built from their index maps.
 
+Most identities of the library are composites of tensor products of
+structure maps, so two products apply a Kronecker product without forming
+it: ``kron_apply(x, y, m) == kron(x, y) @ m`` and ``apply_kron(m, x, y) ==
+m @ kron(x, y)``.  Each builds the output index straight from the factors'
+nonzero indexes (the row-major identity of Van Loan, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123, 2000).  One factor is
+usually an identity, so most coefficients are 1, and over Q a product by 1
+or a sum with 0 still costs a Fraction operation.  So, like ``@`` and
+``kron``, both add a row with a unit coefficient without multiplying, and
+emit an empty factor row as ``()`` at once; ``kron_apply`` passes a one-term
+output row with coefficient 1 through as the row of m itself, and
+``apply_kron`` writes out the row of a one-entry row of m in column order,
+with no accumulator.  Over GF(p) a coefficient is tested for 1 only after
+its reduction mod p.
+
 Conventions, fixed once for the whole library:
 
 * matrices act on column vectors, so a linear map V -> W is a
@@ -71,6 +86,41 @@ def _index_row(acc: dict[int, Scalar], p: int | None) -> IndexRow:
     if p:
         return tuple([(j, x) for j, x in sorted([(j, x % p) for j, x in acc.items()]) if x])
     return tuple([(j, x) for j, x in sorted(acc.items()) if x])
+
+
+def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int | None) -> IndexRow:
+    """The index row of the sum of a * rows[k] over the (k, a) terms, whose
+    coefficients are nonzero and, over GF(p), reduced.  A one-term sum with
+    a == 1 is rows[k] itself, and a unit coefficient is never multiplied."""
+    if len(terms) == 1:
+        k, a = terms[0]
+        if a == 1:
+            return rows[k]
+        if p:
+            return tuple([(j, a * b % p) for j, b in rows[k]])
+        return tuple([(j, a * b) for j, b in rows[k]])
+    acc: dict[int, Scalar] = {}
+    if p:
+        # int products: accumulate, then reduce once per output cell
+        get = acc.get
+        for k, a in terms:
+            for j, b in rows[k]:
+                acc[j] = get(j, 0) + a * b
+        return _index_row(acc, p)
+    for k, a in terms:
+        if a == 1:  # no Fraction product for unit coefficients
+            for j, b in rows[k]:
+                if j in acc:
+                    acc[j] += b
+                else:
+                    acc[j] = b
+        else:
+            for j, b in rows[k]:
+                if j in acc:
+                    acc[j] += a * b
+                else:
+                    acc[j] = a * b
+    return _index_row(acc, None)
 
 
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
@@ -185,44 +235,9 @@ class Matrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        field = self.field
-        p = field.p
+        p = self.field.p
         bnz = other.nonzeros
-        out = []
-        for arow in self.nonzeros:
-            if len(arow) == 1:
-                k, a = arow[0]
-                if a == 1:
-                    out.append(bnz[k])
-                elif p:
-                    out.append(tuple((j, a * b % p) for j, b in bnz[k]))
-                else:
-                    out.append(tuple((j, a * b) for j, b in bnz[k]))
-                continue
-            acc: dict[int, Scalar] = {}
-            if p:
-                # int products: accumulate, then reduce once per output cell
-                get = acc.get
-                for k, a in arow:
-                    for j, b in bnz[k]:
-                        acc[j] = get(j, 0) + a * b
-                out.append(_index_row(acc, p))
-                continue
-            for k, a in arow:
-                if a == 1:  # no Fraction product for unit coefficients
-                    for j, b in bnz[k]:
-                        if j in acc:
-                            acc[j] += b
-                        else:
-                            acc[j] = b
-                else:
-                    for j, b in bnz[k]:
-                        if j in acc:
-                            acc[j] += a * b
-                        else:
-                            acc[j] = a * b
-            out.append(_index_row(acc, None))
-        return _from_index(self.rows, other.cols, out, field)
+        return _from_index(self.rows, other.cols, [_combination(arow, bnz, p) for arow in self.nonzeros], self.field)
 
     def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
         """self + sign * other, row by row over both indexes."""
@@ -469,13 +484,6 @@ def _nonzero_rows(m: Matrix) -> list[dict[int, Scalar]]:
     return [dict(row) for row in m.nonzeros]
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form (leftmost pivots, exact division)."""
-    _, reduced = _echelon(_nonzero_rows(m), m.cols, m.field)
-    index = [_sorted_index(row) for row in reduced]
-    return _from_index(m.rows, m.cols, index + [()] * (m.rows - len(index)), m.field)
-
-
 def rank(m: Matrix) -> int:
     return len(_echelon(_nonzero_rows(m), m.cols, m.field)[0])
 
@@ -534,14 +542,6 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
                 _subtract(v, -a, s1.nonzeros[q], p)
         vecs.append(v)
     return _subspace(n, _echelon(vecs, n, field)[1], field)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    _check_same_field(s1, s2)
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch(f"ambient {s1.ambient_dim} vs {s2.ambient_dim}")
-    rows = [dict(row) for row in s1.nonzeros + s2.nonzeros]
-    return _subspace(s1.ambient_dim, _echelon(rows, s1.ambient_dim, s1.field)[1], s1.field)
 
 
 def try_invert(m: Matrix):
@@ -609,6 +609,94 @@ def kron(m1: Matrix, m2: Matrix) -> Matrix:
                     pairs.extend((base + j2, a * b) for j2, b in row2)
             out.append(tuple(pairs))
     return _from_index(m1.rows * m2.rows, m1.cols * c2, out, field)
+
+
+def _unit_flagged(m: Matrix, stride: int) -> list[list[tuple[int, Scalar, bool]]]:
+    """Per row of m, its (column * stride, value, value == 1) triples."""
+    return [[(j * stride, a, a == 1) for j, a in row] for row in m.nonzeros]
+
+
+def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
+    """kron(x, y) @ m without forming kron(x, y).
+
+    Row i1*rows(y) + i2 of the product is the sum of x[i1, j1] y[i2, j2]
+    times row j1*cols(y) + j2 of m, so each output row is one _combination
+    of rows of m, with the coefficient products formed (and reduced mod p)
+    before the unit test.
+    """
+    _check_same_field(x, y)
+    _check_same_field(x, m)
+    if x.cols * y.cols != m.rows:
+        raise DimensionMismatch(f"kron({x.rows}x{x.cols}, {y.rows}x{y.cols}) @ {m.rows}x{m.cols}")
+    p = x.field.p
+    mnz = m.nonzeros
+    yrows = _unit_flagged(y, 1)
+    out: list[IndexRow] = []
+    for xrow in _unit_flagged(x, y.cols):
+        if not xrow:
+            out.extend([()] * y.rows)
+            continue
+        for yrow in yrows:
+            if not yrow:
+                out.append(())
+                continue
+            terms = [
+                (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
+                for base, a, aunit in xrow
+                for j2, b, bunit in yrow
+            ]
+            out.append(_combination(terms, mnz, p))
+    return _from_index(x.rows * y.rows, m.cols, out, x.field)
+
+
+def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
+    """m @ kron(x, y) without forming kron(x, y).
+
+    Row r of the product is the sum, over the nonzeros m[r, i1*rows(y) + i2],
+    of m[r, i1*rows(y) + i2] times the row x[i1] (x) y[i2], whose column
+    j1*cols(y) + j2 holds x[i1, j1] y[i2, j2].  A one-entry row of m gives a
+    scaled x[i1] (x) y[i2] straight away, already in column order.
+    """
+    _check_same_field(m, x)
+    _check_same_field(m, y)
+    r2 = y.rows
+    if m.cols != x.rows * r2:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} @ kron({x.rows}x{x.cols}, {r2}x{y.cols})")
+    p = m.field.p
+    xrows = _unit_flagged(x, y.cols)
+    yrows = _unit_flagged(y, 1)
+    out: list[IndexRow] = []
+    for mrow in m.nonzeros:
+        if len(mrow) == 1:
+            k, c = mrow[0]
+            i1, i2 = divmod(k, r2)
+            pairs = []
+            for base, a, aunit in xrows[i1]:
+                ca = c if aunit else a if c == 1 else c * a % p if p else c * a
+                if ca == 1:
+                    pairs.extend([(base + j2, b) for j2, b, _ in yrows[i2]])
+                elif p:
+                    pairs.extend([(base + j2, ca * b % p) for j2, b, _ in yrows[i2]])
+                else:
+                    pairs.extend([(base + j2, ca * b) for j2, b, _ in yrows[i2]])
+            out.append(tuple(pairs))
+            continue
+        acc: dict[int, Scalar] = {}
+        for k, c in mrow:
+            i1, i2 = divmod(k, r2)
+            yrow = yrows[i2]
+            for base, a, aunit in xrows[i1]:
+                ca = c if aunit else a if c == 1 else c * a % p if p else c * a
+                cunit = ca == 1
+                for j2, b, bunit in yrow:
+                    v = b if cunit else ca if bunit else ca * b
+                    j = base + j2
+                    if j in acc:
+                        acc[j] += v
+                    else:
+                        acc[j] = v
+        out.append(_index_row(acc, p))
+    return _from_index(m.rows, x.cols * y.cols, out, m.field)
 
 
 def tensor_permutation(dims: Sequence[int], perm: Sequence[int], field: FieldSpec) -> Matrix:

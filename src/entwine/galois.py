@@ -28,12 +28,14 @@ from .exactlin import (
     QuotientPresentation,
     Subspace,
     _from_index,
+    apply_kron,
     basis_vector,
     column_matrix,
     decide_bijection,
     intersect,
     kernel,
     kron,
+    kron_apply,
     middle_block,
     quotient,
     tensor_permutation,
@@ -189,22 +191,22 @@ def _descend(full: Matrix, presentation: QuotientPresentation, what: str) -> Mat
 def _quotient_left_action(x: ComoduleAlgebra, presentation: QuotientPresentation) -> Matrix:
     """A (x) (A (x)_B A) -> A (x)_B A induced by multiplication on the left leg."""
     a = x.algebra
-    lift = kron(a.mult_matrix, a.identity_matrix) @ kron(a.identity_matrix, presentation.section)
+    lift = kron_apply(a.mult_matrix, a.identity_matrix, kron(a.identity_matrix, presentation.section))
     return presentation.projection @ lift
 
 
 def _quotient_right_action(x: ComoduleAlgebra, presentation: QuotientPresentation) -> Matrix:
     """(A (x)_B A) (x) A -> A (x)_B A induced by multiplication on the right leg."""
     a = x.algebra
-    lift = kron(a.identity_matrix, a.mult_matrix) @ kron(presentation.section, a.identity_matrix)
+    lift = kron_apply(a.identity_matrix, a.mult_matrix, kron(presentation.section, a.identity_matrix))
     return presentation.projection @ lift
 
 
 def _quotient_coaction(x: ComoduleAlgebra, presentation: QuotientPresentation) -> Matrix:
     """A (x)_B A -> (A (x)_B A) (x) C induced by the coaction on the right leg."""
     a, c = x.algebra, x.coalgebra
-    lift = kron(a.identity_matrix, x.coaction) @ presentation.section
-    return kron(presentation.projection, c.identity_matrix) @ lift
+    lift = kron_apply(a.identity_matrix, x.coaction, presentation.section)
+    return kron_apply(presentation.projection, c.identity_matrix, lift)
 
 
 def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
@@ -217,7 +219,7 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     """
     if not x.comodule_checks.ok:
         raise AxiomViolation("coaction does not satisfy the comodule axioms", report=x.comodule_checks)
-    return _certify(x, coinvariants(x.algebra, coinvariant_system(x)))
+    return _certify(x, x.coinvariants)
 
 
 def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertificate:
@@ -237,13 +239,13 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertif
             "can-left-linear",
             "can(a.(x (x)_B y)) = (m (x) C)(a (x) can(x (x)_B y))",
             can @ left_action,
-            kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, can),
+            kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, can)),
         ),
         residual_check(
             "can-right-colinear",
             "(A (x) coproduct)can = (can (x) C)(coaction on the right leg)",
-            kron(a.identity_matrix, c.comult_matrix) @ can,
-            kron(can, c.identity_matrix) @ coact_q,
+            kron_apply(a.identity_matrix, c.comult_matrix, can),
+            kron_apply(can, c.identity_matrix, coact_q),
         ),
     ]
     decision = decide_bijection(can)
@@ -264,7 +266,7 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertif
     )
     if not is_galois:
         return cert
-    cert = replace(cert, translation=decision.inverse @ kron(a.unit_matrix, c.identity_matrix))
+    cert = replace(cert, translation=apply_kron(decision.inverse, a.unit_matrix, c.identity_matrix))
     checks.extend(_translation_checks(cert))
     return replace(cert, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
 
@@ -297,7 +299,7 @@ def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:
     descended_mult = a.mult_matrix @ presentation.section
     left_action = _quotient_left_action(x, presentation)
     coact_q = _quotient_coaction(x, presentation)
-    unit_right = presentation.projection @ kron(a.unit_matrix, a.identity_matrix)
+    unit_right = apply_kron(presentation.projection, a.unit_matrix, a.identity_matrix)
     return [
         residual_check(
             "translation-product",
@@ -308,14 +310,14 @@ def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:
         residual_check(
             "translation-splits-coaction",
             "a_(0) . translation(a_(1)) = 1 (x)_B a",
-            left_action @ kron(a.identity_matrix, tau) @ x.coaction,
+            left_action @ kron_apply(a.identity_matrix, tau, x.coaction),
             unit_right,
         ),
         residual_check(
             "translation-colinear",
             "coacting on the right leg of translation = (translation (x) C)coproduct",
             coact_q @ tau,
-            kron(tau, c.identity_matrix) @ c.comult_matrix,
+            kron_apply(tau, c.identity_matrix, c.comult_matrix),
         ),
     ]
 
@@ -327,7 +329,7 @@ def canonical_entwining(cert: GaloisCertificate) -> EntwiningStructure:
     x = cert.subject
     a = x.algebra
     right_action = _quotient_right_action(x, cert.balanced)
-    psi = cert.can @ right_action @ kron(cert.translation, a.identity_matrix)
+    psi = apply_kron(cert.can @ right_action, cert.translation, a.identity_matrix)
     return EntwiningStructure(a, x.coalgebra, psi)
 
 
@@ -411,14 +413,14 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
     ]
     bb = Subspace.from_spanning(bb_vectors, a.dim * a.dim, field)
     omega_b = intersect(bb, omega_a)
-    # A(dB)A is spanned by the (L_i (x) R_j)w = (L_i (x) A)(A (x) R_j)w for w
-    # in Omega_B; the a^2 operators are built once, and only when Omega_B != 0
-    operators = []
+    # A(dB)A is spanned by the (L_i (x) R_j)w for w in Omega_B: the columns
+    # of (L_i (x) R_j) applied to the inclusion of Omega_B, when Omega_B != 0
+    horizontal_vectors = []
     if omega_b.basis:
+        forms = omega_b.inclusion()
         left = [a.left_multiplication(basis_vector(a.dim, i, field)) for i in range(a.dim)]
         right = [a.right_multiplication(basis_vector(a.dim, j, field)) for j in range(a.dim)]
-        operators = [kron(li, rj) for li in left for rj in right]
-    horizontal_vectors = [op.apply(w) for w in omega_b.basis for op in operators]
+        horizontal_vectors = [v for li in left for rj in right for v in kron_apply(li, rj, forms).columns()]
     horizontal = Subspace.from_spanning(horizontal_vectors, a.dim * a.dim, field)
     restricted_images = [x.raw_can.apply(w) for w in omega_a.basis]
     restricted_image = Subspace.from_spanning(restricted_images, a.dim * c.dim, field)
@@ -486,7 +488,7 @@ def bundle_check(source: EntwiningStructure | GaloisCertificate, grouplike: Grou
     if not e.checks.ok:
         raise AxiomViolation("entwining identities fail", report=e.checks)
     e_col = column_matrix(grouplike.coords, field)
-    coaction = e.psi @ kron(e_col, a.identity_matrix)
+    coaction = apply_kron(e.psi, e_col, a.identity_matrix)
     invariants = kernel(coaction - kron(a.identity_matrix, e_col))
     carrier = ComoduleAlgebra(a, c, coaction)
     if extension is not None and carrier == extension.subject and invariants == extension.coinvariants:
@@ -527,7 +529,7 @@ def coaction_forced_by_unit(coaction: Matrix, psi: EntwiningStructure) -> bool:
     a, c = psi.algebra, psi.coalgebra
     rho_one = column_matrix(coaction.apply(a.unit), a.field)
     ia = a.identity_matrix
-    return coaction == kron(a.mult_matrix, c.identity_matrix) @ kron(ia, psi.psi) @ kron(rho_one, ia)
+    return coaction == kron_apply(a.mult_matrix, c.identity_matrix, kron_apply(ia, psi.psi, kron(rho_one, ia)))
 
 
 def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport:
@@ -548,7 +550,6 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         return BundleEquivalenceReport(False, "induced map is not a coaction", bundle=bundle)
     coaction = carrier.coaction
     e_col = column_matrix(bundle.grouplike, a.field)
-    carrier_coinvariants = coinvariants(a, coinvariant_system(carrier))
     return BundleEquivalenceReport(
         True,
         "",
@@ -557,7 +558,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         certificate=cert,
         unit_normalized=tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, a.field), e_col).column(0),
         psi_recovered=cert.psi.psi == bundle.entwining.psi,
-        coinvariants_match=carrier_coinvariants == cert.coinvariants,
+        coinvariants_match=carrier.coinvariants == cert.coinvariants,
         coaction_forced=coaction_forced_by_unit(coaction, cert.psi),
     )
 
@@ -593,11 +594,11 @@ def left_canonical_check(h: HopfAlgebra, cert: GaloisCertificate, algebra_map: S
     nh = h.dim
     field = a.field
     swap = tensor_permutation((a.dim, nh, a.dim), (1, 0, 2), field)
-    can_left_full = (
-        kron(h.algebra.identity_matrix, a.mult_matrix)
-        @ swap
-        @ kron(kron(a.identity_matrix, sinv), a.identity_matrix)
-        @ kron(x.coaction, a.identity_matrix)
+    ia = a.identity_matrix
+    can_left_full = kron_apply(
+        h.algebra.identity_matrix,
+        a.mult_matrix,
+        swap @ kron_apply(kron(ia, sinv), ia, kron(x.coaction, ia)),
     )
     can_left = _descend(can_left_full, cert.balanced, "the left canonical map")
     return LeftCanonicalReport(

@@ -11,7 +11,8 @@ dim^3 object is ever built.  Validators return residual reports rather than
 failing fast, so a violated axiom comes back with the exact witness matrix.
 A report depends only on its immutable structure, so each structure caches
 the report of its own axioms (``checks``, ``comodule_checks``,
-``module_checks``), computed by the validator on first read.
+``module_checks``), computed by the validator on first read, and a comodule
+algebra caches its coinvariants the same way.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from .errors import AxiomViolation, DimensionMismatch
 from .exactlin import (
     Matrix,
     NotInvertible,
+    Subspace,
+    apply_kron,
     column_matrix,
     kron,
+    kron_apply,
     row_matrix,
     tensor_permutation,
     try_invert,
@@ -110,11 +114,11 @@ class FiniteAlgebra:
 
     def left_multiplication(self, x) -> Matrix:
         """The operator a |-> x . a."""
-        return self.mult_matrix @ kron(column_matrix(x, self.field), self.identity_matrix)
+        return apply_kron(self.mult_matrix, column_matrix(x, self.field), self.identity_matrix)
 
     def right_multiplication(self, x) -> Matrix:
         """The operator a |-> a . x."""
-        return self.mult_matrix @ kron(self.identity_matrix, column_matrix(x, self.field))
+        return apply_kron(self.mult_matrix, self.identity_matrix, column_matrix(x, self.field))
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,14 @@ class ComoduleAlgebra:
     def raw_can(self) -> Matrix:
         """The canonical map (m (x) C)(A (x) coaction) on the full A (x) A."""
         a, c = self.algebra, self.coalgebra
-        return kron(a.mult_matrix, c.identity_matrix) @ kron(a.identity_matrix, self.coaction)
+        return kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, self.coaction))
+
+    @cached_property
+    def coinvariants(self) -> Subspace:
+        """galois.coinvariants of the algebra under its coinvariant system."""
+        from .galois import coinvariant_system, coinvariants  # galois builds on this module
+
+        return coinvariants(self.algebra, coinvariant_system(self))
 
 
 @dataclass(frozen=True)
@@ -283,11 +294,11 @@ def validate_algebra(a: FiniteAlgebra) -> ValidationReport:
         residual_check(
             "associativity",
             "m(m (x) id) = m(id (x) m)",
-            m @ kron(m, ident),
-            m @ kron(ident, m),
+            apply_kron(m, m, ident),
+            apply_kron(m, ident, m),
         ),
-        residual_check("left-unit", "m(unit (x) id) = id", m @ kron(u, ident), ident),
-        residual_check("right-unit", "m(id (x) unit) = id", m @ kron(ident, u), ident),
+        residual_check("left-unit", "m(unit (x) id) = id", apply_kron(m, u, ident), ident),
+        residual_check("right-unit", "m(id (x) unit) = id", apply_kron(m, ident, u), ident),
     )
     return ValidationReport("algebra", checks)
 
@@ -298,11 +309,11 @@ def validate_coalgebra(c: FiniteCoalgebra) -> ValidationReport:
         residual_check(
             "coassociativity",
             "(coproduct (x) id)coproduct = (id (x) coproduct)coproduct",
-            kron(d, ident) @ d,
-            kron(ident, d) @ d,
+            kron_apply(d, ident, d),
+            kron_apply(ident, d, d),
         ),
-        residual_check("left-counit", "(counit (x) id)coproduct = id", kron(e, ident) @ d, ident),
-        residual_check("right-counit", "(id (x) counit)coproduct = id", kron(ident, e) @ d, ident),
+        residual_check("left-counit", "(counit (x) id)coproduct = id", kron_apply(e, ident, d), ident),
+        residual_check("right-counit", "(id (x) counit)coproduct = id", kron_apply(ident, e, d), ident),
     )
     return ValidationReport("coalgebra", checks)
 
@@ -315,13 +326,13 @@ def validate_comodule(v: RightComodule) -> ValidationReport:
         residual_check(
             "coaction-coassociativity",
             "(coaction (x) C)coaction = (V (x) coproduct)coaction",
-            kron(rho, c.identity_matrix) @ rho,
-            kron(iv, c.comult_matrix) @ rho,
+            kron_apply(rho, c.identity_matrix, rho),
+            kron_apply(iv, c.comult_matrix, rho),
         ),
         residual_check(
             "coaction-counit",
             "(V (x) counit)coaction = id",
-            kron(iv, c.counit_matrix) @ rho,
+            kron_apply(iv, c.counit_matrix, rho),
             iv,
         ),
     )
@@ -336,13 +347,13 @@ def validate_module(v: RightModule) -> ValidationReport:
         residual_check(
             "action-associativity",
             "act(act (x) A) = act(V (x) m)",
-            act @ kron(act, a.identity_matrix),
-            act @ kron(iv, a.mult_matrix),
+            apply_kron(act, act, a.identity_matrix),
+            apply_kron(act, iv, a.mult_matrix),
         ),
         residual_check(
             "action-unit",
             "act(V (x) unit) = id",
-            act @ kron(iv, a.unit_matrix),
+            apply_kron(act, iv, a.unit_matrix),
             iv,
         ),
     )
@@ -361,7 +372,7 @@ def bialgebra_checks(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> tupl
             "coproduct-multiplicative",
             "coproduct(ab) = coproduct(a)coproduct(b)",
             d @ m,
-            kron(m, m) @ mid_swap @ kron(d, d),
+            kron_apply(m, m, apply_kron(mid_swap, d, d)),
         ),
         residual_check("coproduct-unital", "coproduct(1) = 1 (x) 1", d @ u, kron(u, u)),
         residual_check("counit-multiplicative", "counit(ab) = counit(a)counit(b)", e @ m, kron(e, e)),
@@ -417,7 +428,7 @@ def coaction_algebra_map_checks(x: ComoduleAlgebra, coacting_algebra: FiniteAlge
             "coaction-multiplicative",
             "coaction(ab) = coaction(a)coaction(b) in A (x) H",
             rho @ m,
-            kron(m, mh) @ mid_swap @ kron(rho, rho),
+            kron_apply(m, mh, apply_kron(mid_swap, rho, rho)),
         ),
         residual_check("coaction-unital", "coaction(1) = 1 (x) 1", rho @ u, kron(u, uh)),
     )
@@ -457,21 +468,11 @@ def convolution(f: Matrix, g: Matrix, source: FiniteCoalgebra, target: FiniteAlg
         raise DimensionMismatch("convolution factors must be maps out of the coalgebra")
     if f.rows != target.dim or g.rows != target.dim:
         raise DimensionMismatch("convolution factors must be maps into the algebra")
-    return target.mult_matrix @ kron(f, g) @ source.comult_matrix
+    return target.mult_matrix @ kron_apply(f, g, source.comult_matrix)
 
 
 def convolution_unit(source: FiniteCoalgebra, target: FiniteAlgebra) -> Matrix:
     return target.unit_matrix @ source.counit_matrix
-
-
-def field_algebra(field: FieldSpec) -> FiniteAlgebra:
-    """The ground field as a one-dimensional algebra."""
-    return FiniteAlgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)
-
-
-def field_coalgebra(field: FieldSpec) -> FiniteCoalgebra:
-    """The ground field as a one-dimensional coalgebra."""
-    return FiniteCoalgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)
 
 
 def transport_algebra(a: FiniteAlgebra, t: Matrix) -> FiniteAlgebra:
@@ -479,7 +480,7 @@ def transport_algebra(a: FiniteAlgebra, t: Matrix) -> FiniteAlgebra:
     tinv = try_invert(t)
     if isinstance(tinv, NotInvertible):
         raise AxiomViolation("change of basis must be invertible")
-    m = tinv @ a.mult_matrix @ kron(t, t)
+    m = tinv @ apply_kron(a.mult_matrix, t, t)
     return FiniteAlgebra(a.dim, a.basis_names, m, (tinv @ a.unit_matrix).column(0), a.field)
 
 
@@ -487,5 +488,5 @@ def transport_coalgebra(c: FiniteCoalgebra, t: Matrix) -> FiniteCoalgebra:
     tinv = try_invert(t)
     if isinstance(tinv, NotInvertible):
         raise AxiomViolation("change of basis must be invertible")
-    dm = kron(tinv, tinv) @ c.comult_matrix @ t
+    dm = kron_apply(tinv, tinv, c.comult_matrix) @ t
     return FiniteCoalgebra(c.dim, c.basis_names, dm, (c.counit_matrix @ t).entries[0], c.field)

@@ -6,6 +6,11 @@ them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.
 
+With them are the two products that exactlin.kron_apply and
+exactlin.apply_kron compute without forming a Kronecker product: here the
+product kron(x, y) is formed first and then multiplied, on the sparse
+kernels.
+
 Next come the dense structure tensors that algebras and coalgebras were
 stored as before their structure-constant matrices became their only form:
 the cell-by-cell tensor -> matrix conversions, and readers that rebuild
@@ -19,7 +24,7 @@ enumeration of all 2^L projection chains per length, which the library
 replaced with a kernel fixed point, the per-basis-vector coinvariant
 blocks, which the library reads off one coinvariant system, and the
 horizontal forms with one operator rebuilt per (w, i, j), which the library
-builds once per check.
+applies to all of Omega_B at once without forming the operators.
 
 Last comes the coextension certificate built on the cotensor product
 C box_B C itself: the canonical coideal spanned over basis inputs and
@@ -52,9 +57,9 @@ from entwine.exactlin import (
     kron,
     row_matrix,
     stack_rows,
-    subspace_sum,
 )
 from entwine.structures import AxiomCheck, RightComodule, RightModule, ValidationReport, residual_check
+from support import subspace_sum
 
 
 def matmul(a: Matrix, b: Matrix) -> tuple:
@@ -90,6 +95,16 @@ def kron_dense(m1: Matrix, m2: Matrix) -> tuple:
                     if b:
                         orow[j1 * m2.cols + j2] = (a * b) % p if prime else a * b
     return tuple(tuple(r) for r in out)
+
+
+def kron_then_product(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
+    """kron(x, y) @ m with kron(x, y) formed first."""
+    return kron(x, y) @ m
+
+
+def product_with_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
+    """m @ kron(x, y) with kron(x, y) formed first."""
+    return m @ kron(x, y)
 
 
 def apply_dense(m: Matrix, vec) -> tuple:

@@ -1,0 +1,61 @@
+"""Library-shaped helpers that only the tests use: the RREF of a matrix, the
+sum of two subspaces, the exact inverse of a Hopf-case entwining map, and
+the ground field as a one-dimensional algebra and coalgebra.  They are built
+on entwine's own primitives and conventions."""
+
+from __future__ import annotations
+
+from entwine.errors import DimensionMismatch, NotInvertibleError
+from entwine.exactlin import (
+    Matrix,
+    Subspace,
+    _check_same_field,
+    _echelon,
+    _from_index,
+    _nonzero_rows,
+    _sorted_index,
+    _subspace,
+    kron,
+    tensor_permutation,
+)
+from entwine.fields import FieldSpec
+from entwine.structures import ComoduleAlgebra, FiniteAlgebra, FiniteCoalgebra, HopfAlgebra
+
+
+def rref(m: Matrix) -> Matrix:
+    """Unique reduced row-echelon form (leftmost pivots, exact division)."""
+    _, reduced = _echelon(_nonzero_rows(m), m.cols, m.field)
+    index = [_sorted_index(row) for row in reduced]
+    return _from_index(m.rows, m.cols, index + [()] * (m.rows - len(index)), m.field)
+
+
+def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    _check_same_field(s1, s2)
+    if s1.ambient_dim != s2.ambient_dim:
+        raise DimensionMismatch(f"ambient {s1.ambient_dim} vs {s2.ambient_dim}")
+    rows = [dict(row) for row in s1.nonzeros + s2.nonzeros]
+    return _subspace(s1.ambient_dim, _echelon(rows, s1.ambient_dim, s1.field)[1], s1.field)
+
+
+def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
+    """The exact inverse psi^{-1}(a (x) h) = h S^{-1}(a_(1)) (x) a_(0)."""
+    sinv = h.antipode_inverse
+    if sinv is None:
+        raise NotInvertibleError("antipode is not invertible")
+    a = x.algebra
+    na, nh = a.dim, h.dim
+    field = a.field
+    ia = a.identity_matrix
+    ih = h.algebra.identity_matrix
+    reverse = tensor_permutation((na, nh, nh), (2, 1, 0), field)
+    return kron(h.algebra.mult_matrix, ia) @ reverse @ kron(ia, kron(sinv, ih)) @ kron(x.coaction, ih)
+
+
+def field_algebra(field: FieldSpec) -> FiniteAlgebra:
+    """The ground field as a one-dimensional algebra."""
+    return FiniteAlgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)
+
+
+def field_coalgebra(field: FieldSpec) -> FiniteCoalgebra:
+    """The ground field as a one-dimensional coalgebra."""
+    return FiniteCoalgebra(1, ("1",), Matrix.identity(1, field), (field.one,), field)

@@ -32,7 +32,6 @@ from entwine.cogenerate import (
 from entwine.entwining import (
     flip_entwining,
     hopf_entwining,
-    invert_hopf_entwining,
     psi_to_structure_maps,
     structure_maps_to_psi,
     validate_entwining,
@@ -57,12 +56,12 @@ from entwine.galois import (
     galois_check,
     left_canonical_check,
 )
+from support import field_algebra, invert_hopf_entwining
 from entwine.structures import (
     Character,
     ComoduleAlgebra,
     GroupLike,
     coaction_algebra_map_checks,
-    field_algebra,
     transport_algebra,
     transport_coalgebra,
     validate_algebra,

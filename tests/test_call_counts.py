@@ -97,6 +97,7 @@ def test_bundle_report_is_passed_to_the_equivalence(count_calls):
         galois.bundle_check,
         galois.galois_check,
         galois.balanced_tensor,
+        galois.coinvariants,
         structures.ComoduleAlgebra.raw_can,
         entwining.validate_entwining,
         structures.validate_comodule,
@@ -104,12 +105,13 @@ def test_bundle_report_is_passed_to_the_equivalence(count_calls):
     doc, _ = _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
     # the bundle at the unit induces the extension's own coaction and
     # coinvariants, so its certificate is the extension's, and the
-    # equivalence reads the raw canonical map and comodule report of its
-    # subject, the document's comodule algebra
+    # equivalence reads the raw canonical map, comodule report and
+    # coinvariants of its subject, the document's comodule algebra
     assert counts == {
         "bundle_check": len(doc.grouplikes),
         "galois_check": 1,
         "balanced_tensor": 1,
+        "coinvariants": 1,
         "raw_can": 1,
         "validate_entwining": 1,
         "validate_comodule": 1,
@@ -182,6 +184,8 @@ def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
 def test_group_coextension_quotient_count(count_calls):
     counts = count_calls(
         cogalois.coextension_check,
+        cogalois.canonical_coideal,
+        galois.coinvariants,
         exactlin.quotient,
         structures.validate_module,
         galois.balanced_tensor,
@@ -201,6 +205,10 @@ def test_group_coextension_quotient_count(count_calls):
     # the dual's raw canonical map, shared by the canonical coideal, the
     # certificate and the canonical coideal in the equivalence
     assert counts["raw_can"] == 1
+    # the equivalence reads the coinvariants of the dual of the document's
+    # module coalgebra, which the canonical coideal read first
+    assert counts["canonical_coideal"] == 1
+    assert counts["coinvariants"] == 1
 
 
 def test_all_validates_each_structure_once(count_calls):

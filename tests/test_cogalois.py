@@ -28,7 +28,8 @@ from entwine.entwining import EntwiningStructure, validate_entwining
 from entwine.errors import NotCharacter, NotCoideal
 from entwine.exactlin import Matrix, Subspace, kron, quotient
 from entwine.fields import GF, QQ
-from entwine.structures import Character, ModuleCoalgebra, dualize, field_algebra, field_coalgebra
+from entwine.structures import Character, ModuleCoalgebra, dualize
+from support import field_algebra, field_coalgebra
 from subgroup_coextensions import (
     random_basis,
     subgroup_coextension,
@@ -185,8 +186,6 @@ class TestCoextensionCheck:
     def test_non_coextension_witness(self, z2_hopf):
         # C = k acted on by A = k[Z2] through the trivial character:
         # cocan: C (x) A (dim 2) -> C box C (dim 1) cannot be injective
-        from entwine.structures import field_coalgebra
-
         c = field_coalgebra(QQ)
         action = Matrix.from_rows([[1, 1]], QQ)
         x = ModuleCoalgebra(c, z2_hopf.algebra, action)
@@ -197,8 +196,6 @@ class TestCoextensionCheck:
         assert cert.psi is None
 
     def test_dual_uniqueness_gated(self, z2_hopf):
-        from entwine.structures import field_coalgebra
-
         c = field_coalgebra(QQ)
         action = Matrix.from_rows([[1, 1]], QQ)
         cert = coextension_check(ModuleCoalgebra(c, z2_hopf.algebra, action))

@@ -31,7 +31,8 @@ from entwine.galois import (
     differential_sequence,
     galois_check,
 )
-from entwine.structures import ComoduleAlgebra, field_algebra
+from entwine.structures import ComoduleAlgebra
+from support import field_algebra
 
 GF7 = GF(7)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import comult_tensor, mult_tensor
+from support import field_algebra, field_coalgebra, invert_hopf_entwining
 from entwine.catalogue import group_algebra
 from entwine.entwining import (
     EntwiningStructure,
@@ -12,7 +13,6 @@ from entwine.entwining import (
     entwined_module_check,
     flip_entwining,
     hopf_entwining,
-    invert_hopf_entwining,
     psi_to_structure_maps,
     structure_maps_to_psi,
     validate_entwining,
@@ -25,8 +25,6 @@ from entwine.structures import (
     ComoduleAlgebra,
     RightComodule,
     RightModule,
-    field_algebra,
-    field_coalgebra,
     transport_algebra,
     transport_coalgebra,
     validate_comodule,

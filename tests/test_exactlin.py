@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import middle_linear_system, vectorize
+from support import rref, subspace_sum
 from entwine.errors import DimensionMismatch, FieldMismatch, NotSquare
 from entwine.exactlin import (
     Matrix,
@@ -19,9 +20,7 @@ from entwine.exactlin import (
     kron,
     quotient,
     rank,
-    rref,
     stack_rows,
-    subspace_sum,
     tensor_permutation,
     try_invert,
 )

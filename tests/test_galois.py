@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import field_algebra, field_coalgebra
 from entwine.catalogue import (
     dual_group_algebra,
     group_algebra,
@@ -32,7 +33,6 @@ from entwine.structures import (
     ComoduleAlgebra,
     coaction_algebra_map_checks,
     GroupLike,
-    field_algebra,
     transport_algebra,
     transport_coalgebra,
 )
@@ -242,8 +242,6 @@ class TestBundles:
         assert report.certificate.balanced.quotient_dim == 2
 
     def test_flip_bundle_trivial_coalgebra(self, z2_hopf):
-        from entwine.structures import field_coalgebra
-
         e = flip_entwining(z2_hopf.algebra, field_coalgebra(QQ))
         report = bundle_check(e, GroupLike(field_coalgebra(QQ), (1,)))
         assert report.is_bundle  # dim C = 1 makes A (x)_A A = A = A (x) C

@@ -25,7 +25,8 @@ from entwine.catalogue import ExampleSpec, build, coset_coideal, group_algebra, 
 from entwine.docformat import document_from_example
 from entwine.exactlin import Matrix, Subspace
 from entwine.fields import QQ
-from entwine.structures import Character, ComoduleAlgebra, ModuleCoalgebra, field_algebra, field_coalgebra
+from entwine.structures import Character, ComoduleAlgebra, ModuleCoalgebra
+from support import field_algebra, field_coalgebra
 from entwine.suites import run_suite
 from subgroup_coextensions import (
     subgroup_coextension,

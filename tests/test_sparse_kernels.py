@@ -1,8 +1,9 @@
 """The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply)
 against the dense oracles, over QQ and GF(7), on random densities, zero rows
-and columns, empty shapes and singular inputs; the quotient forms of the
-coideal and invariance tests against their spanning-set forms; and the block
-uniqueness system against the full one."""
+and columns, empty shapes and singular inputs; the fused Kronecker products
+against the Kronecker product formed first, over QQ, GF(7) and GF(2); the
+quotient forms of the coideal and invariance tests against their
+spanning-set forms; and the block uniqueness system against the full one."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dense_oracles as dense
 from dense_oracles import middle_linear_system, vectorize
+from support import rref
 from entwine.catalogue import (
     coset_coideal,
     dual_group_algebra,
@@ -24,21 +26,22 @@ from entwine.catalogue import (
 )
 from entwine.cogalois import coextension_check, coideal_checks, dual_uniqueness
 from entwine.cogenerate import _kernel_step
-from entwine.errors import DimensionMismatch
+from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
     Matrix,
     NotInvertible,
     Subspace,
+    apply_kron,
     basis_vector,
     column_matrix,
     image,
     intersect,
     kernel,
     kron,
+    kron_apply,
     middle_block,
     quotient,
     rank,
-    rref,
     stack_rows,
     tensor_permutation,
     try_invert,
@@ -47,6 +50,7 @@ from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
 
 GF7 = GF(7)
+GF2 = GF(2)
 FIELDS = st.sampled_from([QQ, GF7])
 
 
@@ -213,6 +217,78 @@ class TestProducts:
         system = middle_linear_system(left, right, f, r, c)
         assert_indexed(system)
         assert system.apply(vectorize(x)) == vectorize(left @ kron(Matrix.identity(f, field), x) @ right)
+
+
+@st.composite
+def kron_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
+    """Factors x, y and matrices m, n over one field for kron(x, y) @ m and
+    n @ kron(x, y); any dimension may be zero."""
+    field = draw(fields)
+    r1, c1, r2, c2, k = (draw(st.integers(0, 4)) for _ in range(5))
+    x = draw(matrices(field, rows=r1, cols=c1))
+    y = draw(matrices(field, rows=r2, cols=c2))
+    return x, y, draw(matrices(field, rows=c1 * c2, cols=k)), draw(matrices(field, rows=k, cols=r1 * r2))
+
+
+class TestFusedKroneckerProducts:
+    """kron_apply and apply_kron against the products with kron(x, y) formed first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kron_products())
+    def test_match_the_formed_kronecker_product(self, args):
+        x, y, m, n = args
+        left = kron_apply(x, y, m)
+        assert left == dense.kron_then_product(x, y, m)
+        assert (left.rows, left.cols) == (x.rows * y.rows, m.cols)
+        assert_indexed(left)
+        right = apply_kron(n, x, y)
+        assert right == dense.product_with_kron(n, x, y)
+        assert (right.rows, right.cols) == (n.rows, x.cols * y.cols)
+        assert_indexed(right)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    @pytest.mark.parametrize("dims", [(0, 2, 2, 3), (2, 0, 3, 2), (2, 3, 0, 2), (3, 2, 2, 0), (0, 0, 0, 0)])
+    def test_zero_row_and_zero_column_factors(self, field, dims):
+        r1, c1, r2, c2 = dims
+
+        def filled(rows, cols):
+            return Matrix.from_triples(rows, cols, [(i, j, 1 + i + 2 * j) for i in range(rows) for j in range(cols)], field)
+
+        x, y, m, n = filled(r1, c1), filled(r2, c2), filled(c1 * c2, 2), filled(2, r1 * r2)
+        assert kron_apply(x, y, m) == dense.kron_then_product(x, y, m)
+        assert apply_kron(n, x, y) == dense.product_with_kron(n, x, y)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    def test_empty_rows_and_non_unit_coefficients(self, field):
+        x = Matrix.from_rows([[0, 0], [3, 1]], field)
+        y = Matrix.from_rows([[1, 5], [0, 0], [2, 0]], field)
+        m = Matrix.from_rows([[1, 2], [0, 3], [4, 0], [5, 5]], field)
+        n = Matrix.from_rows([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0], [1, 3, 0, 6, 1, 1]], field)
+        out = kron_apply(x, y, m)
+        assert out == dense.kron_then_product(x, y, m)
+        assert out.nonzeros[:3] == ((), (), ())  # the empty row of x
+        assert apply_kron(n, x, y) == dense.product_with_kron(n, x, y)
+
+    def test_unit_products_mod_p_share_or_copy_rows(self):
+        # 3 * 5 = 15 = 1 (mod 7): the one-term row of kron(x, y) @ m is row 0 of m
+        x, y = Matrix.from_rows([[3]], GF7), Matrix.from_rows([[5]], GF7)
+        m = Matrix.from_rows([[2, 0, 6]], GF7)
+        out = kron_apply(x, y, m)
+        assert out == dense.kron_then_product(x, y, m) == m
+        assert out.nonzeros[0] is m.nonzeros[0]
+        n = Matrix.from_rows([[3]], GF7)
+        assert apply_kron(n, Matrix.from_rows([[5]], GF7), Matrix.from_rows([[4, 0, 2]], GF7)) == Matrix.from_rows(
+            [[4, 0, 2]], GF7
+        )
+
+    def test_bad_shapes_raise(self):
+        x, y = Matrix.identity(2, QQ), Matrix.identity(3, QQ)
+        with pytest.raises(DimensionMismatch):
+            kron_apply(x, y, Matrix.zero(5, 1, QQ))
+        with pytest.raises(DimensionMismatch):
+            apply_kron(Matrix.zero(1, 5, QQ), x, y)
+        with pytest.raises(FieldMismatch):
+            kron_apply(x, Matrix.identity(3, GF7), Matrix.zero(6, 1, QQ))
 
 
 class TestElimination:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import comult_tensor, mult_matrix_from_tensor, mult_tensor
+from support import field_algebra, field_coalgebra
 from entwine.catalogue import dual_group_algebra, group_algebra, sweedler_hopf_algebra
 from entwine.exactlin import Matrix, row_matrix, try_invert
 from entwine.fields import GF, QQ
@@ -19,8 +20,6 @@ from entwine.structures import (
     convolution,
     convolution_unit,
     dualize,
-    field_algebra,
-    field_coalgebra,
     transport_algebra,
     transport_coalgebra,
     validate_algebra,
