@@ -221,7 +221,7 @@ def coextension_check(x: ModuleCoalgebra) -> CoextensionCertificate:
     coalgebra axioms, as the cogalois suite checks first."""
     if not x.module_checks.ok:
         raise AxiomViolation("action does not satisfy the module axioms", report=x.module_checks)
-    return _certify(x, canonical_coideal(x))
+    return _certify(x, x.dual.coinvariants)
 
 
 # The dual's canonical-map checks, in its order, as they read on the
@@ -236,22 +236,23 @@ _TRANSPOSED_CHECKS = (
 )
 
 
-def _certify(x: ModuleCoalgebra, coideal: Subspace, known: EntwiningStructure | None = None) -> CoextensionCertificate:
-    """coextension_check over the given coideal in place of the canonical one;
-    the caller has established the coalgebra and module axioms.  Raises
-    NotCoideal when ``coideal`` is not a coideal.  A canonical psi equal to
-    ``known`` is ``known`` (known_entwining).
+def _certify(x: ModuleCoalgebra, balancing: Subspace, known: EntwiningStructure | None = None) -> CoextensionCertificate:
+    """coextension_check over the coideal annihilated by ``balancing``, a
+    subalgebra of C*, in place of the canonical one (the annihilator of the
+    dual's coinvariants); the caller has established the coalgebra and module
+    axioms.  Raises NotCoideal when that subspace is not a coideal.  A
+    canonical psi equal to ``known`` is ``known`` (known_entwining).
 
-    The dual x* is balanced over the annihilator of the coideal, a
-    subalgebra of C*.  With P and S the projection and section of that
-    balanced tensor product, the canonical map on the full C (x) A is
-    raw_can(x*)^T = P^T can^T, so it lands in the cotensor image(P^T), and
-    in its echelon coordinates it is T can^T with T = coordinates . P^T,
-    whose inverse is S^T . inclusion.
+    The dual x* is balanced over ``balancing``.  With P and S the
+    projection and section of that balanced tensor product, the canonical
+    map on the full C (x) A is raw_can(x*)^T = P^T can^T, so it lands in the
+    cotensor image(P^T), and in its echelon coordinates it is T can^T with
+    T = coordinates . P^T, whose inverse is S^T . inclusion.
     """
     c, a = x.coalgebra, x.algebra
+    coideal = _annihilator(balancing)
     base, pi = quotient_coalgebra(c, coideal)
-    dual = canonical_map_certificate(x.dual, _annihilator(coideal))
+    dual = canonical_map_certificate(x.dual, balancing)
     web = image(dual.balanced.projection.transpose())
     cocan = web.coordinates() @ x.dual.raw_can.transpose()
     # the dual's can is defined only if raw_can(x*) vanishes on the balancing
@@ -384,7 +385,7 @@ def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, chara
     carrier = ModuleCoalgebra(c, a, action)
     if extension is not None and carrier == extension.subject and coideal == extension.coideal:
         return DualBundleReport(e, tuple(character.coords), extension)
-    return DualBundleReport(e, tuple(character.coords), _certify(carrier, coideal, e))
+    return DualBundleReport(e, tuple(character.coords), _certify(carrier, _annihilator(coideal), e))
 
 
 @dataclass(frozen=True)
@@ -451,6 +452,6 @@ def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquiva
         certificate=cert,
         counit_normalized=c.counit_matrix @ action == kron(c.counit_matrix, kap),
         psi_recovered=cert.psi.psi == bundle.entwining.psi,
-        coideal_matches=carrier.dual.coinvariants == _annihilator(cert.coideal),
+        coideal_matches=canonical_coideal(carrier) == cert.coideal,
         action_forced=action_forced_by_counit(action, cert.psi),
     )

@@ -23,14 +23,13 @@ it: ``kron_apply(x, y, m) == kron(x, y) @ m`` and ``apply_kron(m, x, y) ==
 m @ kron(x, y)``.  Each builds the output index straight from the factors'
 nonzero indexes (the row-major identity of Van Loan, "The ubiquitous
 Kronecker product", J. Comput. Appl. Math. 123, 2000).  One factor is
-usually an identity, so most coefficients are 1, and over Q a product by 1
-or a sum with 0 still costs a Fraction operation.  So, like ``@`` and
-``kron``, both add a row with a unit coefficient without multiplying, and
-emit an empty factor row as ``()`` at once; ``kron_apply`` passes a one-term
-output row with coefficient 1 through as the row of m itself, and
-``apply_kron`` writes out the row of a one-entry row of m in column order,
-with no accumulator.  Over GF(p) a coefficient is tested for 1 only after
-its reduction mod p.
+usually an identity, so most coefficients are 1.  Like ``kron``, both skip
+the product by a unit coefficient, and over GF(p) its reduction mod p, and
+emit an empty factor row as ``()`` at once; like ``@``, ``kron_apply``
+passes a one-term output row with coefficient 1 through as the row of m
+itself, shared rather than copied, and ``apply_kron`` writes out the row of
+a one-entry row of m in column order, with no accumulator.  Over GF(p) a
+coefficient is tested for 1 only after its reduction mod p.
 
 Conventions, fixed once for the whole library:
 
@@ -91,7 +90,7 @@ def _index_row(acc: dict[int, Scalar], p: int | None) -> IndexRow:
 def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int | None) -> IndexRow:
     """The index row of the sum of a * rows[k] over the (k, a) terms, whose
     coefficients are nonzero and, over GF(p), reduced.  A one-term sum with
-    a == 1 is rows[k] itself, and a unit coefficient is never multiplied."""
+    a == 1 is rows[k] itself."""
     if len(terms) == 1:
         k, a = terms[0]
         if a == 1:
@@ -99,28 +98,13 @@ def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], 
         if p:
             return tuple([(j, a * b % p) for j, b in rows[k]])
         return tuple([(j, a * b) for j, b in rows[k]])
+    # accumulate, then (over GF(p)) reduce once per output cell
     acc: dict[int, Scalar] = {}
-    if p:
-        # int products: accumulate, then reduce once per output cell
-        get = acc.get
-        for k, a in terms:
-            for j, b in rows[k]:
-                acc[j] = get(j, 0) + a * b
-        return _index_row(acc, p)
+    get = acc.get
     for k, a in terms:
-        if a == 1:  # no Fraction product for unit coefficients
-            for j, b in rows[k]:
-                if j in acc:
-                    acc[j] += b
-                else:
-                    acc[j] = b
-        else:
-            for j, b in rows[k]:
-                if j in acc:
-                    acc[j] += a * b
-                else:
-                    acc[j] = a * b
-    return _index_row(acc, None)
+        for j, b in rows[k]:
+            acc[j] = get(j, 0) + a * b
+    return _index_row(acc, p)
 
 
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
@@ -451,6 +435,7 @@ def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) ->
     """
     p = field.p
     invert = field.invert
+    coerce = field.coerce
     pivot_rows: dict[int, dict[int, Scalar]] = {}
     holders: dict[int, set[int]] = {}
     for row in rows:
@@ -464,7 +449,10 @@ def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) ->
         lead = row[c]
         if lead != 1:
             inv = invert(lead)
-            row = {j: x * inv % p for j, x in row.items()} if p else {j: x * inv for j, x in row.items()}
+            if p:
+                row = {j: x * inv % p for j, x in row.items()}
+            else:  # integral quotients back to ints
+                row = {j: coerce(x * inv) for j, x in row.items()}
         cleared = [c]
         for k in holders.pop(c, ()):
             other = pivot_rows[k]

@@ -1,7 +1,13 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields GF(p).
 
-Scalars are plain ``Fraction`` values over the rationals and canonical
-representatives ``0..p-1`` (Python ints) over GF(p).  Bijectivity questions
+A rational scalar is a Python ``int`` when it is integral and a
+lowest-terms ``Fraction`` with denominator > 1 otherwise; over GF(p) it is
+the canonical representative ``0..p-1``, an ``int``.  Python ints are exact
+rationals: int arithmetic stays int, mixed int/Fraction arithmetic is exact,
+and an integral Fraction compares and hashes equal to its int, so matrix and
+subspace equality never depend on which of the two a value is.  The
+structure constants of every catalogue instance are integers, so most
+rational arithmetic never builds a Fraction.  Bijectivity questions
 downstream are decided by exact rank computations, so no floating point
 appears anywhere.
 """
@@ -23,13 +29,13 @@ PRIME = "prime"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
-# The rational zero and one, shared: Fractions are immutable, and equal
-# entries that are one object compare by identity alone.
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
-
 # Rational coefficients in documents: an integer or a fraction of integers.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(q: Fraction) -> Scalar:
+    """The canonical rational scalar equal to q: its numerator when integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(n: int) -> bool:
@@ -83,13 +89,10 @@ class FieldSpec:
     def is_prime_field(self) -> bool:
         return self.kind == PRIME
 
-    @property
-    def zero(self) -> Scalar:
-        return 0 if self.kind == PRIME else _Q_ZERO
-
-    @property
-    def one(self) -> Scalar:
-        return 1 if self.kind == PRIME else _Q_ONE
+    # Both kinds share the int zero and one: small ints are single objects,
+    # so equal entries compare by identity alone.
+    zero = 0
+    one = 1
 
     def coerce(self, value) -> Scalar:
         """Bring an int/Fraction/str into canonical form for this field."""
@@ -99,7 +102,9 @@ class FieldSpec:
                     return self.mul(value.numerator % self.p, self.invert(value.denominator % self.p))
                 value = value.numerator
             return int(value) % self.p
-        return value if type(value) is Fraction else Fraction(value)
+        if type(value) is int:
+            return value
+        return _rational(value if type(value) is Fraction else Fraction(value))
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.kind == PRIME else a + b
@@ -121,7 +126,7 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return a if a == 1 or a == -1 else _rational(1 / Fraction(a))
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.invert(b))
@@ -135,12 +140,12 @@ class FieldSpec:
         if isinstance(raw, bool):
             raise ValueError(f"rational coefficient must be a string or integer, got {raw!r}")
         if isinstance(raw, int):
-            return Fraction(raw)
+            return raw
         if isinstance(raw, str):
             if not _RATIONAL.fullmatch(raw):
                 raise ValueError(f"malformed rational coefficient {raw!r}: expected an integer or n/d")
             try:
-                return Fraction(raw)
+                return _rational(Fraction(raw)) if "/" in raw else int(raw)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"malformed rational coefficient {raw!r}: {exc}") from None
         raise ValueError(f"rational coefficient must be a string or integer, got {raw!r}")
@@ -149,7 +154,7 @@ class FieldSpec:
         """Canonical JSON value: lowest-terms string over Q, int 0..p-1 over GF(p)."""
         if self.kind == PRIME:
             return int(a) % self.p
-        return str(Fraction(a))
+        return str(a)
 
 
 QQ = FieldSpec(RATIONAL)

@@ -1,9 +1,13 @@
 """Library-shaped helpers that only the tests use: the RREF of a matrix, the
 sum of two subspaces, the exact inverse of a Hopf-case entwining map, and
 the ground field as a one-dimensional algebra and coalgebra.  They are built
-on entwine's own primitives and conventions."""
+on entwine's own primitives and conventions.  Also scripts/verify_catalogue.py
+loaded as a module, for its list of catalogue variants."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 from entwine.errors import DimensionMismatch, NotInvertibleError
 from entwine.exactlin import (
@@ -20,6 +24,16 @@ from entwine.exactlin import (
 )
 from entwine.fields import FieldSpec
 from entwine.structures import ComoduleAlgebra, FiniteAlgebra, FiniteCoalgebra, HopfAlgebra
+
+
+def verify_catalogue_script():
+    """scripts/verify_catalogue.py as a module: its VARIANTS name every
+    catalogue variant, and applicable_suites the suites each one runs."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_catalogue.py"
+    spec = importlib.util.spec_from_file_location("verify_catalogue", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rref(m: Matrix) -> Matrix:

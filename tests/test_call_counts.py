@@ -185,6 +185,7 @@ def test_group_coextension_quotient_count(count_calls):
     counts = count_calls(
         cogalois.coextension_check,
         cogalois.canonical_coideal,
+        cogalois._annihilator,
         galois.coinvariants,
         exactlin.quotient,
         structures.validate_module,
@@ -205,9 +206,11 @@ def test_group_coextension_quotient_count(count_calls):
     # the dual's raw canonical map, shared by the canonical coideal, the
     # certificate and the canonical coideal in the equivalence
     assert counts["raw_can"] == 1
-    # the equivalence reads the coinvariants of the dual of the document's
-    # module coalgebra, which the canonical coideal read first
+    # the certificate annihilates the coinvariants of the dual of the
+    # document's module coalgebra once, for its coideal; the equivalence's
+    # canonical coideal reads the same coinvariants and annihilates them again
     assert counts["canonical_coideal"] == 1
+    assert counts["_annihilator"] == 2
     assert counts["coinvariants"] == 1
 
 

@@ -195,6 +195,15 @@ class TestInputContract:
         assert "error:" in proc.stderr and "malformed rational coefficient" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("coefficient", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+    def test_oversized_rational_string_is_refused(self, tmp_path, coefficient):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_z1_document({"kind": "rational"}, coefficient)), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "structures")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "malformed rational coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_oversized_json_integer_is_refused(self, tmp_path):
         path = tmp_path / "doc.json"
         text = json.dumps(_z1_document({"kind": "rational"}, "1")).replace('"c": "1"', '"c": 1' + "0" * 5000)

@@ -14,7 +14,6 @@ Re-record (only when a report change is intended):
 """
 
 import hashlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from entwine.docformat import document_from_example
 from entwine.exactlin import Matrix, Subspace
 from entwine.fields import QQ
 from entwine.structures import Character, ComoduleAlgebra, ModuleCoalgebra
-from support import field_algebra, field_coalgebra
+from support import field_algebra, field_coalgebra, verify_catalogue_script
 from entwine.suites import run_suite
 from subgroup_coextensions import (
     subgroup_coextension,
@@ -35,18 +34,10 @@ from subgroup_coextensions import (
     upper_unitriangular,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_reports.json")
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("verify_catalogue", ROOT / "scripts" / "verify_catalogue.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_SCRIPT = _load_script()
+_SCRIPT = verify_catalogue_script()
 
 
 def _extra_examples():

@@ -3,7 +3,8 @@ against the dense oracles, over QQ and GF(7), on random densities, zero rows
 and columns, empty shapes and singular inputs; the fused Kronecker products
 against the Kronecker product formed first, over QQ, GF(7) and GF(2); the
 quotient forms of the coideal and invariance tests against their
-spanning-set forms; and the block uniqueness system against the full one."""
+spanning-set forms; the block uniqueness system against the full one; and
+every rational kernel against the all-Fraction form of its input."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
     Matrix,
     NotInvertible,
+    QuotientPresentation,
     Subspace,
     apply_kron,
     basis_vector,
@@ -112,9 +114,9 @@ def products(draw):
 
 
 @st.composite
-def squares(draw):
+def squares(draw, field=None):
     """Square matrices, some made singular by repeating a row."""
-    field = draw(FIELDS)
+    field = draw(FIELDS) if field is None else field
     n = draw(st.integers(0, 6))
     m = draw(matrices(field, rows=n, cols=n))
     if n > 1 and draw(st.booleans()):
@@ -360,6 +362,68 @@ class TestElimination:
         assert_indexed(q.section)
         assert kernel(q.projection) == rel
         assert (q.projection @ q.section).is_identity
+
+
+def all_fraction(m: Matrix) -> Matrix:
+    """m with every entry a Fraction, the form rational matrices had before
+    integral scalars became ints."""
+    return Matrix(m.rows, m.cols, tuple(tuple(Fraction(x) for x in row) for row in m.entries), QQ)
+
+
+def _report_text(value) -> str:
+    """The report strings of an output, as the reports format them."""
+    if isinstance(value, Matrix):
+        return repr((value.rows, value.cols, [[QQ.format(x) for x in row] for row in value.entries]))
+    if isinstance(value, Subspace):
+        return repr((value.ambient_dim, [[QQ.format(x) for x in row] for row in value.basis]))
+    if isinstance(value, NotInvertible):
+        return repr((value.rank, None if value.witness is None else [QQ.format(x) for x in value.witness]))
+    if isinstance(value, QuotientPresentation):
+        return repr([_report_text(part) for part in (value.relations, value.projection, value.section)])
+    return repr(value)
+
+
+class TestAgainstTheAllFractionForm:
+    """Integral rational scalars are ints; the all-Fraction form of the same
+    matrices, which the library used before, gives equal outputs and report
+    strings from every kernel."""
+
+    @staticmethod
+    def outputs(a, b, x, y, m, n, e, sq):
+        return (
+            a @ b,
+            kron(a, b),
+            kron_apply(x, y, m),
+            apply_kron(n, x, y),
+            kernel(a),
+            image(a),
+            intersect(image(a), kernel(e)),
+            try_invert(sq),
+            rank(a),
+            quotient(a.rows, image(a)),
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_outputs_equal(self, data):
+        def dim(top=4):
+            return data.draw(st.integers(0, top))
+
+        r, k = dim(), dim()
+        a = data.draw(matrices(QQ, rows=r, cols=k))
+        b = data.draw(matrices(QQ, rows=k, cols=dim()))
+        x = data.draw(matrices(QQ, rows=dim(3), cols=dim(3)))
+        y = data.draw(matrices(QQ, rows=dim(3), cols=dim(3)))
+        m = data.draw(matrices(QQ, rows=x.cols * y.cols, cols=dim(3)))
+        n = data.draw(matrices(QQ, rows=dim(3), cols=x.rows * y.rows))
+        e = data.draw(matrices(QQ, rows=dim(), cols=r))
+        sq = data.draw(squares(QQ))
+        canonical = (a, b, x, y, m, n, e, sq)
+        assert all(type(v) is int or v.denominator > 1 for t in canonical for row in t.nonzeros for _, v in row)
+        old = self.outputs(*map(all_fraction, canonical))
+        new = self.outputs(*canonical)
+        assert new == old
+        assert [_report_text(v) for v in new] == [_report_text(v) for v in old]
 
 
 class TestPermutations:
