@@ -7,6 +7,11 @@
 step per chain length (default dim C + 1, within which the fixed point is
 always reached); no other suite takes a cutoff.
 
+The argparse parser is built once per process, on the first call of
+``main``, and reused by every later call.  It holds only the command-line
+grammar, nothing derived from a document or an earlier call's arguments, so
+every check is served exactly as in a fresh process.
+
 Exit codes: 0 every check passed, 1 at least one check failed, 2 input error
 (malformed document, missing section, unknown example or suite, a prime
 modulus too large for exact primality testing, a document too large to check
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .catalogue import EXAMPLE_NAMES, build
 from .docformat import document_from_example, document_to_text, parse_document
@@ -28,7 +34,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entwine",
         description="Exact verification of Galois-type coalgebra extensions and coextensions.",
@@ -110,7 +117,7 @@ def _cmd_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "check":
         return _cmd_check(args)
     if args.command == "example":

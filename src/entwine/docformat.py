@@ -135,19 +135,6 @@ class _Reader:
             return None
         return value
 
-    def expect_index(self, value, path, bound):
-        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
-            self.fail(path, f"expected an index in 0..{bound - 1}, got {value!r}")
-            return None
-        return value
-
-    def coefficient(self, field, value, path):
-        try:
-            return field.parse(value)
-        except ValueError as exc:
-            self.fail(path, str(exc), FieldParseError)
-            return field.zero
-
     def vector(self, field, value, path, dim):
         lst = self.expect_list(value, path)
         if lst is None:
@@ -155,43 +142,57 @@ class _Reader:
         if len(lst) != dim:
             self.fail(path, f"expected {dim} coefficients, got {len(lst)}")
             return tuple(field.zero for _ in range(dim))
-        return tuple(self.coefficient(field, x, f"{path}[{i}]") for i, x in enumerate(lst))
+        parse = field.parse
+        out = []
+        for i, x in enumerate(lst):
+            try:
+                out.append(parse(x))
+            except ValueError as exc:
+                self.fail(f"{path}[{i}]", str(exc), FieldParseError)
+                out.append(field.zero)
+        return tuple(out)
 
     def sparse_tensor(self, field, value, path, dims):
         """Sparse entries {i, j, k, c} (3 indices) or {i, j, c} (2 indices),
-        as (index..., coefficient) tuples in document order."""
+        as (index..., coefficient) tuples in document order.
+
+        A problem's path is formatted only when the problem is recorded, so
+        a valid entry costs its type and range tests and one parse."""
         lst = self.expect_list(value, path)
         keys = ("i", "j", "k")[: len(dims)]
+        allowed = {*keys, "c"}
+        bounds = tuple(zip(keys, dims))
+        parse = field.parse
         entries = []
         if lst is None:
             return entries
-        for n, item in enumerate(lst):
-            here = f"{path}[{n}]"
-            entry = self.expect_dict(item, here)
-            if entry is None:
+        for n, entry in enumerate(lst):
+            if not isinstance(entry, dict):
+                self.fail(f"{path}[{n}]", f"expected an object, got {type(entry).__name__}")
                 continue
-            unknown = set(entry) - set(keys) - {"c"}
-            if unknown:
-                self.fail(here, f"unknown keys {sorted(unknown)}")
+            if not entry.keys() <= allowed:
+                self.fail(f"{path}[{n}]", f"unknown keys {sorted(entry.keys() - allowed)}")
                 continue
             idx = []
-            bad = False
-            for key, bound in zip(keys, dims):
+            for key, bound in bounds:
                 if key not in entry:
-                    self.fail(here, f"missing index {key!r}")
-                    bad = True
+                    self.fail(f"{path}[{n}]", f"missing index {key!r}")
                     break
-                got = self.expect_index(entry[key], f"{here}.{key}", bound)
-                if got is None:
-                    bad = True
+                got = entry[key]
+                if not isinstance(got, int) or isinstance(got, bool) or not 0 <= got < bound:
+                    self.fail(f"{path}[{n}].{key}", f"expected an index in 0..{bound - 1}, got {got!r}")
                     break
                 idx.append(got)
-            if bad:
-                continue
-            if "c" not in entry:
-                self.fail(here, "missing coefficient 'c'")
-                continue
-            entries.append((*idx, self.coefficient(field, entry["c"], f"{here}.c")))
+            else:
+                if "c" not in entry:
+                    self.fail(f"{path}[{n}]", "missing coefficient 'c'")
+                    continue
+                try:
+                    c = parse(entry["c"])
+                except ValueError as exc:
+                    self.fail(f"{path}[{n}].c", str(exc), FieldParseError)
+                    c = field.zero
+                entries.append((*idx, c))
         return entries
 
 

@@ -1,11 +1,21 @@
 """Suite reports: an ordered list of checks, each naming the mathematical
 statement it verified, with JSON and plain-text renderers.  Reports are
-deterministic byte for byte for identical inputs."""
+deterministic byte for byte for identical inputs.
+
+Report matrices and subspaces are written out from their nonzero index, so
+formatting costs one call per nonzero entry plus one list per row.  The JSON
+text is that of ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False)``, written in one recursive pass over the values a report
+holds (dicts with string keys, lists, strings, ints, booleans and None); with
+``indent`` set, ``json.dumps`` runs its pure-Python encoder one value at a
+time.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring as _encode_str
 
 from .exactlin import Matrix, Subspace
 from .fields import FieldSpec
@@ -61,7 +71,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return json_document(self.to_obj())
 
     def render_text(self) -> str:
         lines = [f"suite: {self.suite}"]
@@ -80,11 +90,76 @@ def _compact(value) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
+def json_document(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``
+    and a final newline; raises TypeError on a type no report holds."""
+    out: list[str] = []
+    _write_json(value, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list[str]):
+    """Append the JSON text of a value nested at ``indent`` to ``out``."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict or kind is list:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+        elif kind is dict:
+            # _encode_str refuses a key that is not a string
+            head = "{\n" + inner
+            for key in sorted(value):
+                out.append(head + _encode_str(key) + ": ")
+                head = sep
+                _write_json(value[key], inner, out)
+            out.append("\n" + indent + "}")
+        else:
+            types = set(map(type, value))
+            if types == {str}:  # a formatted matrix row over Q
+                out.append("[\n" + inner + sep.join(map(_encode_str, value)) + "\n" + indent + "]")
+            elif types == {int}:  # a formatted matrix row over GF(p)
+                out.append("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + indent + "]")
+            else:
+                head = "[\n" + inner
+                for item in value:
+                    out.append(head)
+                    head = sep
+                    _write_json(item, inner, out)
+                out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def formatted_rows(index, cols: int, fmt) -> list[list]:
+    """The dense rows, as lists of ``fmt`` values, of a nonzero index with
+    ``cols`` columns; every zero cell holds one shared ``fmt(0)``."""
+    zero = fmt(0)
+    rows = []
+    for pairs in index:
+        row = [zero] * cols
+        for j, x in pairs:
+            row[j] = fmt(x)
+        rows.append(row)
+    return rows
+
+
 def matrix_detail(field: FieldSpec, m: Matrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[field.format(x) for x in row] for row in m.entries],
+        "entries": formatted_rows(m.nonzeros, m.cols, field.format),
     }
 
 
@@ -92,7 +167,7 @@ def subspace_detail(field: FieldSpec, s: Subspace) -> dict:
     return {
         "ambient_dim": s.ambient_dim,
         "dim": s.dim,
-        "basis": [[field.format(x) for x in row] for row in s.basis],
+        "basis": formatted_rows(s.nonzeros, s.ambient_dim, field.format),
     }
 
 

@@ -60,6 +60,10 @@ class ValidationReport:
 
 
 def residual_check(name: str, statement: str, lhs: Matrix, rhs: Matrix) -> AxiomCheck:
+    """The identity lhs = rhs with residual lhs - rhs; the two sides are
+    compared by their indexes first, and subtracted only when they differ."""
+    if lhs == rhs:
+        return AxiomCheck(name, statement, Matrix.zero(lhs.rows, lhs.cols, lhs.field), True)
     residual = lhs - rhs
     return AxiomCheck(name, statement, residual, residual.is_zero)
 

@@ -35,7 +35,7 @@ from .galois import (
     galois_check,
     left_canonical_check,
 )
-from .reports import SuiteReport, matrix_detail, subspace_detail, vector_detail
+from .reports import SuiteReport, formatted_rows, matrix_detail, subspace_detail, vector_detail
 from .structures import (
     Character,
     GroupLike,
@@ -52,7 +52,7 @@ def _add_validation(report: SuiteReport, prefix: str, validation):
     for chk in validation.checks:
         detail = None
         if not chk.ok and chk.residual is not None:
-            detail = {"residual": [[str(x) for x in row] for row in chk.residual.entries]}
+            detail = {"residual": formatted_rows(chk.residual.nonzeros, chk.residual.cols, str)}
         report.add(f"{prefix}.{chk.name}", chk.statement, chk.ok, detail)
 
 

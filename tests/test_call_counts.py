@@ -7,12 +7,14 @@ importing module its own binding), or the named cached property on its
 class, then one suite runs on one document.
 """
 
+import argparse
 import sys
 from collections import Counter
 from functools import cached_property
 
 import pytest
 
+import entwine.cli as cli
 import entwine.cogalois as cogalois
 import entwine.cogenerate as cogenerate
 import entwine.entwining as entwining
@@ -20,7 +22,7 @@ import entwine.exactlin as exactlin
 import entwine.galois as galois
 import entwine.structures as structures
 from entwine.catalogue import build, coset_coideal, group_algebra
-from entwine.docformat import document_from_example
+from entwine.docformat import document_from_example, document_to_text
 from entwine.suites import run_suite
 
 
@@ -233,3 +235,32 @@ def test_all_validates_the_comodule_algebra_once(count_calls):
     _run("coset-coideal", {"group": "S3"}, "all")
     # structures, galois and cogenerate read one comodule report
     assert counts == {"validate_comodule": 1}
+
+
+def test_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    built = Counter()
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["ArgumentParser"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    path = tmp_path / "doc.json"
+    path.write_text(document_to_text(document_from_example(build("sweedler-h4", {}))), encoding="utf-8")
+    try:
+        codes = [
+            cli.main(["check", str(path), "--suite", "structures"]),
+            cli.main(["check", str(path), "--suite", "galois", "--report", "json"]),
+            cli.main(["example", "group-algebra", "--param", "group=Z3"]),
+            cli.main(["check", str(path), "--suite", "all"]),
+            cli.main(["example", "sweedler-h4"]),
+            cli.main(["check", str(path), "--suite", "structures", "--report", "json"]),
+        ]
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [0] * 6
+    # the root parser and its two subcommand parsers, built on the first call
+    assert built == {"ArgumentParser": 3}

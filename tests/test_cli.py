@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from entwine import cli
 from entwine.cli import main
 from entwine.docformat import document_from_example, document_to_text, parse_document
 from entwine.catalogue import build
@@ -126,6 +127,45 @@ class TestExampleCommand:
         target = tmp_path / "s3.json"
         assert main(["example", "group-algebra", "--param", "group=S3", "--emit", str(target)]) == 0
         assert main(["check", str(target), "--suite", "structures"]) == 0
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call; an argparse usage
+    error exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestOneParserPerProcess:
+    def test_every_call_is_served_as_if_made_alone(self, tmp_path, capsys):
+        coset = str(emit_to(tmp_path, "coset-coideal", {"group": "S3"}, "coset.json"))
+        sweedler = str(emit_to(tmp_path, "sweedler-h4", None, "sweedler.json"))
+        calls = [
+            ["check", coset, "--suite", "all", "--report", "json", "--cutoff", "7"],
+            ["example", "group-algebra", "--param", "group=S3"],
+            ["check", sweedler, "--suite", "galois"],
+            ["check", sweedler, "--suite", "bogus"],  # usage error
+            ["example", "group-algebra"],  # a stale --param would build S3 here
+            ["check", coset, "--suite", "cogenerate", "--cutoff", "1", "--report", "text"],
+            ["example", "group-algebra", "--param", "group=Z3"],
+            ["check", sweedler, "--suite", "structures", "--report", "json"],
+            ["check", coset, "--suite", "cogenerate"],
+        ]
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            alone.append(_call(argv, capsys))
+        cli._parser.cache_clear()
+        together = [_call(argv, capsys) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+        assert together == alone
+        assert "invalid choice: 'bogus'" in together[3][2]
+        assert parse_document(together[4][1]).algebra.dim == 2
 
 
 class TestSuiteComposition:

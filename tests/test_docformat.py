@@ -145,6 +145,67 @@ class TestParseErrors:
         assert any(p.path == "algebra.unit" for p in err.value.problems)
 
 
+    def test_problem_list_of_a_mixed_document_is_pinned(self):
+        # valid entries interleaved with each malformed kind; the problems,
+        # their order, paths and messages are part of the format's contract
+        doc = {
+            "field": {"kind": "rational"},
+            "spaces": {"H": {"dim": 2}},
+            "algebra": {
+                "space": "H",
+                "mult": [
+                    {"i": 0, "j": 0, "k": 0, "c": "1"},
+                    {"i": True, "j": 0, "k": 0, "c": "1"},
+                    {"i": 0, "j": 2, "k": 0, "c": "1"},
+                    "entry",
+                    {"i": 1, "j": 1, "k": 0, "c": "-1/2"},
+                ],
+                "unit": ["1", "1/x"],
+            },
+            "coalgebra": {"space": "H", "comult": [{"i": 0, "j": 0, "k": 0, "c": 1}], "counit": ["1", "0"]},
+            "antipode": {
+                "space": "H",
+                "entries": [
+                    {"i": 0, "j": 0, "c": "1"},
+                    {"i": 1, "c": "1"},
+                    {"i": 1, "j": 1},
+                    {"i": 0, "j": 1, "c": "2/0"},
+                ],
+            },
+            "coaction": {
+                "space": "H",
+                "coalgebra": "H",
+                "entries": [
+                    {"i": 0, "j": 0, "c": "1"},
+                    {"i": 0, "j": 1, "k": 0, "c": "1"},
+                    {"i": 0, "j": False, "c": "1"},
+                    {"i": 4, "j": 0, "c": "1"},
+                    {"i": 1, "j": 1, "c": "1.5"},
+                    [0, 0, 1],
+                    {"j": 0, "c": "1"},
+                    {"i": 3, "j": 1, "c": 2},
+                ],
+            },
+        }
+        with pytest.raises(InvalidDocument) as err:
+            parse_document(json.dumps(doc))
+        assert [(type(p), p.path, p.reason) for p in err.value.problems] == [
+            (SchemaError, "algebra.mult[1].i", "expected an index in 0..1, got True"),
+            (SchemaError, "algebra.mult[2].j", "expected an index in 0..1, got 2"),
+            (SchemaError, "algebra.mult[3]", "expected an object, got str"),
+            (FieldParseError, "algebra.unit[1]", "malformed rational coefficient '1/x': expected an integer or n/d"),
+            (SchemaError, "antipode.entries[1]", "missing index 'j'"),
+            (SchemaError, "antipode.entries[2]", "missing coefficient 'c'"),
+            (FieldParseError, "antipode.entries[3].c", "malformed rational coefficient '2/0': Fraction(2, 0)"),
+            (SchemaError, "coaction.entries[1]", "unknown keys ['k']"),
+            (SchemaError, "coaction.entries[2].j", "expected an index in 0..1, got False"),
+            (SchemaError, "coaction.entries[3].i", "expected an index in 0..3, got 4"),
+            (FieldParseError, "coaction.entries[4].c", "malformed rational coefficient '1.5': expected an integer or n/d"),
+            (SchemaError, "coaction.entries[5]", "expected an object, got list"),
+            (SchemaError, "coaction.entries[6]", "missing index 'i'"),
+        ]
+
+
 class TestDocumentShape:
     def test_coideals_and_grouplikes_present(self):
         doc = parse_document(emit_example("coset-coideal", {"group": "S3"}))

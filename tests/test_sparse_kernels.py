@@ -1,5 +1,5 @@
-"""The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply)
-against the dense oracles, over QQ and GF(7), on random densities, zero rows
+"""The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply,
+residual checks and report details) against the dense oracles, over QQ and GF(7), on random densities, zero rows
 and columns, empty shapes and singular inputs; the fused Kronecker products
 against the Kronecker product formed first, over QQ, GF(7) and GF(2); the
 quotient forms of the coideal and invariance tests against their
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracles as dense
@@ -50,6 +50,8 @@ from entwine.exactlin import (
 )
 from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
+from entwine.reports import matrix_detail, subspace_detail
+from entwine.structures import residual_check
 
 GF7 = GF(7)
 GF2 = GF(2)
@@ -595,3 +597,47 @@ class TestUniquenessBlock:
             block = middle_block(a.mult_matrix, coaction, a.dim, c.dim)
             assert a.dim * c.dim * kernel(block).dim == kernel(_full_system(a.mult_matrix, coaction, a.dim, c.dim)).dim
             assert kernel(_full_system(a.mult_matrix, coaction, a.dim, c.dim)).dim == expected
+
+
+@st.composite
+def residual_pairs(draw):
+    """Two sides of one shape, equal (as separately built matrices) or drawn apart."""
+    field = draw(FIELDS)
+    lhs = draw(matrices(field))
+    if draw(st.booleans()):
+        return lhs, Matrix(lhs.rows, lhs.cols, tuple(lhs.entries), field)
+    return lhs, draw(matrices(field, rows=lhs.rows, cols=lhs.cols))
+
+
+class TestFromTheIndex:
+    """Residual checks compare the two sides before subtracting, and report
+    details format from the nonzero index; both agree with the dense forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(residual_pairs())
+    @example((Matrix.zero(0, 3, QQ), Matrix.zero(0, 3, QQ)))
+    @example((Matrix.zero(3, 0, GF7), Matrix.zero(3, 0, GF7)))
+    @example((Matrix.zero(0, 0, QQ), Matrix.zero(0, 0, QQ)))
+    @example((Matrix.identity(2, GF7), Matrix.zero(2, 2, GF7)))
+    def test_residual_check_matches_the_difference(self, pair):
+        lhs, rhs = pair
+        chk = residual_check("name", "statement", lhs, rhs)
+        assert chk.residual == lhs - rhs
+        assert chk.ok == (lhs == rhs) == chk.residual.is_zero
+        assert_indexed(chk.residual)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_matrix())
+    def test_details_match_the_dense_formatting(self, m):
+        field = m.field
+        assert matrix_detail(field, m) == {
+            "rows": m.rows,
+            "cols": m.cols,
+            "entries": [[field.format(x) for x in row] for row in m.entries],
+        }
+        sub = Subspace.from_spanning(m.entries, m.cols, field)
+        assert subspace_detail(field, sub) == {
+            "ambient_dim": sub.ambient_dim,
+            "dim": sub.dim,
+            "basis": [[field.format(x) for x in row] for row in sub.basis],
+        }
