@@ -3,12 +3,14 @@
 
     PYTHONPATH=src python3 scripts/frontier.py
 
-Runs four inputs, each in a fresh child process so that its peak resident
+Runs five inputs, each in a fresh child process so that its peak resident
 set is its own: ``trivial-hopf-galois`` through the ``galois`` suite and
 ``group-coextension`` through the ``cogalois`` suite, each over Q and over
-GF(7).  Prints one JSON line per input with the seconds taken by
-``run_suite`` and by the JSON report, the report's size and sha256, the
-child's peak ``ru_maxrss`` in MB, and the verdict.  S4 ``cogalois`` peaks near 1.5 GB.
+GF(7), then ``group-algebra`` through the ``structures`` suite over Q.
+``--one K`` runs input K alone, numbered from 0 in that order.  Prints one
+JSON line per input with the seconds taken by ``run_suite`` and by the JSON
+report, the report's size and sha256, the child's peak ``ru_maxrss`` in MB,
+and the verdict.  S4 ``cogalois`` peaks near 1.5 GB.
 Standard library only.
 """
 
@@ -27,6 +29,7 @@ INPUTS = (
     ("trivial-hopf-galois", "galois", 7),
     ("group-coextension", "cogalois", None),
     ("group-coextension", "cogalois", 7),
+    ("group-algebra", "structures", None),
 )
 
 

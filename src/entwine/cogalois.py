@@ -33,7 +33,6 @@ from .exactlin import (
     Matrix,
     QuotientPresentation,
     Subspace,
-    apply_kron,
     decide_bijection,
     image,
     kernel,
@@ -42,6 +41,7 @@ from .exactlin import (
     quotient,
     row_matrix,
     stack_rows,
+    swap_product,
 )
 from .galois import (
     UniquenessReport,
@@ -153,15 +153,12 @@ def action_coalgebra_map_checks(x: ModuleCoalgebra, hopf_coalgebra: FiniteCoalge
         raise DimensionMismatch("coalgebra structure must live on the acting space")
     field = c.field
     nc, nh = c.dim, hopf_coalgebra.dim
-    from .exactlin import tensor_permutation
-
-    mid_swap = tensor_permutation((nc, nc, nh, nh), (0, 2, 1, 3), field)
     return (
         residual_check(
             "action-comultiplicative",
             "coproduct(act) = (act (x) act)(C (x) swap (x) H)(coproduct (x) coproduct)",
             c.comult_matrix @ x.action,
-            kron_apply(x.action, x.action, apply_kron(mid_swap, c.comult_matrix, hopf_coalgebra.comult_matrix)),
+            swap_product(x.action, x.action, c.comult_matrix, hopf_coalgebra.comult_matrix, (nc, nc, nh, nh)),
         ),
         residual_check(
             "action-counital",

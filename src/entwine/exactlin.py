@@ -31,6 +31,15 @@ itself, shared rather than copied, and ``apply_kron`` writes out the row of
 a one-entry row of m in column order, with no accumulator.  Over GF(p) a
 coefficient is tested for 1 only after its reduction mod p.
 
+The third fused product is the product in a tensor product, the identity
+behind every "is an algebra (coalgebra) map into a tensor product" check:
+``swap_product(x, y, f, g, dims) == kron(x, y) @ mid_swap @ kron(f, g)``,
+where mid_swap is the four-factor ``tensor_permutation(dims, (0, 2, 1,
+3))``.  It forms neither mid_swap, whose n^4 rows are mostly idle, nor
+kron(f, g).  It works column by column on the factors' transposes and
+contracts g with y first, then f, then x; over GF(p) each output cell is
+reduced once.
+
 Conventions, fixed once for the whole library:
 
 * matrices act on column vectors, so a linear map V -> W is a
@@ -685,6 +694,64 @@ def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
                         acc[j] = v
         out.append(_index_row(acc, p))
     return _from_index(m.rows, x.cols * y.cols, out, m.field)
+
+
+def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]) -> Matrix:
+    """kron(x, y) @ tensor_permutation(dims, (0, 2, 1, 3)) @ kron(f, g),
+    the product in a tensor product, without forming either factor.
+
+    With dims = (P, Q, P2, Q2), f: V -> P (x) Q and g: W -> P2 (x) Q2, x acts
+    on P (x) P2 and y on Q (x) Q2.  Column (v, w) of the product is the sum
+    over (a, c) of x[:, (a, c)] (x) u_ac, where u_ac is the sum over b of
+    f[(a, b), v] z_wbc and z_wbc the sum over d of g[(c, d), w] y[:, (b, d)].
+    The contraction runs in that order, g with y first, so z, which does not
+    depend on v, is formed once per w.  The columns come from the factors'
+    transposes, and over GF(p) each output cell is reduced once.
+    """
+    for m in (y, f, g):
+        _check_same_field(x, m)
+    p1, q1, p2, q2 = dims
+    if (f.rows, g.rows, x.cols, y.cols) != (p1 * q1, p2 * q2, p1 * p2, q1 * q2):
+        raise DimensionMismatch(
+            f"kron({x.rows}x{x.cols}, {y.rows}x{y.cols}) swap{tuple(dims)} kron({f.rows}x{f.cols}, {g.rows}x{g.cols})"
+        )
+    p = x.field.p
+    xcols = x.transpose().nonzeros
+    ycols = y.transpose().nonzeros
+    yrows = y.rows
+    # per column w of g, per b: z_wbc as {c: {row of y: value}}
+    zs = []
+    for gcol in g.transpose().nonzeros:
+        zw: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(q1)]
+        for r, gv in gcol:
+            c, d = divmod(r, q2)
+            for b in range(q1):
+                ycol = ycols[b * q2 + d]
+                if ycol:
+                    tgt = zw[b].setdefault(c, {})
+                    for i2, yv in ycol:
+                        tgt[i2] = tgt.get(i2, 0) + gv * yv
+        zs.append(zw)
+    # f[(a, b), v] as (a * P2, b, value)
+    fcols = [[(r // q1 * p2, r % q1, fv) for r, fv in col] for col in f.transpose().nonzeros]
+    out: list[IndexRow] = []
+    for fcol in fcols:
+        for zw in zs:
+            u: dict[int, dict[int, Scalar]] = {}
+            for abase, b, fv in fcol:
+                for c, z in zw[b].items():
+                    tgt = u.setdefault(abase + c, {})
+                    for i2, zv in z.items():
+                        tgt[i2] = tgt.get(i2, 0) + fv * zv
+            acc: dict[int, Scalar] = {}
+            get = acc.get
+            for ac, uac in u.items():
+                for i1, xv in xcols[ac]:
+                    base = i1 * yrows
+                    for i2, uv in uac.items():
+                        acc[base + i2] = get(base + i2, 0) + xv * uv
+            out.append(_index_row(acc, p))
+    return _from_index(f.cols * g.cols, x.rows * yrows, out, x.field).transpose()
 
 
 def tensor_permutation(dims: Sequence[int], perm: Sequence[int], field: FieldSpec) -> Matrix:

@@ -86,7 +86,19 @@ class SuiteReport:
 
 
 def _compact(value) -> str:
-    text = json.dumps(value, sort_keys=True) if not isinstance(value, str) else value
+    """``json.dumps(value, sort_keys=True)`` (a string as it is) cut to 200
+    characters; the encoding stops once more than 200 characters are out."""
+    if isinstance(value, str):
+        text = value
+    else:
+        chunks: list[str] = []
+        size = 0
+        for chunk in json.JSONEncoder(sort_keys=True).iterencode(value):
+            chunks.append(chunk)
+            size += len(chunk)
+            if size > 200:
+                break
+        text = "".join(chunks)
     return text if len(text) <= 200 else text[:197] + "..."
 
 

@@ -6,10 +6,13 @@ them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.
 
-With them are the two products that exactlin.kron_apply and
-exactlin.apply_kron compute without forming a Kronecker product: here the
-product kron(x, y) is formed first and then multiplied, on the sparse
-kernels.
+With them are the three products that exactlin.kron_apply,
+exactlin.apply_kron and exactlin.swap_product compute without forming a
+Kronecker product: here kron(x, y), and for the product in a tensor product
+the middle swap and kron(f, g) as well, are formed first and then
+multiplied, on the sparse kernels.  The group-like and character tests
+follow in the matrix-product form they had before they became identities
+of vectors.
 
 Next come the dense structure tensors that algebras and coalgebras were
 stored as before their structure-constant matrices became their only form:
@@ -57,6 +60,7 @@ from entwine.exactlin import (
     kron,
     row_matrix,
     stack_rows,
+    tensor_permutation,
 )
 from entwine.structures import AxiomCheck, RightComodule, RightModule, ValidationReport, residual_check
 from support import subspace_sum
@@ -105,6 +109,27 @@ def kron_then_product(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
 def product_with_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
     """m @ kron(x, y) with kron(x, y) formed first."""
     return m @ kron(x, y)
+
+
+def swap_product_formed(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims) -> Matrix:
+    """kron(x, y) @ mid_swap @ kron(f, g) with the four-factor permutation
+    mid_swap = tensor_permutation(dims, (0, 2, 1, 3)) and kron(f, g) formed."""
+    mid_swap = tensor_permutation(dims, (0, 2, 1, 3), x.field)
+    return kron(x, y) @ mid_swap @ kron(f, g)
+
+
+def grouplike_by_products(c, coords) -> bool:
+    """coproduct(e) = e (x) e and counit(e) = 1 on e as a column matrix."""
+    field = c.field
+    e = column_matrix([field.coerce(x) for x in coords], field)
+    return (c.comult_matrix @ e == kron(e, e)) and (c.counit_matrix @ e) == Matrix.identity(1, field)
+
+
+def character_by_products(a, coords) -> bool:
+    """kappa m = kappa (x) kappa and kappa(1) = 1 on kappa as a row matrix."""
+    field = a.field
+    k = row_matrix([field.coerce(x) for x in coords], field)
+    return (k @ a.mult_matrix == kron(k, k)) and (k @ a.unit_matrix) == Matrix.identity(1, field)
 
 
 def apply_dense(m: Matrix, vec) -> tuple:

@@ -216,6 +216,18 @@ def test_group_coextension_quotient_count(count_calls):
     assert counts["coinvariants"] == 1
 
 
+@pytest.mark.parametrize(
+    "name, params, suite", [("group-algebra", {"group": "S3"}, "structures"), ("group-coextension", {"group": "Z3"}, "cogalois")]
+)
+def test_no_middle_swap_is_formed(count_calls, name, params, suite):
+    # coproduct-multiplicative and action-comultiplicative multiply in a
+    # tensor product through exactlin.swap_product, not through a formed
+    # four-factor permutation
+    counts = count_calls(exactlin.tensor_permutation)
+    _run(name, params, suite)
+    assert counts["tensor_permutation"] == 0
+
+
 def test_all_validates_each_structure_once(count_calls):
     counts = count_calls(
         structures.validate_algebra,

@@ -1,5 +1,6 @@
 """The report writer against ``json.dumps``: the same text for every JSON
-value a report can hold, and a TypeError for any other type."""
+value a report can hold, and a TypeError for any other type; and the text
+report's compact details against ``json.dumps`` cut to 200 characters."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwine.reports import json_document
+from entwine.reports import _compact, json_document
 
 # Characters that json escapes, or that a naive writer might: quotes,
 # backslashes, control characters, DEL, non-ASCII, and the line and paragraph
@@ -56,3 +57,25 @@ def test_a_float_anywhere_raises_type_error(value, number):
 def test_types_no_report_holds_raise_type_error(value):
     with pytest.raises(TypeError):
         json_document(value)
+
+
+def compact_by_dumps(value) -> str:
+    text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
+# a dense residual's rows, as the text report prints them: far past 200 characters
+LONG = st.builds(lambda rows, cols, cell: [[cell] * cols] * rows, st.integers(1, 60), st.integers(1, 60), TEXT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(VALUES, LONG, st.dictionaries(TEXT, st.one_of(VALUES, LONG), max_size=4)))
+def test_compact_is_json_dumps_cut_to_200_characters(value):
+    assert _compact(value) == compact_by_dumps(value)
+
+
+@pytest.mark.parametrize("size", [0, 1, 195, 196, 197, 198, 199, 200, 201, 202, 5000])
+def test_compact_around_the_cut(size):
+    # a list of one string is its JSON text plus 4 characters: quotes and brackets
+    for value in (["x" * size], {"k": "y" * size}, "z" * size, [0] * size):
+        assert _compact(value) == compact_by_dumps(value)

@@ -1,7 +1,8 @@
 """The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply,
 residual checks and report details) against the dense oracles, over QQ and GF(7), on random densities, zero rows
 and columns, empty shapes and singular inputs; the fused Kronecker products
-against the Kronecker product formed first, over QQ, GF(7) and GF(2); the
+against the Kronecker product formed first, and the product in a tensor
+product against its formed middle swap, over QQ, GF(7) and GF(2); the
 quotient forms of the coideal and invariance tests against their
 spanning-set forms; the block uniqueness system against the full one; and
 every rational kernel against the all-Fraction form of its input."""
@@ -45,6 +46,7 @@ from entwine.exactlin import (
     quotient,
     rank,
     stack_rows,
+    swap_product,
     tensor_permutation,
     try_invert,
 )
@@ -293,6 +295,91 @@ class TestFusedKroneckerProducts:
             apply_kron(Matrix.zero(1, 5, QQ), x, y)
         with pytest.raises(FieldMismatch):
             kron_apply(x, Matrix.identity(3, GF7), Matrix.zero(6, 1, QQ))
+
+
+@st.composite
+def swap_products(draw, dims=None, fields=st.sampled_from([QQ, GF7, GF2])):
+    """Factors x, y, f, g over one field for kron(x, y) @ mid_swap @ kron(f, g),
+    with the four factor dimensions drawn independently from 0..3."""
+    field = draw(fields)
+    p1, q1, p2, q2 = dims if dims is not None else (draw(st.integers(0, 3)) for _ in range(4))
+    v, w, rx, ry = (draw(st.integers(0, 3)) for _ in range(4))
+    f = draw(matrices(field, rows=p1 * q1, cols=v))
+    g = draw(matrices(field, rows=p2 * q2, cols=w))
+    x = draw(matrices(field, rows=rx, cols=p1 * p2))
+    y = draw(matrices(field, rows=ry, cols=q1 * q2))
+    return x, y, f, g, (p1, q1, p2, q2)
+
+
+class TestSwapProduct:
+    """swap_product against the product with the middle swap and kron(f, g) formed first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_products())
+    def test_matches_the_formed_composite(self, args):
+        x, y, f, g, dims = args
+        out = swap_product(x, y, f, g, dims)
+        assert out == dense.swap_product_formed(x, y, f, g, dims)
+        assert (out.rows, out.cols) == (x.rows * y.rows, f.cols * g.cols)
+        assert_indexed(out)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("dims", [(1, 2, 3, 2), (3, 1, 2, 3), (2, 3, 1, 1), (0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_distinct_factor_dimensions(self, dims, data):
+        x, y, f, g, dims = data.draw(swap_products(dims))
+        assert swap_product(x, y, f, g, dims) == dense.swap_product_formed(x, y, f, g, dims)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    def test_empty_rows_and_non_unit_coefficients(self, field):
+        # dims (P, Q, P2, Q2) = (2, 1, 1, 2): f on P (x) Q, g on P2 (x) Q2
+        f = Matrix.from_rows([[3, 0], [0, 0]], field)
+        g = Matrix.from_rows([[5, 2, 0], [0, 4, 6]], field)
+        x = Matrix.from_rows([[0, 0], [2, 3], [1, 0]], field)
+        y = Matrix.from_rows([[0, 0], [6, 5]], field)
+        out = swap_product(x, y, f, g, (2, 1, 1, 2))
+        assert out == dense.swap_product_formed(x, y, f, g, (2, 1, 1, 2))
+        assert out.nonzeros[:2] == ((), ())  # the empty row of x
+        assert_indexed(out)
+
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    def test_catalogue_products_in_a_tensor_product(self, field):
+        # the three call sites: m (x) m on coproduct (x) coproduct, m (x) m_H
+        # on coaction (x) coaction, and act (x) act on coproduct_C (x) coproduct_H
+        for h in (group_algebra({"group": "S3"}, field), dual_group_algebra({"group": "S3"}, field)):
+            m, d, n = h.algebra.mult_matrix, h.coalgebra.comult_matrix, h.algebra.dim
+            assert swap_product(m, m, d, d, (n,) * 4) == dense.swap_product_formed(m, m, d, d, (n,) * 4)
+        h = sweedler_hopf_algebra(field)
+        x = self_extension(h)
+        m, rho, n = h.algebra.mult_matrix, x.coaction, h.algebra.dim
+        assert swap_product(m, m, rho, rho, (n,) * 4) == dense.swap_product_formed(m, m, rho, rho, (n,) * 4)
+        x = group_self_coextension(group_algebra({"group": "Z3"}, field))
+        act, dc, n = x.action, x.coalgebra.comult_matrix, x.coalgebra.dim
+        assert swap_product(act, act, dc, dc, (n,) * 4) == dense.swap_product_formed(act, act, dc, dc, (n,) * 4)
+
+    def test_disagreeing_shapes_raise(self):
+        one, two = Matrix.identity(1, QQ), Matrix.identity(2, QQ)
+        f = Matrix.zero(4, 1, QQ)  # P (x) Q = 2 (x) 2
+        with pytest.raises(DimensionMismatch):
+            swap_product(two, two, f, f, (2, 2, 1, 2))  # g has 4 rows, not P2 Q2 = 2
+        with pytest.raises(DimensionMismatch):
+            swap_product(one, Matrix.identity(4, QQ), f, f, (2, 2, 2, 2))  # x on 1, not P P2 = 4
+        with pytest.raises(DimensionMismatch):
+            swap_product(Matrix.identity(4, QQ), two, f, f, (2, 2, 2, 2))  # y on 2, not Q Q2 = 4
+        # a zero-dimensional factor: Q = 0 leaves P to the argument, not to f
+        x, y = Matrix.identity(2, QQ), Matrix.zero(3, 0, QQ)
+        f, g = Matrix.zero(0, 2, QQ), Matrix.zero(1, 1, QQ)
+        assert swap_product(x, y, f, g, (2, 0, 1, 1)) == Matrix.zero(6, 2, QQ)
+        with pytest.raises(DimensionMismatch):
+            swap_product(x, y, f, g, (3, 0, 1, 1))
+
+    def test_mixed_fields_raise(self):
+        i1 = Matrix.identity(1, QQ)
+        for k in range(4):
+            args = [i1] * 4
+            args[k] = Matrix.identity(1, GF7)
+            with pytest.raises(FieldMismatch):
+                swap_product(*args, (1, 1, 1, 1))
 
 
 class TestElimination:

@@ -3,9 +3,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import comult_tensor, mult_matrix_from_tensor, mult_tensor
+import pytest
+
+from dense_oracles import character_by_products, comult_tensor, grouplike_by_products, mult_matrix_from_tensor, mult_tensor
 from support import field_algebra, field_coalgebra
 from entwine.catalogue import dual_group_algebra, group_algebra, sweedler_hopf_algebra
+from entwine.errors import DimensionMismatch
 from entwine.exactlin import Matrix, row_matrix, try_invert
 from entwine.fields import GF, QQ
 from entwine.structures import (
@@ -212,6 +215,51 @@ class TestGroupLikeCharacter:
 
     def test_nonmultiplicative_functional_rejected(self, sweedler):
         assert not verify_character(sweedler.algebra, (1, 1, 1, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_vector_identities_match_the_matrix_products(self, data):
+        field = data.draw(st.sampled_from([QQ, GF7]))
+        h = data.draw(
+            st.sampled_from(
+                [
+                    group_algebra({"group": "S3"}, field),
+                    dual_group_algebra({"group": "S3"}, field),
+                    dual_group_algebra({"group": "Z4"}, field),
+                    sweedler_hopf_algebra(field),
+                ]
+            )
+        )
+        n = h.algebra.dim
+        scalar = st.integers(0, 6) if field.p else st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        # basis vectors, their scaled sums and indicator functionals hit both
+        # verdicts; a random vector almost never passes
+        support = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+        coords = data.draw(
+            st.one_of(
+                st.just(tuple(1 if i in support else 0 for i in range(n))),
+                st.lists(scalar, min_size=n, max_size=n).map(tuple),
+            )
+        )
+        assert verify_grouplike(h.coalgebra, coords) == grouplike_by_products(h.coalgebra, coords)
+        assert verify_character(h.algebra, coords) == character_by_products(h.algebra, coords)
+
+    def test_both_verdicts_occur_over_both_fields(self):
+        for field in (QQ, GF7):
+            h, d = group_algebra({"group": "S3"}, field), dual_group_algebra({"group": "S3"}, field)
+            e = tuple(1 if i == 2 else 0 for i in range(6))
+            assert verify_grouplike(h.coalgebra, e) and not verify_grouplike(h.coalgebra, (0, 0, 1, 1, 0, 0))
+            assert verify_character(d.algebra, e) and not verify_character(d.algebra, (0, 0, 1, 1, 0, 0))
+            assert verify_character(h.algebra, (1,) * 6) and not verify_character(h.algebra, (2,) * 6)
+        # 8 = 1 (mod 7): the coordinates are reduced before the test
+        assert verify_grouplike(group_algebra({"group": "Z2"}, GF7).coalgebra, (0, 8))
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_a_vector_of_the_wrong_length_raises(self, sweedler, length):
+        with pytest.raises(DimensionMismatch):
+            verify_grouplike(sweedler.coalgebra, (1,) * length)
+        with pytest.raises(DimensionMismatch):
+            verify_character(sweedler.algebra, (1,) * length)
 
 
 
