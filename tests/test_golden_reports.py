@@ -82,6 +82,11 @@ def _extra_examples():
             kappa = transport_character(kappa, s)
         return {"module_coalgebra": x, "characters": [Character(x.algebra, kappa)]}
 
+    # k[Z4] acted on by k[Z2] with the sign character (1, -1) besides the
+    # trivial one: its dual bundle has an action other than the document's
+    z4_z2 = subgroup_coextension("Z4", "g2", QQ)
+    two_characters = [Character(z4_z2.algebra, (QQ.one, QQ.one)), Character(z4_z2.algebra, (QQ.one, -QQ.one))]
+
     return {
         "field-over-Z2": {"comodule_algebra": field_over_z2},
         "trivial-coaction-Z4": {"hopf": z4, "comodule_algebra": trivial},
@@ -95,6 +100,7 @@ def _extra_examples():
         "subgroup-Z4-Z2": subgroup_doc("Z4", "g2"),
         "subgroup-S3-Z3": subgroup_doc("S3", "(123)"),
         "subgroup-S3-Z2-basis": subgroup_doc("S3", "(12)", basis_change=True),
+        "subgroup-Z4-Z2-two-characters": {"module_coalgebra": z4_z2, "characters": two_characters},
     }
 
 
