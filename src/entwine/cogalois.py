@@ -1,24 +1,28 @@
 """Algebra-Galois coextensions, the dual story: the canonical coideal of a
 module coalgebra, the quotient coalgebra, the canonical map onto the cotensor
 product, the cotranslation map with its identities, the induced entwining
-map with uniqueness, and the dual bundle repackaging through a character.
+map with uniqueness, and the dual bundles at a character.
 
-A coextension is the dual of an extension, and so is its certificate: it is
-the Galois certificate of the dual comodule algebra x* = (C*, A*, act^T),
-read back through the transpose.  The canonical coideal annihilates the
+A coextension is the dual of an extension, and so is everything this module
+certifies about it: the certificate of a module coalgebra x keeps the Galois
+certificate of the dual comodule algebra x* = (C*, A*, act^T) and reads it
+back through the transpose.  The canonical coideal annihilates the
 coinvariants of x*, the cotensor product C box_B C annihilates the balancing
 relations of x* over the annihilator of the coideal, and the canonical map,
-its inverse, the cotranslation map, the entwining map and six of the seven
-identities are the transposes of the dual's.  Only the composite
-cotranslation identity, stated on the threefold cotensor product, has no
-Galois counterpart and is checked here, after its containments.
+its inverse, the cotranslation map, the entwining map with its uniqueness
+and the module and entwining identities are the transposes of the dual's.
+A character of A is a group-like of A*, so a dual bundle is a bundle of x*,
+and the coalgebra-map test of the action is the algebra-map test of the
+dual coaction.  Only the composite cotranslation identity, stated on the
+threefold cotensor product, has no Galois counterpart and is checked here,
+after its containments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .entwining import EntwiningStructure, entwined_module_check, known_entwining
+from .entwining import EntwiningStructure
 from .errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -41,23 +45,19 @@ from .exactlin import (
     quotient,
     row_matrix,
     stack_rows,
-    swap_product,
 )
-from .galois import (
-    UniquenessReport,
-    canonical_entwining,
-    canonical_map_certificate,
-    uniqueness_system,
-)
+from . import galois
+from .galois import BundleReport, GaloisCertificate, UniquenessReport, bundle_check, entwining_uniqueness
 from .structures import (
     AxiomCheck,
     Character,
     FiniteAlgebra,
     FiniteCoalgebra,
+    GroupLike,
     ModuleCoalgebra,
-    RightComodule,
-    RightModule,
     ValidationReport,
+    coaction_algebra_map_checks,
+    dualize,
     residual_check,
     verify_character,
 )
@@ -67,25 +67,32 @@ from .structures import (
 class CoextensionCertificate:
     """Everything coextension_check establishes about one module coalgebra.
 
-    ``cocan`` is co-restricted to the cotensor product (coordinates against
-    its echelon basis); ``cotranslation`` maps those coordinates to A;
-    ``psi`` is the canonical entwining map, present exactly when the
-    coextension is Galois.
+    ``dual`` is the Galois certificate of x* it is read from.  ``cocan`` is
+    co-restricted to the cotensor product (coordinates against its echelon
+    basis); ``cotranslation`` maps those coordinates to A; ``psi`` is the
+    canonical entwining map, present exactly when the coextension is Galois.
     """
 
     subject: ModuleCoalgebra
+    dual: GaloisCertificate
     coideal: Subspace
     base: FiniteCoalgebra
     base_projection: Matrix
     cotensor: Subspace
     cocan: Matrix
-    rank: int
-    is_coextension: bool
     cocan_inverse: Matrix | None
     cotranslation: Matrix | None
     psi: EntwiningStructure | None
     witness: tuple | None
     checks: ValidationReport
+
+    @property
+    def rank(self) -> int:
+        return self.dual.rank
+
+    @property
+    def is_coextension(self) -> bool:
+        return self.dual.is_galois
 
 
 def coideal_checks(
@@ -116,57 +123,24 @@ def _annihilator(sub: Subspace) -> Subspace:
     return kernel(sub.inclusion().transpose())
 
 
-def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
-    """The coideal spanned, over all inputs c, a and functionals f, by
-    act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
-
-    A functional annihilates it exactly when it is coinvariant in the dual
-    comodule algebra x.dual, so it is the annihilator of those coinvariants.
-    The action must already satisfy the module axioms over a coalgebra;
-    quotient_coalgebra decides the coideal property.
-    """
-    return _annihilator(x.dual.coinvariants)
-
-
 def hopf_coideal(x: ModuleCoalgebra, hopf_algebra: FiniteAlgebra, hopf_coalgebra: FiniteCoalgebra) -> Subspace:
     """span{act(c, h) - counit(h) c} for a module coalgebra whose action is a
     coalgebra map against the given bialgebra structure on the acting space.
 
-    The action must already satisfy the module axioms.
+    The action is a coalgebra map C (x) H -> C exactly when the dual
+    coaction act^T is a unital algebra map into C* (x) H*: the two
+    identities are each other's transposes, residual for residual.  The
+    action must already satisfy the module axioms.
     """
     if hopf_algebra != x.algebra:
         raise DimensionMismatch("acting algebra differs from the module structure")
     c = x.coalgebra
-    field = c.field
-    checks = action_coalgebra_map_checks(x, hopf_coalgebra)
+    checks = coaction_algebra_map_checks(x.dual, dualize(hopf_coalgebra))
     bad = [chk for chk in checks if not chk.ok]
     if bad:
-        raise AxiomViolation(f"action is not a coalgebra map ({bad[0].name})", report=checks)
-    eps_h = row_matrix(hopf_coalgebra.counit, field)
+        raise AxiomViolation(f"action is not a coalgebra map (dual {bad[0].name})", report=checks)
+    eps_h = row_matrix(hopf_coalgebra.counit, c.field)
     return image(x.action - kron(c.identity_matrix, eps_h))
-
-
-def action_coalgebra_map_checks(x: ModuleCoalgebra, hopf_coalgebra: FiniteCoalgebra) -> tuple[AxiomCheck, ...]:
-    """act is a coalgebra map C (x) H -> C (componentwise coproduct through the swap)."""
-    c = x.coalgebra
-    if hopf_coalgebra.dim != x.algebra.dim:
-        raise DimensionMismatch("coalgebra structure must live on the acting space")
-    field = c.field
-    nc, nh = c.dim, hopf_coalgebra.dim
-    return (
-        residual_check(
-            "action-comultiplicative",
-            "coproduct(act) = (act (x) act)(C (x) swap (x) H)(coproduct (x) coproduct)",
-            c.comult_matrix @ x.action,
-            swap_product(x.action, x.action, c.comult_matrix, hopf_coalgebra.comult_matrix, (nc, nc, nh, nh)),
-        ),
-        residual_check(
-            "action-counital",
-            "counit(act(c,h)) = counit(c) counit(h)",
-            c.counit_matrix @ x.action,
-            kron(c.counit_matrix, row_matrix(hopf_coalgebra.counit, field)),
-        ),
-    )
 
 
 def quotient_coalgebra(c: FiniteCoalgebra, coideal: Subspace) -> tuple[FiniteCoalgebra, Matrix]:
@@ -232,15 +206,29 @@ _TRANSPOSED_CHECKS = (
     ("cotranslation-right-linear", "cotranslation(C (x) act) = m(cotranslation (x) A) on cotensor (x) A"),
 )
 
+# Each coextension identity of psi and of C as an entwined module, and the
+# dual identity it is the transpose of: psi^T trades A for C* and C for A*.
+# The statement is the one the dual states under the coextension's name.
+_TRANSPOSED_ENTWINING = (
+    ("multiplication-compat", "comultiplication-compat"),
+    ("unit-compat", "counit-compat"),
+    ("comultiplication-compat", "multiplication-compat"),
+    ("counit-compat", "unit-compat"),
+    ("entwined-module", "entwined-module"),
+)
 
-def _certify(x: ModuleCoalgebra, balancing: Subspace, known: EntwiningStructure | None = None) -> CoextensionCertificate:
+
+def _transposed(chk: AxiomCheck, name: str, statement: str) -> AxiomCheck:
+    return AxiomCheck(name, statement, None if chk.residual is None else chk.residual.transpose(), chk.ok)
+
+
+def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
     """coextension_check over the coideal annihilated by ``balancing``, a
     subalgebra of C*, in place of the canonical one (the annihilator of the
     dual's coinvariants); the caller has established the coalgebra and module
-    axioms.  Raises NotCoideal when that subspace is not a coideal.  A
-    canonical psi equal to ``known`` is ``known`` (known_entwining).
+    axioms.  Raises NotCoideal when that subspace is not a coideal.
 
-    The dual x* is balanced over ``balancing``.  With P and S the
+    The dual x* is certified over ``balancing``.  With P and S the
     projection and section of that balanced tensor product, the canonical
     map on the full C (x) A is raw_can(x*)^T = P^T can^T, so it lands in the
     cotensor image(P^T), and in its echelon coordinates it is T can^T with
@@ -249,23 +237,21 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace, known: EntwiningStructure 
     c, a = x.coalgebra, x.algebra
     coideal = _annihilator(balancing)
     base, pi = quotient_coalgebra(c, coideal)
-    dual = canonical_map_certificate(x.dual, balancing)
+    dual = galois._certify(x.dual, balancing)
     web = image(dual.balanced.projection.transpose())
     cocan = web.coordinates() @ x.dual.raw_can.transpose()
     # the dual's can is defined only if raw_can(x*) vanishes on the balancing
     # relations (IllDefined otherwise), which is cocan landing in the cotensor
     checks = [AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True)]
-    for chk, (name, statement) in zip(dual.checks.checks, _TRANSPOSED_CHECKS):
-        checks.append(AxiomCheck(name, statement, None if chk.residual is None else chk.residual.transpose(), chk.ok))
+    checks.extend(_transposed(chk, *named) for chk, named in zip(dual.checks.checks, _TRANSPOSED_CHECKS))
     cert = CoextensionCertificate(
         subject=x,
+        dual=dual,
         coideal=coideal,
         base=base,
         base_projection=pi,
         cotensor=web,
         cocan=cocan,
-        rank=dual.rank,
-        is_coextension=dual.is_galois,
         cocan_inverse=None,
         cotranslation=None,
         psi=None,
@@ -281,15 +267,11 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace, known: EntwiningStructure 
         cotranslation=dual.translation.transpose() @ from_web,
     )
     checks.append(_composite_check(cert))
-    psi = known_entwining(EntwiningStructure(a, c, canonical_entwining(dual).psi.transpose()), known)
-    checks.extend(psi.checks.checks)
-    checks.append(
-        entwined_module_check(
-            RightModule(c.dim, a, x.action),
-            RightComodule(c.dim, c, c.comult_matrix),
-            psi,
-        )
+    identities = {chk.name: chk for chk in dual.checks.checks[len(_TRANSPOSED_CHECKS):]}
+    checks.extend(
+        _transposed(identities[source], name, identities[name].statement) for name, source in _TRANSPOSED_ENTWINING
     )
+    psi = EntwiningStructure(a, c, dual.psi.psi.transpose())
     return replace(cert, psi=psi, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
@@ -320,135 +302,42 @@ def _composite_check(cert: CoextensionCertificate) -> AxiomCheck:
 
 
 def dual_uniqueness(cert: CoextensionCertificate) -> UniquenessReport:
-    """The dual linear system: coproduct . act = (act (x) C)(C (x) psi')(coproduct (x) A)."""
+    """entwining_uniqueness of the dual certificate: psi' |-> psi'^T is a
+    linear bijection between the solutions of the coextension's system,
+    coproduct . act = (act (x) C)(C (x) psi')(coproduct (x) A), and those of
+    the dual's, so the solution spaces have the same dimension."""
     if not cert.is_coextension:
         return UniquenessReport(False, "not a Galois coextension; uniqueness is not asserted")
-    x = cert.subject
-    return uniqueness_system(cert.checks, x.action, x.coalgebra.comult_matrix, x.algebra.dim, x.coalgebra.dim)
+    return entwining_uniqueness(cert.dual)
 
 
-@dataclass(frozen=True)
-class DualBundleReport:
-    """Outcome of the fixed-entwining dual bundle test for one character kappa.
+def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, character: Character) -> BundleReport:
+    """The dual bundle at a character kappa of A, which is the bundle of the
+    dual at kappa, a group-like of A*.
 
-    The dual bundle is the coextension certificate of the induced action
-    (kappa (x) C)psi over the quotient by the induced coideal.
+    The bundle's coaction is the transpose of the induced action
+    (kappa (x) C)psi, and its invariants are the annihilator of the induced
+    coideal I = span{(kappa (x) C)psi(c (x) a) - c kappa(a)}, of dimension
+    dim C - dim invariants.  So it is a dual bundle iff the induced canonical
+    map onto the cotensor over C/I is bijective, which is the bundle's
+    verdict, and bundle_coaction_equivalence is the dual equivalence.
+
+    ``source`` is psi on (A, C), whose transpose is then the entwining of
+    the dual, or a coextension certificate, whose dual certificate is then
+    the source of bundle_check: the bundle's certificate is that dual
+    certificate when the induced coaction and invariants equal its own.
     """
-
-    entwining: EntwiningStructure
-    character: tuple
-    certificate: CoextensionCertificate
-
-    @property
-    def coideal(self) -> Subspace:
-        return self.certificate.coideal
-
-    @property
-    def is_bundle(self) -> bool:
-        return self.certificate.is_coextension
-
-    @property
-    def rank(self) -> int:
-        return self.certificate.rank
-
-
-def dual_bundle_check(source: EntwiningStructure | CoextensionCertificate, character: Character) -> DualBundleReport:
-    """I = span{(kappa (x) C)psi(c (x) a) - c kappa(a)}; dual bundle iff the
-    induced canonical map onto the cotensor over C/I is bijective.
-
-    The entwining identities and kappa a character make (kappa (x) C)psi a
-    right action and I a coideal.
-
-    ``source`` is psi, or a coextension certificate, whose psi is then the
-    one used.  When the induced action and I equal that certificate's action
-    and coideal, the dual bundle's certificate is that certificate, since
-    _certify is deterministic in them.
-    """
-    extension = source if isinstance(source, CoextensionCertificate) else None
-    if extension is not None and not extension.is_coextension:
-        raise NotGaloisCoextension("a dual bundle needs the canonical entwining of a Galois coextension")
-    e = source if extension is None else extension.psi
-    a, c = e.algebra, e.coalgebra
-    field = a.field
+    if isinstance(source, CoextensionCertificate):
+        if not source.is_coextension:
+            raise NotGaloisCoextension("a dual bundle needs the canonical entwining of a Galois coextension")
+        a = source.subject.algebra
+        dual, a_dual = source.dual, source.dual.subject.coalgebra
+    else:
+        a = source.algebra
+        a_dual = dualize(a)
+        dual = EntwiningStructure(dualize(source.coalgebra), a_dual, source.psi.transpose())
     if character.algebra != a:
         raise DimensionMismatch("character lives on a different algebra")
     if not verify_character(a, character.coords):
         raise NotCharacter("supplied functional is not a character")
-    if not e.checks.ok:
-        raise AxiomViolation("entwining identities fail", report=e.checks)
-    kap = row_matrix(character.coords, field)
-    action = kron_apply(kap, c.identity_matrix, e.psi)
-    coideal = image(action - kron(c.identity_matrix, kap))
-    carrier = ModuleCoalgebra(c, a, action)
-    if extension is not None and carrier == extension.subject and coideal == extension.coideal:
-        return DualBundleReport(e, tuple(character.coords), extension)
-    return DualBundleReport(e, tuple(character.coords), _certify(carrier, _annihilator(coideal), e))
-
-
-@dataclass(frozen=True)
-class DualBundleEquivalenceReport:
-    """Round trip between dual bundle data and coextension data at one character."""
-
-    applicable: bool
-    note: str
-    bundle: DualBundleReport | None = None
-    action: Matrix | None = None
-    certificate: CoextensionCertificate | None = None
-    counit_normalized: bool | None = None
-    psi_recovered: bool | None = None
-    coideal_matches: bool | None = None
-    action_forced: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        if not self.applicable:
-            return True
-        return bool(
-            self.counit_normalized
-            and self.psi_recovered
-            and self.coideal_matches
-            and self.action_forced
-            and self.certificate.checks.ok
-        )
-
-
-def action_forced_by_counit(action: Matrix, psi: EntwiningStructure) -> bool:
-    """act = ((counit . act) (x) C)(C (x) psi)(coproduct (x) A): through psi,
-    the action is determined by the functional counit . act."""
-    a, c = psi.algebra, psi.coalgebra
-    ic = c.identity_matrix
-    eps_act = c.counit_matrix @ action
-    return action == kron_apply(eps_act, ic, kron_apply(ic, psi.psi, kron(c.comult_matrix, a.identity_matrix)))
-
-
-def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquivalenceReport:
-    """Both directions of the dual correspondence at the bundle's character.
-
-    Forward: from a verified dual bundle, act = (kappa (x) C)psi is an action
-    whose coextension certificate recovers psi, with counit . act =
-    counit (x) kappa.  Backward: the coinvariants of the dual of that action
-    are the annihilator of the bundle's coideal, so its canonical coideal is
-    that coideal and its coextension certificate is the bundle's own.  The
-    uniqueness clause checks, with the certificate's psi, that the action is
-    forced by counit . act.
-    """
-    if not bundle.is_bundle:
-        return DualBundleEquivalenceReport(False, "not a dual bundle: the canonical map is not bijective", bundle=bundle)
-    cert = bundle.certificate
-    carrier = cert.subject
-    c = carrier.coalgebra
-    if not carrier.module_checks.ok:
-        return DualBundleEquivalenceReport(False, "induced map is not an action", bundle=bundle)
-    action = carrier.action
-    kap = row_matrix(bundle.character, c.field)
-    return DualBundleEquivalenceReport(
-        True,
-        "",
-        bundle=bundle,
-        action=action,
-        certificate=cert,
-        counit_normalized=c.counit_matrix @ action == kron(c.counit_matrix, kap),
-        psi_recovered=cert.psi.psi == bundle.entwining.psi,
-        coideal_matches=canonical_coideal(carrier) == cert.coideal,
-        action_forced=action_forced_by_counit(action, cert.psi),
-    )
+    return bundle_check(dual, GroupLike(a_dual, tuple(character.coords)))

@@ -32,6 +32,7 @@ from .exactlin import (
     basis_vector,
     column_matrix,
     decide_bijection,
+    image,
     intersect,
     kernel,
     kron,
@@ -347,31 +348,23 @@ class UniquenessReport:
         return self.solution_space_dim == 0 and bool(self.psi_solves)
 
 
-def uniqueness_system(checks: ValidationReport, left: Matrix, right: Matrix, a_dim: int, c_dim: int) -> UniquenessReport:
-    """Uniqueness of psi in an entwined-module condition
-    target = (left (x) C)(F (x) psi')(right (x) A), linear in psi': C (x) A -> A (x) C.
-
-    The homogeneous map is a_dim c_dim copies of middle_block(left, right,
-    a_dim, c_dim), so the solution space has a_dim c_dim times its kernel
-    dimension.  That psi solves the system is the certificate's own
-    entwined-module check.
-    """
-    block = middle_block(left, right, a_dim, c_dim)
-    solves = next(chk.ok for chk in checks.checks if chk.name == "entwined-module")
-    return UniquenessReport(True, "", solution_space_dim=a_dim * c_dim * kernel(block).dim, psi_solves=solves)
-
-
 def entwining_uniqueness(cert: GaloisCertificate) -> UniquenessReport:
     """Linear system forcing psi: the entwined-module condition on A.
 
-    coaction . m = (m (x) C)(A (x) psi')(coaction (x) A) is linear in psi';
-    the certificate's psi must solve it and the homogeneous solution space
-    must be zero-dimensional, which is exactly uniqueness.
+    coaction . m = (m (x) C)(A (x) psi')(coaction (x) A) is linear in
+    psi': C (x) A -> A (x) C.  Its homogeneous map is a_dim c_dim copies of
+    middle_block(m, coaction, a_dim, c_dim), so the solution space has
+    a_dim c_dim times its kernel dimension; psi solves the system exactly
+    when the certificate's own entwined-module check holds.  Uniqueness is
+    a zero-dimensional solution space.
     """
     if not cert.is_galois:
         return UniquenessReport(False, "not a Galois extension; uniqueness is not asserted")
     x = cert.subject
-    return uniqueness_system(cert.checks, x.algebra.mult_matrix, x.coaction, x.algebra.dim, x.coalgebra.dim)
+    a_dim, c_dim = x.algebra.dim, x.coalgebra.dim
+    block = middle_block(x.algebra.mult_matrix, x.coaction, a_dim, c_dim)
+    solves = next(chk.ok for chk in cert.checks.checks if chk.name == "entwined-module")
+    return UniquenessReport(True, "", solution_space_dim=a_dim * c_dim * kernel(block).dim, psi_solves=solves)
 
 
 @dataclass(frozen=True)
@@ -399,19 +392,9 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
     field = a.field
     omega_a = kernel(a.mult_matrix)
     cplus = kernel(c.counit_matrix)
-    target_vectors = []
-    for i in range(a.dim):
-        e_i = basis_vector(a.dim, i, field)
-        for w in cplus.basis:
-            target_vectors.append(kron(column_matrix(e_i, field), column_matrix(w, field)).column(0))
-    target = Subspace.from_spanning(target_vectors, a.dim * c.dim, field)
-    sub = cert.coinvariants
-    bb_vectors = [
-        kron(column_matrix(u, field), column_matrix(v, field)).column(0)
-        for u in sub.basis
-        for v in sub.basis
-    ]
-    bb = Subspace.from_spanning(bb_vectors, a.dim * a.dim, field)
+    target = image(kron(a.identity_matrix, cplus.inclusion()))
+    b = cert.coinvariants.inclusion()
+    bb = image(kron(b, b))
     omega_b = intersect(bb, omega_a)
     # A(dB)A is spanned by the (L_i (x) R_j)w for w in Omega_B: the columns
     # of (L_i (x) R_j) applied to the inclusion of Omega_B, when Omega_B != 0

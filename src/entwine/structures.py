@@ -12,7 +12,11 @@ failing fast, so a violated axiom comes back with the exact witness matrix.
 A report depends only on its immutable structure, so each structure caches
 the report of its own axioms (``checks``, ``comodule_checks``,
 ``module_checks``), computed by the validator on first read, and a comodule
-algebra caches its coinvariants the same way.
+algebra caches its coinvariants the same way.  The module axioms of
+(V, A, act) are the comodule axioms of (V*, A*, act^T), transposed, so a
+module coalgebra reads its module report off the comodule report of its
+dual, which the dual caches for the coextension certificate and the dual
+bundles.
 """
 
 from __future__ import annotations
@@ -282,8 +286,9 @@ class ModuleCoalgebra:
 
     @cached_property
     def module_checks(self) -> ValidationReport:
-        """validate_module(self.module)."""
-        return validate_module(self.module)
+        """validate_module(self.module), read off the comodule report of the
+        dual, which it caches."""
+        return _module_report(self.dual.comodule_checks)
 
     @cached_property
     def dual(self) -> ComoduleAlgebra:
@@ -343,25 +348,28 @@ def validate_comodule(v: RightComodule) -> ValidationReport:
     return ValidationReport("right comodule", checks)
 
 
-def validate_module(v: RightModule) -> ValidationReport:
-    a = v.over
-    act = v.action
-    iv = Matrix.identity(v.dim, a.field)
-    checks = (
-        residual_check(
-            "action-associativity",
-            "act(act (x) A) = act(V (x) m)",
-            apply_kron(act, act, a.identity_matrix),
-            apply_kron(act, iv, a.mult_matrix),
-        ),
-        residual_check(
-            "action-unit",
-            "act(V (x) unit) = id",
-            apply_kron(act, iv, a.unit_matrix),
-            iv,
-        ),
+# The comodule axioms of (V*, A*, act^T), in validate_comodule's order, as
+# they read on (V, A, act).
+_MODULE_AXIOMS = (
+    ("action-associativity", "act(act (x) A) = act(V (x) m)"),
+    ("action-unit", "act(V (x) unit) = id"),
+)
+
+
+def _module_report(dual: ValidationReport) -> ValidationReport:
+    """A module report from the comodule report of its dual: each identity
+    is the transpose of the dual's, and so is its residual."""
+    checks = tuple(
+        AxiomCheck(name, statement, chk.residual.transpose(), chk.ok)
+        for chk, (name, statement) in zip(dual.checks, _MODULE_AXIOMS)
     )
     return ValidationReport("right module", checks)
+
+
+def validate_module(v: RightModule) -> ValidationReport:
+    """The module axioms of v: the comodule axioms of V* under A* through
+    act^T, transposed."""
+    return _module_report(validate_comodule(RightComodule(v.dim, dualize(v.over), v.action.transpose())))
 
 
 def bialgebra_checks(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> tuple[AxiomCheck, ...]:

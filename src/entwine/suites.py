@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .cogalois import (
-    coextension_check,
-    coideal_checks,
-    dual_bundle_action_equivalence,
-    dual_bundle_check,
-    dual_uniqueness,
-    hopf_coideal,
-    quotient_coalgebra,
-)
+from .cogalois import coextension_check, coideal_checks, dual_bundle_check, dual_uniqueness, hopf_coideal, quotient_coalgebra
 from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersection_check
 from .docformat import StructureDocument
 from .entwining import psi_to_structure_maps, structure_maps_to_psi
@@ -301,14 +293,15 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
         report.skip("cogalois.entwining-unique", "the compatible entwining map is unique", uniq.note)
     if cert.is_coextension and doc.characters:
         for name, coords in doc.characters:
+            # the bundle of x* at kappa; its invariants annihilate the coideal
             bundle = dual_bundle_check(cert, Character(doc.algebra, coords))
             report.add(
                 f"cogalois.dual-bundle.{name}",
                 "the canonical map of the dual bundle at this character is bijective",
                 bundle.is_bundle,
-                {"coideal_dim": bundle.coideal.dim, "rank": bundle.rank},
+                {"coideal_dim": doc.coalgebra.dim - bundle.invariants.dim, "rank": bundle.rank},
             )
-            eq = dual_bundle_action_equivalence(bundle)
+            eq = bundle_coaction_equivalence(bundle)
             if eq.applicable:
                 report.add(
                     f"cogalois.dual-bundle-equivalence.{name}",
@@ -319,7 +312,7 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
                 report.skip(
                     f"cogalois.dual-bundle-equivalence.{name}",
                     "dual bundle data and coextension data reproduce each other at this character",
-                    eq.note,
+                    "induced map is not an action" if bundle.is_bundle else "not a dual bundle: the canonical map is not bijective",
                 )
     return report
 

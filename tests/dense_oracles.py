@@ -25,9 +25,11 @@ formulations the library replaced with smaller ones: the full (ac)^2-unknown
 uniqueness system, of which the library solves one diagonal block, the
 enumeration of all 2^L projection chains per length, which the library
 replaced with a kernel fixed point, the per-basis-vector coinvariant
-blocks, which the library reads off one coinvariant system, and the
+blocks, which the library reads off one coinvariant system, the
 horizontal forms with one operator rebuilt per (w, i, j), which the library
-applies to all of Omega_B at once without forming the operators.
+applies to all of Omega_B at once without forming the operators, and
+A (x) C+ spanned one Kronecker product of vectors at a time, which the
+library reads off the image of A (x) incl_C+.
 
 Last comes the coextension certificate built on the cotensor product
 C box_B C itself: the canonical coideal spanned over basis inputs and
@@ -35,34 +37,44 @@ dual-basis functionals, the cotensor as the kernel of the equalising map,
 the canonical map co-restricted to it, the cotranslation identities each
 checked after its containment, and the dual entwining formula.  The library
 reads all of it off the Galois certificate of the dual comodule algebra.
+With it come the coextension-side forms the library now reads off the dual
+as well: the dual bundle as that certificate of the induced action over the
+induced coideal, with its equivalence and the action forced by its counit,
+the uniqueness system in the action, and the module axioms and the
+coalgebra-map test stated directly on the action.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
-from entwine.cogalois import (
-    CoextensionCertificate,
-    _cotensor_cube,
-    _decide_onto_cotensor,
-    quotient_coalgebra,
-)
+from entwine.cogalois import _cotensor_cube, _decide_onto_cotensor, quotient_coalgebra
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
 from entwine.entwining import EntwiningStructure, entwined_module_check, validate_entwining
 from entwine.errors import DimensionMismatch, ImageEscape, NotGaloisCoextension
 from entwine.exactlin import (
     Matrix,
     Subspace,
+    apply_kron,
     basis_vector,
     column_matrix,
+    image,
     intersect,
     kernel,
     kron,
+    middle_block,
     row_matrix,
     stack_rows,
     tensor_permutation,
 )
-from entwine.structures import AxiomCheck, RightComodule, RightModule, ValidationReport, residual_check
+from entwine.structures import (
+    AxiomCheck,
+    ModuleCoalgebra,
+    RightComodule,
+    RightModule,
+    ValidationReport,
+    residual_check,
+)
 from support import subspace_sum
 
 
@@ -394,6 +406,19 @@ def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
     return Subspace.from_spanning(vectors, a.dim * a.dim, field)
 
 
+def augmented_target_by_vectors(a, c) -> Subspace:
+    """A (x) C+ spanned one Kronecker product at a time by e_i (x) w, for e_i
+    the basis of A and w the echelon basis of C+ = Ker counit."""
+    field = a.field
+    cplus = kernel(c.counit_matrix)
+    vectors = [
+        kron(column_matrix(basis_vector(a.dim, i, field), field), column_matrix(w, field)).column(0)
+        for i in range(a.dim)
+        for w in cplus.basis
+    ]
+    return Subspace.from_spanning(vectors, a.dim * c.dim, field)
+
+
 def canonical_coideal_by_basis(x) -> Subspace:
     """The coideal spanned, over all basis inputs and dual-basis functionals, by
     act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
@@ -448,7 +473,28 @@ def _raw_cocanonical_map(x) -> Matrix:
     return kron(c.identity_matrix, x.action) @ kron(c.comult_matrix, a.identity_matrix)
 
 
-def certify_by_cotensor(x, coideal: Subspace) -> CoextensionCertificate:
+@dataclass(frozen=True)
+class CotensorCertificate:
+    """A coextension certificate built on the cotensor product, every field
+    its own: the fields of entwine's CoextensionCertificate, with the rank
+    and the verdict in place of the dual certificate they are read from."""
+
+    subject: ModuleCoalgebra
+    coideal: Subspace
+    base: object
+    base_projection: Matrix
+    cotensor: Subspace
+    cocan: Matrix
+    rank: int
+    is_coextension: bool
+    cocan_inverse: Matrix | None
+    cotranslation: Matrix | None
+    psi: EntwiningStructure | None
+    witness: tuple | None
+    checks: ValidationReport
+
+
+def certify_by_cotensor(x, coideal: Subspace) -> CotensorCertificate:
     """The coextension certificate over ``coideal``, built on the cotensor
     product: the canonical map must land in it, and the cotranslation
     identities are stated on it and its iterates."""
@@ -481,7 +527,7 @@ def certify_by_cotensor(x, coideal: Subspace) -> CoextensionCertificate:
     decision = _decide_onto_cotensor(cocan, web)
     is_galois = decision.inverse is not None
     checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, is_galois))
-    cert = CoextensionCertificate(
+    cert = CotensorCertificate(
         subject=x,
         coideal=coideal,
         base=base,
@@ -513,7 +559,7 @@ def certify_by_cotensor(x, coideal: Subspace) -> CoextensionCertificate:
     return replace(cert, psi=psi, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))
 
 
-def _cotranslation_checks(cert: CoextensionCertificate) -> list:
+def _cotranslation_checks(cert: CotensorCertificate) -> list:
     """The cotranslation identities, each stated on its proper domain."""
     x = cert.subject
     c, a = x.coalgebra, x.algebra
@@ -579,7 +625,7 @@ def _cotranslation_checks(cert: CoextensionCertificate) -> list:
     return checks
 
 
-def canonical_entwining_dual(cert: CoextensionCertificate) -> EntwiningStructure:
+def canonical_entwining_dual(cert: CotensorCertificate) -> EntwiningStructure:
     """psi = (cotranslation (x) C)(C (x) coproduct) . cocan."""
     if not cert.is_coextension:
         raise NotGaloisCoextension("canonical entwining requires a bijective canonical map")
@@ -594,3 +640,142 @@ def canonical_entwining_dual(cert: CoextensionCertificate) -> EntwiningStructure
         raise ImageEscape("(C (x) coproduct) leaves cotensor (x) C")
     psi = kron(cert.cotranslation @ coords, ic) @ stretched @ cert.cocan
     return EntwiningStructure(a, c, psi)
+
+
+@dataclass(frozen=True)
+class DualBundleReport:
+    """The dual bundle at a character kappa: the cotensor certificate of the
+    induced action (kappa (x) C)psi over the induced coideal."""
+
+    entwining: EntwiningStructure
+    character: tuple
+    certificate: CotensorCertificate
+
+    @property
+    def coideal(self) -> Subspace:
+        return self.certificate.coideal
+
+    @property
+    def is_bundle(self) -> bool:
+        return self.certificate.is_coextension
+
+    @property
+    def rank(self) -> int:
+        return self.certificate.rank
+
+
+def dual_bundle_by_coextension(e: EntwiningStructure, coords) -> DualBundleReport:
+    """I = span{(kappa (x) C)psi(c (x) a) - c kappa(a)}, and the coextension
+    certificate of the induced action over C/I."""
+    a, c = e.algebra, e.coalgebra
+    kap = row_matrix(coords, a.field)
+    action = kron(kap, c.identity_matrix) @ e.psi
+    coideal = image(action - kron(c.identity_matrix, kap))
+    carrier = ModuleCoalgebra(c, a, action)
+    return DualBundleReport(e, tuple(coords), certify_by_cotensor(carrier, coideal))
+
+
+@dataclass(frozen=True)
+class DualBundleEquivalenceReport:
+    """Round trip between dual bundle data and coextension data at one character."""
+
+    applicable: bool
+    note: str
+    counit_normalized: bool | None = None
+    psi_recovered: bool | None = None
+    coideal_matches: bool | None = None
+    action_forced: bool | None = None
+    certificate_ok: bool | None = None
+
+    @property
+    def ok(self) -> bool:
+        if not self.applicable:
+            return True
+        return bool(
+            self.counit_normalized
+            and self.psi_recovered
+            and self.coideal_matches
+            and self.action_forced
+            and self.certificate_ok
+        )
+
+
+def action_forced_by_counit(action: Matrix, psi: EntwiningStructure) -> bool:
+    """act = ((counit . act) (x) C)(C (x) psi)(coproduct (x) A): through psi,
+    the action is determined by the functional counit . act."""
+    a, c = psi.algebra, psi.coalgebra
+    ic = c.identity_matrix
+    eps_act = c.counit_matrix @ action
+    return action == kron(eps_act, ic) @ kron(ic, psi.psi) @ kron(c.comult_matrix, a.identity_matrix)
+
+
+def dual_bundle_action_equivalence(bundle: DualBundleReport) -> DualBundleEquivalenceReport:
+    """Both directions of the dual correspondence at the bundle's character:
+    the induced action is an action, normalised by counit . act =
+    counit (x) kappa and forced by it through psi, and its certificate
+    recovers psi over its canonical coideal."""
+    if not bundle.is_bundle:
+        return DualBundleEquivalenceReport(False, "not a dual bundle: the canonical map is not bijective")
+    cert = bundle.certificate
+    carrier = cert.subject
+    c = carrier.coalgebra
+    if not module_axioms_on_the_action(carrier.module).ok:
+        return DualBundleEquivalenceReport(False, "induced map is not an action")
+    kap = row_matrix(bundle.character, c.field)
+    return DualBundleEquivalenceReport(
+        True,
+        "",
+        counit_normalized=c.counit_matrix @ carrier.action == kron(c.counit_matrix, kap),
+        psi_recovered=cert.psi.psi == bundle.entwining.psi,
+        coideal_matches=canonical_coideal_by_basis(carrier) == cert.coideal,
+        action_forced=action_forced_by_counit(carrier.action, cert.psi),
+        certificate_ok=cert.checks.ok,
+    )
+
+
+def uniqueness_dim_by_action(x) -> int:
+    """The solution space dimension of coproduct . act =
+    (act (x) C)(C (x) psi')(coproduct (x) A) in psi', one diagonal block of
+    the system per (a, c)."""
+    a_dim, c_dim = x.algebra.dim, x.coalgebra.dim
+    return a_dim * c_dim * kernel(middle_block(x.action, x.coalgebra.comult_matrix, a_dim, c_dim)).dim
+
+
+def module_axioms_on_the_action(v: RightModule) -> ValidationReport:
+    """The right module axioms stated on the action itself."""
+    a = v.over
+    act = v.action
+    iv = Matrix.identity(v.dim, a.field)
+    checks = (
+        residual_check(
+            "action-associativity",
+            "act(act (x) A) = act(V (x) m)",
+            apply_kron(act, act, a.identity_matrix),
+            apply_kron(act, iv, a.mult_matrix),
+        ),
+        residual_check("action-unit", "act(V (x) unit) = id", apply_kron(act, iv, a.unit_matrix), iv),
+    )
+    return ValidationReport("right module", checks)
+
+
+def action_coalgebra_map_checks(x, hopf_coalgebra) -> tuple[AxiomCheck, ...]:
+    """act is a coalgebra map C (x) H -> C (componentwise coproduct through
+    the formed middle swap)."""
+    c = x.coalgebra
+    if hopf_coalgebra.dim != x.algebra.dim:
+        raise DimensionMismatch("coalgebra structure must live on the acting space")
+    nc, nh = c.dim, hopf_coalgebra.dim
+    return (
+        residual_check(
+            "action-comultiplicative",
+            "coproduct(act) = (act (x) act)(C (x) swap (x) H)(coproduct (x) coproduct)",
+            c.comult_matrix @ x.action,
+            swap_product_formed(x.action, x.action, c.comult_matrix, hopf_coalgebra.comult_matrix, (nc, nc, nh, nh)),
+        ),
+        residual_check(
+            "action-counital",
+            "counit(act(c,h)) = counit(c) counit(h)",
+            c.counit_matrix @ x.action,
+            kron(c.counit_matrix, row_matrix(hopf_coalgebra.counit, c.field)),
+        ),
+    )

@@ -19,21 +19,22 @@ from entwine.fields import FieldSpec
 from entwine.structures import ModuleCoalgebra, transport_algebra, transport_coalgebra
 
 
-def subgroup_algebra(group: str, generator: str, field: FieldSpec):
-    """k[H] for H generated by one element of G, with H's elements in G's order;
-    also returns the indices of H inside G."""
+def subgroup_hopf(group: str, generator: str, field: FieldSpec):
+    """The Hopf algebra k[H] for H generated by one element of G, with H's
+    elements in G's order; also returns the indices of H inside G."""
     names, table, _ = GROUPS[group]
     members = subgroup_closure(table, [names.index(generator)])
     position = {g: i for i, g in enumerate(members)}
     sub_table = [[position[table[g][h]] for h in members] for g in members]
-    return group_algebra({"table": sub_table, "names": [names[g] for g in members]}, field).algebra, members
+    return group_algebra({"table": sub_table, "names": [names[g] for g in members]}, field), members
 
 
 def subgroup_coextension(group: str, generator: str, field: FieldSpec) -> ModuleCoalgebra:
     """k[G] acted on by k[H] through right multiplication, act(g, h) = g h."""
     _, table, _ = GROUPS[group]
     c = group_algebra({"group": group}, field).coalgebra
-    a, members = subgroup_algebra(group, generator, field)
+    sub, members = subgroup_hopf(group, generator, field)
+    a = sub.algebra
     m = len(members)
     triples = ((table[g][h], g * m + j, field.one) for g in range(c.dim) for j, h in enumerate(members))
     return ModuleCoalgebra(c, a, Matrix.from_triples(c.dim, c.dim * m, triples, field))
@@ -42,7 +43,7 @@ def subgroup_coextension(group: str, generator: str, field: FieldSpec) -> Module
 def trivial_coextension(group: str, generator: str, field: FieldSpec) -> ModuleCoalgebra:
     """k[G] acted on by k[H] through the counit, act(g, h) = g: not Galois once |H| > 1."""
     c = group_algebra({"group": group}, field).coalgebra
-    a, _ = subgroup_algebra(group, generator, field)
+    a = subgroup_hopf(group, generator, field)[0].algebra
     return ModuleCoalgebra(c, a, kron(c.identity_matrix, row_matrix((field.one,) * a.dim, field)))
 
 

@@ -1,6 +1,7 @@
 """Library-shaped helpers that only the tests use: the RREF of a matrix, the
-sum of two subspaces, the exact inverse of a Hopf-case entwining map, and
-the ground field as a one-dimensional algebra and coalgebra.  They are built
+sum of two subspaces, the exact inverse of a Hopf-case entwining map, the
+canonical coideal of a module coalgebra, and the ground field as a
+one-dimensional algebra and coalgebra.  They are built
 on entwine's own primitives and conventions.  Also scripts/verify_catalogue.py
 loaded as a module, for its list of catalogue variants."""
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from entwine.cogalois import _annihilator
 from entwine.errors import DimensionMismatch, NotInvertibleError
 from entwine.exactlin import (
     Matrix,
@@ -23,7 +25,7 @@ from entwine.exactlin import (
     tensor_permutation,
 )
 from entwine.fields import FieldSpec
-from entwine.structures import ComoduleAlgebra, FiniteAlgebra, FiniteCoalgebra, HopfAlgebra
+from entwine.structures import ComoduleAlgebra, FiniteAlgebra, FiniteCoalgebra, HopfAlgebra, ModuleCoalgebra
 
 
 def verify_catalogue_script():
@@ -63,6 +65,17 @@ def invert_hopf_entwining(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
     ih = h.algebra.identity_matrix
     reverse = tensor_permutation((na, nh, nh), (2, 1, 0), field)
     return kron(h.algebra.mult_matrix, ia) @ reverse @ kron(ia, kron(sinv, ih)) @ kron(x.coaction, ih)
+
+
+def canonical_coideal(x: ModuleCoalgebra) -> Subspace:
+    """The coideal spanned, over all inputs c, a and functionals f, by
+    act(c,a)_(1) f(act(c,a)_(2)) - c_(1) f(act(c_(2),a)).
+
+    A functional annihilates it exactly when it is coinvariant in the dual
+    comodule algebra x.dual, so it is the annihilator of those coinvariants,
+    the coideal of coextension_check(x).
+    """
+    return _annihilator(x.dual.coinvariants)
 
 
 def field_algebra(field: FieldSpec) -> FiniteAlgebra:

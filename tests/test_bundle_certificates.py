@@ -1,27 +1,30 @@
 """A bundle is the certificate of its induced (co)action.
 
 bundle_check certifies a |-> psi(e (x) a) over the fixed invariants, and
-dual_bundle_check certifies (kappa (x) C)psi over the induced coideal.
-Whenever those equal the coinvariants (resp. the canonical coideal) of the
-carrier, the bundle certificate must equal the one galois_check (resp.
+dual_bundle_check is bundle_check of the dual at a character kappa, whose
+coaction is the transposed action (kappa (x) C)psi and whose invariants
+annihilate the induced coideal.  Whenever those equal the coinvariants of
+the carrier (resp. the coinvariants of the carrier's dual), the bundle
+certificate must equal the one galois_check (resp. the dual certificate
 coextension_check) builds for the carrier from scratch, which is the oracle.
 
 Given the extension's certificate in place of its psi, a bundle whose
-carrier and invariants (resp. coideal) equal the extension's is that
+carrier and invariants equal the extension's (resp. its dual's) is that
 certificate, and a carrier whose canonical psi equals the given psi has that
 psi, with its cached report; both must agree with the oracle, on the
 catalogue bases and on random GF(7) bases.  Every cached report equals a
-fresh call of its validator.
+fresh call of its validator, and the module report the direct form of the
+module axioms.
 """
 
 import random
 
 import pytest
 
-import entwine.cogalois as cogalois
+from dense_oracles import module_axioms_on_the_action
 import entwine.galois as galois
 from entwine.catalogue import build, group_algebra, group_self_coextension, self_extension, sweedler_hopf_algebra
-from entwine.cogalois import canonical_coideal, coextension_check, dual_bundle_check
+from entwine.cogalois import _annihilator, coextension_check, dual_bundle_check
 from entwine.docformat import document_from_example
 from entwine.entwining import (
     EntwiningStructure,
@@ -32,7 +35,7 @@ from entwine.entwining import (
 )
 from entwine.errors import NotGalois
 from entwine.exactlin import Matrix, NotInvertible, column_matrix, kron, try_invert
-from entwine.fields import GF
+from entwine.fields import GF, QQ
 from entwine.galois import bundle_check, coinvariant_system, coinvariants, galois_check
 from entwine.structures import (
     Character,
@@ -47,6 +50,8 @@ from entwine.structures import (
     validate_comodule,
     validate_module,
 )
+from subgroup_coextensions import subgroup_coextension
+from support import canonical_coideal
 
 GF7 = GF(7)
 
@@ -117,9 +122,14 @@ def test_dual_bundle_certificate_matches_coextension_check(name, params):
     psi = coextension_check(x).psi
     for character in structures["characters"]:
         bundle = dual_bundle_check(psi, character)
-        carrier = bundle.certificate.subject
-        assert canonical_coideal(carrier) == bundle.coideal
-        assert bundle.certificate == coextension_check(carrier)
+        carrier = _action_of(x, bundle)
+        assert canonical_coideal(carrier) == _annihilator(bundle.invariants)
+        assert bundle.certificate == coextension_check(carrier).dual
+
+
+def _action_of(x, bundle):
+    """The module coalgebra on x's spaces whose dual is the bundle's carrier."""
+    return ModuleCoalgebra(x.coalgebra, x.algebra, bundle.certificate.subject.coaction.transpose())
 
 
 def _random_basis(n, rng):
@@ -180,11 +190,13 @@ def test_transported_dual_bundles_reuse_the_extension_certificate(name, params, 
         bundle = dual_bundle_check(cert, character)
         kap = Matrix.from_rows([character.coords], GF7)
         action = kron(kap, y.coalgebra.identity_matrix) @ cert.psi.psi
-        reused = action == y.action and bundle.coideal == cert.coideal
-        assert (bundle.certificate is cert) == reused
-        carrier = bundle.certificate.subject
-        assert canonical_coideal(carrier) == bundle.coideal
-        assert bundle.certificate == coextension_check(carrier)
+        # the dual certificate is reused exactly when the inputs equal its own
+        reused = action == y.action and _annihilator(bundle.invariants) == cert.coideal
+        assert (bundle.certificate is cert.dual) == reused
+        carrier = _action_of(y, bundle)
+        assert carrier.action == action
+        assert canonical_coideal(carrier) == _annihilator(bundle.invariants)
+        assert bundle.certificate == coextension_check(carrier).dual
         assert bundle == dual_bundle_check(cert.psi, character)
 
 
@@ -235,20 +247,26 @@ def test_canonical_psi_reads_a_known_report_only_when_equal():
     assert fresh == cert
 
 
-def test_dual_canonical_psi_reads_a_known_report_only_when_equal():
-    y = group_self_coextension(group_algebra({"group": "Z2"}))
+def test_dual_bundle_psi_reads_a_known_report_only_when_equal():
+    # at the sign character of k[Z2], the dual bundle of k[Z4] acted on by
+    # k[Z2] has an action of its own, whose canonical psi is the given one
+    y = subgroup_coextension("Z4", "g2", QQ)
+    sign = Character(y.algebra, (1, -1))
     cert = coextension_check(y)
+    validated = dual_bundle_check(cert, sign).certificate
+    assert validated is not cert.dual
     stand_in = ValidationReport("stand-in", ())
-    known = _with_report(EntwiningStructure(y.algebra, y.coalgebra, cert.psi.psi), stand_in)
-    same = cogalois._certify(y, y.dual.coinvariants, known)
+    known = _with_report(cert.dual.psi, stand_in)
+    same = dual_bundle_check(cert, sign).certificate
     assert same.psi is known
-    assert same.checks.checks == tuple(c for c in cert.checks.checks if c not in cert.psi.checks.checks)
-    flip = _with_report(flip_entwining(y.algebra, y.coalgebra), stand_in)
-    assert flip != cert.psi
-    fresh = cogalois._certify(y, y.dual.coinvariants, flip)
+    assert same.checks.checks == tuple(c for c in validated.checks.checks if c not in validate_entwining(known).checks)
+    carrier = same.subject
+    flip = _with_report(flip_entwining(carrier.algebra, carrier.coalgebra), stand_in)
+    assert flip != known
+    fresh = galois._certify(carrier, same.coinvariants, flip)
     assert fresh.psi is not flip
-    assert fresh.psi.checks == validate_entwining(cert.psi)
-    assert fresh == cert
+    assert fresh.psi.checks == validate_entwining(known)
+    assert fresh == validated
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -266,7 +284,7 @@ def test_cached_reports_equal_fresh_validation(name, params, p):
         entwinings.append(galois_check(x).psi)
     if doc.module_coalgebra is not None:
         y = doc.module_coalgebra
-        assert y.module_checks == validate_module(y.module)
+        assert y.module_checks == validate_module(y.module) == module_axioms_on_the_action(y.module)
         entwinings.append(coextension_check(y).psi)
     if doc.entwining is not None:
         entwinings.append(doc.entwining)

@@ -129,12 +129,18 @@ def test_sweedler_bundles_validate_psi_once(count_calls):
 
 def test_dual_bundle_report_is_passed_to_the_equivalence(count_calls):
     counts = count_calls(
-        cogalois.dual_bundle_check, cogalois.action_coalgebra_map_checks, entwining.validate_entwining
+        cogalois.dual_bundle_check,
+        galois.bundle_check,
+        structures.coaction_algebra_map_checks,
+        entwining.validate_entwining,
     )
     doc, _ = _run("group-coextension", {"group": "Z3"}, "cogalois")
+    # a dual bundle is one bundle of the dual, and the coalgebra-map gate of
+    # hopf_coideal is the algebra-map test of the dual coaction
     assert counts == {
         "dual_bundle_check": len(doc.characters),
-        "action_coalgebra_map_checks": 1,
+        "bundle_check": len(doc.characters),
+        "coaction_algebra_map_checks": 1,
         "validate_entwining": 1,
     }
 
@@ -186,33 +192,37 @@ def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
 def test_group_coextension_quotient_count(count_calls):
     counts = count_calls(
         cogalois.coextension_check,
-        cogalois.canonical_coideal,
         cogalois._annihilator,
         galois.coinvariants,
         exactlin.quotient,
         structures.validate_module,
+        structures.validate_comodule,
         galois.balanced_tensor,
         structures.ComoduleAlgebra.raw_can,
         entwining.validate_entwining,
+        entwining.entwined_module_check,
+        structures.coaction_algebra_map_checks,
     )
     _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts["coextension_check"] == 1
     assert counts["quotient"] <= 2
-    # the suite's gate, which coextension_check and the dual bundle
-    # equivalence read from the document's module coalgebra
-    assert counts["validate_module"] == 1
-    # the certificate is the dual's one canonical map certificate, and the
-    # dual bundle at the trivial character is the certificate itself
+    # the suite's gate reads the comodule report of the dual, which
+    # coextension_check and the dual bundle equivalence read again: one
+    # axiom validation of the action
+    assert counts["validate_module"] == 0
+    assert counts["validate_comodule"] == 1
+    # the certificate keeps the dual's one Galois certificate, and the dual
+    # bundle at the trivial character is that certificate
     assert counts["balanced_tensor"] == 1
     assert counts["validate_entwining"] == 1
-    # the dual's raw canonical map, shared by the canonical coideal, the
-    # certificate and the canonical coideal in the equivalence
+    assert counts["entwined_module_check"] == 1
+    assert counts["coaction_algebra_map_checks"] == 1
+    # the dual's raw canonical map, shared by its coinvariants and certificate
     assert counts["raw_can"] == 1
-    # the certificate annihilates the coinvariants of the dual of the
-    # document's module coalgebra once, for its coideal; the equivalence's
-    # canonical coideal reads the same coinvariants and annihilates them again
-    assert counts["canonical_coideal"] == 1
-    assert counts["_annihilator"] == 2
+    # the certificate annihilates the coinvariants of the dual once, for its
+    # coideal; the dual bundle compares its invariants with them, and the
+    # equivalence reads them from the dual
+    assert counts["_annihilator"] == 1
     assert counts["coinvariants"] == 1
 
 

@@ -4,38 +4,50 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import canonical_coideal_by_basis, certify_by_cotensor, comult_tensor, cotensor
+from dense_oracles import (
+    action_coalgebra_map_checks,
+    action_forced_by_counit,
+    canonical_coideal_by_basis,
+    certify_by_cotensor,
+    comult_tensor,
+    cotensor,
+    dual_bundle_action_equivalence,
+    dual_bundle_by_coextension,
+    uniqueness_dim_by_action,
+)
 from entwine.catalogue import (
     coset_coideal,
+    dual_group_algebra,
     group_algebra,
     group_self_coextension,
     quadratic_field_extension,
     self_extension,
     sweedler_hopf_algebra,
 )
+import entwine.cogalois as cogalois
 from entwine.cogalois import (
-    action_forced_by_counit,
-    canonical_coideal,
     coextension_check,
     coideal_checks,
-    dual_bundle_action_equivalence,
     dual_bundle_check,
     dual_uniqueness,
     hopf_coideal,
     quotient_coalgebra,
 )
 from entwine.entwining import EntwiningStructure, validate_entwining
-from entwine.errors import NotCharacter, NotCoideal
-from entwine.exactlin import Matrix, Subspace, kron, quotient
+from entwine.errors import AxiomViolation, NotCharacter, NotCoideal
+from entwine.exactlin import Matrix, Subspace, kron, middle_block, quotient
 from entwine.fields import GF, QQ
-from entwine.structures import Character, ModuleCoalgebra, dualize
-from support import field_algebra, field_coalgebra
+from entwine.galois import bundle_coaction_equivalence, coaction_forced_by_unit
+from entwine.structures import Character, ModuleCoalgebra, coaction_algebra_map_checks, dualize, transport_coalgebra
+from support import canonical_coideal, field_algebra, field_coalgebra
 from subgroup_coextensions import (
     random_basis,
     subgroup_coextension,
+    subgroup_hopf,
     transport_character,
     transport_coextension,
     trivial_coextension,
+    upper_unitriangular,
 )
 
 GF7 = GF(7)
@@ -232,7 +244,8 @@ class TestDualBundle:
         kappa = Character(z2_hopf.algebra, (1, 1))
         report = dual_bundle_check(cert.psi, kappa)
         assert report.is_bundle
-        assert report.coideal.basis == ((Fraction(1), Fraction(-1)),)
+        # the invariants are the counit, whose annihilator spans g - 1
+        assert cogalois._annihilator(report.invariants).basis == ((Fraction(1), Fraction(-1)),)
 
     def test_flip_dimension_count(self, z2_hopf):
         from entwine.entwining import flip_entwining
@@ -240,9 +253,10 @@ class TestDualBundle:
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
         kappa = Character(z2_hopf.algebra, (1, 1))
         report = dual_bundle_check(e, kappa)
-        # induced action c.a = kappa(a) c gives I = 0, so the cotensor is
-        # C box_C C of dim 2 while C (x) A has dim 4
-        assert report.coideal.dim == 0
+        # induced action c.a = kappa(a) c gives I = 0, so every functional
+        # is invariant and the cotensor is C box_C C of dim 2 while C (x) A
+        # has dim 4
+        assert report.invariants.dim == 2
         assert not report.is_bundle
 
     def test_sweedler_with_counit_character(self, sweedler):
@@ -251,7 +265,8 @@ class TestDualBundle:
         kappa = Character(sweedler.algebra, tuple(sweedler.coalgebra.counit))
         report = dual_bundle_check(cert.psi, kappa)
         assert report.is_bundle
-        assert report.coideal == cert.coideal
+        assert report.invariants == cert.dual.coinvariants
+        assert cogalois._annihilator(report.invariants) == cert.coideal
 
     def test_rejects_non_character(self, z2_hopf, z2_coextension):
         cert = coextension_check(z2_coextension)
@@ -263,38 +278,43 @@ class TestDualBundleEquivalence:
     def test_z2_round_trip(self, z2_hopf, z2_coextension):
         cert = coextension_check(z2_coextension)
         kappa = Character(z2_hopf.algebra, (1, 1))
-        report = dual_bundle_action_equivalence(dual_bundle_check(cert.psi, kappa))
+        report = bundle_coaction_equivalence(dual_bundle_check(cert.psi, kappa))
         assert report.applicable and report.ok
-        assert report.action == z2_coextension.action  # recovered bit-exactly
-        assert report.certificate.coideal == cert.coideal
+        assert report.coaction.transpose() == z2_coextension.action  # recovered bit-exactly
+        assert report.certificate.coinvariants == cert.dual.coinvariants
 
     def test_trivial_instance(self, z2_hopf):
         x = trivial_module_coalgebra(z2_hopf.coalgebra)
         cert = coextension_check(x)
         kappa = Character(field_algebra(QQ), (1,))
-        report = dual_bundle_action_equivalence(dual_bundle_check(cert.psi, kappa))
+        report = bundle_coaction_equivalence(dual_bundle_check(cert.psi, kappa))
         assert report.applicable and report.ok
 
     def test_gated_when_not_bundle(self, z2_hopf):
         from entwine.entwining import flip_entwining
 
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
-        report = dual_bundle_action_equivalence(dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))))
+        report = bundle_coaction_equivalence(dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))))
         assert not report.applicable
 
     def test_forced_clause_reads_psi(self, z2_coextension):
-        # act = ((counit . act) (x) C)(C (x) psi)(coproduct (x) A) holds for the certificate's psi ...
-        psi = coextension_check(z2_coextension).psi
-        assert action_forced_by_counit(z2_coextension.action, psi)
-        # ... and fails once an entry of psi that the composite reads is perturbed
+        # act = ((counit . act) (x) C)(C (x) psi)(coproduct (x) A) holds for the
+        # certificate's psi, and its dual clause, coaction forced by its value on
+        # 1 through psi^T, reads the same ...
+        x = z2_coextension
+        psi = coextension_check(x).psi
+        assert action_forced_by_counit(x.action, psi)
+        assert coaction_forced_by_unit(x.dual.coaction, EntwiningStructure(x.dual.algebra, x.dual.coalgebra, psi.psi.transpose()))
+        # ... and both fail once an entry of psi that the composite reads is perturbed
         rows = [list(r) for r in psi.psi.entries]
         rows[0][0] += 1
-        perturbed = EntwiningStructure(psi.algebra, psi.coalgebra, Matrix.from_rows(rows, QQ))
-        assert not action_forced_by_counit(z2_coextension.action, perturbed)
+        perturbed = Matrix.from_rows(rows, QQ)
+        assert not action_forced_by_counit(x.action, EntwiningStructure(psi.algebra, psi.coalgebra, perturbed))
+        assert not coaction_forced_by_unit(x.dual.coaction, EntwiningStructure(x.dual.algebra, x.dual.coalgebra, perturbed.transpose()))
 
     def test_verdict_reads_the_certificate_checks(self, z2_hopf, z2_coextension):
         psi = coextension_check(z2_coextension).psi
-        report = dual_bundle_action_equivalence(dual_bundle_check(psi, Character(z2_hopf.algebra, (1, 1))))
+        report = bundle_coaction_equivalence(dual_bundle_check(psi, Character(z2_hopf.algebra, (1, 1))))
         assert report.ok
         cert = report.certificate
         first, *rest = cert.checks.checks
@@ -334,35 +354,42 @@ def _dual_of(x):
     return ModuleCoalgebra(dualize(x.algebra), dualize(x.coalgebra), x.coaction.transpose())
 
 
-def _on_dense_basis(x, seed):
-    """x and its trivial character moved to seeded random bases over GF(7)."""
+def _on_dense_basis(x, acting, seed):
+    """x, its trivial character and the coalgebra on its acting space, moved
+    to seeded random bases over GF(7)."""
     rng = random.Random(seed)
     t = random_basis(x.coalgebra.dim, GF7, rng)
     s = random_basis(x.algebra.dim, GF7, rng)
-    return transport_coextension(x, t, s), transport_character((GF7.one,) * x.algebra.dim, s)
+    return transport_coextension(x, t, s), transport_character((GF7.one,) * x.algebra.dim, s), transport_coalgebra(acting, s)
 
 
 def _coextension_inputs():
-    """(label, module coalgebra, character of its algebra or None)."""
+    """(label, module coalgebra, character of its algebra or None, coalgebra
+    on the acting space for which the action is a coalgebra map)."""
     inputs = []
     for group in ("Z2", "Z3", "Z4", "S3"):
         h = group_algebra({"group": group}, QQ)
-        inputs.append((f"group-coextension {group}", group_self_coextension(h), (QQ.one,) * h.dim))
+        inputs.append((f"group-coextension {group}", group_self_coextension(h), (QQ.one,) * h.dim, h.coalgebra))
     h = group_algebra({"group": "Z3"}, GF7)
-    inputs.append(("group-coextension Z3 GF(7)", group_self_coextension(h), (GF7.one,) * h.dim))
+    inputs.append(("group-coextension Z3 GF(7)", group_self_coextension(h), (GF7.one,) * h.dim, h.coalgebra))
     sweedler = sweedler_hopf_algebra(QQ)
-    inputs.append(("sweedler-h4", group_self_coextension(sweedler), tuple(sweedler.coalgebra.counit)))
-    inputs.append(("dual of quadratic-field-extension", _dual_of(quadratic_field_extension(2, QQ)), None))
-    inputs.append(("dual of trivial-hopf-galois S3", _dual_of(self_extension(group_algebra({"group": "S3"}, QQ))), None))
+    inputs.append(("sweedler-h4", group_self_coextension(sweedler), tuple(sweedler.coalgebra.counit), sweedler.coalgebra))
     z2 = group_algebra({"group": "Z2"}, QQ)
-    inputs.append(("collapsed action", ModuleCoalgebra(field_coalgebra(QQ), z2.algebra, Matrix.from_rows([[1, 1]], QQ)), None))
+    z2_dual = dual_group_algebra({"group": "Z2"}, QQ)
+    inputs.append(("dual of quadratic-field-extension", _dual_of(quadratic_field_extension(2, QQ)), None, dualize(z2_dual.algebra)))
+    s3 = group_algebra({"group": "S3"}, QQ)
+    inputs.append(("dual of trivial-hopf-galois S3", _dual_of(self_extension(s3)), None, dualize(s3.algebra)))
+    collapsed = ModuleCoalgebra(field_coalgebra(QQ), z2.algebra, Matrix.from_rows([[1, 1]], QQ))
+    inputs.append(("collapsed action", collapsed, None, z2.coalgebra))
     for group, generator in (("Z4", "g2"), ("S3", "(12)"), ("S3", "(123)")):
         for build, kind in ((subgroup_coextension, "subgroup"), (trivial_coextension, "trivial")):
             x = build(group, generator, QQ)
-            inputs.append((f"{kind} {group}>{generator}", x, (QQ.one,) * x.algebra.dim))
+            acting = subgroup_hopf(group, generator, QQ)[0].coalgebra
+            inputs.append((f"{kind} {group}>{generator}", x, (QQ.one,) * x.algebra.dim, acting))
             for seed in (1, 2):
-                y, kappa = _on_dense_basis(build(group, generator, GF7), seed)
-                inputs.append((f"{kind} {group}>{generator} GF(7) seed {seed}", y, kappa))
+                acting = subgroup_hopf(group, generator, GF7)[0].coalgebra
+                y, kappa, moved = _on_dense_basis(build(group, generator, GF7), acting, seed)
+                inputs.append((f"{kind} {group}>{generator} GF(7) seed {seed}", y, kappa, moved))
     return inputs
 
 
@@ -392,30 +419,111 @@ def _assert_same_certificate(cert, oracle):
     assert [key for key in mine if mine[key] != theirs[key]] == []
 
 
+def _assert_dual_bundle_matches(psi, kappa, bundle):
+    """The bundle of the dual at a character kappa against the cotensor
+    certificate of the action (kappa (x) C)psi over the induced coideal."""
+    oracle = dual_bundle_by_coextension(psi, kappa)
+    assert psi.coalgebra.dim - bundle.invariants.dim == oracle.coideal.dim
+    assert (bundle.rank, bundle.is_bundle) == (oracle.rank, oracle.is_bundle)
+    carrier = ModuleCoalgebra(psi.coalgebra, psi.algebra, bundle.certificate.subject.coaction.transpose())
+    assert carrier == oracle.certificate.subject
+    # read on the coextension side, the bundle is a coextension certificate
+    # over the annihilator of its invariants
+    own = cogalois._certify(carrier, bundle.invariants)
+    assert own.dual == bundle.certificate
+    _assert_same_certificate(own, oracle.certificate)
+    ours, theirs = bundle_coaction_equivalence(bundle), dual_bundle_action_equivalence(oracle)
+    assert (ours.applicable, ours.ok) == (theirs.applicable, theirs.ok)
+
+
 class TestAgainstTheCotensorOracle:
     """The certificate read off the dual's Galois certificate equals the one
-    built on the cotensor product, field by field."""
+    built on the cotensor product, field by field, and so do the uniqueness,
+    the dual bundles and the coalgebra-map gate read off the dual."""
 
-    @pytest.mark.parametrize("label, x, kappa", _INPUTS, ids=[label for label, _, _ in _INPUTS])
-    def test_certificate_fields_match(self, label, x, kappa):
+    @pytest.mark.parametrize("label, x, kappa, acting", _INPUTS, ids=[label for label, *_ in _INPUTS])
+    def test_certificate_fields_match(self, label, x, kappa, acting):
         coideal = canonical_coideal(x)
         assert coideal == canonical_coideal_by_basis(x)
         cert = coextension_check(x)
-        _assert_same_certificate(cert, certify_by_cotensor(x, coideal))
-        if cert.is_coextension and kappa is not None:
-            bundle = dual_bundle_check(cert.psi, Character(x.algebra, kappa)).certificate
-            _assert_same_certificate(bundle, certify_by_cotensor(bundle.subject, bundle.coideal))
+        oracle = certify_by_cotensor(x, coideal)
+        _assert_same_certificate(cert, oracle)
+        # the coextension's uniqueness block is the dual's, permuted:
+        # B'[(k,p),(j,y)] = B[(p,k),(y,j)]
+        a_dim, c_dim = x.algebra.dim, x.coalgebra.dim
+        mine = middle_block(x.action, x.coalgebra.comult_matrix, a_dim, c_dim).entries
+        theirs = middle_block(x.dual.algebra.mult_matrix, x.dual.coaction, c_dim, a_dim).entries
+        assert all(
+            mine[k * c_dim + p][j * c_dim + y] == theirs[p * c_dim + k][y * a_dim + j]
+            for k in range(c_dim)
+            for p in range(c_dim)
+            for j in range(a_dim)
+            for y in range(c_dim)
+        )
+        uniqueness = dual_uniqueness(cert)
+        assert uniqueness.applicable == cert.is_coextension
+        if cert.is_coextension:
+            assert uniqueness.solution_space_dim == uniqueness_dim_by_action(x)
+            (module,) = [chk for chk in oracle.checks.checks if chk.name == "entwined-module"]
+            assert uniqueness.psi_solves == module.ok
+            if kappa is not None:
+                character = Character(x.algebra, kappa)
+                bundle = dual_bundle_check(cert, character)
+                _assert_dual_bundle_matches(cert.psi, kappa, bundle)
+                assert bundle == dual_bundle_check(cert.psi, character)
+
+    @pytest.mark.parametrize("label, x, kappa, acting", _INPUTS, ids=[label for label, *_ in _INPUTS])
+    def test_coalgebra_map_gate_matches(self, label, x, kappa, acting):
+        # the action is a coalgebra map for ``acting``, and in general not for
+        # ``acting`` on another basis; either way the dual algebra-map test
+        # gives the verdicts and, transposed, the residuals of the direct one
+        moved = transport_coalgebra(acting, upper_unitriangular(acting.dim, acting.field))
+        verdicts = []
+        for coalgebra in (acting, moved):
+            direct = action_coalgebra_map_checks(x, coalgebra)
+            dual = coaction_algebra_map_checks(x.dual, dualize(coalgebra))
+            assert [chk.ok for chk in dual] == [chk.ok for chk in direct]
+            assert [chk.residual.transpose() for chk in dual] == [chk.residual for chk in direct]
+            ok = all(chk.ok for chk in direct)
+            if ok:
+                expected = Subspace.from_spanning(
+                    (x.action - kron(x.coalgebra.identity_matrix, Matrix.from_rows([coalgebra.counit], x.coalgebra.field))).columns(),
+                    x.coalgebra.dim,
+                    x.coalgebra.field,
+                )
+                assert hopf_coideal(x, x.algebra, coalgebra) == expected
+            else:
+                with pytest.raises(AxiomViolation):
+                    hopf_coideal(x, x.algebra, coalgebra)
+            verdicts.append(ok)
+        assert verdicts[0]
+
+    def test_the_gate_fails_on_some_input(self):
+        # so that the comparison above reaches failing residuals
+        def fails(x, acting):
+            moved = transport_coalgebra(acting, upper_unitriangular(acting.dim, acting.field))
+            return not all(chk.ok for chk in action_coalgebra_map_checks(x, moved))
+
+        assert any(fails(x, acting) for _, x, _, acting in _INPUTS)
 
     def test_inputs_reach_every_base_dimension_and_the_witness(self):
-        certs = {label: coextension_check(x) for label, x, _ in _INPUTS}
+        certs = {label: coextension_check(x) for label, x, *_ in _INPUTS}
         dense = {cert.base.dim for label, cert in certs.items() if "GF(7)" in label}
         assert {2, 3, 6} <= dense
         assert any(cert.witness is not None for label, cert in certs.items() if "GF(7)" in label)
+
+    def test_a_dual_bundle_of_another_action_matches(self):
+        # at the sign character of k[Z2] the induced action is not k[Z4]'s own
+        x = subgroup_coextension("Z4", "g2", QQ)
+        cert = coextension_check(x)
+        bundle = dual_bundle_check(cert, Character(x.algebra, (1, -1)))
+        assert bundle.certificate is not cert.dual and bundle.is_bundle
+        _assert_dual_bundle_matches(cert.psi, (1, -1), bundle)
 
     def test_flip_dual_bundle_matches(self, z2_hopf):
         from entwine.entwining import flip_entwining
 
         e = flip_entwining(z2_hopf.algebra, z2_hopf.coalgebra)
-        bundle = dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1))).certificate
-        assert not bundle.is_coextension
-        _assert_same_certificate(bundle, certify_by_cotensor(bundle.subject, bundle.coideal))
+        bundle = dual_bundle_check(e, Character(z2_hopf.algebra, (1, 1)))
+        assert not bundle.is_bundle
+        _assert_dual_bundle_matches(e, (1, 1), bundle)

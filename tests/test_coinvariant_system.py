@@ -10,7 +10,9 @@ pairs are tested in test_cogenerate.py.
 The horizontal forms A(dB)A over those coinvariants B are checked against
 ``dense_oracles.horizontal_forms_by_triple_loop`` on the same instances, where
 Omega_B = 0, and on k[G] coacting through a quotient by a coset coideal,
-where B is a proper subalgebra with Omega_B != 0.
+where B is a proper subalgebra with Omega_B != 0; Omega_B is cut from
+B (x) B spanned one Kronecker product at a time, and the target A (x) C+
+is checked against ``dense_oracles.augmented_target_by_vectors``.
 """
 
 from fractions import Fraction
@@ -128,6 +130,7 @@ def _assert_horizontal_forms_match_the_triple_loop(x):
     squares = [kron(column_matrix(u, field), column_matrix(v, field)).column(0) for u in b for v in b]
     omega_b = intersect(Subspace.from_spanning(squares, x.algebra.dim**2, field), report.universal_forms)
     assert report.horizontal_forms == dense.horizontal_forms_by_triple_loop(x.algebra, omega_b)
+    assert report.augmented_target == dense.augmented_target_by_vectors(x.algebra, x.coalgebra)
     return omega_b.dim
 
 

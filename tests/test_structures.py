@@ -5,11 +5,18 @@ from hypothesis import strategies as st
 
 import pytest
 
-from dense_oracles import character_by_products, comult_tensor, grouplike_by_products, mult_matrix_from_tensor, mult_tensor
+from dense_oracles import (
+    character_by_products,
+    comult_tensor,
+    grouplike_by_products,
+    module_axioms_on_the_action,
+    mult_matrix_from_tensor,
+    mult_tensor,
+)
 from support import field_algebra, field_coalgebra
 from entwine.catalogue import dual_group_algebra, group_algebra, sweedler_hopf_algebra
 from entwine.errors import DimensionMismatch
-from entwine.exactlin import Matrix, row_matrix, try_invert
+from entwine.exactlin import Matrix, kron, row_matrix, try_invert
 from entwine.fields import GF, QQ
 from entwine.structures import (
     Character,
@@ -168,6 +175,39 @@ class TestComoduleModule:
     def test_broken_coaction(self, z2_hopf):
         v = RightComodule(2, z2_hopf.coalgebra, Matrix.zero(4, 2, QQ))
         assert not validate_comodule(v).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_module_axioms_are_the_transposed_comodule_axioms(self, data):
+        # validate_module reads the comodule axioms of (V*, A*, act^T); the
+        # direct form states them on act, residual for residual
+        field = data.draw(st.sampled_from([QQ, GF7]))
+        h = data.draw(st.sampled_from([group_algebra({"group": g}, field) for g in ("Z2", "Z3")] + [sweedler_hopf_algebra(field)]))
+        a = h.algebra
+        scalar = st.integers(0, 6) if field.p else st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        kind = data.draw(st.sampled_from(["random", "regular", "scalar"]))
+        if kind == "random":
+            dim = data.draw(st.integers(1, 3))
+            action = Matrix.from_rows(data.draw(st.lists(st.lists(scalar, min_size=dim * a.dim, max_size=dim * a.dim), min_size=dim, max_size=dim)), field)
+        elif kind == "regular":
+            dim, action = a.dim, a.mult_matrix
+        else:
+            dim = data.draw(st.integers(1, 3))
+            action = kron(Matrix.identity(dim, field), row_matrix(h.coalgebra.counit, field))
+        if kind != "random" and data.draw(st.booleans()):
+            rows = [list(r) for r in action.entries]
+            rows[data.draw(st.integers(0, dim - 1))][data.draw(st.integers(0, dim * a.dim - 1))] += 1
+            action = Matrix.from_rows(rows, field)
+        v = RightModule(dim, a, action)
+        assert validate_module(v) == module_axioms_on_the_action(v)
+
+    def test_both_module_verdicts_occur(self, z2_hopf):
+        a = z2_hopf.algebra
+        assert validate_module(RightModule(2, a, a.mult_matrix)).ok
+        broken = RightModule(2, a, Matrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0]], QQ))
+        report = validate_module(broken)
+        assert not report.ok and report == module_axioms_on_the_action(broken)
+        assert [chk.name for chk in report.checks] == ["action-associativity", "action-unit"]
 
     def test_coaction_algebra_map(self, z2_hopf, z2_self_extension):
         assert all(chk.ok for chk in coaction_algebra_map_checks(z2_self_extension, z2_hopf.algebra))
