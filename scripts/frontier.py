@@ -9,8 +9,9 @@ set is its own: ``trivial-hopf-galois`` through the ``galois`` suite and
 GF(7), then ``group-algebra`` through the ``structures`` suite over Q.
 ``--one K`` runs input K alone, numbered from 0 in that order.  Prints one
 JSON line per input with the seconds taken by ``run_suite`` and by the JSON
-report, the report's size and sha256, the child's peak ``ru_maxrss`` in MB,
-and the verdict.  S4 ``cogalois`` peaks near 1.5 GB.
+report, the report's size and sha256, the child's peak ``ru_maxrss`` in MB
+after the checks (``checks_maxrss_mb``, before the report is written) and
+after the report (``ru_maxrss_mb``), and the verdict.
 Standard library only.
 """
 
@@ -41,6 +42,10 @@ def s4_table() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[tuple(p[q[i]] for i in range(4))] for q in perms) for p in perms)
 
 
+def _maxrss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_one(k: int) -> dict:
     from entwine.catalogue import build
     from entwine.docformat import document_from_example
@@ -54,6 +59,7 @@ def run_one(k: int) -> dict:
     start = time.perf_counter()
     report = run_suite(doc, suite)
     checked = time.perf_counter()
+    checks_maxrss = _maxrss_mb()
     text = report.to_json()
     done = time.perf_counter()
     return {
@@ -64,7 +70,8 @@ def run_one(k: int) -> dict:
         "report_seconds": round(done - checked, 3),
         "report_bytes": len(text.encode("utf-8")),
         "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "checks_maxrss_mb": checks_maxrss,
+        "ru_maxrss_mb": _maxrss_mb(),
         "verdict": "pass" if report.ok else "fail",
     }
 

@@ -39,10 +39,6 @@ class IllDefined(InternalCheckError):
     """A map did not vanish on balancing relations before descending."""
 
 
-class ImageEscape(InternalCheckError):
-    """An image left the subspace the theory confines it to."""
-
-
 class NotSubalgebra(EntwineError):
     pass
 

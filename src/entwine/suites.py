@@ -272,7 +272,7 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
     detail = {
         "rank": cert.rank,
         "cotensor_dim": cert.cotensor.dim,
-        "base_dim": cert.base.dim,
+        "base_dim": cert.base_dim,
         "cocan": matrix_detail(doc.field, cert.cocan),
     }
     if cert.witness is not None:

@@ -35,8 +35,10 @@ Last comes the coextension certificate built on the cotensor product
 C box_B C itself: the canonical coideal spanned over basis inputs and
 dual-basis functionals, the cotensor as the kernel of the equalising map,
 the canonical map co-restricted to it, the cotranslation identities each
-checked after its containment, and the dual entwining formula.  The library
-reads all of it off the Galois certificate of the dual comodule algebra.
+checked after its containment, the composite one on the threefold cotensor
+C box_B C box_B C, and the dual entwining formula.  The library reads all
+of it off the Galois certificate of the dual comodule algebra, the
+composite identity as a theorem of its canonical-map checks.
 With it come the coextension-side forms the library now reads off the dual
 as well: the dual bundle as that certificate of the induced action over the
 induced coideal, with its equivalence and the action forced by its counit,
@@ -48,10 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from entwine.cogalois import _cotensor_cube, _decide_onto_cotensor, quotient_coalgebra
+from entwine.cogalois import _decide_onto_cotensor, quotient_coalgebra
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
 from entwine.entwining import EntwiningStructure, entwined_module_check, validate_entwining
-from entwine.errors import DimensionMismatch, ImageEscape, NotGaloisCoextension
+from entwine.errors import DimensionMismatch, InternalCheckError, NotGaloisCoextension
 from entwine.exactlin import (
     Matrix,
     Subspace,
@@ -461,10 +463,23 @@ def cotensor(right_coaction: Matrix, left_coaction: Matrix) -> Subspace:
     return kernel(ell)
 
 
+class ImageEscape(InternalCheckError):
+    """An image left the subspace the theory confines it to."""
+
+
 def _cotensor_square(c, pi: Matrix) -> Subspace:
     rc = kron(c.identity_matrix, pi) @ c.comult_matrix
     lc = kron(pi, c.identity_matrix) @ c.comult_matrix
     return cotensor(rc, lc)
+
+
+def _cotensor_cube(c, pi: Matrix) -> Subspace:
+    """C box_B C box_B C as the joint kernel of both equalising maps."""
+    rc = kron(c.identity_matrix, pi) @ c.comult_matrix
+    lc = kron(pi, c.identity_matrix) @ c.comult_matrix
+    ic = c.identity_matrix
+    ell = kron(rc, ic) - kron(ic, lc)
+    return kernel(stack_rows([kron(ell, ic), kron(ic, ell)]))
 
 
 def _raw_cocanonical_map(x) -> Matrix:
@@ -492,6 +507,10 @@ class CotensorCertificate:
     psi: EntwiningStructure | None
     witness: tuple | None
     checks: ValidationReport
+
+    @property
+    def base_dim(self) -> int:
+        return self.base.dim
 
 
 def certify_by_cotensor(x, coideal: Subspace) -> CotensorCertificate:

@@ -195,6 +195,8 @@ def test_group_coextension_quotient_count(count_calls):
         cogalois._annihilator,
         galois.coinvariants,
         exactlin.quotient,
+        cogalois.quotient_coalgebra,
+        structures.validate_coalgebra,
         structures.validate_module,
         structures.validate_comodule,
         galois.balanced_tensor,
@@ -205,7 +207,13 @@ def test_group_coextension_quotient_count(count_calls):
     )
     _run("group-coextension", {"group": "Z3"}, "cogalois")
     assert counts["coextension_check"] == 1
-    assert counts["quotient"] <= 2
+    # the one quotient is the dual's balanced tensor product: the base
+    # coalgebra C/I is never built, its dimension is that of the dual's
+    # coinvariants, and the composite identity is read off the dual's checks
+    assert counts["quotient"] == 1
+    assert counts["quotient_coalgebra"] == 0
+    # the suite's coalgebra gate
+    assert counts["validate_coalgebra"] == 1
     # the suite's gate reads the comodule report of the dual, which
     # coextension_check and the dual bundle equivalence read again: one
     # axiom validation of the action
