@@ -46,6 +46,18 @@ class EntwiningStructure:
         """validate_entwining(self)."""
         return validate_entwining(self)
 
+    @cached_property
+    def mu(self) -> Matrix:
+        """The right action (m (x) C)(A (x) psi): A (x) C (x) A -> A (x) C."""
+        a, c = self.algebra, self.coalgebra
+        return kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, self.psi))
+
+    @cached_property
+    def delta(self) -> Matrix:
+        """The right coaction (C (x) psi)(coproduct (x) A): C (x) A -> C (x) A (x) C."""
+        a, c = self.algebra, self.coalgebra
+        return kron_apply(c.identity_matrix, self.psi, kron(c.comult_matrix, a.identity_matrix))
+
 
 @dataclass(frozen=True)
 class StructureMapPair:
@@ -74,7 +86,7 @@ def validate_entwining(e: EntwiningStructure) -> ValidationReport:
             "multiplication-compat",
             "psi(C (x) m) = (m (x) C)(A (x) psi)(psi (x) A)",
             apply_kron(psi, ic, m),
-            kron_apply(m, ic, kron_apply(ia, psi, kron(psi, ia))),
+            apply_kron(e.mu, psi, ia),
         ),
         residual_check(
             "unit-compat",
@@ -86,7 +98,7 @@ def validate_entwining(e: EntwiningStructure) -> ValidationReport:
             "comultiplication-compat",
             "(A (x) coproduct)psi = (psi (x) C)(C (x) psi)(coproduct (x) A)",
             kron_apply(ia, d, psi),
-            kron_apply(psi, ic, kron_apply(ic, psi, kron(d, ia))),
+            kron_apply(psi, ic, e.delta),
         ),
         residual_check(
             "counit-compat",
@@ -135,13 +147,10 @@ def _hopf_psi(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
 
 
 def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
-    """mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A)."""
+    """The pair (e.mu, e.delta) of a valid entwining."""
     if not e.checks.ok:
         raise AxiomViolation("input does not satisfy the entwining identities", report=e.checks)
-    a, c = e.algebra, e.coalgebra
-    mu = kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, e.psi))
-    delta = kron_apply(c.identity_matrix, e.psi, kron(c.comult_matrix, a.identity_matrix))
-    return StructureMapPair(a, c, mu, delta)
+    return StructureMapPair(e.algebra, e.coalgebra, e.mu, e.delta)
 
 
 def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
@@ -220,17 +229,14 @@ def entwined_module_check(module: RightModule, comodule: RightComodule, e: Entwi
         raise DimensionMismatch("module and comodule carriers differ")
     if module.over != e.algebra or comodule.over != e.coalgebra:
         raise DimensionMismatch("carrier structures do not match the entwining")
-    nv = module.dim
-    iv = Matrix.identity(nv, e.algebra.field)
-    lhs = comodule.coaction @ module.action
-    rhs = kron_apply(
-        module.action,
-        e.coalgebra.identity_matrix,
-        kron_apply(iv, e.psi, kron(comodule.coaction, e.algebra.identity_matrix)),
-    )
+    a = e.algebra
+    if module.action == a.mult_matrix:  # A under its own multiplication
+        mu = e.mu
+    else:
+        mu = kron_apply(module.action, e.coalgebra.identity_matrix, kron(Matrix.identity(module.dim, a.field), e.psi))
     return residual_check(
         "entwined-module",
         "coaction . action = (action (x) C)(V (x) psi)(coaction (x) A)",
-        lhs,
-        rhs,
+        comodule.coaction @ module.action,
+        apply_kron(mu, comodule.coaction, a.identity_matrix),
     )

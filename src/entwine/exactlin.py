@@ -20,16 +20,19 @@ permutations are built from their index maps.
 Most identities of the library are composites of tensor products of
 structure maps, so two products apply a Kronecker product without forming
 it: ``kron_apply(x, y, m) == kron(x, y) @ m`` and ``apply_kron(m, x, y) ==
-m @ kron(x, y)``.  Each builds the output index straight from the factors'
-nonzero indexes (the row-major identity of Van Loan, "The ubiquitous
-Kronecker product", J. Comput. Appl. Math. 123, 2000).  One factor is
-usually an identity, so most coefficients are 1.  Like ``kron``, both skip
-the product by a unit coefficient, and over GF(p) its reduction mod p, and
-emit an empty factor row as ``()`` at once; like ``@``, ``kron_apply``
-passes a one-term output row with coefficient 1 through as the row of m
-itself, shared rather than copied, and ``apply_kron`` writes out the row of
-a one-entry row of m in column order, with no accumulator.  Over GF(p) a
-coefficient is tested for 1 only after its reduction mod p.
+m @ kron(x, y)``.  ``kron_apply`` builds the output index straight from the
+factors' nonzero indexes (the row-major identity of Van Loan, "The
+ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).  One
+factor is usually an identity, and by the mixed-product rule kron(x, y) =
+kron(x, I) kron(I, y) an identity factor costs nothing: with y = I_n an
+output row combines, by a row of x, the strided slice of every n-th row of
+m; with x = I it combines, by a row of y, a contiguous block of rows of m;
+with both it is m.  Only two non-identity factors take the general path,
+which skips the product by a unit coefficient, and over GF(p) its
+reduction mod p, and tests a coefficient for 1 only after that reduction.
+Like ``@``, every path passes a one-term output row with coefficient 1
+through as the row of m itself, shared rather than copied.  ``apply_kron``
+is its transpose: m @ kron(x, y) = (kron(x^T, y^T) @ m^T)^T.
 
 The third fused product is the product in a tensor product, the identity
 behind every "is an algebra (coalgebra) map into a tensor product" check:
@@ -99,7 +102,9 @@ def _index_row(acc: dict[int, Scalar], p: int | None) -> IndexRow:
 def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int | None) -> IndexRow:
     """The index row of the sum of a * rows[k] over the (k, a) terms, whose
     coefficients are nonzero and, over GF(p), reduced.  A one-term sum with
-    a == 1 is rows[k] itself."""
+    a == 1 is rows[k] itself, and an empty sum is ()."""
+    if not terms:
+        return ()
     if len(terms) == 1:
         k, a = terms[0]
         if a == 1:
@@ -617,9 +622,12 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
     """kron(x, y) @ m without forming kron(x, y).
 
     Row i1*rows(y) + i2 of the product is the sum of x[i1, j1] y[i2, j2]
-    times row j1*cols(y) + j2 of m, so each output row is one _combination
-    of rows of m, with the coefficient products formed (and reduced mod p)
-    before the unit test.
+    times row j1*cols(y) + j2 of m.  An identity factor costs nothing: with
+    y = I_n the row is x's row i1 applied to the strided slice of rows i2,
+    n + i2, ... of m, with x = I it is y's row i2 applied to the block of
+    rows from i1*cols(y), and with both the product is m itself.  For two
+    other factors each output row is one _combination of rows of m, with the
+    coefficient products formed (and reduced mod p) before the unit test.
     """
     _check_same_field(x, y)
     _check_same_field(x, m)
@@ -627,73 +635,41 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
         raise DimensionMismatch(f"kron({x.rows}x{x.cols}, {y.rows}x{y.cols}) @ {m.rows}x{m.cols}")
     p = x.field.p
     mnz = m.nonzeros
-    yrows = _unit_flagged(y, 1)
-    out: list[IndexRow] = []
-    for xrow in _unit_flagged(x, y.cols):
-        if not xrow:
-            out.extend([()] * y.rows)
-            continue
-        for yrow in yrows:
-            if not yrow:
-                out.append(())
+    if y.is_identity:
+        if x.is_identity:
+            return m
+        n = y.rows
+        slices = [mnz[i2::n] for i2 in range(n)]
+        out = [_combination(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
+    elif x.is_identity:
+        c2 = y.cols
+        ynz = y.nonzeros
+        out = [_combination(yrow, mnz[i1 * c2 : (i1 + 1) * c2], p) for i1 in range(x.rows) for yrow in ynz]
+    else:
+        yrows = _unit_flagged(y, 1)
+        out = []
+        for xrow in _unit_flagged(x, y.cols):
+            if not xrow:
+                out.extend([()] * y.rows)
                 continue
-            terms = [
-                (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
-                for base, a, aunit in xrow
-                for j2, b, bunit in yrow
-            ]
-            out.append(_combination(terms, mnz, p))
+            for yrow in yrows:
+                terms = [
+                    (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
+                    for base, a, aunit in xrow
+                    for j2, b, bunit in yrow
+                ]
+                out.append(_combination(terms, mnz, p))
     return _from_index(x.rows * y.rows, m.cols, out, x.field)
 
 
 def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
-    """m @ kron(x, y) without forming kron(x, y).
-
-    Row r of the product is the sum, over the nonzeros m[r, i1*rows(y) + i2],
-    of m[r, i1*rows(y) + i2] times the row x[i1] (x) y[i2], whose column
-    j1*cols(y) + j2 holds x[i1, j1] y[i2, j2].  A one-entry row of m gives a
-    scaled x[i1] (x) y[i2] straight away, already in column order.
-    """
+    """m @ kron(x, y) without forming kron(x, y): the transpose of
+    kron_apply(x^T, y^T, m^T), since kron(x, y)^T = kron(x^T, y^T)."""
     _check_same_field(m, x)
     _check_same_field(m, y)
-    r2 = y.rows
-    if m.cols != x.rows * r2:
-        raise DimensionMismatch(f"{m.rows}x{m.cols} @ kron({x.rows}x{x.cols}, {r2}x{y.cols})")
-    p = m.field.p
-    xrows = _unit_flagged(x, y.cols)
-    yrows = _unit_flagged(y, 1)
-    out: list[IndexRow] = []
-    for mrow in m.nonzeros:
-        if len(mrow) == 1:
-            k, c = mrow[0]
-            i1, i2 = divmod(k, r2)
-            pairs = []
-            for base, a, aunit in xrows[i1]:
-                ca = c if aunit else a if c == 1 else c * a % p if p else c * a
-                if ca == 1:
-                    pairs.extend([(base + j2, b) for j2, b, _ in yrows[i2]])
-                elif p:
-                    pairs.extend([(base + j2, ca * b % p) for j2, b, _ in yrows[i2]])
-                else:
-                    pairs.extend([(base + j2, ca * b) for j2, b, _ in yrows[i2]])
-            out.append(tuple(pairs))
-            continue
-        acc: dict[int, Scalar] = {}
-        for k, c in mrow:
-            i1, i2 = divmod(k, r2)
-            yrow = yrows[i2]
-            for base, a, aunit in xrows[i1]:
-                ca = c if aunit else a if c == 1 else c * a % p if p else c * a
-                cunit = ca == 1
-                for j2, b, bunit in yrow:
-                    v = b if cunit else ca if bunit else ca * b
-                    j = base + j2
-                    if j in acc:
-                        acc[j] += v
-                    else:
-                        acc[j] = v
-        out.append(_index_row(acc, p))
-    return _from_index(m.rows, x.cols * y.cols, out, m.field)
+    if m.cols != x.rows * y.rows:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} @ kron({x.rows}x{x.cols}, {y.rows}x{y.cols})")
+    return kron_apply(x.transpose(), y.transpose(), m.transpose()).transpose()
 
 
 def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]) -> Matrix:

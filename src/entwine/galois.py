@@ -39,6 +39,7 @@ from .exactlin import (
     kron_apply,
     middle_block,
     quotient,
+    stack_rows,
     tensor_permutation,
 )
 from .structures import (
@@ -171,14 +172,15 @@ def balanced_tensor(x: ComoduleAlgebra, sub: Subspace) -> QuotientPresentation:
         for v in sub.basis:
             if not sub.contains_vector(a.multiply(u, v)):
                 raise NotSubalgebra("balancing subspace is not closed under multiplication")
-    vectors = []
+    blocks = []
     for b in sub.basis:
         lmul = a.right_multiplication(b)   # a |-> a.b
         rmul = a.left_multiplication(b)    # a' |-> b.a'
-        rel = kron(lmul, a.identity_matrix) - kron(a.identity_matrix, rmul)
-        vectors.extend(rel.columns())
-    relations = Subspace.from_spanning(vectors, a.dim * a.dim, field)
-    return quotient(a.dim * a.dim, relations)
+        blocks.append((kron(lmul, a.identity_matrix) - kron(a.identity_matrix, rmul)).transpose())
+    # the relations span the columns of the blocks side by side
+    n2 = a.dim * a.dim
+    relations = image(stack_rows(blocks).transpose() if blocks else Matrix.zero(n2, 0, field))
+    return quotient(n2, relations)
 
 
 def _descend(full: Matrix, presentation: QuotientPresentation, what: str) -> Matrix:
@@ -268,7 +270,7 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertif
     if not is_galois:
         return cert
     cert = replace(cert, translation=apply_kron(decision.inverse, a.unit_matrix, c.identity_matrix))
-    checks.extend(_translation_checks(cert))
+    checks.extend(_translation_checks(cert, left_action, coact_q))
     return replace(cert, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
 
 
@@ -291,15 +293,14 @@ def _certify(x: ComoduleAlgebra, sub: Subspace, known: EntwiningStructure | None
     return replace(cert, psi=psi, checks=ValidationReport("coalgebra-Galois extension", checks))
 
 
-def _translation_checks(cert: GaloisCertificate) -> list[AxiomCheck]:
-    """The three translation-map identities, stated on the quotient."""
+def _translation_checks(cert: GaloisCertificate, left_action: Matrix, coact_q: Matrix) -> list[AxiomCheck]:
+    """The three translation-map identities, stated on the quotient, whose
+    left action and coaction the canonical map certificate has built."""
     x = cert.subject
     a, c = x.algebra, x.coalgebra
     tau = cert.translation
     presentation = cert.balanced
     descended_mult = a.mult_matrix @ presentation.section
-    left_action = _quotient_left_action(x, presentation)
-    coact_q = _quotient_coaction(x, presentation)
     unit_right = apply_kron(presentation.projection, a.unit_matrix, a.identity_matrix)
     return [
         residual_check(
@@ -509,10 +510,9 @@ class BundleEquivalenceReport:
 def coaction_forced_by_unit(coaction: Matrix, psi: EntwiningStructure) -> bool:
     """coaction(a) = (m (x) C)(A (x) psi)(coaction(1) (x) a): through psi, the
     coaction is determined by its value on 1."""
-    a, c = psi.algebra, psi.coalgebra
+    a = psi.algebra
     rho_one = column_matrix(coaction.apply(a.unit), a.field)
-    ia = a.identity_matrix
-    return coaction == kron_apply(a.mult_matrix, c.identity_matrix, kron_apply(ia, psi.psi, kron(rho_one, ia)))
+    return coaction == apply_kron(psi.mu, rho_one, a.identity_matrix)
 
 
 def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport:

@@ -182,6 +182,25 @@ def test_one_coinvariant_system_per_cogenerate_check(count_calls, params):
     assert counts == {"coinvariant_system": 1, "raw_can": 1, "coinvariants": 3}
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"group": "Z4"}, {"group": "Z4", "generators": "g,g2"}, {"group": "S3", "generators": "(12),(13)"}],
+)
+def test_cogenerate_validates_only_the_coalgebra(count_calls, params):
+    counts = count_calls(structures.validate_coalgebra)
+    _run("coset-coideal", params, "cogenerate")
+    # the suite's gate on C; a quotient by a coideal that passed its gate is
+    # a coalgebra, so the two quotients are not validated again
+    assert counts == {"validate_coalgebra": 1}
+
+
+def test_galois_builds_the_quotient_maps_once(count_calls):
+    counts = count_calls(galois._quotient_left_action, galois._quotient_coaction)
+    _run("trivial-hopf-galois", {"group": "Z3"}, "galois")
+    # the canonical map's checks and the translation identities share them
+    assert counts == {"_quotient_left_action": 1, "_quotient_coaction": 1}
+
+
 def test_quotient_coalgebra_presents_the_quotient_once(count_calls):
     c = group_algebra({"group": "S3"}).coalgebra
     counts = count_calls(exactlin.quotient)

@@ -93,6 +93,15 @@ class TestCanonicalCoideal:
 
 
 class TestQuotientCoalgebra:
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    @pytest.mark.parametrize("group", ["S3", "Z4"])
+    def test_every_coset_quotient_is_a_coalgebra(self, group, field):
+        # quotient_coalgebra trusts the coalgebra axioms of its input
+        c = group_algebra({"group": group}, field).coalgebra
+        for generator in c.basis_names:
+            base, _ = quotient_coalgebra(c, coset_coideal({"group": group}, generator, field))
+            assert base.checks.ok
+
     def test_zero_coideal_identity(self, z2_hopf):
         base, pi = quotient_coalgebra(z2_hopf.coalgebra, Subspace.zero_subspace(2, QQ))
         assert base.dim == 2 and pi.is_identity

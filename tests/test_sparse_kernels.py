@@ -236,6 +236,18 @@ def kron_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
     return x, y, draw(matrices(field, rows=c1 * c2, cols=k)), draw(matrices(field, rows=k, cols=r1 * r2))
 
 
+@st.composite
+def identity_kron_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
+    """As kron_products, with x, y or both an identity of any size from 0;
+    m and n have empty rows and non-unit coefficients."""
+    field = draw(fields)
+    identities = draw(st.sampled_from(["x", "y", "both"]))
+    r1, c1, r2, c2, k = (draw(st.integers(0, 4)) for _ in range(5))
+    x = Matrix.identity(r1, field) if identities != "y" else draw(matrices(field, rows=r1, cols=c1))
+    y = Matrix.identity(r2, field) if identities != "x" else draw(matrices(field, rows=r2, cols=c2))
+    return x, y, draw(matrices(field, rows=x.cols * y.cols, cols=k)), draw(matrices(field, rows=k, cols=x.rows * y.rows))
+
+
 class TestFusedKroneckerProducts:
     """kron_apply and apply_kron against the products with kron(x, y) formed first."""
 
@@ -251,6 +263,33 @@ class TestFusedKroneckerProducts:
         assert right == dense.product_with_kron(n, x, y)
         assert (right.rows, right.cols) == (n.rows, x.cols * y.cols)
         assert_indexed(right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(identity_kron_products())
+    def test_identity_factors_match_the_formed_kronecker_product(self, args):
+        x, y, m, n = args
+        left = kron_apply(x, y, m)
+        assert left == dense.kron_then_product(x, y, m)
+        assert_indexed(left)
+        right = apply_kron(n, x, y)
+        assert right == dense.product_with_kron(n, x, y)
+        assert_indexed(right)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    def test_identity_factors_of_size_zero(self, field):
+        i0, i2 = Matrix.identity(0, field), Matrix.identity(2, field)
+        x = Matrix.from_rows([[3, 1], [0, 0], [1, 0]], field)
+        for a, b in ((i0, x), (x, i0), (i0, i0), (i0, i2), (i2, i0)):
+            m, n = Matrix.zero(a.cols * b.cols, 2, field), Matrix.zero(2, a.rows * b.rows, field)
+            assert kron_apply(a, b, m) == dense.kron_then_product(a, b, m)
+            assert apply_kron(n, a, b) == dense.product_with_kron(n, a, b)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    def test_two_identity_factors_share_the_rows_of_m(self, field):
+        m = Matrix.from_rows([[1, 2], [0, 0], [3, 1], [0, 5], [4, 4], [1, 0]], field)
+        out = kron_apply(Matrix.identity(2, field), Matrix.identity(3, field), m)
+        assert out == m
+        assert all(out.nonzeros[k] is m.nonzeros[k] for k in range(m.rows))
 
     @pytest.mark.parametrize("field", [QQ, GF7, GF2])
     @pytest.mark.parametrize("dims", [(0, 2, 2, 3), (2, 0, 3, 2), (2, 3, 0, 2), (3, 2, 2, 0), (0, 0, 0, 0)])
