@@ -3,10 +3,13 @@
 
     PYTHONPATH=src python3 scripts/frontier.py
 
-Runs five inputs, each in a fresh child process so that its peak resident
+Runs six inputs, each in a fresh child process so that its peak resident
 set is its own: ``trivial-hopf-galois`` through the ``galois`` suite and
 ``group-coextension`` through the ``cogalois`` suite, each over Q and over
-GF(7), then ``group-algebra`` through the ``structures`` suite over Q.
+GF(7), then ``group-algebra`` through the ``structures`` suite over Q, and
+``trivial-coaction`` through the ``galois`` suite over Q: k[S4] coacting on
+itself by a |-> a (x) 1, built here by formula, whose coinvariants are all
+of A (B = A).
 ``--one K`` runs input K alone, numbered from 0 in that order.  Prints one
 JSON line per input with the seconds taken by ``run_suite`` and by the JSON
 report, the report's size and sha256, the child's peak ``ru_maxrss`` in MB
@@ -31,6 +34,7 @@ INPUTS = (
     ("group-coextension", "cogalois", None),
     ("group-coextension", "cogalois", 7),
     ("group-algebra", "structures", None),
+    ("trivial-coaction", "galois", None),
 )
 
 
@@ -42,12 +46,28 @@ def s4_table() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[tuple(p[q[i]] for i in range(4))] for q in perms) for p in perms)
 
 
+def _example(name: str, params: dict):
+    """The catalogue instance ``name``, or ``trivial-coaction``: the group
+    algebra coacting on itself by a |-> a (x) 1, an algebra map that is not
+    Galois."""
+    from entwine.catalogue import ExampleSpec, build, group_algebra
+    from entwine.exactlin import Matrix
+    from entwine.structures import ComoduleAlgebra
+
+    if name != "trivial-coaction":
+        return build(name, params)
+    h = group_algebra(params)
+    n = h.dim
+    coaction = Matrix.from_triples(n * n, n, ((a * n, a, 1) for a in range(n)), h.field)
+    structures = {"hopf": h, "comodule_algebra": ComoduleAlgebra(h.algebra, h.coalgebra, coaction)}
+    return ExampleSpec(name, (), h.field, structures)
+
+
 def _maxrss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def run_one(k: int) -> dict:
-    from entwine.catalogue import build
     from entwine.docformat import document_from_example
     from entwine.suites import run_suite
 
@@ -55,7 +75,7 @@ def run_one(k: int) -> dict:
     params = {"table": s4_table()}
     if p is not None:
         params["p"] = p
-    doc = document_from_example(build(name, params))
+    doc = document_from_example(_example(name, params))
     start = time.perf_counter()
     report = run_suite(doc, suite)
     checked = time.perf_counter()

@@ -17,6 +17,11 @@ vectors, membership tests and elimination touch nonzero entries only,
 elimination works on sparse rows (dicts from column to value), and tensor
 permutations are built from their index maps.
 
+A ``Subspace`` is its echelon index: the nonzero index of its unique
+reduced row-echelon basis, and nothing else.  Equality and hashing compare
+the index, ``dim`` counts its rows, membership reduces against it, and the
+dense ``basis`` is materialised only if something reads it.
+
 Most identities of the library are composites of tensor products of
 structure maps, so two products apply a Kronecker product without forming
 it: ``kron_apply(x, y, m) == kron(x, y) @ m`` and ``apply_kron(m, x, y) ==
@@ -130,11 +135,8 @@ def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpe
 
 
 def _subspace(ambient_dim: int, reduced: list[dict[int, Scalar]], field: FieldSpec) -> "Subspace":
-    """The subspace whose basis is the given RREF rows, with its index attached."""
-    index = tuple(_sorted_index(row) for row in reduced)
-    sub = Subspace(ambient_dim, _dense(index, ambient_dim, field), field)
-    sub.__dict__["nonzeros"] = index
-    return sub
+    """The subspace whose basis is the given RREF rows."""
+    return Subspace(ambient_dim, tuple(_sorted_index(row) for row in reduced), field)
 
 
 class Matrix:
@@ -307,15 +309,17 @@ class NotInvertible:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of k^n with its unique reduced row-echelon basis.
+    """A subspace of k^n, stored as the nonzero index of its unique reduced
+    row-echelon basis (per basis row, its (column, value) pairs as for
+    Matrix.nonzeros).
 
-    Canonical form makes subspace equality a syntactic comparison: pivot
-    columns strictly increase, pivots are 1, and pivot columns are otherwise
-    zero.
+    Canonical form makes subspace equality a syntactic comparison of the
+    index: pivot columns strictly increase, pivots are 1, and pivot columns
+    are otherwise zero.  The dense ``basis`` is materialised on first read.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Scalar, ...], ...]
+    nonzeros: tuple[IndexRow, ...]
     field: FieldSpec
 
     @staticmethod
@@ -344,38 +348,45 @@ class Subspace:
         return _subspace(ambient_dim, [{i: one} for i in range(ambient_dim)], field)
 
     @cached_property
-    def nonzeros(self) -> tuple[IndexRow, ...]:
-        """The nonzero index of the basis, as for Matrix.nonzeros."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.basis)
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The echelon basis as dense vectors."""
+        return _dense(self.nonzeros, self.ambient_dim, self.field)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.nonzeros)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         return tuple(row[0][0] for row in self.nonzeros)
 
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
-        coerce = self.field.coerce
+    def _reduces_to_zero(self, v: dict[int, Scalar]) -> bool:
+        """Whether the sparse vector v (consumed) lies in the span.  Pivot
+        rows are zero at every other pivot, so one pass clears them all."""
         p = self.field.p
-        v = {}
-        for j, x in enumerate(vec):
-            if x:
-                y = coerce(x)
-                if y:
-                    v[j] = y
-        # Pivot rows are zero at every other pivot, so one pass clears them all.
         for row, piv in zip(self.nonzeros, self.pivots):
             c = v.get(piv)
             if c is not None:
                 _subtract(v, c, row, p)
         return not v
 
+    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatch(f"vector length {len(vec)} vs ambient {self.ambient_dim}")
+        coerce = self.field.coerce
+        v = {}
+        for j, x in enumerate(vec):
+            if x:
+                y = coerce(x)
+                if y:
+                    v[j] = y
+        return self._reduces_to_zero(v)
+
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        _check_same_field(self, other)
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch(f"ambient {other.ambient_dim} vs {self.ambient_dim}")
+        return all(self._reduces_to_zero(dict(row)) for row in other.nonzeros)
 
     def inclusion(self) -> Matrix:
         """ambient x dim matrix whose columns are the basis vectors."""

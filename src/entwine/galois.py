@@ -22,6 +22,7 @@ from .errors import (
     NotGalois,
     NotGroupLike,
     NotInvertibleError,
+    NotSubalgebra,
 )
 from .exactlin import (
     Matrix,
@@ -29,7 +30,6 @@ from .exactlin import (
     Subspace,
     _from_index,
     apply_kron,
-    basis_vector,
     column_matrix,
     decide_bijection,
     image,
@@ -39,7 +39,6 @@ from .exactlin import (
     kron_apply,
     middle_block,
     quotient,
-    stack_rows,
     tensor_permutation,
 )
 from .structures import (
@@ -110,17 +109,25 @@ def coinvariants(a: FiniteAlgebra, system: Matrix) -> Subspace:
     {b : coaction(b a) = b coaction(a) for all a} of the coaction on A whose
     coinvariant system is D.
 
-    The result is verified to contain the unit and to be closed under
-    multiplication; a failure there would be a library bug, not bad input.
+    The result is verified to be a subalgebra; a failure there would be a
+    library bug, not bad input.
     """
     sub = kernel(_stacked_system(system, a.dim))
+    failure = _subalgebra_failure(a, sub)
+    if failure:
+        raise InternalCheckError(f"the coinvariant subspace {failure}")
+    return sub
+
+
+def _subalgebra_failure(a: FiniteAlgebra, sub: Subspace) -> str | None:
+    """Why ``sub`` is not a subalgebra of ``a``, or None when it is one."""
     if not sub.contains_vector(a.unit):
-        raise InternalCheckError("coinvariants lost the unit")
+        return "does not contain the unit"
     for u in sub.basis:
         for v in sub.basis:
             if not sub.contains_vector(a.multiply(u, v)):
-                raise InternalCheckError("coinvariants are not multiplicatively closed")
-    return sub
+                return "is not closed under multiplication"
+    return None
 
 
 @dataclass(frozen=True)
@@ -159,35 +166,23 @@ def classical_coinvariants_agree(cert: GaloisCertificate, algebra_map: Sequence[
 
 
 def balanced_tensor(x: ComoduleAlgebra, sub: Subspace) -> QuotientPresentation:
-    """A (x)_B A: quotient of A (x) A by a b (x) a' - a (x) b a' over b in B."""
+    """A (x)_B A: the quotient of A (x) A by the relations, the image of
+    a (x) b (x) a' |-> a b (x) a' - a (x) b a' on A (x) B (x) A."""
     a = x.algebra
-    field = a.field
     if sub.ambient_dim != a.dim:
         raise DimensionMismatch("subalgebra lives in the wrong ambient space")
-    from .errors import NotSubalgebra
-
-    if not sub.contains_vector(a.unit):
-        raise NotSubalgebra("balancing subspace does not contain the unit")
-    for u in sub.basis:
-        for v in sub.basis:
-            if not sub.contains_vector(a.multiply(u, v)):
-                raise NotSubalgebra("balancing subspace is not closed under multiplication")
-    blocks = []
-    for b in sub.basis:
-        lmul = a.right_multiplication(b)   # a |-> a.b
-        rmul = a.left_multiplication(b)    # a' |-> b.a'
-        blocks.append((kron(lmul, a.identity_matrix) - kron(a.identity_matrix, rmul)).transpose())
-    # the relations span the columns of the blocks side by side
-    n2 = a.dim * a.dim
-    relations = image(stack_rows(blocks).transpose() if blocks else Matrix.zero(n2, 0, field))
-    return quotient(n2, relations)
+    failure = _subalgebra_failure(a, sub)
+    if failure:
+        raise NotSubalgebra(f"balancing subspace {failure}")
+    ia, incl, m = a.identity_matrix, sub.inclusion(), a.mult_matrix
+    relations = image(kron(apply_kron(m, ia, incl), ia) - kron(ia, apply_kron(m, incl, ia)))
+    return quotient(a.dim * a.dim, relations)
 
 
 def _descend(full: Matrix, presentation: QuotientPresentation, what: str) -> Matrix:
     """Restrict a map on A (x) A to the balanced quotient, checking balance first."""
-    for rel in presentation.relations.basis:
-        if any(full.apply(rel)):
-            raise IllDefined(f"{what} does not vanish on the balancing relations")
+    if not (full @ presentation.relations.inclusion()).is_zero:
+        raise IllDefined(f"{what} does not vanish on the balancing relations")
     return full @ presentation.section
 
 
@@ -390,24 +385,17 @@ def differential_sequence(cert: GaloisCertificate) -> DifferentialSequenceReport
     certificate's Galois verdict."""
     x = cert.subject
     a, c = x.algebra, x.coalgebra
-    field = a.field
-    omega_a = kernel(a.mult_matrix)
+    ia, m = a.identity_matrix, a.mult_matrix
+    omega_a = kernel(m)
     cplus = kernel(c.counit_matrix)
-    target = image(kron(a.identity_matrix, cplus.inclusion()))
+    target = image(kron(ia, cplus.inclusion()))
     b = cert.coinvariants.inclusion()
-    bb = image(kron(b, b))
-    omega_b = intersect(bb, omega_a)
-    # A(dB)A is spanned by the (L_i (x) R_j)w for w in Omega_B: the columns
-    # of (L_i (x) R_j) applied to the inclusion of Omega_B, when Omega_B != 0
-    horizontal_vectors = []
-    if omega_b.basis:
-        forms = omega_b.inclusion()
-        left = [a.left_multiplication(basis_vector(a.dim, i, field)) for i in range(a.dim)]
-        right = [a.right_multiplication(basis_vector(a.dim, j, field)) for j in range(a.dim)]
-        horizontal_vectors = [v for li in left for rj in right for v in kron_apply(li, rj, forms).columns()]
-    horizontal = Subspace.from_spanning(horizontal_vectors, a.dim * a.dim, field)
-    restricted_images = [x.raw_can.apply(w) for w in omega_a.basis]
-    restricted_image = Subspace.from_spanning(restricted_images, a.dim * c.dim, field)
+    omega_b = intersect(image(kron(b, b)), omega_a)
+    # A(dB)A, with A acting on the outer legs of A (x) A: the left ideal
+    # A.Omega_B, then its right ideal (A.Omega_B).A
+    left = image(kron_apply(m, ia, kron(ia, omega_b.inclusion())))
+    horizontal = image(kron_apply(ia, m, kron(left.inclusion(), ia)))
+    restricted_image = image(x.raw_can @ omega_a.inclusion())
     restriction_kernel = intersect(omega_a, kernel(x.raw_can))
     image_ok = restricted_image == target
     kernel_ok = restriction_kernel == horizontal

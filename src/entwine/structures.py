@@ -120,14 +120,6 @@ class FiniteAlgebra:
         p = self.field.p
         return tuple(v % p for v in out) if p else tuple(out)
 
-    def left_multiplication(self, x) -> Matrix:
-        """The operator a |-> x . a."""
-        return apply_kron(self.mult_matrix, column_matrix(x, self.field), self.identity_matrix)
-
-    def right_multiplication(self, x) -> Matrix:
-        """The operator a |-> a . x."""
-        return apply_kron(self.mult_matrix, self.identity_matrix, column_matrix(x, self.field))
-
 
 @dataclass(frozen=True)
 class FiniteCoalgebra:

@@ -17,7 +17,7 @@ from .cogenerate import COGENERATES, cogeneration_check, coinvariant_intersectio
 from .docformat import StructureDocument
 from .entwining import psi_to_structure_maps, structure_maps_to_psi
 from .errors import AxiomViolation, EntwineError, MissingSection, NotCoideal, NotInvertibleError
-from .exactlin import Subspace, quotient
+from .exactlin import quotient
 from .galois import (
     bundle_check,
     bundle_coaction_equivalence,
@@ -101,10 +101,9 @@ def run_structures(doc: StructureDocument) -> SuiteReport:
             verify_character(doc.algebra, coords),
             {"coords": vector_detail(doc.field, coords)},
         )
-    for name, vectors in doc.coideals:
-        if doc.coalgebra is None:
-            raise MissingSection("coalgebra", "structures")
-        sub = Subspace.from_spanning(vectors, doc.coalgebra.dim, doc.field)
+    if doc.coideals and doc.coalgebra is None:
+        raise MissingSection("coalgebra", "structures")
+    for (name, _), sub in zip(doc.coideals, doc.coideal_subspaces()):
         for chk in coideal_checks(doc.coalgebra, quotient(doc.coalgebra.dim, sub)):
             report.add(f"structures.coideal.{name}.{chk.name}", chk.statement, chk.ok)
     return report

@@ -26,8 +26,10 @@ uniqueness system, of which the library solves one diagonal block, the
 enumeration of all 2^L projection chains per length, which the library
 replaced with a kernel fixed point, the per-basis-vector coinvariant
 blocks, which the library reads off one coinvariant system, the
+relations of A (x)_B A stacked one block per basis vector b of B, which
+the library reads off the image of one map on A (x) B (x) A, the
 horizontal forms with one operator rebuilt per (w, i, j), which the library
-applies to all of Omega_B at once without forming the operators, and
+reads off as the right ideal of the left ideal A.Omega_B, and
 A (x) C+ spanned one Kronecker product of vectors at a time, which the
 library reads off the image of A (x) incl_C+.
 
@@ -393,6 +395,30 @@ def coinvariants_by_basis(x) -> Subspace:
     return kernel(stack_rows(blocks))
 
 
+def left_multiplication(a, x) -> Matrix:
+    """The operator a' |-> x . a' of the algebra a."""
+    return apply_kron(a.mult_matrix, column_matrix(x, a.field), a.identity_matrix)
+
+
+def right_multiplication(a, x) -> Matrix:
+    """The operator a' |-> a' . x of the algebra a."""
+    return apply_kron(a.mult_matrix, a.identity_matrix, column_matrix(x, a.field))
+
+
+def balanced_relations_by_blocks(a, sub: Subspace) -> Subspace:
+    """The relations a b (x) a' - a (x) b a' of A (x)_B A, one block
+    kron(R_b, A) - kron(A, L_b) per basis vector b of B, with R_b = - . b
+    and L_b = b . -: the blocks are transposed, stacked, and transposed back,
+    and the relations are the span of their columns."""
+    blocks = []
+    for b in sub.basis:
+        lmul = right_multiplication(a, b)
+        rmul = left_multiplication(a, b)
+        blocks.append((kron(lmul, a.identity_matrix) - kron(a.identity_matrix, rmul)).transpose())
+    n2 = a.dim * a.dim
+    return image(stack_rows(blocks).transpose() if blocks else Matrix.zero(n2, 0, a.field))
+
+
 def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
     """A(dB)A as the span of (L_i (x) A)(A (x) R_j)w over w in Omega_B and
     basis vectors a_i, a_j, with L_i = a_i . - and R_j = - . a_j rebuilt
@@ -401,9 +427,9 @@ def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
     vectors = []
     for w in omega_b.basis:
         for i in range(a.dim):
-            li = kron(a.left_multiplication(basis_vector(a.dim, i, field)), a.identity_matrix)
+            li = kron(left_multiplication(a, basis_vector(a.dim, i, field)), a.identity_matrix)
             for j in range(a.dim):
-                rj = kron(a.identity_matrix, a.right_multiplication(basis_vector(a.dim, j, field)))
+                rj = kron(a.identity_matrix, right_multiplication(a, basis_vector(a.dim, j, field)))
                 vectors.append((li @ rj).apply(w))
     return Subspace.from_spanning(vectors, a.dim * a.dim, field)
 

@@ -7,10 +7,17 @@ replaced, ``dense_oracles.coinvariants_by_basis``, which builds one block
 per basis vector of A from scratch.  The quotient systems of the 34 coset
 pairs are tested in test_cogenerate.py.
 
+The relations of A (x)_B A are checked against the per-b block loop they
+replaced, ``dense_oracles.balanced_relations_by_blocks``, over the
+catalogue's coinvariants, over B = k.1 and over B = A, and on k[Z4] and
+k[S3] coacting on themselves by a |-> a (x) 1, whose coinvariants are A.
+
 The horizontal forms A(dB)A over those coinvariants B are checked against
 ``dense_oracles.horizontal_forms_by_triple_loop`` on the same instances, where
 Omega_B = 0, and on k[G] coacting through a quotient by a coset coideal,
-where B is a proper subalgebra with Omega_B != 0; Omega_B is cut from
+where B is a proper subalgebra with Omega_B != 0 (its relations are checked
+against the block loop there as well), and on the trivial
+coactions, where B = A and A(dB)A is all of Omega_A; Omega_B is cut from
 B (x) B spanned one Kronecker product at a time, and the target A (x) C+
 is checked against ``dense_oracles.augmented_target_by_vectors``.
 """
@@ -28,6 +35,7 @@ from entwine.exactlin import Matrix, Subspace, column_matrix, intersect, kernel,
 from entwine.fields import GF, QQ
 from entwine.galois import (
     _stacked_system,
+    balanced_tensor,
     coinvariant_system,
     coinvariants,
     differential_sequence,
@@ -66,6 +74,36 @@ def system(x):
 def _comodule_algebra(name, params):
     structures = build(name, params).structures
     return structures.get("comodule_algebra") or self_extension(structures["hopf"])
+
+
+def _trivial_coaction(group, field):
+    """k[G] coacting on itself by a |-> a (x) 1: an algebra map, not Galois,
+    whose coinvariants are all of A."""
+    h = group_algebra({"group": group}, field)
+    n = h.dim
+    coaction = Matrix.from_triples(n * n, n, ((a * n, a, 1) for a in range(n)), field)
+    return ComoduleAlgebra(h.algebra, h.coalgebra, coaction)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("name,params", CATALOGUE)
+def test_catalogue_balanced_relations_match_the_per_b_blocks(name, params, p):
+    x = _comodule_algebra(name, params if p is None else {**params, "p": p})
+    a = x.algebra
+    unit_line = Subspace.from_spanning([a.unit], a.dim, a.field)
+    for sub in (x.coinvariants, unit_line, Subspace.full(a.dim, a.field)):
+        assert balanced_tensor(x, sub).relations == dense.balanced_relations_by_blocks(a, sub)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_trivial_coaction_balances_over_all_of_a(group, field):
+    x = _trivial_coaction(group, field)
+    a = x.algebra
+    assert x.coinvariants == Subspace.full(a.dim, field)
+    presentation = balanced_tensor(x, x.coinvariants)
+    assert presentation.relations == dense.balanced_relations_by_blocks(a, x.coinvariants)
+    assert presentation.quotient_dim == a.dim  # A (x)_A A = A
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -140,12 +178,38 @@ def test_catalogue_horizontal_forms_match_the_triple_loop(name, params, p):
     _assert_horizontal_forms_match_the_triple_loop(_comodule_algebra(name, params if p is None else {**params, "p": p}))
 
 
-@pytest.mark.parametrize("p", [None, 7])
-@pytest.mark.parametrize("group,generator", [("Z4", "g2"), ("Z4", "g"), ("S3", "(123)")])
-def test_quotient_coaction_horizontal_forms_match_the_triple_loop(group, generator, p):
+def _quotient_coaction(group, generator, p):
+    """k[G] coacting through its quotient by the coset coideal of
+    <generator>; its coinvariants are k[<generator>]."""
     params = {"group": group} if p is None else {"group": group, "p": p}
     field = QQ if p is None else GF7
     h = group_algebra(params, field)
     base, pi = quotient_coalgebra(h.coalgebra, coset_coideal(params, generator, field))
-    x = ComoduleAlgebra(h.algebra, base, kron(h.algebra.identity_matrix, pi) @ h.coalgebra.comult_matrix)
-    assert _assert_horizontal_forms_match_the_triple_loop(x) > 0
+    return ComoduleAlgebra(h.algebra, base, kron(h.algebra.identity_matrix, pi) @ h.coalgebra.comult_matrix)
+
+
+QUOTIENT_COACTIONS = [("Z4", "g2"), ("Z4", "g"), ("S3", "(123)")]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("group,generator", QUOTIENT_COACTIONS)
+def test_quotient_coaction_balanced_relations_match_the_per_b_blocks(group, generator, p):
+    x = _quotient_coaction(group, generator, p)
+    b = x.coinvariants
+    assert b.dim > 1
+    assert balanced_tensor(x, b).relations == dense.balanced_relations_by_blocks(x.algebra, b)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("group,generator", QUOTIENT_COACTIONS)
+def test_quotient_coaction_horizontal_forms_match_the_triple_loop(group, generator, p):
+    assert _assert_horizontal_forms_match_the_triple_loop(_quotient_coaction(group, generator, p)) > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_trivial_coaction_horizontal_forms_match_the_triple_loop(group, field):
+    x = _trivial_coaction(group, field)
+    assert _assert_horizontal_forms_match_the_triple_loop(x) == x.algebra.dim**2 - x.algebra.dim
+    report = differential_sequence(galois_check(x))
+    assert report.horizontal_forms == report.universal_forms and not report.exact

@@ -12,10 +12,11 @@ from entwine.catalogue import (
     self_extension,
 )
 from entwine.entwining import EntwiningStructure, flip_entwining, hopf_entwining, validate_entwining
-from entwine.errors import NotGalois, NotGroupLike, NotSubalgebra
+from entwine.errors import IllDefined, NotGalois, NotGroupLike, NotSubalgebra
 from entwine.exactlin import Matrix, Subspace, kron, column_matrix
 from entwine.fields import GF, QQ
 from entwine.galois import (
+    _descend,
     balanced_tensor,
     bundle_check,
     bundle_coaction_equivalence,
@@ -118,8 +119,22 @@ class TestBalancedTensor:
         assert pres.quotient_dim == 4
 
     def test_not_subalgebra_rejected(self, z2_self_extension):
-        with pytest.raises(NotSubalgebra):
+        with pytest.raises(NotSubalgebra, match="^balancing subspace does not contain the unit$"):
             balanced_tensor(z2_self_extension, Subspace.from_spanning([[0, 1]], 2, QQ))
+
+    def test_unital_subspace_that_is_not_closed_rejected(self):
+        # span{1, g} in k[Z3]: g . g = g^2 lies outside it
+        x = self_extension(group_algebra({"group": "Z3"}, QQ))
+        with pytest.raises(NotSubalgebra, match="^balancing subspace is not closed under multiplication$"):
+            balanced_tensor(x, Subspace.from_spanning([[1, 0, 0], [0, 1, 0]], 3, QQ))
+
+    def test_descending_a_map_that_does_not_vanish_on_the_relations_fails(self, z2_self_extension):
+        # over B = A the relations are nonzero, and the identity of A (x) A
+        # does not vanish on them
+        pres = balanced_tensor(z2_self_extension, Subspace.full(2, QQ))
+        assert pres.relations.dim == 2
+        with pytest.raises(IllDefined, match="^the identity does not vanish on the balancing relations$"):
+            _descend(Matrix.identity(4, QQ), pres, "the identity")
 
 
 class TestGaloisCheck:

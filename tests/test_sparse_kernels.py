@@ -492,6 +492,78 @@ class TestElimination:
         assert (q.projection @ q.section).is_identity
 
 
+@st.composite
+def spanning_sets(draw):
+    """(field, n, vectors): random vectors of k^n, none (the zero space), or
+    the standard basis (the full space), over Q, GF(7) and GF(2)."""
+    field = draw(st.sampled_from([QQ, GF7, GF2]))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    if kind == "zero":
+        return field, n, []
+    if kind == "full":
+        return field, n, [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    return field, n, draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=5))
+
+
+class TestIndexFirstSubspace:
+    """A subspace is the nonzero index of its echelon basis; the dense basis
+    is read off it only on demand, and every route to the same span gives
+    the same index."""
+
+    @staticmethod
+    def routes(field, n, vectors):
+        """The span of vectors built by from_spanning, as an image, as a
+        kernel (of its annihilator) and as an intersection."""
+        spanned = Subspace.from_spanning(vectors, n, field)
+        columns = Matrix.from_triples(n, len(vectors), [(i, j, x) for j, v in enumerate(vectors) for i, x in enumerate(v)], field)
+        imaged = image(columns)
+        annihilator = kernel(columns.transpose()).inclusion().transpose()
+        kerneled = kernel(annihilator)
+        met = intersect(imaged, kerneled)
+        return spanned, imaged, kerneled, met
+
+    @settings(max_examples=150, deadline=None)
+    @given(spanning_sets(), st.data())
+    def test_routes_agree_and_match_the_dense_span(self, case, data):
+        field, n, vectors = case
+        spanned, *built = self.routes(field, n, vectors)
+        for sub in built:
+            assert "basis" not in sub.__dict__
+        expected = dense.span_basis(vectors, n, field)
+        probes = [[field.coerce(x) for x in v] for v in vectors]
+        probes += data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=3))
+        other = Subspace.from_spanning(probes[-2:], n, field)
+        for sub in (spanned, *built):
+            assert sub.basis == expected
+            assert_subspace_indexed(sub)
+            assert sub == spanned and hash(sub) == hash(spanned)
+            assert sub.dim == len(expected) and sub.pivots == spanned.pivots
+            assert sub.inclusion() == spanned.inclusion() and sub.coordinates() == spanned.coordinates()
+            assert (sub.coordinates() @ sub.inclusion()).is_identity
+            for v in probes:
+                stacked = Matrix(sub.dim + 1, n, expected + (tuple(field.coerce(x) for x in v),), field)
+                assert sub.contains_vector(v) == (dense.rank_dense(stacked) == sub.dim)
+            both = Matrix(sub.dim + other.dim, n, expected + other.basis, field)
+            assert sub.contains_subspace(other) == (dense.rank_dense(both) == sub.dim)
+            assert all(sub.contains_subspace(t) for t in built)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    def test_zero_and_full_spaces(self, field):
+        for n in (0, 1, 4):
+            zero, full = Subspace.zero_subspace(n, field), Subspace.full(n, field)
+            assert self.routes(field, n, []) == (zero,) * 4
+            identity = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+            assert self.routes(field, n, identity) == (full,) * 4
+            assert zero.dim == 0 and full.dim == n and full.pivots == tuple(range(n))
+            assert full.contains_subspace(zero) and zero.contains_subspace(zero)
+            assert zero.contains_subspace(full) == (n == 0)
+
+    def test_mismatched_ambient_dimensions_raise(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace.full(3, QQ).contains_subspace(Subspace.zero_subspace(2, QQ))
+
+
 def all_fraction(m: Matrix) -> Matrix:
     """m with every entry a Fraction, the form rational matrices had before
     integral scalars became ints."""
