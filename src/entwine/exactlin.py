@@ -15,7 +15,23 @@ output is never scanned, and a matrix's dense entries are materialised only
 if something reads them.  Products, Kronecker products, application to
 vectors, membership tests and elimination touch nonzero entries only,
 elimination works on sparse rows (dicts from column to value), and tensor
-permutations are built from their index maps.
+permutations are built from their index maps.  ``kernel`` and ``rank``
+eliminate each distinct nonzero row once: repeated and zero rows add nothing
+to the row space, whose RREF is unique.  ``try_invert`` takes every row,
+because row i of its augmented system [m | I] carries e_i.
+
+Every product that combines rows (``@`` and the three paths of
+``kron_apply``) sums a * rows[k] over each output row's terms with one of
+two row kernels, picked once per product from its operands' nonzero indexes.
+``_combination`` accumulates in a dict and sorts the output row's columns.
+Over GF(p), when the average output row touches at least as many entries
+as it has columns, ``_list_combination`` accumulates in a list of that
+width instead and reads the row off in column order, with no dict and no
+sort: the dense accumulator of row-by-row sparse products (Gustavson, ACM
+TOMS 4, 1978).  The average is the coefficients per output row times the
+entries per combined row.  Over Q the dict accumulator always serves and
+no count is taken, so rational products pay nothing for the choice.  Over
+GF(p) both kernels reduce each output cell mod p once.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -62,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
 from .fields import FieldSpec, Scalar
@@ -124,6 +140,42 @@ def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], 
         for j, b in rows[k]:
             acc[j] = get(j, 0) + a * b
     return _index_row(acc, p)
+
+
+def _list_combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int, cols: int) -> IndexRow:
+    """_combination over GF(p) for rows of width cols, accumulated in a list
+    of cols cells: no dict and no sort, each cell reduced mod p once."""
+    if not terms:
+        return ()
+    if len(terms) == 1:
+        k, a = terms[0]
+        if a == 1:
+            return rows[k]
+        return tuple([(j, a * b % p) for j, b in rows[k]])
+    acc = [0] * cols
+    for k, a in terms:
+        for j, b in rows[k]:
+            acc[j] += a * b
+    return tuple([(j, y) for j, x in enumerate(acc) if (y := x % p)])
+
+
+def _combiner(
+    p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow]
+) -> Callable[..., IndexRow]:
+    """The row kernel, called as kernel(terms, rows, p), of a product whose
+    output rows combine rows of the index ``rows`` (of width cols), with one
+    coefficient per term from each index in ``coefficients``.  Over GF(p),
+    when the average output row touches at least cols entries, that is the
+    list accumulator; otherwise, and always over Q, it is _combination.  The
+    average is the product of the entries per row of each index."""
+    if p:
+        touched, count = sum(map(len, rows)), len(rows)
+        for index in coefficients:
+            touched *= sum(map(len, index))
+            count *= len(index)
+        if touched >= cols * count:
+            return lambda terms, rows, p: _list_combination(terms, rows, p, cols)
+    return _combination
 
 
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
@@ -236,8 +288,9 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
-        bnz = other.nonzeros
-        return _from_index(self.rows, other.cols, [_combination(arow, bnz, p) for arow in self.nonzeros], self.field)
+        anz, bnz = self.nonzeros, other.nonzeros
+        combine = _combiner(p, other.cols, bnz, anz)
+        return _from_index(self.rows, other.cols, [combine(arow, bnz, p) for arow in anz], self.field)
 
     def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
         """self + sign * other, row by row over both indexes."""
@@ -494,7 +547,8 @@ def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) ->
 
 
 def _nonzero_rows(m: Matrix) -> list[dict[int, Scalar]]:
-    return [dict(row) for row in m.nonzeros]
+    """The distinct nonzero rows of m as sparse rows: they span its row space."""
+    return [dict(row) for row in dict.fromkeys(m.nonzeros) if row]
 
 
 def rank(m: Matrix) -> int:
@@ -564,7 +618,7 @@ def try_invert(m: Matrix):
     n = m.rows
     field = m.field
     one = field.one
-    aug = _nonzero_rows(m)
+    aug = [dict(row) for row in m.nonzeros]  # every row: row i carries e_i
     for i, row in enumerate(aug):
         row[n + i] = one
     pivots, reduced = _echelon(aug, 2 * n, field)
@@ -637,7 +691,7 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
     y = I_n the row is x's row i1 applied to the strided slice of rows i2,
     n + i2, ... of m, with x = I it is y's row i2 applied to the block of
     rows from i1*cols(y), and with both the product is m itself.  For two
-    other factors each output row is one _combination of rows of m, with the
+    other factors each output row is one combination of rows of m, with the
     coefficient products formed (and reduced mod p) before the unit test.
     """
     _check_same_field(x, y)
@@ -651,12 +705,15 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
             return m
         n = y.rows
         slices = [mnz[i2::n] for i2 in range(n)]
-        out = [_combination(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
+        combine = _combiner(p, m.cols, mnz, x.nonzeros)
+        out = [combine(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
     elif x.is_identity:
         c2 = y.cols
         ynz = y.nonzeros
-        out = [_combination(yrow, mnz[i1 * c2 : (i1 + 1) * c2], p) for i1 in range(x.rows) for yrow in ynz]
+        combine = _combiner(p, m.cols, mnz, ynz)
+        out = [combine(yrow, mnz[i1 * c2 : (i1 + 1) * c2], p) for i1 in range(x.rows) for yrow in ynz]
     else:
+        combine = _combiner(p, m.cols, mnz, x.nonzeros, y.nonzeros)
         yrows = _unit_flagged(y, 1)
         out = []
         for xrow in _unit_flagged(x, y.cols):
@@ -669,7 +726,7 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
                     for base, a, aunit in xrow
                     for j2, b, bunit in yrow
                 ]
-                out.append(_combination(terms, mnz, p))
+                out.append(combine(terms, mnz, p))
     return _from_index(x.rows * y.rows, m.cols, out, x.field)
 
 

@@ -1,12 +1,15 @@
 """The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply,
 residual checks and report details) against the dense oracles, over QQ and GF(7), on random densities, zero rows
-and columns, empty shapes and singular inputs; the fused Kronecker products
+and columns, repeated rows, empty shapes and singular inputs; the list
+accumulator against the dict one, and the products that pick it against the
+dense oracles, over GF(2), GF(7) and GF(2^31 - 1); the fused Kronecker products
 against the Kronecker product formed first, and the product in a tensor
 product against its formed middle swap, over QQ, GF(7) and GF(2); the
 quotient forms of the coideal and invariance tests against their
 spanning-set forms; the block uniqueness system against the full one; and
 every rational kernel against the all-Fraction form of its input."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +30,7 @@ from entwine.catalogue import (
     sweedler_hopf_algebra,
 )
 from entwine.cogalois import coextension_check, coideal_checks, dual_uniqueness
+from entwine import exactlin
 from entwine.cogenerate import _kernel_step
 from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
@@ -34,6 +38,9 @@ from entwine.exactlin import (
     NotInvertible,
     QuotientPresentation,
     Subspace,
+    _combination,
+    _combiner,
+    _list_combination,
     apply_kron,
     basis_vector,
     column_matrix,
@@ -54,6 +61,8 @@ from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
 from entwine.reports import matrix_detail, subspace_detail
 from entwine.structures import residual_check
+from entwine.suites import run_suite
+from test_golden_reports import _documents as golden_documents
 
 GF7 = GF(7)
 GF2 = GF(2)
@@ -336,6 +345,154 @@ class TestFusedKroneckerProducts:
             kron_apply(x, Matrix.identity(3, GF7), Matrix.zero(6, 1, QQ))
 
 
+PRIMES = st.sampled_from([2, 7, 2**31 - 1])
+
+
+@st.composite
+def index_rows(draw, cols, values):
+    """One row of a nonzero index of width cols."""
+    if not cols:
+        return ()
+    return tuple((j, draw(values)) for j in sorted(draw(st.sets(st.integers(0, cols - 1)))))
+
+
+@st.composite
+def row_combinations(draw):
+    """(terms, rows, p, cols) for a row kernel over GF(p): reduced nonzero
+    coefficients, unit ones often, some rows empty, widths from 0."""
+    p = draw(PRIMES)
+    cols = draw(st.integers(0, 8))
+    values = st.one_of(st.just(1), st.integers(1, p - 1))
+    rows = draw(st.lists(index_rows(cols, values), max_size=6))
+    terms = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), values), max_size=6)) if rows else []
+    return terms, rows, p, cols
+
+
+@st.composite
+def matrices_mod_p(draw, field, rows, cols):
+    """Dense random matrices over GF(p): every entry drawn from the whole field."""
+    density = draw(st.sampled_from([1.0, 0.7, 0.3]))
+    rnd = draw(st.randoms(use_true_random=False))
+    data = [[rnd.randrange(1, field.p) if rnd.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    return Matrix(rows, cols, Matrix.from_rows(data, field).entries, field)
+
+
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, b.cols, dense.matmul(a, b), a.field)
+
+
+def dense_kron(x: Matrix, y: Matrix) -> Matrix:
+    return Matrix(x.rows * y.rows, x.cols * y.cols, dense.kron_dense(x, y), x.field)
+
+
+@contextmanager
+def list_kernel_calls():
+    """The moduli of the calls made to the list accumulator inside the block."""
+    calls = []
+    real = exactlin._list_combination
+
+    def spy(terms, rows, p, cols):
+        calls.append(p)
+        return real(terms, rows, p, cols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlin, "_list_combination", spy)
+        yield calls
+
+
+class TestListAccumulator:
+    """The list accumulator against _combination, and the products that pick
+    it against the dense oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_combinations())
+    def test_matches_the_dict_accumulator(self, case):
+        terms, rows, p, cols = case
+        out = _list_combination(terms, rows, p, cols)
+        assert out == _combination(terms, rows, p)
+        assert all(0 < x < p for _, x in out)
+        assert [j for j, _ in out] == sorted({j for j, _ in out})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_products_match_the_dense_oracles(self, data):
+        field = GF(data.draw(PRIMES))
+        r1, c1, r2, c2, k = (data.draw(st.integers(0, 4)) for _ in range(5))
+        x = data.draw(matrices_mod_p(field, r1, c1))
+        y = data.draw(matrices_mod_p(field, r2, c2))
+        b = data.draw(matrices_mod_p(field, c1, k))
+        assert x @ b == dense_product(x, b)
+        ix, iy = Matrix.identity(r1, field), Matrix.identity(r2, field)
+        for left, right in ((x, y), (ix, y), (x, iy)):
+            m = data.draw(matrices_mod_p(field, left.cols * right.cols, k))
+            n = data.draw(matrices_mod_p(field, k, left.rows * right.rows))
+            out = kron_apply(left, right, m)
+            assert out == dense_product(dense_kron(left, right), m)
+            assert_indexed(out)
+            assert apply_kron(n, left, right) == dense_product(n, dense_kron(left, right))
+
+    @pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
+    def test_both_combiners_run(self, p):
+        field = GF(p)
+
+        def filled(rows, cols):
+            return Matrix.from_triples(rows, cols, [(i, j, 1 + i * j) for i in range(rows) for j in range(cols)], field)
+
+        full, ident = filled(4, 4), Matrix.identity(2, field)
+        with list_kernel_calls() as calls:
+            for out, expected in (
+                (full @ full, dense_product(full, full)),
+                (kron_apply(full, ident, filled(8, 3)), dense_product(dense_kron(full, ident), filled(8, 3))),
+                (kron_apply(ident, full, filled(8, 3)), dense_product(dense_kron(ident, full), filled(8, 3))),
+                (kron_apply(full, full, filled(16, 2)), dense_product(dense_kron(full, full), filled(16, 2))),
+            ):
+                assert out == expected
+                assert_indexed(out)
+        assert len(calls) >= 4 and set(calls) == {p}
+        swap = tensor_permutation((2, 2), (1, 0), field)
+        sparse = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 1, 0, 0]], field)
+        with list_kernel_calls() as calls:
+            assert swap @ sparse == dense_product(swap, sparse)
+            assert kron_apply(swap, ident, kron(sparse, ident)) == dense_product(dense_kron(swap, ident), kron(sparse, ident))
+        assert calls == []
+
+    def test_the_rule(self):
+        # 2 coefficients per output row times 2 entries per row of m reach a width of 4
+        rows = (((0, 1), (1, 2)), ((2, 3), (3, 4)))
+        twice = (((0, 1), (1, 1)),)
+        once = (((0, 1),),)
+        assert _combiner(7, 4, rows, twice) is not _combination
+        assert _combiner(7, 5, rows, twice) is _combination
+        assert _combiner(7, 4, rows, once) is _combination
+        assert _combiner(7, 4, rows, twice, twice) is not _combination
+        assert _combiner(None, 1, rows, twice) is _combination
+
+    @pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
+    def test_a_one_term_unit_row_is_shared_on_the_list_path(self, p):
+        field = GF(p)
+        a = Matrix.from_rows([[1, 0], [1, 1]], field)
+        b = Matrix.from_rows([[1, 1], [1, 1]], field)
+        assert _combiner(p, b.cols, b.nonzeros, a.nonzeros) is not _combination
+        out = a @ b
+        assert out == dense_product(a, b)
+        assert out.nonzeros[0] is b.nonzeros[0]
+        rows = (((0, 1),), ((1, 1),))
+        assert _list_combination([(1, 1)], rows, p, 2) is rows[1]
+
+    def test_no_rational_product_picks_the_list_accumulator(self):
+        """On every golden document the list accumulator runs only over GF(p)."""
+        used = 0
+        for label, doc in golden_documents():
+            with list_kernel_calls() as calls:
+                run_suite(doc, "all")
+            if doc.field.is_prime_field:
+                assert set(calls) <= {doc.field.p}, label
+                used += len(calls)
+            else:
+                assert calls == [], label
+        assert used  # the GF(p) documents do reach it
+
+
 @st.composite
 def swap_products(draw, dims=None, fields=st.sampled_from([QQ, GF7, GF2])):
     """Factors x, y, f, g over one field for kron(x, y) @ mid_swap @ kron(f, g),
@@ -421,7 +578,38 @@ class TestSwapProduct:
                 swap_product(*args, (1, 1, 1, 1))
 
 
+@st.composite
+def repeated_rows(draw):
+    """A matrix with some of its rows repeated and empty rows added, shuffled."""
+    m = draw(any_matrix())
+    rows = list(m.entries)
+    for k in draw(st.lists(st.integers(-1, m.rows - 1), max_size=5)):
+        rows.append(rows[k] if k >= 0 else (m.field.zero,) * m.cols)
+    rows = draw(st.permutations(rows))
+    return Matrix(len(rows), m.cols, tuple(rows), m.field)
+
+
 class TestElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_rows())
+    def test_repeated_and_empty_rows_match_dense(self, m):
+        assert rref(m).entries == dense.rref_dense(m)
+        assert rank(m) == dense.rank_dense(m)
+        assert kernel(m).basis == dense.kernel_dense(m)
+        assert image(m).basis == dense.span_basis(m.columns(), m.rows, m.field)
+
+    @pytest.mark.parametrize(
+        "field, rows, rank_, witness",
+        [
+            (QQ, [[1, 2, 3, 0], [0, 1, 4, 2], [0, 0, 0, 0], [1, 2, 3, 0]], 2, (1, 0, Fraction(-1, 3), Fraction(2, 3))),
+            (QQ, [[2, 0, 1], [0, 3, 5], [2, 0, 1]], 2, (1, Fraction(10, 3), -2)),
+            (GF7, [[1, 2, 3, 0], [0, 1, 4, 2], [0, 0, 0, 0], [1, 2, 3, 0]], 2, (1, 0, 2, 3)),
+            (GF7, [[2, 0, 1], [0, 3, 5], [2, 0, 1]], 2, (1, 1, 5)),
+        ],
+    )
+    def test_try_invert_of_equal_rows(self, field, rows, rank_, witness):
+        assert try_invert(Matrix.from_rows(rows, field)) == NotInvertible(rank=rank_, witness=witness)
+
     @settings(max_examples=150, deadline=None)
     @given(any_matrix())
     def test_rref_and_rank_match_dense(self, m):
