@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time the dimension-24 frontier inputs: S4 built from its Cayley table.
+"""Time the frontier inputs: S4 (dimension 24) and S4 x Z2 (dimension 48),
+each built from its Cayley table.
 
     PYTHONPATH=src python3 scripts/frontier.py
 
-Runs six inputs, each in a fresh child process so that its peak resident
-set is its own: ``trivial-hopf-galois`` through the ``galois`` suite and
-``group-coextension`` through the ``cogalois`` suite, each over Q and over
-GF(7), then ``group-algebra`` through the ``structures`` suite over Q, and
-``trivial-coaction`` through the ``galois`` suite over Q: k[S4] coacting on
+Runs eight inputs, each in a fresh child process so that its peak resident
+set is its own: S4 ``trivial-hopf-galois`` through the ``galois`` suite and
+S4 ``group-coextension`` through the ``cogalois`` suite, each over Q and over
+GF(7), then S4 ``group-algebra`` through the ``structures`` suite over Q, and
+S4 ``trivial-coaction`` through the ``galois`` suite over Q: k[S4] coacting on
 itself by a |-> a (x) 1, built here by formula, whose coinvariants are all
-of A (B = A).
+of A (B = A); last, S4 x Z2 ``trivial-hopf-galois`` through ``galois`` and
+S4 x Z2 ``group-coextension`` through ``cogalois``, both over GF(7).  The
+dimension-48 reports are about 180 MB each.
 ``--one K`` runs input K alone, numbered from 0 in that order.  Prints one
 JSON line per input with the seconds taken by ``run_suite`` and by the JSON
 report, the report's size and sha256, the child's peak ``ru_maxrss`` in MB
@@ -29,12 +32,14 @@ import time
 from itertools import permutations
 
 INPUTS = (
-    ("trivial-hopf-galois", "galois", None),
-    ("trivial-hopf-galois", "galois", 7),
-    ("group-coextension", "cogalois", None),
-    ("group-coextension", "cogalois", 7),
-    ("group-algebra", "structures", None),
-    ("trivial-coaction", "galois", None),
+    ("S4", "trivial-hopf-galois", "galois", None),
+    ("S4", "trivial-hopf-galois", "galois", 7),
+    ("S4", "group-coextension", "cogalois", None),
+    ("S4", "group-coextension", "cogalois", 7),
+    ("S4", "group-algebra", "structures", None),
+    ("S4", "trivial-coaction", "galois", None),
+    ("S4 x Z2", "trivial-hopf-galois", "galois", 7),
+    ("S4 x Z2", "group-coextension", "cogalois", 7),
 )
 
 
@@ -44,6 +49,18 @@ def s4_table() -> tuple[tuple[int, ...], ...]:
     perms = list(permutations(range(4)))
     index = {p: k for k, p in enumerate(perms)}
     return tuple(tuple(index[tuple(p[q[i]] for i in range(4))] for q in perms) for p in perms)
+
+
+def s4_z2_table() -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of S4 x Z2 with the identity first: element 2k + e
+    is (perms[k], e), and the product of (s, e) and (t, f) is (s . t, e + f)."""
+    s4 = s4_table()
+    return tuple(
+        tuple(2 * s4[i // 2][j // 2] + (i + j) % 2 for j in range(2 * len(s4))) for i in range(2 * len(s4))
+    )
+
+
+TABLES = {"S4": s4_table, "S4 x Z2": s4_z2_table}
 
 
 def _example(name: str, params: dict):
@@ -71,8 +88,8 @@ def run_one(k: int) -> dict:
     from entwine.docformat import document_from_example
     from entwine.suites import run_suite
 
-    name, suite, p = INPUTS[k]
-    params = {"table": s4_table()}
+    group, name, suite, p = INPUTS[k]
+    params = {"table": TABLES[group]()}
     if p is not None:
         params["p"] = p
     doc = document_from_example(_example(name, params))
@@ -83,7 +100,7 @@ def run_one(k: int) -> dict:
     text = report.to_json()
     done = time.perf_counter()
     return {
-        "input": f"S4 {name}",
+        "input": f"{group} {name}",
         "suite": suite,
         "field": "Q" if p is None else f"GF({p})",
         "seconds": round(checked - start, 3),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AxiomViolation, DimensionMismatch
-from .exactlin import Matrix, apply_kron, flip_map, kron, kron_apply
+from .exactlin import Matrix, apply_kron, flip_map, kron, kron_apply, leg_product, leg_product_mirror
 from .structures import (
     AxiomCheck,
     ComoduleAlgebra,
@@ -49,14 +49,14 @@ class EntwiningStructure:
     @cached_property
     def mu(self) -> Matrix:
         """The right action (m (x) C)(A (x) psi): A (x) C (x) A -> A (x) C."""
-        a, c = self.algebra, self.coalgebra
-        return kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, self.psi))
+        na, nc = self.algebra.dim, self.coalgebra.dim
+        return leg_product(self.algebra.mult_matrix, self.psi, (na, na, nc))
 
     @cached_property
     def delta(self) -> Matrix:
         """The right coaction (C (x) psi)(coproduct (x) A): C (x) A -> C (x) A (x) C."""
-        a, c = self.algebra, self.coalgebra
-        return kron_apply(c.identity_matrix, self.psi, kron(c.comult_matrix, a.identity_matrix))
+        na, nc = self.algebra.dim, self.coalgebra.dim
+        return leg_product_mirror(self.psi, self.coalgebra.comult_matrix, (na, nc, nc))
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,8 @@ def _hopf_psi(h: HopfAlgebra, x: ComoduleAlgebra) -> Matrix:
     """The matrix of hopf_entwining, for callers that checked its preconditions."""
     a = x.algebra
     na, nh = a.dim, h.dim
-    ia = a.identity_matrix
-    ih = h.algebra.identity_matrix
-    return kron_apply(ia, h.algebra.mult_matrix, kron_apply(flip_map(nh, na, a.field), ih, kron(ih, x.coaction)))
+    flipped = leg_product(flip_map(nh, na, a.field), x.coaction, (nh, na, nh))
+    return kron_apply(a.identity_matrix, h.algebra.mult_matrix, flipped)
 
 
 def psi_to_structure_maps(e: EntwiningStructure) -> StructureMapPair:
@@ -175,7 +174,7 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
             "left-linear-over-m",
             "mu(m (x) C (x) A) = (m (x) C)(A (x) mu)",
             apply_kron(p.mu, m, ica),
-            kron_apply(m, ic, kron(ia, p.mu)),
+            leg_product(m, p.mu, (na, na, nc)),
         ),
         residual_check(
             "right-coaction-coassociative",
@@ -188,7 +187,7 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
             "left-colinear-over-coproduct",
             "(coproduct (x) A (x) C)delta = (C (x) delta)(coproduct (x) A)",
             kron_apply(d, iac, p.delta),
-            kron_apply(ic, p.delta, kron(d, ia)),
+            leg_product_mirror(p.delta, d, (na, nc, nc)),
         ),
         residual_check(
             "pair-compatibility",
@@ -233,7 +232,7 @@ def entwined_module_check(module: RightModule, comodule: RightComodule, e: Entwi
     if module.action == a.mult_matrix:  # A under its own multiplication
         mu = e.mu
     else:
-        mu = kron_apply(module.action, e.coalgebra.identity_matrix, kron(Matrix.identity(module.dim, a.field), e.psi))
+        mu = leg_product(module.action, e.psi, (module.dim, a.dim, e.coalgebra.dim))
     return residual_check(
         "entwined-module",
         "coaction . action = (action (x) C)(V (x) psi)(coaction (x) A)",

@@ -20,18 +20,20 @@ eliminate each distinct nonzero row once: repeated and zero rows add nothing
 to the row space, whose RREF is unique.  ``try_invert`` takes every row,
 because row i of its augmented system [m | I] carries e_i.
 
-Every product that combines rows (``@`` and the three paths of
-``kron_apply``) sums a * rows[k] over each output row's terms with one of
-two row kernels, picked once per product from its operands' nonzero indexes.
-``_combination`` accumulates in a dict and sorts the output row's columns.
-Over GF(p), when the average output row touches at least as many entries
-as it has columns, ``_list_combination`` accumulates in a list of that
-width instead and reads the row off in column order, with no dict and no
-sort: the dense accumulator of row-by-row sparse products (Gustavson, ACM
-TOMS 4, 1978).  The average is the coefficients per output row times the
-entries per combined row.  Over Q the dict accumulator always serves and
-no count is taken, so rational products pay nothing for the choice.  Over
-GF(p) both kernels reduce each output cell mod p once.
+Every product that combines rows (``@``, ``kron_apply``, the blocks of
+``leg_product`` and of ``apply_kron``) sums a * rows[k] over
+each combination's terms with one of two row kernels, picked once per
+product from its operands' nonzero indexes.  ``_combination`` accumulates
+in a dict and sorts the output row's columns.  Over GF(p), when the average
+combination touches at least as many entries as it has columns,
+``_list_combination`` accumulates in a list of that width instead and reads
+the row off in column order, with no dict and no sort: the dense
+accumulator of row-by-row sparse products (Gustavson, ACM TOMS 4, 1978).
+The average is the coefficients per combination times the entries per
+combined row; a product whose output rows each split into K blocks counts
+per block, not per output row.  Over Q the dict accumulator always serves
+and no count is taken, so rational products pay nothing for the choice.
+Over GF(p) both kernels reduce each output cell mod p once.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -45,15 +47,19 @@ m @ kron(x, y)``.  ``kron_apply`` builds the output index straight from the
 factors' nonzero indexes (the row-major identity of Van Loan, "The
 ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).  One
 factor is usually an identity, and by the mixed-product rule kron(x, y) =
-kron(x, I) kron(I, y) an identity factor costs nothing: with y = I_n an
-output row combines, by a row of x, the strided slice of every n-th row of
-m; with x = I it combines, by a row of y, a contiguous block of rows of m;
-with both it is m.  Only two non-identity factors take the general path,
-which skips the product by a unit coefficient, and over GF(p) its
-reduction mod p, and tests a coefficient for 1 only after that reduction.
-Like ``@``, every path passes a one-term output row with coefficient 1
-through as the row of m itself, shared rather than copied.  ``apply_kron``
-is its transpose: m @ kron(x, y) = (kron(x^T, y^T) @ m^T)^T.
+kron(x, I) kron(I, y) an identity factor costs nothing: with y = I_n the
+product is the leg product below with one block per row, whose output row
+combines, by a row of x, the strided slice of every n-th row of m; with
+x = I it is the mirror, whose output row combines, by a row of y, a
+contiguous block of rows of m; with both it is m.  Only two non-identity
+factors take the general path, which skips the product by a unit
+coefficient, and over GF(p) its reduction mod p, and tests a coefficient
+for 1 only after that reduction.  Like ``@``, every path passes a one-term
+output row with coefficient 1 through as the row of m itself, shared
+rather than copied.  ``apply_kron``
+works row by row on m: each block of rows(y) columns of a row combines rows
+of y into t, and the row of the product accumulates the outer products of
+the rows of x with their t.  It transposes nothing.
 
 The third fused product is the product in a tensor product, the identity
 behind every "is an algebra (coalgebra) map into a tensor product" check:
@@ -63,6 +69,26 @@ where mid_swap is the four-factor ``tensor_permutation(dims, (0, 2, 1,
 kron(f, g).  It works column by column on the factors' transposes and
 contracts g with y first, then f, then x; over GF(p) each output cell is
 reduced once.
+
+The fourth fused product is the leg product, the shape of every map on
+three tensor legs that acts on two of them at a time: the structure maps
+mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A) of an
+entwining, the canonical map (m (x) C)(A (x) coaction), and the actions on
+A (x)_B A.  With legs (K, A, W), ``leg_product(x, z, (K, A, W)) ==
+kron(x, I_W) @ kron(I_K, z)`` and ``leg_product_mirror(x, z, (K, A, W)) ==
+kron(I_W, x) @ kron(z, I_K)``; neither forms an identity factor.  The leg
+product splits each row of x into K blocks of A columns, and block k
+combines the strided slice of every W-th row of z, its result landing at
+column offset k cols(z); a block is taken only to the slices where one of
+its rows of z is nonzero, and a one-term block is that row, scaled.  The
+mirror accumulates, for each entry of a row of x at column a K + k, the
+scaled row of z in block a with its column c moved to c K + k.  ``apply_kron``
+with x = I is the leg product and with y = I its mirror, both with W = 1,
+and ``kron_apply`` with one identity factor is one of them with K = 1,
+where each output row is one combination by the row kernels above.
+The product of subspaces, ``tensor_subspace``, needs no elimination: the
+rows r_i (x) s_j of two echelon indexes, ordered by (i, j), are already the
+echelon index of S (x) T.
 
 Conventions, fixed once for the whole library:
 
@@ -143,8 +169,9 @@ def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], 
 
 
 def _list_combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int, cols: int) -> IndexRow:
-    """_combination over GF(p) for rows of width cols, accumulated in a list
-    of cols cells: no dict and no sort, each cell reduced mod p once."""
+    """_combination over GF(p) for rows of width cols, accumulated by
+    _list_blocks as one block at base 0; one-term and empty sums as in
+    _combination."""
     if not terms:
         return ()
     if len(terms) == 1:
@@ -152,24 +179,34 @@ def _list_combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexR
         if a == 1:
             return rows[k]
         return tuple([(j, a * b % p) for j, b in rows[k]])
+    return _list_blocks(((0, terms),), rows, p, cols)
+
+
+def _list_blocks(blocks: Sequence[tuple[int, Sequence[tuple[int, Scalar]]]], rows: Sequence[IndexRow], p: int, cols: int) -> IndexRow:
+    """The index row of the sum, over the blocks (base, terms), of a * rows[k]
+    with its columns moved up by base for each (k, a) in terms, accumulated
+    in a list of cols cells: no dict and no sort, each cell reduced mod p
+    once."""
     acc = [0] * cols
-    for k, a in terms:
-        for j, b in rows[k]:
-            acc[j] += a * b
+    for base, terms in blocks:
+        for k, a in terms:
+            for j, b in rows[k]:
+                acc[base + j] += a * b
     return tuple([(j, y) for j, x in enumerate(acc) if (y := x % p)])
 
 
 def _combiner(
-    p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow]
+    p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow], blocks: int = 1
 ) -> Callable[..., IndexRow]:
     """The row kernel, called as kernel(terms, rows, p), of a product whose
-    output rows combine rows of the index ``rows`` (of width cols), with one
-    coefficient per term from each index in ``coefficients``.  Over GF(p),
-    when the average output row touches at least cols entries, that is the
-    list accumulator; otherwise, and always over Q, it is _combination.  The
-    average is the product of the entries per row of each index."""
+    combinations sum rows of the index ``rows`` (of width cols), with one
+    coefficient per term from each index in ``coefficients``, whose rows
+    each split into ``blocks`` combinations.  Over GF(p), when the average
+    combination touches at least cols entries, that is the list accumulator;
+    otherwise, and always over Q, it is _combination.  The average is the
+    product of the entries per row of each index, over ``blocks``."""
     if p:
-        touched, count = sum(map(len, rows)), len(rows)
+        touched, count = sum(map(len, rows)), len(rows) * blocks
         for index in coefficients:
             touched *= sum(map(len, index))
             count *= len(index)
@@ -441,6 +478,18 @@ class Subspace:
             raise DimensionMismatch(f"ambient {other.ambient_dim} vs {self.ambient_dim}")
         return all(self._reduces_to_zero(dict(row)) for row in other.nonzeros)
 
+    def contains_columns(self, m: Matrix) -> bool:
+        """Whether every column of m, a vector of the ambient space, lies in
+        the span."""
+        _check_same_field(self, m)
+        if m.rows != self.ambient_dim:
+            raise DimensionMismatch(f"{m.rows} rows vs ambient {self.ambient_dim}")
+        cols: list[dict[int, Scalar]] = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.nonzeros):
+            for j, x in row:
+                cols[j][i] = x
+        return all(self._reduces_to_zero(col) for col in cols)
+
     def inclusion(self) -> Matrix:
         """ambient x dim matrix whose columns are the basis vectors."""
         cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.ambient_dim)]
@@ -678,6 +727,18 @@ def kron(m1: Matrix, m2: Matrix) -> Matrix:
     return _from_index(m1.rows * m2.rows, m1.cols * c2, out, field)
 
 
+def tensor_subspace(s: Subspace, t: Subspace) -> Subspace:
+    """S (x) T in the tensor product of the ambient spaces, read off the two
+    echelon indexes: the rows r_i (x) s_j of the RREF bases, ordered by
+    (i, j), are its RREF basis.  Row (i, j) has its pivot 1 at column
+    p_i * n + q_j, which increases with (i, j), and every other row is zero
+    there, since r_i' or s_j' is zero at p_i or q_j."""
+    _check_same_field(s, t)
+    field = s.field
+    rows = kron(_from_index(s.dim, s.ambient_dim, s.nonzeros, field), _from_index(t.dim, t.ambient_dim, t.nonzeros, field))
+    return Subspace(s.ambient_dim * t.ambient_dim, rows.nonzeros, field)
+
+
 def _unit_flagged(m: Matrix, stride: int) -> list[list[tuple[int, Scalar, bool]]]:
     """Per row of m, its (column * stride, value, value == 1) triples."""
     return [[(j * stride, a, a == 1) for j, a in row] for row in m.nonzeros]
@@ -688,56 +749,227 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
 
     Row i1*rows(y) + i2 of the product is the sum of x[i1, j1] y[i2, j2]
     times row j1*cols(y) + j2 of m.  An identity factor costs nothing: with
-    y = I_n the row is x's row i1 applied to the strided slice of rows i2,
-    n + i2, ... of m, with x = I it is y's row i2 applied to the block of
-    rows from i1*cols(y), and with both the product is m itself.  For two
-    other factors each output row is one combination of rows of m, with the
-    coefficient products formed (and reduced mod p) before the unit test.
+    y = I_n the product is leg_product(x, m, (1, cols(x), n)), with x = I_n
+    it is leg_product_mirror(y, m, (1, cols(y), n)), and with both it is m
+    itself.  For two other factors each output row is one combination of
+    rows of m, with the coefficient products formed (and reduced mod p)
+    before the unit test.
     """
     _check_same_field(x, y)
     _check_same_field(x, m)
     if x.cols * y.cols != m.rows:
         raise DimensionMismatch(f"kron({x.rows}x{x.cols}, {y.rows}x{y.cols}) @ {m.rows}x{m.cols}")
+    if y.is_identity:
+        return m if x.is_identity else leg_product(x, m, (1, x.cols, y.rows))
+    if x.is_identity:
+        return leg_product_mirror(y, m, (1, y.cols, x.rows))
     p = x.field.p
     mnz = m.nonzeros
-    if y.is_identity:
-        if x.is_identity:
-            return m
-        n = y.rows
-        slices = [mnz[i2::n] for i2 in range(n)]
-        combine = _combiner(p, m.cols, mnz, x.nonzeros)
-        out = [combine(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
-    elif x.is_identity:
-        c2 = y.cols
-        ynz = y.nonzeros
-        combine = _combiner(p, m.cols, mnz, ynz)
-        out = [combine(yrow, mnz[i1 * c2 : (i1 + 1) * c2], p) for i1 in range(x.rows) for yrow in ynz]
-    else:
-        combine = _combiner(p, m.cols, mnz, x.nonzeros, y.nonzeros)
-        yrows = _unit_flagged(y, 1)
-        out = []
-        for xrow in _unit_flagged(x, y.cols):
-            if not xrow:
-                out.extend([()] * y.rows)
-                continue
-            for yrow in yrows:
-                terms = [
-                    (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
-                    for base, a, aunit in xrow
-                    for j2, b, bunit in yrow
-                ]
-                out.append(combine(terms, mnz, p))
+    combine = _combiner(p, m.cols, mnz, x.nonzeros, y.nonzeros)
+    yrows = _unit_flagged(y, 1)
+    out = []
+    for xrow in _unit_flagged(x, y.cols):
+        if not xrow:
+            out.extend([()] * y.rows)
+            continue
+        for yrow in yrows:
+            terms = [
+                (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
+                for base, a, aunit in xrow
+                for j2, b, bunit in yrow
+            ]
+            out.append(combine(terms, mnz, p))
     return _from_index(x.rows * y.rows, m.cols, out, x.field)
 
 
 def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
-    """m @ kron(x, y) without forming kron(x, y): the transpose of
-    kron_apply(x^T, y^T, m^T), since kron(x, y)^T = kron(x^T, y^T)."""
+    """m @ kron(x, y) without forming kron(x, y), row by row.
+
+    Row r of m splits, in column order, into blocks of rows(y) columns.
+    Block i1 combines rows of y by its coefficients into t, and row r of
+    the product accumulates the outer products x[i1, :] (x) t: entry v of t
+    at column k times entry b of x[i1, :] at column c lands at column
+    c*cols(y) + k.  By the mixed-product rule kron(x, y) = kron(I, y)
+    kron(x, I), with x = I the product is leg_product(m, y, (rows(x),
+    rows(y), 1)), with y = I it is leg_product_mirror(m, x, (rows(y),
+    rows(x), 1)), and with both it is m.
+    """
     _check_same_field(m, x)
     _check_same_field(m, y)
     if m.cols != x.rows * y.rows:
         raise DimensionMismatch(f"{m.rows}x{m.cols} @ kron({x.rows}x{x.cols}, {y.rows}x{y.cols})")
-    return kron_apply(x.transpose(), y.transpose(), m.transpose()).transpose()
+    if y.is_identity:
+        return m if x.is_identity else leg_product_mirror(m, x, (y.rows, x.rows, 1))
+    if x.is_identity:
+        return leg_product(m, y, (x.rows, y.rows, 1))
+    p = m.field.p
+    c2, ynz = y.cols, y.nonzeros
+    xbased = [tuple([(c * c2, b) for c, b in row]) for row in x.nonzeros]
+    combine = _combiner(p, c2, ynz, m.nonzeros, blocks=x.rows)
+    out = []
+    for mrow in m.nonzeros:
+        pairs: list[tuple[int, Scalar]] = []
+        for i1, terms in _blocks(mrow, y.rows):
+            xb = xbased[i1]
+            if xb:
+                for k, v in combine(terms, ynz, p):
+                    pairs.extend([(base + k, v * b) for base, b in xb])
+        out.append(_summed(pairs, p))
+    return _from_index(m.rows, x.cols * c2, out, m.field)
+
+
+def _check_legs(x: Matrix, z: Matrix, dims: Sequence[int], x_cols: int, z_rows: int, what: str):
+    _check_same_field(x, z)
+    if (x.cols, z.rows) != (x_cols, z_rows):
+        raise DimensionMismatch(f"{what} of {x.rows}x{x.cols} and {z.rows}x{z.cols} over legs {tuple(dims)}")
+
+
+def leg_product(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
+    """kron(x, I_W) @ kron(I_K, z) with dims = (K, A, W), forming neither
+    factor: x has K*A columns and z has A*W rows.
+
+    Output row i*W + w splits row i of x, in column order, into K blocks of
+    width A.  Block k combines the strided slice of rows w, W + w, ... of z
+    by its coefficients, and the result lands at column offset k*cols(z).
+    With K = 1 the output row is that one combination, by the row kernel of
+    _combiner.  Otherwise, when _combiner picks the list kernel for the
+    blocks (over GF(p)), all blocks of an output row share one list;
+    else each block is taken only to the slices where one of its rows of z
+    is nonzero, and a one-term block is that row, scaled, with no call to
+    the row kernel.
+    """
+    k_, a_, w_ = dims
+    _check_legs(x, z, dims, k_ * a_, a_ * w_, "leg product")
+    p = x.field.p
+    znz, width = z.nonzeros, z.cols
+    slices = [znz[w::w_] for w in range(w_)]
+    combine = _combiner(p, width, znz, x.nonzeros, blocks=k_)
+    if k_ == 1:
+        out = [combine(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
+        return _from_index(x.rows * w_, width, out, x.field)
+    out = []
+    if combine is not _combination:
+        for xrow in x.nonzeros:
+            blocks = [(k * width, terms) for k, terms in _blocks(xrow, a_)]
+            out.extend([_list_blocks(blocks, rows, p, k_ * width) for rows in slices])
+        return _from_index(x.rows * w_, k_ * width, out, x.field)
+    # per a, the slices w where row a*W + w of z is nonzero, with that row
+    reach = [[(w, row) for w, row in enumerate(znz[a * w_ : (a + 1) * w_]) if row] for a in range(a_)]
+    for xrow in x.nonzeros:
+        built: list[list[tuple[int, Scalar]]] = [[] for _ in range(w_)]
+        for k, terms in _blocks(xrow, a_):
+            base = k * width
+            if len(terms) == 1:
+                a, v = terms[0]
+                for w, y in reach[a]:
+                    built[w].extend(_moved(y, base, v, p))
+            else:
+                for w in {w for a, _ in terms for w, _ in reach[a]}:
+                    built[w].extend(_moved(_combination(terms, slices[w], p), base, 1, p))
+        out.extend([tuple(row) for row in built])
+    return _from_index(x.rows * w_, k_ * width, out, x.field)
+
+
+def leg_product_mirror(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
+    """kron(I_W, x) @ kron(z, I_K) with dims = (K, A, W), forming neither
+    factor: x has A*K columns and z has W*A rows.  The identity legs sit on
+    the other side of each factor from leg_product.
+
+    Output row w*rows(x) + i accumulates, for each entry v at column
+    a*K + k of row i of x, v times row w*A + a of z with its column c moved
+    to c*K + k: the outer product of that row of z with the entry.  Over
+    GF(p) the cells are summed in a list when the average output row
+    touches as many entries as it has columns (the rule of _combiner, per
+    block of K columns).  Otherwise the entries are sorted, and summed in a
+    dict only if two share a column.  Each cell is reduced mod p once.
+    With K = 1 no column moves, and output row w*rows(x) + i is row i of x
+    applied, by the row kernel of _combiner, to the block of rows from w*A
+    of z.
+    """
+    k_, a_, w_ = dims
+    _check_legs(x, z, dims, a_ * k_, w_ * a_, "mirror leg product")
+    p = x.field.p
+    znz = z.nonzeros
+    combine = _combiner(p, z.cols, znz, x.nonzeros, blocks=k_)
+    if k_ == 1:
+        blocks = [znz[w * a_ : (w + 1) * a_] for w in range(w_)]
+        out = [combine(xrow, rows, p) for rows in blocks for xrow in x.nonzeros]
+        return _from_index(w_ * x.rows, z.cols, out, x.field)
+    width = z.cols * k_
+    dense = combine is not _combination
+    # per a, the w where row w*A + a of z is nonzero, with that row's
+    # columns c moved to c*K
+    based = [tuple([(c * k_, b) for c, b in row]) for row in znz]
+    reach = [[(w, row) for w, row in enumerate(based[a::a_]) if row] for a in range(a_)]
+    built: list[list[IndexRow]] = [[] for _ in range(w_)]
+    for xrow in x.nonzeros:
+        start = end = 0  # the columns of the block a = j // K of the current entry
+        if dense:
+            cells = [[0] * width for _ in range(w_)]
+            for j, v in xrow:
+                if j >= end:
+                    start = j - j % k_
+                    end, targets = start + k_, reach[start // k_]
+                for w, y in targets:
+                    acc, k = cells[w], j - start
+                    for base, b in y:
+                        acc[base + k] += v * b
+            for w, acc in enumerate(cells):
+                built[w].append(tuple([(j, r) for j, x in enumerate(acc) if (r := x % p)]))
+            continue
+        found: list[list[tuple[int, Scalar]]] = [[] for _ in range(w_)]
+        for j, v in xrow:
+            if j >= end:
+                start = j - j % k_
+                end, targets = start + k_, reach[start // k_]
+            for w, y in targets:
+                k, pairs = j - start, found[w]
+                for base, b in y:
+                    pairs.append((base + k, v * b))
+        for w, pairs in enumerate(found):
+            built[w].append(_summed(pairs, p))
+    return _from_index(w_ * x.rows, width, [row for rows in built for row in rows], x.field)
+
+
+def _summed(pairs: list[tuple[int, Scalar]], p: int | None) -> IndexRow:
+    """The index row of the (column, value) pairs, summed by column and,
+    over GF(p), reduced; every value is nonzero when reduced."""
+    if len(pairs) > 1:
+        if len({j for j, _ in pairs}) < len(pairs):
+            sums: dict[int, Scalar] = {}
+            get = sums.get
+            for j, v in pairs:
+                sums[j] = get(j, 0) + v
+            return _index_row(sums, p)
+        pairs.sort()
+    if p:
+        return tuple([(j, v % p) for j, v in pairs])
+    return tuple(pairs)
+
+
+def _moved(row: IndexRow, shift: int, v: Scalar, p: int | None) -> IndexRow:
+    """The index row v * row with its columns moved up by shift, reduced mod
+    p (unless p is None); row itself when v == 1 and shift == 0."""
+    if v == 1:
+        return tuple([(shift + j, b) for j, b in row]) if shift else row
+    if p:
+        return tuple([(shift + j, v * b % p) for j, b in row])
+    return tuple([(shift + j, v * b) for j, b in row])
+
+
+def _blocks(row: IndexRow, width: int) -> list[tuple[int, list[tuple[int, Scalar]]]]:
+    """The row's entries in column order, split into blocks of ``width``
+    columns: (k, [(column - k * width, value), ...]) for each block k that
+    holds an entry."""
+    out: list[tuple[int, list[tuple[int, Scalar]]]] = []
+    start = end = 0
+    for j, v in row:
+        if j >= end:
+            k = j // width
+            start, end, terms = k * width, (k + 1) * width, []
+            out.append((k, terms))
+        terms.append((j - start, v))
+    return out
 
 
 def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]) -> Matrix:

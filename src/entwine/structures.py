@@ -33,6 +33,7 @@ from .exactlin import (
     column_matrix,
     kron,
     kron_apply,
+    leg_product,
     row_matrix,
     swap_product,
     try_invert,
@@ -248,8 +249,8 @@ class ComoduleAlgebra:
     @cached_property
     def raw_can(self) -> Matrix:
         """The canonical map (m (x) C)(A (x) coaction) on the full A (x) A."""
-        a, c = self.algebra, self.coalgebra
-        return kron_apply(a.mult_matrix, c.identity_matrix, kron(a.identity_matrix, self.coaction))
+        na = self.algebra.dim
+        return leg_product(self.algebra.mult_matrix, self.coaction, (na, na, self.coalgebra.dim))
 
     @cached_property
     def coinvariants(self) -> Subspace:

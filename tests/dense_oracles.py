@@ -29,9 +29,11 @@ blocks, which the library reads off one coinvariant system, the
 relations of A (x)_B A stacked one block per basis vector b of B, which
 the library reads off the image of one map on A (x) B (x) A, the
 horizontal forms with one operator rebuilt per (w, i, j), which the library
-reads off as the right ideal of the left ideal A.Omega_B, and
+reads off as the right ideal of the left ideal A.Omega_B,
 A (x) C+ spanned one Kronecker product of vectors at a time, which the
-library reads off the image of A (x) incl_C+.
+library reads off the echelon indexes of A and C+, and the subalgebra test
+with one product per pair of basis vectors, which the library reads off the
+one product m (incl (x) incl).
 
 Last comes the coextension certificate built on the cotensor product
 C box_B C itself: the canonical coideal spanned over basis inputs and
@@ -417,6 +419,19 @@ def balanced_relations_by_blocks(a, sub: Subspace) -> Subspace:
         blocks.append((kron(lmul, a.identity_matrix) - kron(a.identity_matrix, rmul)).transpose())
     n2 = a.dim * a.dim
     return image(stack_rows(blocks).transpose() if blocks else Matrix.zero(n2, 0, a.field))
+
+
+def subalgebra_failure_by_pairs(a, sub: Subspace) -> str | None:
+    """Why ``sub`` is not a subalgebra of ``a``, or None: the unit, then the
+    product u v of every pair of dense echelon basis vectors, one
+    FiniteAlgebra.multiply each."""
+    if not sub.contains_vector(a.unit):
+        return "does not contain the unit"
+    for u in sub.basis:
+        for v in sub.basis:
+            if not sub.contains_vector(a.multiply(u, v)):
+                return "is not closed under multiplication"
+    return None
 
 
 def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:

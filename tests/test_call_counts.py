@@ -313,3 +313,39 @@ def test_one_parser_per_process(monkeypatch, tmp_path, capsys):
     assert codes == [0] * 6
     # the root parser and its two subcommand parsers, built on the first call
     assert built == {"ArgumentParser": 3}
+
+
+def test_s3_galois_forms_no_identity_kronecker_factor(count_calls, monkeypatch):
+    counts = count_calls(exactlin.kron)
+    transpose = exactlin.Matrix.transpose
+
+    def counted(self):
+        counts["transpose"] += 1
+        return transpose(self)
+
+    monkeypatch.setattr(exactlin.Matrix, "transpose", counted)
+    _run("coset-coideal", {"group": "S3"}, "galois")
+    # the structure maps, the canonical map and its actions, the ideals of
+    # the differential sequence and the left canonical map multiply through
+    # leg_product and leg_product_mirror, which form no kron(I, z), and
+    # apply_kron transposes nothing.  The kron calls left are the relations
+    # of A (x)_B A, the two subspace tensor products and the expected sides
+    # of residual checks; the transposes are those of one swap_product.
+    assert counts["kron"] <= 9
+    assert counts["transpose"] <= 5
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "suite"),
+    [
+        ("coset-coideal", {"group": "S3"}, "galois"),
+        ("trivial-hopf-galois", {"group": "Z3"}, "galois"),
+        ("group-coextension", {"group": "Z3"}, "cogalois"),
+    ],
+)
+def test_the_coinvariants_are_tested_for_a_subalgebra_once(count_calls, name, params, suite):
+    counts = count_calls(galois._subalgebra_failure)
+    _run(name, params, suite)
+    # coinvariants verifies x.coinvariants when it computes them, and
+    # balanced_tensor does not test them again
+    assert counts == {"_subalgebra_failure": 1}

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracles as dense
 from support import field_algebra, field_coalgebra
 from entwine.catalogue import (
     dual_group_algebra,
     group_algebra,
+    quadratic_field_extension,
     self_extension,
+    sweedler_hopf_algebra,
 )
 from entwine.entwining import EntwiningStructure, flip_entwining, hopf_entwining, validate_entwining
 from entwine.errors import IllDefined, NotGalois, NotGroupLike, NotSubalgebra
@@ -17,6 +20,7 @@ from entwine.exactlin import Matrix, Subspace, kron, column_matrix
 from entwine.fields import GF, QQ
 from entwine.galois import (
     _descend,
+    _subalgebra_failure,
     balanced_tensor,
     bundle_check,
     bundle_coaction_equivalence,
@@ -328,6 +332,68 @@ class TestLeftCanonical:
         x = self_extension(h)
         report = left_canonical_check(h, galois_check(x), coaction_algebra_map_checks(x, h.algebra))
         assert report.composite_matches and report.left_bijective
+
+
+ALGEBRAS = (
+    lambda field: group_algebra({"group": "Z4"}, field).algebra,
+    lambda field: group_algebra({"group": "S3"}, field).algebra,
+    lambda field: dual_group_algebra({"group": "S3"}, field).algebra,
+    lambda field: sweedler_hopf_algebra(field).algebra,
+    lambda field: quadratic_field_extension(-1, field).algebra,
+)
+
+
+def generated_subalgebra(a, vectors) -> Subspace:
+    """The subalgebra generated by the vectors: the span with the unit,
+    closed under products of its echelon basis."""
+    sub = Subspace.from_spanning([a.unit, *vectors], a.dim, a.field)
+    while True:
+        products = [a.multiply(u, v) for u in sub.basis for v in sub.basis]
+        closed = Subspace.from_spanning([*sub.basis, *products], a.dim, a.field)
+        if closed == sub:
+            return sub
+        sub = closed
+
+
+@st.composite
+def algebra_subspaces(draw):
+    """(algebra, subspace, kind) over Q or GF(7): the span of up to three
+    random vectors, that span with the unit, or the subalgebra it generates."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    a = draw(st.sampled_from(ALGEBRAS))(field)
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim), max_size=3))
+    kind = draw(st.sampled_from(["span", "unital span", "generated"]))
+    if kind == "generated":
+        return a, generated_subalgebra(a, vectors), kind
+    spanning = [a.unit, *vectors] if kind == "unital span" else vectors
+    return a, Subspace.from_spanning(spanning, a.dim, field), kind
+
+
+class TestSubalgebraTest:
+    """_subalgebra_failure, one product m (incl (x) incl) and one
+    containment test, against the pair loop over the dense echelon basis."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(algebra_subspaces())
+    def test_matches_the_pair_loop(self, case):
+        a, sub, kind = case
+        failure = _subalgebra_failure(a, sub)
+        assert failure == dense.subalgebra_failure_by_pairs(a, sub)
+        if kind == "generated":
+            assert failure is None
+
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    def test_each_verdict(self, field):
+        a = group_algebra({"group": "S3"}, field).algebra
+        g = [0, 0, 0, 0, 1, 0]  # (123), whose square (132) is not in span{1, g}
+        cases = (
+            (Subspace.from_spanning([g], 6, field), "does not contain the unit"),
+            (Subspace.from_spanning([a.unit, g], 6, field), "is not closed under multiplication"),
+            (generated_subalgebra(a, [g]), None),
+            (Subspace.full(6, field), None),
+        )
+        for sub, verdict in cases:
+            assert _subalgebra_failure(a, sub) == dense.subalgebra_failure_by_pairs(a, sub) == verdict
 
 
 class TestCoinvariantProperties:

@@ -3,15 +3,17 @@ residual checks and report details) against the dense oracles, over QQ and GF(7)
 and columns, repeated rows, empty shapes and singular inputs; the list
 accumulator against the dict one, and the products that pick it against the
 dense oracles, over GF(2), GF(7) and GF(2^31 - 1); the fused Kronecker products
-against the Kronecker product formed first, and the product in a tensor
-product against its formed middle swap, over QQ, GF(7) and GF(2); the
+and the leg products against the Kronecker products formed first, and the
+product in a tensor product against its formed middle swap, over QQ, GF(7)
+and GF(2); the tensor product of subspaces against the image of the
+Kronecker product of their inclusions; the
 quotient forms of the coideal and invariance tests against their
 spanning-set forms; the block uniqueness system against the full one; and
 every rational kernel against the all-Fraction form of its input."""
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,12 +51,15 @@ from entwine.exactlin import (
     kernel,
     kron,
     kron_apply,
+    leg_product,
+    leg_product_mirror,
     middle_block,
     quotient,
     rank,
     stack_rows,
     swap_product,
     tensor_permutation,
+    tensor_subspace,
     try_invert,
 )
 from entwine.galois import entwining_uniqueness, galois_check
@@ -345,6 +350,115 @@ class TestFusedKroneckerProducts:
             kron_apply(x, Matrix.identity(3, GF7), Matrix.zero(6, 1, QQ))
 
 
+@st.composite
+def leg_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
+    """x, z and legs (K, A, W) over one field, each leg of size 0 to 3, for
+    kron(x, I_W) @ kron(I_K, z) (x has K*A columns, z has A*W rows) and,
+    with the same shapes, kron(I_W, x) @ kron(z, I_K)."""
+    field = draw(fields)
+    k, a, w, rows, cols = (draw(st.integers(0, 3)) for _ in range(5))
+    return draw(matrices(field, rows=rows, cols=k * a)), draw(matrices(field, rows=a * w, cols=cols)), (k, a, w)
+
+
+def formed_leg_product(x: Matrix, z: Matrix, dims) -> Matrix:
+    k, _, w = dims
+    return dense.kron_then_product(x, Matrix.identity(w, x.field), kron(Matrix.identity(k, x.field), z))
+
+
+def formed_mirror(x: Matrix, z: Matrix, dims) -> Matrix:
+    k, _, w = dims
+    return dense.kron_then_product(Matrix.identity(w, x.field), x, kron(z, Matrix.identity(k, x.field)))
+
+
+def s4_mult(field) -> Matrix:
+    """The multiplication of k[S4] from its Cayley table, identity first."""
+    perms = list(permutations(range(4)))
+    index = {q: i for i, q in enumerate(perms)}
+    table = [[index[tuple(g[h[i]] for i in range(4))] for h in perms] for g in perms]
+    return group_algebra({"table": table}, field).algebra.mult_matrix
+
+
+class TestLegProducts:
+    """leg_product and leg_product_mirror against the products with both
+    identity Kronecker factors formed first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg_products())
+    def test_match_the_formed_factors(self, args):
+        x, z, dims = args
+        k, a, w = dims
+        out = leg_product(x, z, dims)
+        assert out == formed_leg_product(x, z, dims)
+        assert (out.rows, out.cols) == (x.rows * w, k * z.cols)
+        assert_indexed(out)
+        mirrored = leg_product_mirror(x, z, dims)
+        assert mirrored == formed_mirror(x, z, dims)
+        assert (mirrored.rows, mirrored.cols) == (w * x.rows, z.cols * k)
+        assert_indexed(mirrored)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dense_products_mod_p_match_the_formed_factors(self, data):
+        field = GF(data.draw(PRIMES))
+        k, a, w, rows, cols = (data.draw(st.integers(1, 3)) for _ in range(5))
+        x = data.draw(matrices_mod_p(field, rows, k * a))
+        z = data.draw(matrices_mod_p(field, a * w, cols))
+        for product, formed in ((leg_product, formed_leg_product), (leg_product_mirror, formed_mirror)):
+            out = product(x, z, (k, a, w))
+            assert out == formed(x, z, (k, a, w))
+            assert_indexed(out)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GF2])
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 0, 0), (1, 3, 1), (3, 1, 2)])
+    def test_legs_of_size_zero_and_one(self, field, dims):
+        k, a, w = dims
+
+        def filled(rows, cols):
+            return Matrix.from_triples(rows, cols, [(i, j, 1 + i + 3 * j) for i in range(rows) for j in range(cols)], field)
+
+        x, z = filled(2, k * a), filled(a * w, 3)
+        assert leg_product(x, z, dims) == formed_leg_product(x, z, dims)
+        assert leg_product_mirror(x, z, dims) == formed_mirror(x, z, dims)
+
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    def test_empty_rows_and_non_unit_coefficients(self, field):
+        x = Matrix.from_rows([[0, 0, 0, 0], [3, 0, 0, 2], [0, 5, 1, 0]], field)
+        z = Matrix.from_rows([[1, 4, 0], [0, 0, 0], [2, 0, 6], [0, 3, 3]], field)
+        for dims in ((2, 2, 2), (1, 4, 1)):
+            assert leg_product(x, z, dims) == formed_leg_product(x, z, dims)
+            assert leg_product_mirror(x, z, dims) == formed_mirror(x, z, dims)
+        x2 = Matrix.from_rows([[0, 2], [4, 0]], field)
+        assert leg_product(x2, z, (1, 2, 2)) == formed_leg_product(x2, z, (1, 2, 2))
+        assert leg_product_mirror(x2, z, (1, 2, 2)) == formed_mirror(x2, z, (1, 2, 2))
+        assert leg_product(x, z, (2, 2, 2)).nonzeros[:2] == ((), ())  # the empty row of x
+
+    def test_bad_shapes_raise(self):
+        x, z = Matrix.zero(2, 6, QQ), Matrix.zero(6, 1, QQ)
+        with pytest.raises(DimensionMismatch):
+            leg_product(x, z, (2, 3, 3))
+        with pytest.raises(DimensionMismatch):
+            leg_product_mirror(x, z, (3, 2, 2))
+        with pytest.raises(FieldMismatch):
+            leg_product(x, Matrix.zero(6, 1, GF7), (2, 3, 2))
+
+    def test_a_sparse_s4_shaped_product_keeps_the_dict_kernel(self):
+        # m and m with its legs swapped: each block of K = 24 columns holds
+        # one or two terms, each row 24 to 48, and every row of z two
+        # entries of 24.  Per block the terms touch 2 to 4 entries, under
+        # the width, so the dict kernel serves; counted per output row they
+        # would reach it and pick the list kernel.
+        m = s4_mult(GF7)
+        swapped = m @ tensor_permutation((24, 24), (1, 0), GF7)
+        x = m + swapped + swapped
+        z = Matrix.from_triples(576, 24, [(r, c, 1 + r % 5) for r in range(576) for c in (r % 24, (r * 7 + 3) % 24)], GF7)
+        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros, blocks=24) is _combination
+        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros) is not _combination
+        with list_kernel_calls() as calls:
+            out = leg_product(x, z, (24, 24, 24))
+        assert calls == []
+        assert out == formed_leg_product(x, z, (24, 24, 24))
+
+
 PRIMES = st.sampled_from([2, 7, 2**31 - 1])
 
 
@@ -387,16 +501,18 @@ def dense_kron(x: Matrix, y: Matrix) -> Matrix:
 
 @contextmanager
 def list_kernel_calls():
-    """The moduli of the calls made to the list accumulator inside the block."""
+    """The moduli of the calls made inside the block to the list
+    accumulator, _list_blocks, which every product that picks it calls for
+    each sum of two or more terms (a leg product's blocks included)."""
     calls = []
-    real = exactlin._list_combination
+    real = exactlin._list_blocks
 
-    def spy(terms, rows, p, cols):
+    def counted(blocks, rows, p, cols):
         calls.append(p)
-        return real(terms, rows, p, cols)
+        return real(blocks, rows, p, cols)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlin, "_list_combination", spy)
+        patch.setattr(exactlin, "_list_blocks", counted)
         yield calls
 
 
@@ -750,6 +866,35 @@ class TestIndexFirstSubspace:
     def test_mismatched_ambient_dimensions_raise(self):
         with pytest.raises(DimensionMismatch):
             Subspace.full(3, QQ).contains_subspace(Subspace.zero_subspace(2, QQ))
+        with pytest.raises(DimensionMismatch):
+            Subspace.full(3, QQ).contains_columns(Matrix.zero(2, 1, QQ))
+        with pytest.raises(FieldMismatch):
+            tensor_subspace(Subspace.full(1, QQ), Subspace.full(1, GF7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spanning_sets(), st.data())
+    def test_tensor_products_are_read_off_the_two_indexes(self, case, data):
+        field, n, vectors = case
+        s = Subspace.from_spanning(vectors, n, field)
+        m = data.draw(st.integers(0, 4))
+        t = Subspace.from_spanning(data.draw(st.lists(st.lists(scalars(field), min_size=m, max_size=m), max_size=4)), m, field)
+        product = tensor_subspace(s, t)
+        expected = image(kron(s.inclusion(), t.inclusion()))
+        assert product == expected
+        assert (product.ambient_dim, product.dim) == (n * m, s.dim * t.dim)
+        assert "basis" not in product.__dict__
+        assert_subspace_indexed(product)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_sets(), st.data())
+    def test_contains_columns_tests_every_column(self, case, data):
+        field, n, vectors = case
+        sub = Subspace.from_spanning(vectors, n, field)
+        k = data.draw(st.integers(0, 4))
+        inside = sub.inclusion() @ data.draw(matrices(field, rows=sub.dim, cols=k))
+        assert sub.contains_columns(inside)
+        m = data.draw(matrices(field, rows=n, cols=k))
+        assert sub.contains_columns(m) == all(sub.contains_vector(col) for col in m.columns())
 
 
 def all_fraction(m: Matrix) -> Matrix:
