@@ -68,10 +68,6 @@ class CogenerationReport:
     verdict: str
     stabilized_at: int | None
 
-    @property
-    def final_kernel(self) -> Subspace:
-        return self.kernels_by_length[-1]
-
 
 def _kernel_step(c: FiniteCoalgebra, projections: Sequence[Matrix], k: Subspace) -> Subspace:
     """The common kernel of (pi_i (x) q_K) . coproduct over the projections
@@ -135,12 +131,6 @@ class CoinvariantIntersectionReport:
     equality_holds: bool
     cogeneration: CogenerationReport
     note: str
-
-    @property
-    def consistent(self) -> bool:
-        if self.cogeneration.verdict == COGENERATES:
-            return self.inclusion_holds and self.equality_holds
-        return self.inclusion_holds
 
 
 def coinvariant_intersection_check(x: ComoduleAlgebra, cogeneration: CogenerationReport) -> CoinvariantIntersectionReport:

@@ -20,20 +20,20 @@ eliminate each distinct nonzero row once: repeated and zero rows add nothing
 to the row space, whose RREF is unique.  ``try_invert`` takes every row,
 because row i of its augmented system [m | I] carries e_i.
 
-Every product that combines rows (``@``, ``kron_apply``, the blocks of
-``leg_product`` and of ``apply_kron``) sums a * rows[k] over
-each combination's terms with one of two row kernels, picked once per
-product from its operands' nonzero indexes.  ``_combination`` accumulates
-in a dict and sorts the output row's columns.  Over GF(p), when the average
-combination touches at least as many entries as it has columns,
-``_list_combination`` accumulates in a list of that width instead and reads
-the row off in column order, with no dict and no sort: the dense
-accumulator of row-by-row sparse products (Gustavson, ACM TOMS 4, 1978).
-The average is the coefficients per combination times the entries per
-combined row; a product whose output rows each split into K blocks counts
-per block, not per output row.  Over Q the dict accumulator always serves
-and no count is taken, so rational products pay nothing for the choice.
-Over GF(p) both kernels reduce each output cell mod p once.
+Every product that combines rows (``@``, ``kron_apply``, ``apply_kron``
+and the leg products) sums a * rows[k] over each combination's terms with
+one of two row kernels, picked once per product from its operands' nonzero
+indexes.  ``_combination`` accumulates in a dict and sorts the columns.
+Over GF(p), when the average combination touches at least as many entries
+as it has columns, the product packs each combined row once into an int,
+column j in the slot of S bits at bit j S: a combination is one
+multiply-add of ints per term, and its row is read off the cells once, each
+reduced mod p (word packing with delayed reduction: Dumas, Fousse and
+Salvy, J. Symb. Comput. 46, 2011; Dumas, Giorgi and Pernet, ACM TOMS 35,
+2008).  S is the least of 16, 32 and 64 with room for a sum of len(rows)
+products of residues; with none the dict kernel serves.  The average is the
+coefficients per combination times the entries per combined row, per block
+when output rows split into K blocks.  Over Q the dict kernel serves.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -102,6 +102,7 @@ All values are immutable; all operations are pure and deterministic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -168,51 +169,92 @@ def _combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], 
     return _index_row(acc, p)
 
 
-def _list_combination(terms: Sequence[tuple[int, Scalar]], rows: Sequence[IndexRow], p: int, cols: int) -> IndexRow:
-    """_combination over GF(p) for rows of width cols, accumulated by
-    _list_blocks as one block at base 0; one-term and empty sums as in
-    _combination."""
-    if not terms:
-        return ()
-    if len(terms) == 1:
-        k, a = terms[0]
-        if a == 1:
-            return rows[k]
-        return tuple([(j, a * b % p) for j, b in rows[k]])
-    return _list_blocks(((0, terms),), rows, p, cols)
+_CELLS = {16: "H", 32: "I", 64: "Q"}
 
 
-def _list_blocks(blocks: Sequence[tuple[int, Sequence[tuple[int, Scalar]]]], rows: Sequence[IndexRow], p: int, cols: int) -> IndexRow:
-    """The index row of the sum, over the blocks (base, terms), of a * rows[k]
-    with its columns moved up by base for each (k, a) in terms, accumulated
-    in a list of cols cells: no dict and no sort, each cell reduced mod p
-    once."""
-    acc = [0] * cols
-    for base, terms in blocks:
+def _slot(p: int, n: int) -> int:
+    """The bits S of a packed cell: the least of 16, 32 and 64 with
+    n (p - 1)^2 < 2^S, so that n products of two residues mod p sum in a
+    cell without carrying into the next; 0 when none is, or on a big-endian
+    host."""
+    bound = n * (p - 1) ** 2
+    for s in _CELLS:
+        if bound >> s == 0 and sys.byteorder == "little":
+            return s
+    return 0
+
+
+def _packed(rows: Sequence[IndexRow], p: int, s: int, stride: int = 1) -> list[int]:
+    """Each index row's values mod p packed into one int, column j in the
+    cell of s bits at bit j * stride * s."""
+    s *= stride
+    out = []
+    for row in rows:
+        acc = 0
+        for j, b in row:
+            acc |= b % p << j * s
+        out.append(acc)
+    return out
+
+
+def _unpacked(acc: int, p: int, s: int, cols: int) -> IndexRow:
+    """The index row of the cols cells of acc, s bits each, reduced mod p:
+    read through its bytes, or by shifts when there are at most 8."""
+    if cols > 8:
+        cells = memoryview(acc.to_bytes(cols * s >> 3, "little")).cast(_CELLS[s])
+        return tuple([(j, r) for j, x in enumerate(cells) if (r := x % p)])
+    out, mask, j = [], (1 << s) - 1, 0
+    while acc:
+        if r := (acc & mask) % p:
+            out.append((j, r))
+        acc >>= s
+        j += 1
+    return tuple(out)
+
+
+def _packing(p: int, cols: int, rows: Sequence[IndexRow], stride: int = 1) -> tuple[Callable[..., IndexRow], Sequence]:
+    """The packed row kernel over GF(p) for rows of width cols, called as
+    kernel(terms, pairs, p) on ``pairs``: each row of the index ``rows``
+    with its int from _packed, in slots of _slot(p, len(rows)) bits.  It
+    sums a * rows[k] over the terms with one multiply-add of packed ints
+    per term, each coefficient reduced first, and reads the cells off
+    once; one-term and empty sums as in _combination.  When no slot is
+    wide enough the kernel is _combination, with rows as they are."""
+    s = _slot(p, len(rows))
+    if not s:
+        return _combination, rows
+
+    def combine(terms: Sequence[tuple[int, Scalar]], rows: Sequence, p: int) -> IndexRow:
+        if len(terms) == 1:
+            k, a = terms[0]
+            return rows[k][0] if a == 1 else tuple([(j, a * b % p) for j, b in rows[k][0]])
+        acc = 0
         for k, a in terms:
-            for j, b in rows[k]:
-                acc[base + j] += a * b
-    return tuple([(j, y) for j, x in enumerate(acc) if (y := x % p)])
+            acc += a % p * rows[k][1]
+        return _unpacked(acc, p, s, cols)
+
+    return combine, list(zip(rows, _packed(rows, p, s, stride)))
 
 
 def _combiner(
-    p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow], blocks: int = 1
-) -> Callable[..., IndexRow]:
-    """The row kernel, called as kernel(terms, rows, p), of a product whose
-    combinations sum rows of the index ``rows`` (of width cols), with one
-    coefficient per term from each index in ``coefficients``, whose rows
-    each split into ``blocks`` combinations.  Over GF(p), when the average
-    combination touches at least cols entries, that is the list accumulator;
-    otherwise, and always over Q, it is _combination.  The average is the
-    product of the entries per row of each index, over ``blocks``."""
+    p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow], blocks: int = 1, stride: int = 1
+) -> tuple[Callable[..., IndexRow], Sequence]:
+    """The row kernel of a product whose combinations sum rows of the index
+    ``rows`` (of width cols), with one coefficient per term from each index
+    in ``coefficients``, whose rows each split into ``blocks``
+    combinations; returned with the rows it combines, as for _packing.
+    Over GF(p), when the average combination touches at least cols entries,
+    and some touch one, that is the packed kernel of _packing; otherwise,
+    and always over Q, it is _combination.  The average is the product of
+    the entries per row of each index, over ``blocks``."""
     if p:
         touched, count = sum(map(len, rows)), len(rows) * blocks
         for index in coefficients:
             touched *= sum(map(len, index))
             count *= len(index)
-        if touched >= cols * count:
-            return lambda terms, rows, p: _list_combination(terms, rows, p, cols)
-    return _combination
+        if touched and touched >= cols * count:
+            return _packing(p, cols, rows, stride)
+    return _combination, rows
 
 
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
@@ -325,8 +367,8 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
-        anz, bnz = self.nonzeros, other.nonzeros
-        combine = _combiner(p, other.cols, bnz, anz)
+        anz = self.nonzeros
+        combine, bnz = _combiner(p, other.cols, other.nonzeros, anz)
         return _from_index(self.rows, other.cols, [combine(arow, bnz, p) for arow in anz], self.field)
 
     def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
@@ -367,9 +409,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[Scalar, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
@@ -764,8 +803,7 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
     if x.is_identity:
         return leg_product_mirror(y, m, (1, y.cols, x.rows))
     p = x.field.p
-    mnz = m.nonzeros
-    combine = _combiner(p, m.cols, mnz, x.nonzeros, y.nonzeros)
+    combine, mnz = _combiner(p, m.cols, m.nonzeros, x.nonzeros, y.nonzeros)
     yrows = _unit_flagged(y, 1)
     out = []
     for xrow in _unit_flagged(x, y.cols):
@@ -803,9 +841,9 @@ def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
     if x.is_identity:
         return leg_product(m, y, (x.rows, y.rows, 1))
     p = m.field.p
-    c2, ynz = y.cols, y.nonzeros
+    c2 = y.cols
     xbased = [tuple([(c * c2, b) for c, b in row]) for row in x.nonzeros]
-    combine = _combiner(p, c2, ynz, m.nonzeros, blocks=x.rows)
+    combine, ynz = _combiner(p, c2, y.nonzeros, m.nonzeros, blocks=x.rows)
     out = []
     for mrow in m.nonzeros:
         pairs: list[tuple[int, Scalar]] = []
@@ -832,26 +870,34 @@ def leg_product(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
     width A.  Block k combines the strided slice of rows w, W + w, ... of z
     by its coefficients, and the result lands at column offset k*cols(z).
     With K = 1 the output row is that one combination, by the row kernel of
-    _combiner.  Otherwise, when _combiner picks the list kernel for the
-    blocks (over GF(p)), all blocks of an output row share one list;
-    else each block is taken only to the slices where one of its rows of z
-    is nonzero, and a one-term block is that row, scaled, with no call to
-    the row kernel.
+    _combiner.  Otherwise, when _combiner picks the packed kernel for the
+    blocks (over GF(p)), the packed sums of the blocks, each shifted to its
+    offset, add into one int per output row; else each block is taken only
+    to the slices where one of its rows of z is nonzero, and a one-term
+    block is that row, scaled, with no call to the row kernel.
     """
     k_, a_, w_ = dims
     _check_legs(x, z, dims, k_ * a_, a_ * w_, "leg product")
     p = x.field.p
-    znz, width = z.nonzeros, z.cols
+    width = z.cols
+    combine, znz = _combiner(p, width, z.nonzeros, x.nonzeros, blocks=k_)
     slices = [znz[w::w_] for w in range(w_)]
-    combine = _combiner(p, width, znz, x.nonzeros, blocks=k_)
     if k_ == 1:
         out = [combine(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
         return _from_index(x.rows * w_, width, out, x.field)
     out = []
     if combine is not _combination:
+        s = _slot(p, z.rows)
         for xrow in x.nonzeros:
-            blocks = [(k * width, terms) for k, terms in _blocks(xrow, a_)]
-            out.extend([_list_blocks(blocks, rows, p, k_ * width) for rows in slices])
+            blocks = [(k * width * s, terms) for k, terms in _blocks(xrow, a_)]
+            for rows in slices:
+                acc = 0
+                for shift, terms in blocks:
+                    block = 0
+                    for a, v in terms:
+                        block += v % p * rows[a][1]
+                    acc += block << shift
+                out.append(_unpacked(acc, p, s, k_ * width))
         return _from_index(x.rows * w_, k_ * width, out, x.field)
     # per a, the slices w where row a*W + w of z is nonzero, with that row
     reach = [[(w, row) for w, row in enumerate(znz[a * w_ : (a + 1) * w_]) if row] for a in range(a_)]
@@ -877,11 +923,13 @@ def leg_product_mirror(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
 
     Output row w*rows(x) + i accumulates, for each entry v at column
     a*K + k of row i of x, v times row w*A + a of z with its column c moved
-    to c*K + k: the outer product of that row of z with the entry.  Over
-    GF(p) the cells are summed in a list when the average output row
-    touches as many entries as it has columns (the rule of _combiner, per
-    block of K columns).  Otherwise the entries are sorted, and summed in a
-    dict only if two share a column.  Each cell is reduced mod p once.
+    to c*K + k: the outer product of that row of z with the entry.  When
+    _combiner picks the packed kernel (over GF(p), per block of K columns),
+    z is packed at stride K and x at stride 1, and block a of a row of x,
+    K cells, times row w*A + a of z is that outer product for the whole
+    block in one multiply (Kronecker substitution).  Otherwise the entries
+    are sorted, and summed in a dict only if two share a column.  Each cell
+    is reduced mod p once.
     With K = 1 no column moves, and output row w*rows(x) + i is row i of x
     applied, by the row kernel of _combiner, to the block of rows from w*A
     of z.
@@ -889,34 +937,37 @@ def leg_product_mirror(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
     k_, a_, w_ = dims
     _check_legs(x, z, dims, a_ * k_, w_ * a_, "mirror leg product")
     p = x.field.p
-    znz = z.nonzeros
-    combine = _combiner(p, z.cols, znz, x.nonzeros, blocks=k_)
+    combine, znz = _combiner(p, z.cols, z.nonzeros, x.nonzeros, blocks=k_, stride=k_)
     if k_ == 1:
         blocks = [znz[w * a_ : (w + 1) * a_] for w in range(w_)]
         out = [combine(xrow, rows, p) for rows in blocks for xrow in x.nonzeros]
         return _from_index(w_ * x.rows, z.cols, out, x.field)
     width = z.cols * k_
-    dense = combine is not _combination
+    built: list[list[IndexRow]] = [[] for _ in range(w_)]
+    if combine is not _combination:
+        s = _slot(p, z.rows)
+        # per a, the shift of block a in a packed row of x, and the (w, row
+        # w*A + a of z packed at stride K) where that row is nonzero
+        reach = [(a * k_ * s, [(w, y) for w, (row, y) in enumerate(znz[a::a_]) if row]) for a in range(a_)]
+        mask = (1 << k_ * s) - 1
+        for xrow in _packed(x.nonzeros, p, s):
+            cells = [0] * w_
+            for shift, targets in reach:
+                # block a of the row times a row at stride K: the outer
+                # product, each cell c*K + k once (Kronecker substitution)
+                v = xrow >> shift & mask
+                if v:
+                    for w, y in targets:
+                        cells[w] += v * y
+            for w, acc in enumerate(cells):
+                built[w].append(_unpacked(acc, p, s, width))
+        return _from_index(w_ * x.rows, width, [row for rows in built for row in rows], x.field)
     # per a, the w where row w*A + a of z is nonzero, with that row's
     # columns c moved to c*K
     based = [tuple([(c * k_, b) for c, b in row]) for row in znz]
     reach = [[(w, row) for w, row in enumerate(based[a::a_]) if row] for a in range(a_)]
-    built: list[list[IndexRow]] = [[] for _ in range(w_)]
     for xrow in x.nonzeros:
         start = end = 0  # the columns of the block a = j // K of the current entry
-        if dense:
-            cells = [[0] * width for _ in range(w_)]
-            for j, v in xrow:
-                if j >= end:
-                    start = j - j % k_
-                    end, targets = start + k_, reach[start // k_]
-                for w, y in targets:
-                    acc, k = cells[w], j - start
-                    for base, b in y:
-                        acc[base + k] += v * b
-            for w, acc in enumerate(cells):
-                built[w].append(tuple([(j, r) for j, x in enumerate(acc) if (r := x % p)]))
-            continue
         found: list[list[tuple[int, Scalar]]] = [[] for _ in range(w_)]
         for j, v in xrow:
             if j >= end:

@@ -104,23 +104,6 @@ class FiniteAlgebra:
         """validate_algebra(self)."""
         return validate_algebra(self)
 
-    def multiply(self, x, y) -> tuple[Scalar, ...]:
-        """Product of two coordinate vectors, contracted over the nonzero
-        structure constants."""
-        d = self.dim
-        if len(x) != d or len(y) != d:
-            raise DimensionMismatch(f"factors of length {len(x)} and {len(y)} in an algebra of dimension {d}")
-        out = []
-        for row in self.mult_matrix.nonzeros:
-            acc = self.field.zero
-            for ij, c in row:
-                i, j = divmod(ij, d)
-                if x[i] and y[j]:
-                    acc += c * x[i] * y[j]
-            out.append(acc)
-        p = self.field.p
-        return tuple(v % p for v in out) if p else tuple(out)
-
 
 @dataclass(frozen=True)
 class FiniteCoalgebra:

@@ -48,6 +48,11 @@ as well: the dual bundle as that certificate of the induced action over the
 induced coideal, with its equivalence and the action forced by its counit,
 the uniqueness system in the action, and the module axioms and the
 coalgebra-map test stated directly on the action.
+
+Four readers that only tests use sit with the dense kernels: the dense
+columns of a matrix, the product of two coordinate vectors of an algebra,
+the last kernel of a cogeneration report, and whether a coinvariant
+intersection report asserts what its cogeneration verdict allows.
 """
 
 from __future__ import annotations
@@ -100,6 +105,43 @@ def matmul(a: Matrix, b: Matrix) -> tuple:
         if prime:
             out[i] = [x % p for x in orow]
     return tuple(tuple(r) for r in out)
+
+
+def columns(m: Matrix) -> list[tuple]:
+    """The dense columns of m."""
+    return [m.column(j) for j in range(m.cols)]
+
+
+def multiply(a, x, y) -> tuple:
+    """The product in the algebra a of two coordinate vectors, contracted
+    over the nonzero structure constants."""
+    d = a.dim
+    if len(x) != d or len(y) != d:
+        raise DimensionMismatch(f"factors of length {len(x)} and {len(y)} in an algebra of dimension {d}")
+    out = []
+    for row in a.mult_matrix.nonzeros:
+        acc = a.field.zero
+        for ij, c in row:
+            i, j = divmod(ij, d)
+            if x[i] and y[j]:
+                acc += c * x[i] * y[j]
+        out.append(acc)
+    p = a.field.p
+    return tuple(v % p for v in out) if p else tuple(out)
+
+
+def final_kernel(report) -> Subspace:
+    """The last per-length kernel of a cogeneration report."""
+    return report.kernels_by_length[-1]
+
+
+def consistent(report) -> bool:
+    """Whether a coinvariant intersection report holds what its
+    cogeneration verdict allows: the inclusion always, and equality too
+    when the quotients cogenerate."""
+    if report.cogeneration.verdict == COGENERATES:
+        return report.inclusion_holds and report.equality_holds
+    return report.inclusion_holds
 
 
 def kron_dense(m1: Matrix, m2: Matrix) -> tuple:
@@ -429,7 +471,7 @@ def subalgebra_failure_by_pairs(a, sub: Subspace) -> str | None:
         return "does not contain the unit"
     for u in sub.basis:
         for v in sub.basis:
-            if not sub.contains_vector(a.multiply(u, v)):
+            if not sub.contains_vector(multiply(a, u, v)):
                 return "is not closed under multiplication"
     return None
 
@@ -481,7 +523,7 @@ def canonical_coideal_by_basis(x) -> Subspace:
         for k in range(nc):
             pick = kron(c.identity_matrix, row_matrix(basis_vector(nc, k, field), field))
             diff = pick @ first - pick @ second
-            vectors.extend(diff.columns())
+            vectors.extend(columns(diff))
     return Subspace.from_spanning(vectors, nc, field)
 
 

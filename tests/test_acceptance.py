@@ -55,6 +55,7 @@ from entwine.galois import (
     galois_check,
     left_canonical_check,
 )
+from dense_oracles import final_kernel, multiply
 from support import canonical_coideal, field_algebra, invert_hopf_entwining
 from entwine.structures import (
     Character,
@@ -225,7 +226,7 @@ def test_criterion_7_cogeneration_and_coinvariant_intersection():
         s3.coalgebra, quotient_coalgebra(s3.coalgebra, i1), quotient_coalgebra(s3.coalgebra, i2), cutoff=7
     )
     assert positive.verdict == COGENERATES
-    assert positive.final_kernel.dim == 0
+    assert final_kernel(positive).dim == 0
     meet = coinvariant_intersection_check(self_extension(s3), positive)
     assert meet.inclusion_holds and meet.equality_holds
     z4 = group_algebra({"group": "Z4"}, QQ)
@@ -233,7 +234,7 @@ def test_criterion_7_cogeneration_and_coinvariant_intersection():
     z4_quotient = quotient_coalgebra(z4.coalgebra, j)
     negative = cogeneration_check(z4.coalgebra, z4_quotient, z4_quotient)
     assert negative.verdict == DOES_NOT_COGENERATE
-    assert negative.final_kernel.dim > 0
+    assert final_kernel(negative).dim > 0
     assert negative.kernels_by_length[-1] == negative.kernels_by_length[-2]
     meet_neg = coinvariant_intersection_check(self_extension(z4), negative)
     assert meet_neg.inclusion_holds and not meet_neg.equality_holds
@@ -294,7 +295,7 @@ def test_criterion_8_property_suites_gf7():
         assert sub.contains_vector(algebra.unit)
         for u in sub.basis:
             for v in sub.basis:
-                assert sub.contains_vector(algebra.multiply(u, v))
+                assert sub.contains_vector(multiply(algebra, u, v))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -9,6 +9,7 @@ from dense_oracles import (
     action_forced_by_counit,
     canonical_coideal_by_basis,
     certify_by_cotensor,
+    columns,
     comult_tensor,
     cotensor,
     dual_bundle_action_equivalence,
@@ -507,7 +508,7 @@ class TestAgainstTheCotensorOracle:
             ok = all(chk.ok for chk in direct)
             if ok:
                 expected = Subspace.from_spanning(
-                    (x.action - kron(x.coalgebra.identity_matrix, Matrix.from_rows([coalgebra.counit], x.coalgebra.field))).columns(),
+                    columns(x.action - kron(x.coalgebra.identity_matrix, Matrix.from_rows([coalgebra.counit], x.coalgebra.field))),
                     x.coalgebra.dim,
                     x.coalgebra.field,
                 )

@@ -76,14 +76,14 @@ class TestCogeneration:
         report = cogenerate(s3_hopf.coalgebra, *s3_coideals, cutoff=7)
         assert report.verdict == COGENERATES
         assert report.stabilized_at == 2
-        assert report.final_kernel.dim == 0
+        assert dense.final_kernel(report).dim == 0
 
     def test_z4_non_generating_subgroup(self, z4_coideal):
         h = group_algebra({"group": "Z4"})
         report = cogenerate(h.coalgebra, z4_coideal, z4_coideal)
         assert report.verdict == DOES_NOT_COGENERATE
-        assert dense.invariance_by_spanning(h.coalgebra, (z4_coideal, z4_coideal), report.final_kernel)
-        assert report.final_kernel.dim == 2
+        assert dense.invariance_by_spanning(h.coalgebra, (z4_coideal, z4_coideal), dense.final_kernel(report))
+        assert dense.final_kernel(report).dim == 2
 
     def test_zero_coideals_cogenerate_at_length_one(self, z2_hopf):
         zero = Subspace.zero_subspace(2, QQ)
@@ -106,7 +106,7 @@ class TestCogeneration:
     def test_cutoff_one_inconclusive_when_kernel_nonzero(self, s3_hopf, s3_coideals):
         report = cogenerate(s3_hopf.coalgebra, *s3_coideals, cutoff=1)
         assert report.verdict == INCONCLUSIVE
-        assert report.final_kernel.dim > 0
+        assert dense.final_kernel(report).dim > 0
 
 
 def _profile(report):
@@ -149,7 +149,7 @@ class TestCoinvariantIntersection:
         x = self_extension(s3_hopf)
         report = coinvariant_intersection_check(x, cogenerate(x.coalgebra, *s3_coideals, cutoff=7))
         assert report.inclusion_holds and report.equality_holds
-        assert report.consistent
+        assert dense.consistent(report)
         assert report.full_coinvariants.dim == 1
         # the quotient by the normal subgroup keeps its three cosets invariant
         assert {s.dim for s in report.quotient_coinvariants} == {1, 3}
@@ -160,7 +160,7 @@ class TestCoinvariantIntersection:
         report = coinvariant_intersection_check(x, cogenerate(x.coalgebra, z4_coideal, z4_coideal))
         assert report.inclusion_holds
         assert not report.equality_holds
-        assert report.consistent
+        assert dense.consistent(report)
         assert "hypothesis absent" in report.note
         assert report.full_coinvariants.dim == 1
         assert report.intersection.dim == 2

@@ -348,7 +348,7 @@ def generated_subalgebra(a, vectors) -> Subspace:
     closed under products of its echelon basis."""
     sub = Subspace.from_spanning([a.unit, *vectors], a.dim, a.field)
     while True:
-        products = [a.multiply(u, v) for u in sub.basis for v in sub.basis]
+        products = [dense.multiply(a, u, v) for u in sub.basis for v in sub.basis]
         closed = Subspace.from_spanning([*sub.basis, *products], a.dim, a.field)
         if closed == sub:
             return sub

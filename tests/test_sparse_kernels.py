@@ -1,8 +1,9 @@
-"""The nonzero-indexed kernels of exactlin (and FiniteAlgebra.multiply,
-residual checks and report details) against the dense oracles, over QQ and GF(7), on random densities, zero rows
-and columns, repeated rows, empty shapes and singular inputs; the list
-accumulator against the dict one, and the products that pick it against the
-dense oracles, over GF(2), GF(7) and GF(2^31 - 1); the fused Kronecker products
+"""The nonzero-indexed kernels of exactlin (and residual checks and report
+details) against the dense oracles, over QQ and GF(7), on random densities, zero rows
+and columns, repeated rows, empty shapes and singular inputs; the packed
+accumulator against the dict one, at the limits of its slots and on
+unreduced entries, and the products that pick it against the dense oracles,
+over GF(2), GF(7), GF(2^31 - 1) and GF(2^61 - 1); the fused Kronecker products
 and the leg products against the Kronecker products formed first, and the
 product in a tensor product against its formed middle swap, over QQ, GF(7)
 and GF(2); the tensor product of subspaces against the image of the
@@ -42,7 +43,8 @@ from entwine.exactlin import (
     Subspace,
     _combination,
     _combiner,
-    _list_combination,
+    _packing,
+    _slot,
     apply_kron,
     basis_vector,
     column_matrix,
@@ -190,13 +192,13 @@ class TestProducts:
             )
         )
         x, y = (tuple(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim))) for _ in range(2))
-        product = a.multiply(x, y)
+        product = dense.multiply(a, x, y)
         assert product == dense.apply_dense(a.mult_matrix, kron(column_matrix(x, field), column_matrix(y, field)).column(0))
         assert all(field.coerce(v) == v for v in product)
 
     def test_multiply_rejects_factors_of_the_wrong_length(self):
         with pytest.raises(DimensionMismatch):
-            group_algebra({"group": "Z3"}).algebra.multiply((1, 0), (1, 0, 0))
+            dense.multiply(group_algebra({"group": "Z3"}).algebra, (1, 0), (1, 0, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -446,14 +448,14 @@ class TestLegProducts:
         # one or two terms, each row 24 to 48, and every row of z two
         # entries of 24.  Per block the terms touch 2 to 4 entries, under
         # the width, so the dict kernel serves; counted per output row they
-        # would reach it and pick the list kernel.
+        # would reach it and pick the packed kernel.
         m = s4_mult(GF7)
         swapped = m @ tensor_permutation((24, 24), (1, 0), GF7)
         x = m + swapped + swapped
         z = Matrix.from_triples(576, 24, [(r, c, 1 + r % 5) for r in range(576) for c in (r % 24, (r * 7 + 3) % 24)], GF7)
-        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros, blocks=24) is _combination
-        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros) is not _combination
-        with list_kernel_calls() as calls:
+        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros, blocks=24)[0] is _combination
+        assert exactlin._combiner(7, 24, z.nonzeros, x.nonzeros)[0] is not _combination
+        with packed_kernel_calls() as calls:
             out = leg_product(x, z, (24, 24, 24))
         assert calls == []
         assert out == formed_leg_product(x, z, (24, 24, 24))
@@ -473,9 +475,10 @@ def index_rows(draw, cols, values):
 @st.composite
 def row_combinations(draw):
     """(terms, rows, p, cols) for a row kernel over GF(p): reduced nonzero
-    coefficients, unit ones often, some rows empty, widths from 0."""
-    p = draw(PRIMES)
-    cols = draw(st.integers(0, 8))
+    coefficients, unit ones often, some rows empty, widths from 0 to 70 and
+    moduli from 2 to 2^61 - 1, past the widest slot."""
+    p = draw(st.sampled_from([2, 7, 2**31 - 1, 2**61 - 1]))
+    cols = draw(st.integers(0, 70))
     values = st.one_of(st.just(1), st.integers(1, p - 1))
     rows = draw(st.lists(index_rows(cols, values), max_size=6))
     terms = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), values), max_size=6)) if rows else []
@@ -500,34 +503,96 @@ def dense_kron(x: Matrix, y: Matrix) -> Matrix:
 
 
 @contextmanager
-def list_kernel_calls():
-    """The moduli of the calls made inside the block to the list
-    accumulator, _list_blocks, which every product that picks it calls for
-    each sum of two or more terms (a leg product's blocks included)."""
+def packed_kernel_calls():
+    """The moduli of the calls made inside the block to _unpacked, which
+    reads every packed row sum of two or more terms (and every output row
+    of a packed leg product) of the products that pick the packed
+    accumulator."""
     calls = []
-    real = exactlin._list_blocks
+    real = exactlin._unpacked
 
-    def counted(blocks, rows, p, cols):
+    def counted(acc, p, s, cols):
         calls.append(p)
-        return real(blocks, rows, p, cols)
+        return real(acc, p, s, cols)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlin, "_list_blocks", counted)
+        patch.setattr(exactlin, "_unpacked", counted)
         yield calls
 
 
-class TestListAccumulator:
-    """The list accumulator against _combination, and the products that pick
-    it against the dense oracles."""
+def raw_matrix(rnd, field, rows, cols) -> Matrix:
+    """A matrix over GF(p) built from unreduced entries, from -3p to 3p,
+    most of them nonzero and some of them multiples of p."""
+    p = field.p
+    return Matrix(rows, cols, tuple(tuple(rnd.randrange(-3 * p, 3 * p) for _ in range(cols)) for _ in range(rows)), field)
+
+
+def reduced(m: Matrix) -> tuple:
+    return tuple(tuple(x % m.field.p for x in row) for row in m.entries)
+
+
+class TestPackedAccumulator:
+    """The packed accumulator against _combination, at and past the limits
+    of its slots and on unreduced entries, and the products that pick it
+    against the dense oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(row_combinations())
     def test_matches_the_dict_accumulator(self, case):
         terms, rows, p, cols = case
-        out = _list_combination(terms, rows, p, cols)
+        kernel, pairs = _packing(p, cols, rows)
+        assert (kernel is _combination) == (_slot(p, len(rows)) == 0)
+        out = kernel(terms, pairs, p)
         assert out == _combination(terms, rows, p)
         assert all(0 < x < p for _, x in out)
         assert [j for j, _ in out] == sorted({j for j, _ in out})
+
+    @pytest.mark.parametrize(
+        "p, n, s",
+        [(2, 2**16 - 1, 16), (2, 2**16, 32), (17, 255, 16), (17, 256, 32), (2**31 - 1, 4, 64), (2**31 - 1, 5, 0), (2**61 - 1, 2, 0)],
+    )
+    def test_a_cell_at_the_limit_of_its_slot(self, p, n, s):
+        # every cell of x @ b sums n products (p - 1)^2: n (p - 1)^2 is
+        # 2^16 - 1 or 2^16 for the first four cases, and past 2^64 for the
+        # last two, where the dict kernel serves.  The entries are -1 and
+        # 2p - 1, unreduced, so a slot holds the sum only if both are
+        # reduced first.
+        field = GF(p)
+        assert _slot(p, n) == s
+        top = ((0, 2 * p - 1), (1, 2 * p - 1), (2, 2 * p - 1))
+        x = exactlin._from_index(1, n, [tuple((k, -1) for k in range(n))], field)
+        b = exactlin._from_index(n, 3, [top] * n, field)
+        cell = n * (p - 1) ** 2 % p
+        with packed_kernel_calls() as calls:
+            assert (x @ b).nonzeros == (((0, cell), (1, cell), (2, cell)) if cell else (),)
+        assert calls == ([p] if s else [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unreduced_entries_in_every_product(self, data):
+        field = GF(data.draw(st.sampled_from([2, 7, 2**31 - 1])))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        k, a, w, r = (data.draw(st.integers(1, 3)) for _ in range(4))
+
+        def raw(rows, cols):
+            return raw_matrix(rnd, field, rows, cols)
+
+        def formed(left, right):
+            return Matrix(left.rows * right.rows, left.cols * right.cols, dense.kron_dense(left, right), field)
+
+        ident_k, ident_w = Matrix.identity(k, field), Matrix.identity(w, field)
+        x, m = raw(r, k * a), raw(k * a, 4)
+        assert reduced(x @ m) == dense.matmul(x, m)
+        z = raw(a * w, 5)
+        assert reduced(leg_product(x, z, (k, a, w))) == dense.matmul(formed(x, ident_w), formed(ident_k, z))
+        x, z = raw(r, a * k), raw(w * a, 5)
+        assert reduced(leg_product_mirror(x, z, (k, a, w))) == dense.matmul(formed(ident_w, x), formed(z, ident_k))
+        y = raw(w, 2)
+        for left, right in ((x, y), (x, Matrix.identity(2, field)), (Matrix.identity(r, field), y)):
+            kron_xy = formed(left, right)
+            m, n = raw(kron_xy.cols, 4), raw(3, kron_xy.rows)
+            assert reduced(kron_apply(left, right, m)) == dense.matmul(kron_xy, m)
+            assert reduced(apply_kron(n, left, right)) == dense.matmul(n, kron_xy)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -555,7 +620,7 @@ class TestListAccumulator:
             return Matrix.from_triples(rows, cols, [(i, j, 1 + i * j) for i in range(rows) for j in range(cols)], field)
 
         full, ident = filled(4, 4), Matrix.identity(2, field)
-        with list_kernel_calls() as calls:
+        with packed_kernel_calls() as calls:
             for out, expected in (
                 (full @ full, dense_product(full, full)),
                 (kron_apply(full, ident, filled(8, 3)), dense_product(dense_kron(full, ident), filled(8, 3))),
@@ -567,7 +632,7 @@ class TestListAccumulator:
         assert len(calls) >= 4 and set(calls) == {p}
         swap = tensor_permutation((2, 2), (1, 0), field)
         sparse = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 1, 0, 0]], field)
-        with list_kernel_calls() as calls:
+        with packed_kernel_calls() as calls:
             assert swap @ sparse == dense_product(swap, sparse)
             assert kron_apply(swap, ident, kron(sparse, ident)) == dense_product(dense_kron(swap, ident), kron(sparse, ident))
         assert calls == []
@@ -577,29 +642,30 @@ class TestListAccumulator:
         rows = (((0, 1), (1, 2)), ((2, 3), (3, 4)))
         twice = (((0, 1), (1, 1)),)
         once = (((0, 1),),)
-        assert _combiner(7, 4, rows, twice) is not _combination
-        assert _combiner(7, 5, rows, twice) is _combination
-        assert _combiner(7, 4, rows, once) is _combination
-        assert _combiner(7, 4, rows, twice, twice) is not _combination
-        assert _combiner(None, 1, rows, twice) is _combination
+        assert _combiner(7, 4, rows, twice)[0] is not _combination
+        assert _combiner(7, 5, rows, twice) == (_combination, rows)
+        assert _combiner(7, 4, rows, once) == (_combination, rows)
+        assert _combiner(7, 4, rows, twice, twice)[0] is not _combination
+        assert _combiner(None, 1, rows, twice) == (_combination, rows)
 
     @pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
-    def test_a_one_term_unit_row_is_shared_on_the_list_path(self, p):
+    def test_a_one_term_unit_row_is_shared_on_the_packed_path(self, p):
         field = GF(p)
         a = Matrix.from_rows([[1, 0], [1, 1]], field)
         b = Matrix.from_rows([[1, 1], [1, 1]], field)
-        assert _combiner(p, b.cols, b.nonzeros, a.nonzeros) is not _combination
+        assert _combiner(p, b.cols, b.nonzeros, a.nonzeros)[0] is not _combination
         out = a @ b
         assert out == dense_product(a, b)
         assert out.nonzeros[0] is b.nonzeros[0]
         rows = (((0, 1),), ((1, 1),))
-        assert _list_combination([(1, 1)], rows, p, 2) is rows[1]
+        kernel, pairs = _packing(p, 2, rows)
+        assert kernel([(1, 1)], pairs, p) is rows[1]
 
     def test_no_rational_product_picks_the_list_accumulator(self):
-        """On every golden document the list accumulator runs only over GF(p)."""
+        """On every golden document the packed accumulator runs only over GF(p)."""
         used = 0
         for label, doc in golden_documents():
-            with list_kernel_calls() as calls:
+            with packed_kernel_calls() as calls:
                 run_suite(doc, "all")
             if doc.field.is_prime_field:
                 assert set(calls) <= {doc.field.p}, label
@@ -712,7 +778,7 @@ class TestElimination:
         assert rref(m).entries == dense.rref_dense(m)
         assert rank(m) == dense.rank_dense(m)
         assert kernel(m).basis == dense.kernel_dense(m)
-        assert image(m).basis == dense.span_basis(m.columns(), m.rows, m.field)
+        assert image(m).basis == dense.span_basis(dense.columns(m), m.rows, m.field)
 
     @pytest.mark.parametrize(
         "field, rows, rank_, witness",
@@ -746,7 +812,7 @@ class TestElimination:
     @given(any_matrix())
     def test_image_matches_span_of_columns(self, m):
         img = image(m)
-        assert img.basis == dense.span_basis(m.columns(), m.rows, m.field)
+        assert img.basis == dense.span_basis(dense.columns(m), m.rows, m.field)
         assert_subspace_indexed(img)
 
     @settings(max_examples=150, deadline=None)
@@ -894,7 +960,7 @@ class TestIndexFirstSubspace:
         inside = sub.inclusion() @ data.draw(matrices(field, rows=sub.dim, cols=k))
         assert sub.contains_columns(inside)
         m = data.draw(matrices(field, rows=n, cols=k))
-        assert sub.contains_columns(m) == all(sub.contains_vector(col) for col in m.columns())
+        assert sub.contains_columns(m) == all(sub.contains_vector(col) for col in dense.columns(m))
 
 
 def all_fraction(m: Matrix) -> Matrix:
