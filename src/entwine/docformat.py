@@ -4,7 +4,9 @@ denominator, sparse tensor entries sorted by index, byte-stable round trips).
 
 Structure tensors are sparse quadruple lists {i, j, k, c} and matrices sparse
 triple lists {i, j, c}; omitted entries are zero, and of two entries for one
-cell the later wins.  Both parse straight into nonzero-indexed matrices.
+cell the later wins.  Both are read in one pass straight into the nonzero
+index: each entry lands at its cell in a per-row dict, each row is sorted
+once, and each distinct coefficient string is parsed once per document.
 Vector-valued data (units, counits, group-like coordinates, character
 coordinates, coideal basis vectors) are dense coefficient lists.
 """
@@ -14,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .catalogue import ExampleSpec
 from .errors import FieldParseError, InvalidDocument, SchemaError
-from .exactlin import Matrix, Subspace
-from .fields import PRIME, QQ, RATIONAL, FieldSpec
+from .exactlin import Matrix, Subspace, _from_index
+from .fields import PRIME, QQ, RATIONAL, FieldSpec, Scalar
 from .structures import (
     ComoduleAlgebra,
     FiniteAlgebra,
@@ -113,6 +116,7 @@ class _Reader:
     def __init__(self, obj):
         self.obj = obj
         self.problems = []
+        self.parsed = {}  # valid coefficient -> scalar, read for strings only
 
     def fail(self, path, reason, exc=SchemaError):
         self.problems.append(exc(path, reason))
@@ -142,58 +146,61 @@ class _Reader:
         if len(lst) != dim:
             self.fail(path, f"expected {dim} coefficients, got {len(lst)}")
             return tuple(field.zero for _ in range(dim))
-        parse = field.parse
-        out = []
-        for i, x in enumerate(lst):
-            try:
-                out.append(parse(x))
-            except ValueError as exc:
-                self.fail(f"{path}[{i}]", str(exc), FieldParseError)
-                out.append(field.zero)
-        return tuple(out)
+        return tuple([self.scalar(field, x, path, i) for i, x in enumerate(lst)])
 
-    def sparse_tensor(self, field, value, path, dims):
-        """Sparse entries {i, j, k, c} (3 indices) or {i, j, c} (2 indices),
-        as (index..., coefficient) tuples in document order.
+    def scalar(self, field, raw, path, n, suffix=""):
+        """raw parsed into the field, each distinct string once per document;
+        zero, with the problem recorded at path[n]suffix, if malformed."""
+        memo = self.parsed
+        if type(raw) is str and raw in memo:
+            return memo[raw]
+        try:
+            memo[raw] = x = field.parse(raw)
+        except ValueError as exc:
+            self.fail(f"{path}[{n}]{suffix}", str(exc), FieldParseError)
+            return field.zero
+        return x
 
-        A problem's path is formatted only when the problem is recorded, so
-        a valid entry costs its type and range tests and one parse."""
-        lst = self.expect_list(value, path)
+    def sparse_matrix(self, field, value, path, dims, shape=None, at=None):
+        """The matrix of the sparse entries {i, j, k, c} (3 indices) or
+        {i, j, c} (2), bounded by dims, read in one pass: entry (i, j, k, c)
+        is c at the cell at(i, j, k) of a matrix of the given shape, and
+        entry (i, j, c) is c at (i, j) of a dims matrix."""
         keys = ("i", "j", "k")[: len(dims)]
+        fields, width = itemgetter(*keys, "c"), len(dims) + 1
+        by_row: dict[int, dict[int, Scalar]] = {}
+        for n, entry in enumerate(self.expect_list(value, path) or ()):
+            try:
+                *idx, c = fields(entry)
+                ok = len(entry) == width and all([type(x) is int and 0 <= x < b for x, b in zip(idx, dims)])
+            except (TypeError, KeyError):
+                ok = False
+            if not ok:
+                self.entry_problem(entry, f"{path}[{n}]", keys, dims)
+                continue
+            row, col = idx if at is None else at(*idx)
+            by_row.setdefault(row, {})[col] = self.scalar(field, c, path, n, ".c")
+        shape = shape or dims
+        index = [()] * shape[0]
+        for row, cells in by_row.items():
+            index[row] = tuple(sorted([(j, x) for j, x in cells.items() if x]))
+        return _from_index(*shape, index, field)
+
+    def entry_problem(self, entry, here, keys, dims):
+        """Record the first problem of a malformed sparse entry: its type,
+        its keys, each index in turn, then its coefficient."""
         allowed = {*keys, "c"}
-        bounds = tuple(zip(keys, dims))
-        parse = field.parse
-        entries = []
-        if lst is None:
-            return entries
-        for n, entry in enumerate(lst):
-            if not isinstance(entry, dict):
-                self.fail(f"{path}[{n}]", f"expected an object, got {type(entry).__name__}")
-                continue
-            if not entry.keys() <= allowed:
-                self.fail(f"{path}[{n}]", f"unknown keys {sorted(entry.keys() - allowed)}")
-                continue
-            idx = []
-            for key, bound in bounds:
-                if key not in entry:
-                    self.fail(f"{path}[{n}]", f"missing index {key!r}")
-                    break
-                got = entry[key]
-                if not isinstance(got, int) or isinstance(got, bool) or not 0 <= got < bound:
-                    self.fail(f"{path}[{n}].{key}", f"expected an index in 0..{bound - 1}, got {got!r}")
-                    break
-                idx.append(got)
-            else:
-                if "c" not in entry:
-                    self.fail(f"{path}[{n}]", "missing coefficient 'c'")
-                    continue
-                try:
-                    c = parse(entry["c"])
-                except ValueError as exc:
-                    self.fail(f"{path}[{n}].c", str(exc), FieldParseError)
-                    c = field.zero
-                entries.append((*idx, c))
-        return entries
+        if not isinstance(entry, dict):
+            return self.fail(here, f"expected an object, got {type(entry).__name__}")
+        if not entry.keys() <= allowed:
+            return self.fail(here, f"unknown keys {sorted(entry.keys() - allowed)}")
+        for key, bound in zip(keys, dims):
+            if key not in entry:
+                return self.fail(here, f"missing index {key!r}")
+            got = entry[key]
+            if not isinstance(got, int) or isinstance(got, bool) or not 0 <= got < bound:
+                return self.fail(f"{here}.{key}", f"expected an index in 0..{bound - 1}, got {got!r}")
+        self.fail(here, "missing coefficient 'c'")
 
 
 def _parse_field(reader: _Reader) -> FieldSpec:
@@ -253,6 +260,15 @@ def _space_ref(reader: _Reader, spaces, section, key, path) -> SpaceDecl | None:
     return spaces[name]
 
 
+def _item_name(reader: _Reader, entry, here, default, items) -> str | None:
+    """The entry's name, default when absent: a string that no earlier item
+    carries, since it names the item's checks."""
+    name = reader.expect_str(entry.get("name", default), f"{here}.name")
+    if name is not None and any(name == other for other, _ in items):
+        reader.fail(f"{here}.name", f"repeated name {name!r}")
+    return name
+
+
 def parse_document(text: str) -> StructureDocument:
     """Parse and validate a document; raises InvalidDocument with all problems."""
     try:
@@ -277,9 +293,10 @@ def parse_document(text: str) -> StructureDocument:
             space = _space_ref(reader, spaces, section, "space", "algebra")
             if space is not None:
                 d = space.dim
-                terms = reader.sparse_tensor(field, section.get("mult", []), "algebra.mult", (d, d, d))
+                mult = reader.sparse_matrix(
+                    field, section.get("mult", []), "algebra.mult", (d, d, d), (d, d * d), lambda i, j, k: (k, i * d + j)
+                )
                 unit = reader.vector(field, section.get("unit", [0] * d), "algebra.unit", d)
-                mult = Matrix.from_triples(d, d * d, ((k, i * d + j, c) for i, j, k, c in terms), field)
                 doc.algebra = FiniteAlgebra(d, space.basis_names, mult, unit, field)
                 doc.algebra_space = space.name
 
@@ -289,9 +306,10 @@ def parse_document(text: str) -> StructureDocument:
             space = _space_ref(reader, spaces, section, "space", "coalgebra")
             if space is not None:
                 d = space.dim
-                terms = reader.sparse_tensor(field, section.get("comult", []), "coalgebra.comult", (d, d, d))
+                comult = reader.sparse_matrix(
+                    field, section.get("comult", []), "coalgebra.comult", (d, d, d), (d * d, d), lambda i, j, k: (j * d + k, i)
+                )
                 counit = reader.vector(field, section.get("counit", [0] * d), "coalgebra.counit", d)
-                comult = Matrix.from_triples(d * d, d, ((j * d + k, i, c) for i, j, k, c in terms), field)
                 doc.coalgebra = FiniteCoalgebra(d, space.basis_names, comult, counit, field)
                 doc.coalgebra_space = space.name
 
@@ -303,8 +321,7 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.algebra_space != space.name or doc.coalgebra_space != space.name:
                     reader.fail("antipode.space", "antipode needs algebra and coalgebra on its space")
                 d = space.dim
-                entries = reader.sparse_tensor(field, section.get("entries", []), "antipode.entries", (d, d))
-                doc.antipode = Matrix.from_triples(d, d, entries, field)
+                doc.antipode = reader.sparse_matrix(field, section.get("entries", []), "antipode.entries", (d, d))
 
     if "coaction" in obj:
         section = reader.expect_dict(obj["coaction"], "coaction")
@@ -317,8 +334,7 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.coalgebra_space != cspace.name:
                     reader.fail("coaction.coalgebra", "coaction must land in the coalgebra's space")
                 rows, cols = space.dim * cspace.dim, space.dim
-                entries = reader.sparse_tensor(field, section.get("entries", []), "coaction.entries", (rows, cols))
-                doc.coaction = Matrix.from_triples(rows, cols, entries, field)
+                doc.coaction = reader.sparse_matrix(field, section.get("entries", []), "coaction.entries", (rows, cols))
 
     if "action" in obj:
         section = reader.expect_dict(obj["action"], "action")
@@ -331,8 +347,7 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.algebra_space != aspace.name:
                     reader.fail("action.algebra", "action must use the algebra's space")
                 rows, cols = space.dim, space.dim * aspace.dim
-                entries = reader.sparse_tensor(field, section.get("entries", []), "action.entries", (rows, cols))
-                doc.action = Matrix.from_triples(rows, cols, entries, field)
+                doc.action = reader.sparse_matrix(field, section.get("entries", []), "action.entries", (rows, cols))
 
     if "psi" in obj:
         section = reader.expect_dict(obj["psi"], "psi")
@@ -345,8 +360,7 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.coalgebra_space != cspace.name:
                     reader.fail("psi.coalgebra", "psi must use the coalgebra's space")
                 rows, cols = aspace.dim * cspace.dim, cspace.dim * aspace.dim
-                entries = reader.sparse_tensor(field, section.get("entries", []), "psi.entries", (rows, cols))
-                doc.psi = Matrix.from_triples(rows, cols, entries, field)
+                doc.psi = reader.sparse_matrix(field, section.get("entries", []), "psi.entries", (rows, cols))
 
     def named_vectors(key, expect_space_of):
         items = []
@@ -366,9 +380,9 @@ def parse_document(text: str) -> StructureDocument:
             if expect_space_of is not None and space.name != expect_space_of:
                 reader.fail(f"{here}.space", f"must live on {expect_space_of!r}")
                 continue
-            name = entry.get("name", f"{key[:-1]}{n}")
+            name = _item_name(reader, entry, here, f"{key[:-1]}{n}", items)
             coords = reader.vector(field, entry.get("coords"), f"{here}.coords", space.dim)
-            items.append((str(name), coords))
+            items.append((name, coords))
         return tuple(items)
 
     doc.grouplikes = named_vectors("grouplikes", doc.coalgebra_space)
@@ -389,7 +403,7 @@ def parse_document(text: str) -> StructureDocument:
                 if doc.coalgebra_space is not None and space.name != doc.coalgebra_space:
                     reader.fail(f"{here}.space", f"must live on {doc.coalgebra_space!r}")
                     continue
-                name = str(entry.get("name", f"I{n + 1}"))
+                name = _item_name(reader, entry, here, f"I{n + 1}", items)
                 vec_list = reader.expect_list(entry.get("vectors"), f"{here}.vectors")
                 vectors = []
                 if vec_list is not None:

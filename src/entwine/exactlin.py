@@ -34,6 +34,9 @@ Salvy, J. Symb. Comput. 46, 2011; Dumas, Giorgi and Pernet, ACM TOMS 35,
 products of residues; with none the dict kernel serves.  The average is the
 coefficients per combination times the entries per combined row, per block
 when output rows split into K blocks.  Over Q the dict kernel serves.
+Neither runs when every row of the combining operand is empty or one term
+with coefficient 1, as in a monomial map like g -> g (x) g: ``@`` and the
+leg products with K = 1 then place the other operand's rows, shared.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -115,7 +118,7 @@ IndexRow = tuple[tuple[int, Scalar], ...]
 
 
 def _check_same_field(a: "Matrix | Subspace", b: "Matrix | Subspace"):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
 
 
@@ -257,6 +260,12 @@ def _combiner(
     return _combination, rows
 
 
+def _placed(index: Sequence[IndexRow]) -> bool:
+    """Whether every row of the index is empty or one term with coefficient
+    1: a product combining by it places rows of the other operand."""
+    return max(map(len, index), default=0) <= 1 and all([row[0][1] == 1 for row in index if row])
+
+
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
     """The matrix with the given nonzero index; its dense entries are
     materialised only if something reads them."""
@@ -356,7 +365,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -367,8 +376,10 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
-        anz = self.nonzeros
-        combine, bnz = _combiner(p, other.cols, other.nonzeros, anz)
+        anz, bnz = self.nonzeros, other.nonzeros
+        if _placed(anz):
+            return _from_index(self.rows, other.cols, [bnz[row[0][0]] if row else () for row in anz], self.field)
+        combine, bnz = _combiner(p, other.cols, bnz, anz)
         return _from_index(self.rows, other.cols, [combine(arow, bnz, p) for arow in anz], self.field)
 
     def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
@@ -870,16 +881,22 @@ def leg_product(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
     width A.  Block k combines the strided slice of rows w, W + w, ... of z
     by its coefficients, and the result lands at column offset k*cols(z).
     With K = 1 the output row is that one combination, by the row kernel of
-    _combiner.  Otherwise, when _combiner picks the packed kernel for the
-    blocks (over GF(p)), the packed sums of the blocks, each shifted to its
-    offset, add into one int per output row; else each block is taken only
-    to the slices where one of its rows of z is nonzero, and a one-term
-    block is that row, scaled, with no call to the row kernel.
+    _combiner, or placed when _placed(x).  Otherwise, when _combiner picks
+    the packed kernel for the blocks (over GF(p)), the packed sums of the
+    blocks, each shifted to its offset, add into one int per output row;
+    else each block is taken only to the slices where one of its rows of z
+    is nonzero, and a one-term block is that row, scaled, with no call to
+    the row kernel.
     """
     k_, a_, w_ = dims
     _check_legs(x, z, dims, k_ * a_, a_ * w_, "leg product")
     p = x.field.p
     width = z.cols
+    if k_ == 1 and _placed(x.nonzeros):
+        znz, blank, out = z.nonzeros, ((),) * w_, []
+        for row in x.nonzeros:
+            out.extend(znz[row[0][0] * w_ : (row[0][0] + 1) * w_] if row else blank)
+        return _from_index(x.rows * w_, width, out, x.field)
     combine, znz = _combiner(p, width, z.nonzeros, x.nonzeros, blocks=k_)
     slices = [znz[w::w_] for w in range(w_)]
     if k_ == 1:
@@ -931,12 +948,16 @@ def leg_product_mirror(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
     are sorted, and summed in a dict only if two share a column.  Each cell
     is reduced mod p once.
     With K = 1 no column moves, and output row w*rows(x) + i is row i of x
-    applied, by the row kernel of _combiner, to the block of rows from w*A
-    of z.
+    applied, by the row kernel of _combiner or placed when _placed(x), to
+    the block of rows from w*A of z.
     """
     k_, a_, w_ = dims
     _check_legs(x, z, dims, a_ * k_, w_ * a_, "mirror leg product")
     p = x.field.p
+    if k_ == 1 and _placed(x.nonzeros):
+        znz, picks = z.nonzeros, [row[0][0] if row else None for row in x.nonzeros]
+        out = [() if a is None else znz[w * a_ + a] for w in range(w_) for a in picks]
+        return _from_index(w_ * x.rows, z.cols, out, x.field)
     combine, znz = _combiner(p, z.cols, z.nonzeros, x.nonzeros, blocks=k_, stride=k_)
     if k_ == 1:
         blocks = [znz[w * a_ : (w + 1) * a_] for w in range(w_)]

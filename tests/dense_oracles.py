@@ -53,6 +53,12 @@ Four readers that only tests use sit with the dense kernels: the dense
 columns of a matrix, the product of two coordinate vectors of an algebra,
 the last kernel of a cogeneration report, and whether a coinvariant
 intersection report asserts what its cogeneration verdict allows.
+
+The document reader that docformat replaced with one pass into per-row
+dicts closes the module: each sparse entry checked key by key into an
+(index..., c) tuple, its coefficient parsed on its own, and the tuples
+remapped to cells and handed to ``Matrix.from_triples``, which re-checks
+every range and sorts all cells at once.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from dataclasses import dataclass, replace
 from entwine.cogalois import _decide_onto_cotensor, quotient_coalgebra
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
 from entwine.entwining import EntwiningStructure, entwined_module_check, validate_entwining
-from entwine.errors import DimensionMismatch, InternalCheckError, NotGaloisCoextension
+from entwine.errors import DimensionMismatch, FieldParseError, InternalCheckError, NotGaloisCoextension
 from entwine.exactlin import (
     Matrix,
     Subspace,
@@ -881,3 +887,43 @@ def action_coalgebra_map_checks(x, hopf_coalgebra) -> tuple[AxiomCheck, ...]:
             kron(c.counit_matrix, row_matrix(hopf_coalgebra.counit, c.field)),
         ),
     )
+
+
+def read_sparse_by_triples(reader, field, value, path, dims, shape=None, at=None) -> Matrix:
+    """The matrix docformat's reader.sparse_matrix(field, value, path, dims,
+    shape, at) reads, with the same problems recorded on reader, in the same
+    order: the entries in document order as (index..., coefficient) tuples,
+    then Matrix.from_triples on the cells at(index...)."""
+    lst = reader.expect_list(value, path)
+    keys = ("i", "j", "k")[: len(dims)]
+    allowed = {*keys, "c"}
+    entries = []
+    for n, entry in enumerate(lst or ()):
+        if not isinstance(entry, dict):
+            reader.fail(f"{path}[{n}]", f"expected an object, got {type(entry).__name__}")
+            continue
+        if not entry.keys() <= allowed:
+            reader.fail(f"{path}[{n}]", f"unknown keys {sorted(entry.keys() - allowed)}")
+            continue
+        idx = []
+        for key, bound in zip(keys, dims):
+            if key not in entry:
+                reader.fail(f"{path}[{n}]", f"missing index {key!r}")
+                break
+            got = entry[key]
+            if not isinstance(got, int) or isinstance(got, bool) or not 0 <= got < bound:
+                reader.fail(f"{path}[{n}].{key}", f"expected an index in 0..{bound - 1}, got {got!r}")
+                break
+            idx.append(got)
+        else:
+            if "c" not in entry:
+                reader.fail(f"{path}[{n}]", "missing coefficient 'c'")
+                continue
+            try:
+                c = field.parse(entry["c"])
+            except ValueError as exc:
+                reader.fail(f"{path}[{n}].c", str(exc), FieldParseError)
+                c = field.zero
+            entries.append((*idx, c))
+    rows, cols = shape or dims
+    return Matrix.from_triples(rows, cols, ((*(at(*e[:-1]) if at else e[:-1]), e[-1]) for e in entries), field)

@@ -11,6 +11,7 @@ import argparse
 import sys
 from collections import Counter
 from functools import cached_property
+from itertools import permutations
 
 import pytest
 
@@ -23,6 +24,8 @@ import entwine.galois as galois
 import entwine.structures as structures
 from entwine.catalogue import build, coset_coideal, group_algebra
 from entwine.docformat import document_from_example, document_to_text
+from entwine.exactlin import Matrix, apply_kron, kron_apply
+from entwine.fields import QQ
 from entwine.suites import run_suite
 
 
@@ -349,3 +352,34 @@ def test_the_coinvariants_are_tested_for_a_subalgebra_once(count_calls, name, pa
     # coinvariants verifies x.coinvariants when it computes them, and
     # balanced_tensor does not test them again
     assert counts == {"_subalgebra_failure": 1}
+
+
+def test_s3_cogenerate_row_kernel_calls(count_calls):
+    counts = count_calls(exactlin._combination, exactlin._packed)
+    _run("coset-coideal", {"group": "S3", "generators": "(12),(13)"}, "cogenerate")
+    # the structure maps of k[S3] are monomial (g -> g (x) g, g (x) h -> gh),
+    # so the products that combine by them place rows and call no row
+    # kernel; 1066 calls before they did
+    assert counts == {"_combination": 166}
+
+
+def test_s4_cogalois_over_gf7_packs_no_operand(count_calls):
+    perms = list(permutations(range(4)))
+    index = {q: i for i, q in enumerate(perms)}
+    table = [[index[tuple(g[h[i]] for i in range(4))] for h in perms] for g in perms]
+    counts = count_calls(exactlin._combination, exactlin._packed)
+    _run("group-coextension", {"table": table, "p": 7}, "cogalois")
+    # the one product that packed a 24-row operand combined every row by one
+    # unit term; 173 592 row kernel calls before placement
+    assert counts["_packed"] == 0
+    assert counts["_combination"] <= 96
+
+
+def test_is_identity_is_computed_once_per_matrix(count_calls):
+    counts = count_calls(exactlin.Matrix.is_identity)
+    x, y = Matrix.identity(2, QQ), Matrix.from_rows([[1, 1], [0, 1]], QQ)
+    m, n = Matrix.zero(4, 3, QQ), Matrix.zero(3, 4, QQ)
+    for _ in range(3):
+        kron_apply(x, y, m)
+        apply_kron(n, x, y)
+    assert counts == {"is_identity": 2}

@@ -354,3 +354,22 @@ class TestInputContract:
         assert proc.returncode == 2
         assert "error: $: not valid JSON: nested too deeply" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_a_coideal_name_that_is_not_a_string_is_refused(self, tmp_path):
+        # the name becomes a check id, cogenerate.coideal.<name>
+        doc = json.loads(emit_to(tmp_path, "coset-coideal", {"group": "S3"}).read_text(encoding="utf-8"))
+        doc["coideals"][0]["name"] = {"x": [1, 2]}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "cogenerate")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: coideals[0].name: expected a string, got dict\n"
+
+    def test_two_grouplikes_of_one_name_are_refused(self, tmp_path, capsys):
+        # each group-like of the Sweedler algebra names its own bundle checks
+        doc = json.loads(emit_to(tmp_path, "sweedler-h4").read_text(encoding="utf-8"))
+        doc["grouplikes"][1]["name"] = doc["grouplikes"][0]["name"]
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--suite", "galois"]) == 2
+        assert capsys.readouterr().err == "error: grouplikes[1].name: repeated name 'e0'\n"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import comult_matrix_from_tensor, mult_matrix_from_tensor
+from dense_oracles import comult_matrix_from_tensor, mult_matrix_from_tensor, read_sparse_by_triples
 from entwine.catalogue import EXAMPLE_NAMES, build
 from entwine.docformat import (
+    _Reader,
     document_from_example,
     document_to_text,
     parse_document,
@@ -346,3 +347,126 @@ class TestSparseParsing:
         without = parse_document(self._one_term_document(4))
         assert with_zeros.algebra == without.algebra and with_zeros.coalgebra == without.coalgebra
         assert document_to_text(with_zeros) == document_to_text(without)
+
+
+def _problems(reader):
+    return [(type(p), p.path, p.reason) for p in reader.problems]
+
+
+def _read_both(field, entries, dims, shape=None, at=None):
+    """The matrices and problem lists of the one-pass reader and of the
+    reader it replaced, on one sparse section."""
+    new, old = _Reader({}), _Reader({})
+    got = new.sparse_matrix(field, entries, "s", dims, shape, at)
+    want = read_sparse_by_triples(old, field, entries, "s", dims, shape, at)
+    return got, want, _problems(new), _problems(old)
+
+
+def _mult_cell(i, j, k):
+    return (k, i * 2 + j)
+
+
+# (case, entries of a section with 2 or 3 indices over a 2 x 2 x 2 or a
+# 3 x 2 shape, the problems it must have)
+_SECTIONS = [
+    ("well formed", [{"i": 0, "j": 1, "k": 1, "c": 3}, {"i": 1, "j": 1, "k": 0, "c": 1}], 0),
+    ("non-dict entry", [{"i": 0, "j": 0, "k": 0, "c": 1}, "entry", [0, 0, 0, 1], None, 5], 4),
+    ("unknown key", [{"i": 0, "j": 0, "k": 0, "c": 1, "x": 2}, {"i": 0, "j": 0, "c": 1, "l": 0}], 2),
+    ("missing index", [{"j": 0, "k": 0, "c": 1}, {"i": 0, "k": 1, "c": 1}, {"c": 1}], 3),
+    ("bool index", [{"i": True, "j": 0, "k": 0, "c": 1}, {"i": 0, "j": False, "k": 0, "c": 1}], 2),
+    ("out-of-range index", [{"i": 3, "j": 0, "k": 0, "c": 1}, {"i": 0, "j": -1, "k": 0, "c": 1}], 2),
+    ("non-int index", [{"i": 1.0, "j": 0, "k": 0, "c": 1}, {"i": "0", "j": 0, "k": 0, "c": 1}], 2),
+    ("missing c", [{"i": 0, "j": 0, "k": 0}, {"i": 1, "j": 1, "k": 1, "c": 2}], 1),
+    ("malformed coefficient", [{"i": 0, "j": 0, "k": 0, "c": "1/x"}, {"i": 1, "j": 0, "k": 0, "c": 1.5}], 2),
+    ("repeated cell", [{"i": 1, "j": 0, "k": 1, "c": 2}, {"i": 1, "j": 0, "k": 1, "c": 5}], 0),
+    ("zero value", [{"i": 0, "j": 1, "k": 0, "c": 0}, {"i": 1, "j": 1, "k": 1, "c": 4}, {"i": 1, "j": 1, "k": 1, "c": 0}], 0),
+    ("earlier problems first", [{"i": 0, "j": 9, "k": 0, "x": 1}, {"i": True, "c": 1}, {"i": 0, "j": 9, "k": 0}], 3),
+]
+
+
+class TestOnePassReader:
+    """sparse_matrix against the reader it replaced, read_sparse_by_triples
+    in dense_oracles: the same matrix and the same problems, in order."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("case, entries, problems", _SECTIONS, ids=[case for case, _, _ in _SECTIONS])
+    def test_sections_match_the_replaced_reader(self, field, case, entries, problems):
+        got, want, new, old = _read_both(field, entries, (2, 2, 2), (2, 4), _mult_cell)
+        assert got == want and new == old
+        assert len(new) == problems
+        # the same entries without "k", as a 3 x 2 matrix section
+        flat = [{key: v for key, v in e.items() if key != "k"} if isinstance(e, dict) else e for e in entries]
+        got, want, new, old = _read_both(field, flat, (3, 2))
+        assert got == want and new == old
+
+    def test_the_later_entry_for_a_cell_wins(self):
+        sections = {case: entries for case, entries, _ in _SECTIONS}
+        got, _, _, _ = _read_both(QQ, sections["repeated cell"], (2, 2, 2), (2, 4), _mult_cell)
+        assert got.nonzeros == ((), ((2, 5),))
+        got, _, _, _ = _read_both(QQ, sections["zero value"], (2, 2, 2), (2, 4), _mult_cell)
+        assert got.nonzeros == ((), ())
+
+    def test_a_section_that_is_not_a_list(self):
+        got, want, new, old = _read_both(QQ, {"i": 0}, (2, 2))
+        assert got == want == Matrix.zero(2, 2, QQ) and new == old == [(SchemaError, "s", "expected a list, got dict")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_sections_match_the_replaced_reader(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(7), GF(2)]))
+        three = data.draw(st.booleans())
+        d = data.draw(st.integers(1, 3))
+        keys = "ijkc" if three else "ijc"
+        index = st.one_of(st.integers(-1, d), st.booleans(), st.just(1.0), st.just("0"))
+        value = st.one_of(
+            st.integers(-8, 8), st.sampled_from(["0", "1", "-1", "2/3", "1/0", "x", "1.5"]), st.booleans(), st.none()
+        )
+        good = st.fixed_dictionaries({key: st.integers(0, d - 1) for key in keys[:-1]} | {"c": value})
+        messy = st.dictionaries(st.sampled_from([*keys, "x"]), st.one_of(index, value), max_size=5)
+        entries = data.draw(st.lists(st.one_of(good, good, messy, st.integers(), st.lists(st.integers(), max_size=2)), max_size=12))
+        if three:
+            got, want, new, old = _read_both(field, entries, (d, d, d), (d * d, d), lambda i, j, k: (j * d + k, i))
+        else:
+            got, want, new, old = _read_both(field, entries, (d + 1, d))
+        assert got == want and new == old
+        assert got.nonzeros == tuple(tuple(sorted(row)) for row in got.nonzeros)
+
+
+def _with_item(example, params, key, entries):
+    obj = json.loads(emit_example(example, params))
+    obj[key] = [{**obj[key][0], **entry} for entry in entries]
+    return json.dumps(obj)
+
+
+class TestItemNames:
+    """The names of group-likes, characters and coideals name their checks:
+    each is a string, and no two items of one section share one."""
+
+    @pytest.mark.parametrize(
+        "example, params, key",
+        [
+            ("trivial-hopf-galois", {"group": "Z2"}, "grouplikes"),
+            ("group-coextension", {"group": "Z2"}, "characters"),
+            ("coset-coideal", {"group": "S3"}, "coideals"),
+        ],
+    )
+    def test_non_string_and_repeated_names_are_refused(self, example, params, key):
+        text = _with_item(example, params, key, [{"name": {"x": [1, 2]}}, {"name": 7}, {"name": "a"}, {"name": "a"}])
+        with pytest.raises(InvalidDocument) as err:
+            parse_document(text)
+        assert _problems(err.value) == [
+            (SchemaError, f"{key}[0].name", "expected a string, got dict"),
+            (SchemaError, f"{key}[1].name", "expected a string, got int"),
+            (SchemaError, f"{key}[3].name", "repeated name 'a'"),
+        ]
+
+    def test_a_default_name_counts(self):
+        obj = json.loads(_with_item("coset-coideal", {"group": "S3"}, "coideals", [{}, {"name": "I1"}]))
+        del obj["coideals"][0]["name"]  # the first coideal is named I1 by default
+        with pytest.raises(InvalidDocument) as err:
+            parse_document(json.dumps(obj))
+        assert _problems(err.value) == [(SchemaError, "coideals[1].name", "repeated name 'I1'")]
+
+    def test_distinct_string_names_are_kept(self):
+        doc = parse_document(_with_item("coset-coideal", {"group": "S3"}, "coideals", [{"name": "x"}, {"name": "y"}]))
+        assert [name for name, _ in doc.coideals] == ["x", "y"]

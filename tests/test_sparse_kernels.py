@@ -3,7 +3,10 @@ details) against the dense oracles, over QQ and GF(7), on random densities, zero
 and columns, repeated rows, empty shapes and singular inputs; the packed
 accumulator against the dict one, at the limits of its slots and on
 unreduced entries, and the products that pick it against the dense oracles,
-over GF(2), GF(7), GF(2^31 - 1) and GF(2^61 - 1); the fused Kronecker products
+over GF(2), GF(7), GF(2^31 - 1) and GF(2^61 - 1); the products by operands
+whose rows are empty or one term, which place rows when every term is a
+unit, against the dense oracles over QQ, GF(2), GF(7) and GF(2^61 - 1);
+the fused Kronecker products
 and the leg products against the Kronecker products formed first, and the
 product in a tensor product against its formed middle swap, over QQ, GF(7)
 and GF(2); the tensor product of subspaces against the image of the
@@ -673,6 +676,115 @@ class TestPackedAccumulator:
             else:
                 assert calls == [], label
         assert used  # the GF(p) documents do reach it
+
+
+# GF(2^61 - 1): no packed slot holds a sum of two products of its residues
+GF61 = GF(2**61 - 1)
+ROW_KINDS = ("empty", "unit", "scaled", "mixed")
+
+
+@st.composite
+def monomial_matrices(draw, field, rows, cols, kinds=ROW_KINDS):
+    """rows x cols matrices whose rows are each of a kind drawn from kinds:
+    empty, one term with coefficient 1, one term with another coefficient
+    (which over GF(2) reduces to 1 or 0), or two or more terms."""
+    data = []
+    for _ in range(rows):
+        row = [0] * cols
+        kind = draw(st.sampled_from(kinds)) if cols else "empty"
+        if kind != "empty":
+            terms = draw(st.integers(2, cols)) if kind == "mixed" and cols > 1 else 1
+            for j in draw(st.lists(st.integers(0, cols - 1), min_size=terms, max_size=terms, unique=True)):
+                row[j] = 1 if kind == "unit" else draw(st.sampled_from([2, 3, -1, Fraction(1, 3)]))
+        data.append(row)
+    return Matrix(rows, cols, Matrix.from_rows(data, field).entries, field)
+
+
+@contextmanager
+def row_kernel_calls():
+    """The names of the calls made inside the block to _combination and
+    _packed, the row kernels and the packing of combined rows."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_combination", "_packed"):
+            real = getattr(exactlin, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            patch.setattr(exactlin, name, counted)
+        yield calls
+
+
+class TestPlacement:
+    """Products whose combining operand has rows that are empty or one term
+    with coefficient 1 place the other operand's rows, and match the dense
+    oracles like every other product."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_products_by_monomial_operands_match_the_dense_oracles(self, data):
+        field = data.draw(st.sampled_from([QQ, GF2, GF7, GF61]))
+        kinds = data.draw(st.sampled_from([("empty", "unit"), ("unit",), ("scaled",), ROW_KINDS]))
+        r, c, k, w = (data.draw(st.integers(0, 3)) for _ in range(4))
+        x = data.draw(monomial_matrices(field, r, c, kinds))
+        one, ident = Matrix.identity(1, field), Matrix.identity(w, field)
+        b = data.draw(matrices(field, c, k))
+        products = [(x @ b, dense_product(x, b))]
+        for left, right in ((x, ident), (ident, x), (x, one), (one, x), (x, x)):
+            m = data.draw(matrices(field, left.cols * right.cols, k))
+            products.append((kron_apply(left, right, m), dense_product(dense_kron(left, right), m)))
+            n = data.draw(matrices(field, k, left.rows * right.rows))
+            products.append((apply_kron(n, left, right), dense_product(n, dense_kron(left, right))))
+        # x combining: m @ kron(I_1, y) and m @ kron(y, I_1) are leg products with K = 1
+        products.append((apply_kron(x, one, b), dense_product(x, dense_kron(one, b))))
+        products.append((apply_kron(x, b, one), dense_product(x, dense_kron(b, one))))
+        z = data.draw(matrices(field, c * w, k))
+        products.append((leg_product(x, z, (1, c, w)), dense_product(dense_kron(x, ident), z)))
+        products.append((leg_product_mirror(x, z, (1, c, w)), dense_product(dense_kron(ident, x), z)))
+        for out, expected in products:
+            assert out == expected
+            assert_indexed(out)
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
+    def test_empty_shapes(self, field):
+        for r, c in ((0, 3), (3, 0), (0, 0)):
+            x, ident = Matrix.zero(r, c, field), Matrix.identity(2, field)
+            b, z = Matrix.zero(c, 2, field), Matrix.zero(2 * c, 2, field)
+            assert x @ b == Matrix.zero(r, 2, field)
+            assert kron_apply(x, ident, Matrix.zero(2 * c, 2, field)) == Matrix.zero(2 * r, 2, field)
+            assert kron_apply(ident, x, Matrix.zero(2 * c, 2, field)) == Matrix.zero(2 * r, 2, field)
+            assert leg_product(x, z, (1, c, 2)) == Matrix.zero(2 * r, 2, field)
+            assert leg_product_mirror(x, z, (1, c, 2)) == Matrix.zero(2 * r, 2, field)
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
+    def test_placed_products_call_no_row_kernel(self, field):
+        perm = tensor_permutation((2, 3), (1, 0), field)
+        picks = Matrix.from_rows([[0, 0, 0, 1, 0, 0], [0] * 6, [1, 0, 0, 0, 0, 0]], field)
+        filled = Matrix.from_triples(12, 5, [(i, j, 1 + i + 2 * j) for i in range(12) for j in range(5)], field)
+        block, ident = Matrix.from_rows(filled.entries[:6], field), Matrix.identity(2, field)
+        with row_kernel_calls() as calls:
+            products = [
+                (perm @ block, dense_product(perm, block)),
+                (picks @ block, dense_product(picks, block)),
+                (kron_apply(picks, ident, filled), dense_product(dense_kron(picks, ident), filled)),
+                (kron_apply(ident, perm, filled), dense_product(dense_kron(ident, perm), filled)),
+                (leg_product(picks, filled, (1, 6, 2)), dense_product(dense_kron(picks, ident), filled)),
+                (leg_product_mirror(perm, filled, (1, 6, 2)), dense_product(dense_kron(ident, perm), filled)),
+            ]
+        assert calls == []
+        for out, expected in products:
+            assert out == expected
+        # the placed rows are the other operand's, shared
+        assert (picks @ block).nonzeros[0] is block.nonzeros[3]
+        # a row of two terms takes a row kernel: over GF(2), GF(7) and Q
+        # the one _combiner picks, and over GF(2^61 - 1) _combination
+        with row_kernel_calls() as calls:
+            assert Matrix.from_rows([[1, 1, 0, 0, 0, 0]], field) @ block == dense_product(
+                Matrix.from_rows([[1, 1, 0, 0, 0, 0]], field), block
+            )
+        assert calls
 
 
 @st.composite
