@@ -55,6 +55,7 @@ from .structures import (
     ValidationReport,
     coaction_algebra_map_checks,
     dualize,
+    restated,
     verify_character,
 )
 
@@ -208,10 +209,6 @@ _TRANSPOSED_ENTWINING = (
 )
 
 
-def _transposed(chk: AxiomCheck, name: str, statement: str) -> AxiomCheck:
-    return AxiomCheck(name, statement, None if chk.residual is None else chk.residual.transpose(), chk.ok)
-
-
 def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
     """coextension_check over the coideal annihilated by ``balancing``, a
     subalgebra of C*, in place of the canonical one (the annihilator of the
@@ -242,7 +239,7 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
     # the dual's can is defined only if raw_can(x*) vanishes on the balancing
     # relations (IllDefined otherwise), which is cocan landing in the cotensor
     checks = [AxiomCheck("cocan-into-cotensor", "the canonical map lands in the cotensor product", None, True)]
-    checks.extend(_transposed(chk, *named) for chk, named in zip(dual.checks.checks, _TRANSPOSED_CHECKS))
+    checks.extend(restated(chk, *named) for chk, named in zip(dual.checks.checks, _TRANSPOSED_CHECKS))
     cert = CoextensionCertificate(
         subject=x,
         dual=dual,
@@ -267,7 +264,7 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
     checks.append(AxiomCheck("cotranslation-composite", composite, None, all(chk.ok for chk in checks[1:])))
     identities = {chk.name: chk for chk in dual.checks.checks[len(_TRANSPOSED_CHECKS):]}
     checks.extend(
-        _transposed(identities[source], name, identities[name].statement) for name, source in _TRANSPOSED_ENTWINING
+        restated(identities[source], name, identities[name].statement) for name, source in _TRANSPOSED_ENTWINING
     )
     psi = EntwiningStructure(x.algebra, x.coalgebra, dual.psi.psi.transpose())
     return replace(cert, psi=psi, checks=ValidationReport("algebra-Galois coextension", tuple(checks)))

@@ -5,93 +5,71 @@ reduced row-echelon forms, kernels and images with canonical bases, exact
 inverses, Kronecker products under a fixed row-major tensor convention, and
 quotient presentations of vector spaces.
 
-A ``Matrix`` has two views of its cells: the dense ``entries`` and a per-row
-nonzero index, ``nonzeros``, which lists for each row the ``(column, value)``
-pairs of its nonzero entries in increasing column order.  Each view is
-computed at most once, on first use.  A matrix constructed from its entries
-computes its index when a kernel first needs it; every operation here that
-builds a matrix or a subspace attaches the index it already knows, so its
-output is never scanned, and a matrix's dense entries are materialised only
-if something reads them.  Products, Kronecker products, application to
-vectors, membership tests and elimination touch nonzero entries only,
-elimination works on sparse rows (dicts from column to value), and tensor
-permutations are built from their index maps.  ``kernel`` and ``rank``
-eliminate each distinct nonzero row once: repeated and zero rows add nothing
-to the row space, whose RREF is unique.  ``try_invert`` takes every row,
-because row i of its augmented system [m | I] carries e_i.
+A ``Matrix`` has two views of its cells, each computed at most once, on
+first use: the dense ``entries`` and a per-row nonzero index, ``nonzeros``,
+which lists for each row the ``(column, value)`` pairs of its nonzero
+entries in increasing column order.  Every operation here that builds a
+matrix or a subspace attaches the index it already knows, so its output is
+never scanned, and its dense entries are materialised only if something
+reads them.
 
-Every product that combines rows (``@``, ``kron_apply``, ``apply_kron``
-and the leg products) sums a * rows[k] over each combination's terms with
-one of two row kernels, picked once per product from its operands' nonzero
-indexes.  ``_combination`` accumulates in a dict and sorts the columns.
-Over GF(p), when the average combination touches at least as many entries
-as it has columns, the product packs each combined row once into an int,
-column j in the slot of S bits at bit j S: a combination is one
-multiply-add of ints per term, and its row is read off the cells once, each
-reduced mod p (word packing with delayed reduction: Dumas, Fousse and
+``@`` and the products below sum a * rows[k] over each combination's terms
+with one of two row kernels, picked once per product from its operands'
+nonzero indexes.  ``_combination`` accumulates in a dict and sorts the
+columns.  Over GF(p), when the average combination touches at least as
+many entries as it has columns, the product packs each combined row once
+into an int, column j in the slot of S bits at bit j S: a combination is
+one multiply-add of ints per term, and its row is read off the cells once,
+each reduced mod p (word packing with delayed reduction: Dumas, Fousse and
 Salvy, J. Symb. Comput. 46, 2011; Dumas, Giorgi and Pernet, ACM TOMS 35,
 2008).  S is the least of 16, 32 and 64 with room for a sum of len(rows)
-products of residues; with none the dict kernel serves.  The average is the
-coefficients per combination times the entries per combined row, per block
-when output rows split into K blocks.  Over Q the dict kernel serves.
-Neither runs when every row of the combining operand is empty or one term
-with coefficient 1, as in a monomial map like g -> g (x) g: ``@`` and the
-leg products with K = 1 then place the other operand's rows, shared.
+products of residues; with none the dict kernel serves, as it always does
+over Q.  Neither runs when every row of the combining operand is empty or
+one term with coefficient 1, as in a monomial map like g -> g (x) g: ``@``
+and the leg products with K = 1 then place the other operand's rows,
+shared.
+
+Elimination works on sparse rows (dicts from column to value) into the
+unique reduced row-echelon form.  ``kernel`` and ``rank`` eliminate each
+distinct nonzero row once, since repeated and zero rows add nothing to the
+row space; ``try_invert`` takes every row, because row i of its augmented
+system [m | I] carries e_i.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
 the index, ``dim`` counts its rows, membership reduces against it, and the
 dense ``basis`` is materialised only if something reads it.
+``tensor_subspace`` needs no elimination: the rows r_i (x) s_j of two
+echelon indexes, ordered by (i, j), are already the echelon index of
+S (x) T.
 
-Most identities of the library are composites of tensor products of
-structure maps, so two products apply a Kronecker product without forming
-it: ``kron_apply(x, y, m) == kron(x, y) @ m`` and ``apply_kron(m, x, y) ==
-m @ kron(x, y)``.  ``kron_apply`` builds the output index straight from the
-factors' nonzero indexes (the row-major identity of Van Loan, "The
-ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).  One
-factor is usually an identity, and by the mixed-product rule kron(x, y) =
-kron(x, I) kron(I, y) an identity factor costs nothing: with y = I_n the
-product is the leg product below with one block per row, whose output row
-combines, by a row of x, the strided slice of every n-th row of m; with
-x = I it is the mirror, whose output row combines, by a row of y, a
-contiguous block of rows of m; with both it is m.  Only two non-identity
-factors take the general path, which skips the product by a unit
-coefficient, and over GF(p) its reduction mod p, and tests a coefficient
-for 1 only after that reduction.  Like ``@``, every path passes a one-term
-output row with coefficient 1 through as the row of m itself, shared
-rather than copied.  ``apply_kron``
-works row by row on m: each block of rows(y) columns of a row combines rows
-of y into t, and the row of the product accumulates the outer products of
-the rows of x with their t.  It transposes nothing.
+``kron(f, g)`` is the matrix of f (x) g.  ``kron_apply(x, y, m) ==
+kron(x, y) @ m`` and ``apply_kron(m, x, y) == m @ kron(x, y)`` form no
+identity factor: by the mixed-product rule kron(x, y) = kron(x, I) kron(I,
+y) (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+123, 2000), a product with one identity factor is a leg product below with
+K = 1 (``kron_apply``) or W = 1 (``apply_kron``), and one with two is m.
+With two other factors each is its definition.
 
-The third fused product is the product in a tensor product, the identity
-behind every "is an algebra (coalgebra) map into a tensor product" check:
-``swap_product(x, y, f, g, dims) == kron(x, y) @ mid_swap @ kron(f, g)``,
-where mid_swap is the four-factor ``tensor_permutation(dims, (0, 2, 1,
-3))``.  It forms neither mid_swap, whose n^4 rows are mostly idle, nor
-kron(f, g).  It works column by column on the factors' transposes and
-contracts g with y first, then f, then x; over GF(p) each output cell is
-reduced once.
+The leg product is the shape of every map on three tensor legs that acts
+on two of them at a time: the structure maps mu = (m (x) C)(A (x) psi) and
+delta = (C (x) psi)(coproduct (x) A) of an entwining, the canonical map
+(m (x) C)(A (x) coaction), and the actions on A (x)_B A.  With legs
+(K, A, W), ``leg_product(x, z, (K, A, W)) == kron(x, I_W) @ kron(I_K, z)``
+and ``leg_product_mirror(x, z, (K, A, W)) == kron(I_W, x) @ kron(z,
+I_K)``.  The leg product splits each row of x into K blocks of A columns,
+and block k combines the strided slice of every W-th row of z, its result
+landing at column offset k cols(z).  The mirror accumulates, for each
+entry of a row of x at column a K + k, the scaled row of z in block a with
+its column c moved to c K + k.
 
-The fourth fused product is the leg product, the shape of every map on
-three tensor legs that acts on two of them at a time: the structure maps
-mu = (m (x) C)(A (x) psi) and delta = (C (x) psi)(coproduct (x) A) of an
-entwining, the canonical map (m (x) C)(A (x) coaction), and the actions on
-A (x)_B A.  With legs (K, A, W), ``leg_product(x, z, (K, A, W)) ==
-kron(x, I_W) @ kron(I_K, z)`` and ``leg_product_mirror(x, z, (K, A, W)) ==
-kron(I_W, x) @ kron(z, I_K)``; neither forms an identity factor.  The leg
-product splits each row of x into K blocks of A columns, and block k
-combines the strided slice of every W-th row of z, its result landing at
-column offset k cols(z); a block is taken only to the slices where one of
-its rows of z is nonzero, and a one-term block is that row, scaled.  The
-mirror accumulates, for each entry of a row of x at column a K + k, the
-scaled row of z in block a with its column c moved to c K + k.  ``apply_kron``
-with x = I is the leg product and with y = I its mirror, both with W = 1,
-and ``kron_apply`` with one identity factor is one of them with K = 1,
-where each output row is one combination by the row kernels above.
-The product of subspaces, ``tensor_subspace``, needs no elimination: the
-rows r_i (x) s_j of two echelon indexes, ordered by (i, j), are already the
-echelon index of S (x) T.
+``swap_product(x, y, f, g, dims) == kron(x, y) @ mid_swap @ kron(f, g)``
+is the product in a tensor product, the identity behind every "is an
+algebra (coalgebra) map into a tensor product" check, where mid_swap is
+the four-factor ``tensor_permutation(dims, (0, 2, 1, 3))``.  It forms
+neither mid_swap, whose n^4 rows are mostly idle, nor kron(f, g): it
+contracts g with y first, then f, then x, column by column on the factors'
+transposes, and over GF(p) reduces each output cell once.
 
 Conventions, fixed once for the whole library:
 
@@ -789,22 +767,10 @@ def tensor_subspace(s: Subspace, t: Subspace) -> Subspace:
     return Subspace(s.ambient_dim * t.ambient_dim, rows.nonzeros, field)
 
 
-def _unit_flagged(m: Matrix, stride: int) -> list[list[tuple[int, Scalar, bool]]]:
-    """Per row of m, its (column * stride, value, value == 1) triples."""
-    return [[(j * stride, a, a == 1) for j, a in row] for row in m.nonzeros]
-
-
 def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
-    """kron(x, y) @ m without forming kron(x, y).
-
-    Row i1*rows(y) + i2 of the product is the sum of x[i1, j1] y[i2, j2]
-    times row j1*cols(y) + j2 of m.  An identity factor costs nothing: with
-    y = I_n the product is leg_product(x, m, (1, cols(x), n)), with x = I_n
-    it is leg_product_mirror(y, m, (1, cols(y), n)), and with both it is m
-    itself.  For two other factors each output row is one combination of
-    rows of m, with the coefficient products formed (and reduced mod p)
-    before the unit test.
-    """
+    """kron(x, y) @ m, forming no identity factor: with y = I_n it is
+    leg_product(x, m, (1, cols(x), n)), with x = I_n
+    leg_product_mirror(y, m, (1, cols(y), n)), and with both m itself."""
     _check_same_field(x, y)
     _check_same_field(x, m)
     if x.cols * y.cols != m.rows:
@@ -813,36 +779,14 @@ def kron_apply(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
         return m if x.is_identity else leg_product(x, m, (1, x.cols, y.rows))
     if x.is_identity:
         return leg_product_mirror(y, m, (1, y.cols, x.rows))
-    p = x.field.p
-    combine, mnz = _combiner(p, m.cols, m.nonzeros, x.nonzeros, y.nonzeros)
-    yrows = _unit_flagged(y, 1)
-    out = []
-    for xrow in _unit_flagged(x, y.cols):
-        if not xrow:
-            out.extend([()] * y.rows)
-            continue
-        for yrow in yrows:
-            terms = [
-                (base + j2, b if aunit else a if bunit else a * b % p if p else a * b)
-                for base, a, aunit in xrow
-                for j2, b, bunit in yrow
-            ]
-            out.append(combine(terms, mnz, p))
-    return _from_index(x.rows * y.rows, m.cols, out, x.field)
+    return kron(x, y) @ m
 
 
 def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
-    """m @ kron(x, y) without forming kron(x, y), row by row.
-
-    Row r of m splits, in column order, into blocks of rows(y) columns.
-    Block i1 combines rows of y by its coefficients into t, and row r of
-    the product accumulates the outer products x[i1, :] (x) t: entry v of t
-    at column k times entry b of x[i1, :] at column c lands at column
-    c*cols(y) + k.  By the mixed-product rule kron(x, y) = kron(I, y)
-    kron(x, I), with x = I the product is leg_product(m, y, (rows(x),
-    rows(y), 1)), with y = I it is leg_product_mirror(m, x, (rows(y),
-    rows(x), 1)), and with both it is m.
-    """
+    """m @ kron(x, y), forming no identity factor: by the mixed-product rule
+    kron(x, y) = kron(I, y) kron(x, I), with x = I it is leg_product(m, y,
+    (rows(x), rows(y), 1)), with y = I leg_product_mirror(m, x, (rows(y),
+    rows(x), 1)), and with both m itself."""
     _check_same_field(m, x)
     _check_same_field(m, y)
     if m.cols != x.rows * y.rows:
@@ -851,20 +795,7 @@ def apply_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
         return m if x.is_identity else leg_product_mirror(m, x, (y.rows, x.rows, 1))
     if x.is_identity:
         return leg_product(m, y, (x.rows, y.rows, 1))
-    p = m.field.p
-    c2 = y.cols
-    xbased = [tuple([(c * c2, b) for c, b in row]) for row in x.nonzeros]
-    combine, ynz = _combiner(p, c2, y.nonzeros, m.nonzeros, blocks=x.rows)
-    out = []
-    for mrow in m.nonzeros:
-        pairs: list[tuple[int, Scalar]] = []
-        for i1, terms in _blocks(mrow, y.rows):
-            xb = xbased[i1]
-            if xb:
-                for k, v in combine(terms, ynz, p):
-                    pairs.extend([(base + k, v * b) for base, b in xb])
-        out.append(_summed(pairs, p))
-    return _from_index(m.rows, x.cols * c2, out, m.field)
+    return m @ kron(x, y)
 
 
 def _check_legs(x: Matrix, z: Matrix, dims: Sequence[int], x_cols: int, z_rows: int, what: str):

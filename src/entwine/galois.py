@@ -127,7 +127,7 @@ def _subalgebra_failure(a: FiniteAlgebra, sub: Subspace) -> str | None:
     if not sub.contains_vector(a.unit):
         return "does not contain the unit"
     incl = sub.inclusion()
-    if not sub.contains_columns(apply_kron(a.mult_matrix, incl, incl)):
+    if not sub.contains_columns(a.mult_matrix @ kron(incl, incl)):
         return "is not closed under multiplication"
     return None
 

@@ -12,11 +12,18 @@ failing fast, so a violated axiom comes back with the exact witness matrix.
 A report depends only on its immutable structure, so each structure caches
 the report of its own axioms (``checks``, ``comodule_checks``,
 ``module_checks``), computed by the validator on first read, and a comodule
-algebra caches its coinvariants the same way.  The module axioms of
-(V, A, act) are the comodule axioms of (V*, A*, act^T), transposed, so a
-module coalgebra reads its module report off the comodule report of its
-dual, which the dual caches for the coextension certificate and the dual
-bundles.
+algebra caches its coinvariants the same way.
+
+Each axiom is implemented on one side of a dual pair and read off on the
+other by ``restated``: the check of the dual identity, its residual
+transposed, under the name and statement of this side.  The algebra axioms
+of A are the coalgebra axioms of A* = (A, m^T, unit), and the module axioms
+of (V, A, act) are the comodule axioms of (V*, A*, act^T), so a module
+coalgebra reads its module report off the comodule report of its dual,
+which the dual caches for the coextension certificate and the dual bundles.
+A bialgebra's coproduct is a unital algebra map exactly when H coacting on
+itself by the coproduct passes ``coaction_algebra_map_checks``, restated
+untransposed under the bialgebra's names.
 """
 
 from __future__ import annotations
@@ -71,6 +78,14 @@ def residual_check(name: str, statement: str, lhs: Matrix, rhs: Matrix) -> Axiom
         return AxiomCheck(name, statement, Matrix.zero(lhs.rows, lhs.cols, lhs.field), True)
     residual = lhs - rhs
     return AxiomCheck(name, statement, residual, residual.is_zero)
+
+
+def restated(chk: AxiomCheck, name: str, statement: str, transposed: bool = True) -> AxiomCheck:
+    """chk under another name and statement: the check of the dual identity,
+    whose residual is the transpose of chk's, or with transposed=False the
+    same identity."""
+    residual = chk.residual.transpose() if transposed and chk.residual is not None else chk.residual
+    return AxiomCheck(name, statement, residual, chk.ok)
 
 
 @dataclass(frozen=True)
@@ -273,18 +288,19 @@ class ModuleCoalgebra:
         return ComoduleAlgebra(dualize(self.coalgebra), dualize(self.algebra), self.action.transpose())
 
 
+# The coalgebra axioms of A* = (A, m^T, unit), in validate_coalgebra's
+# order, as they read on A.
+_ALGEBRA_AXIOMS = (
+    ("associativity", "m(m (x) id) = m(id (x) m)"),
+    ("left-unit", "m(unit (x) id) = id"),
+    ("right-unit", "m(id (x) unit) = id"),
+)
+
+
 def validate_algebra(a: FiniteAlgebra) -> ValidationReport:
-    m, u, ident = a.mult_matrix, a.unit_matrix, a.identity_matrix
-    checks = (
-        residual_check(
-            "associativity",
-            "m(m (x) id) = m(id (x) m)",
-            apply_kron(m, m, ident),
-            apply_kron(m, ident, m),
-        ),
-        residual_check("left-unit", "m(unit (x) id) = id", apply_kron(m, u, ident), ident),
-        residual_check("right-unit", "m(id (x) unit) = id", apply_kron(m, ident, u), ident),
-    )
+    """The algebra axioms of a: the coalgebra axioms of its dual, transposed."""
+    dual = validate_coalgebra(dualize(a))
+    checks = tuple(restated(chk, *named) for chk, named in zip(dual.checks, _ALGEBRA_AXIOMS))
     return ValidationReport("algebra", checks)
 
 
@@ -333,12 +349,8 @@ _MODULE_AXIOMS = (
 
 
 def _module_report(dual: ValidationReport) -> ValidationReport:
-    """A module report from the comodule report of its dual: each identity
-    is the transpose of the dual's, and so is its residual."""
-    checks = tuple(
-        AxiomCheck(name, statement, chk.residual.transpose(), chk.ok)
-        for chk, (name, statement) in zip(dual.checks, _MODULE_AXIOMS)
-    )
+    """A module report from the comodule report of its dual."""
+    checks = tuple(restated(chk, *named) for chk, named in zip(dual.checks, _MODULE_AXIOMS))
     return ValidationReport("right module", checks)
 
 
@@ -349,21 +361,18 @@ def validate_module(v: RightModule) -> ValidationReport:
 
 
 def bialgebra_checks(algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra) -> tuple[AxiomCheck, ...]:
-    """Compatibility making (m, unit, coproduct, counit) a bialgebra."""
-    m, u = algebra.mult_matrix, algebra.unit_matrix
-    d, e = coalgebra.comult_matrix, coalgebra.counit_matrix
-    field = algebra.field
-    n = algebra.dim
+    """Compatibility making (m, unit, coproduct, counit) a bialgebra: the
+    coproduct is the coaction of H on itself, an algebra map into H (x) H."""
+    m, u, e = algebra.mult_matrix, algebra.unit_matrix, coalgebra.counit_matrix
+    itself = ComoduleAlgebra(algebra, coalgebra, coalgebra.comult_matrix)
+    multiplicative, unital = coaction_algebra_map_checks(itself, algebra)
     return (
-        residual_check(
-            "coproduct-multiplicative",
-            "coproduct(ab) = coproduct(a)coproduct(b)",
-            d @ m,
-            swap_product(m, m, d, d, (n, n, n, n)),
+        restated(
+            multiplicative, "coproduct-multiplicative", "coproduct(ab) = coproduct(a)coproduct(b)", transposed=False
         ),
-        residual_check("coproduct-unital", "coproduct(1) = 1 (x) 1", d @ u, kron(u, u)),
+        restated(unital, "coproduct-unital", "coproduct(1) = 1 (x) 1", transposed=False),
         residual_check("counit-multiplicative", "counit(ab) = counit(a)counit(b)", e @ m, kron(e, e)),
-        residual_check("counit-unital", "counit(1) = 1", e @ u, Matrix.identity(1, field)),
+        residual_check("counit-unital", "counit(1) = 1", e @ u, Matrix.identity(1, algebra.field)),
     )
 
 

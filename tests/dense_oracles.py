@@ -6,11 +6,10 @@ them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.
 
-With them are the three products that exactlin.kron_apply,
-exactlin.apply_kron and exactlin.swap_product compute without forming a
-Kronecker product: here kron(x, y), and for the product in a tensor product
-the middle swap and kron(f, g) as well, are formed first and then
-multiplied, on the sparse kernels.  The group-like and character tests
+With them is the product in a tensor product, which exactlin.swap_product
+computes without forming a Kronecker product: here the middle swap and
+kron(f, g) are formed first and then multiplied, on the sparse kernels.
+The group-like and character tests
 follow in the matrix-product form they had before they became identities
 of vectors.
 
@@ -47,7 +46,9 @@ With it come the coextension-side forms the library now reads off the dual
 as well: the dual bundle as that certificate of the induced action over the
 induced coideal, with its equivalence and the action forced by its counit,
 the uniqueness system in the action, and the module axioms and the
-coalgebra-map test stated directly on the action.
+coalgebra-map test stated directly on the action.  The algebra axioms
+stated directly on the multiplication, which the library reads off the
+coalgebra axioms of the dual, follow them.
 
 Four readers that only tests use sit with the dense kernels: the dense
 columns of a matrix, the product of two coordinate vectors of an algebra,
@@ -165,16 +166,6 @@ def kron_dense(m1: Matrix, m2: Matrix) -> tuple:
                     if b:
                         orow[j1 * m2.cols + j2] = (a * b) % p if prime else a * b
     return tuple(tuple(r) for r in out)
-
-
-def kron_then_product(x: Matrix, y: Matrix, m: Matrix) -> Matrix:
-    """kron(x, y) @ m with kron(x, y) formed first."""
-    return kron(x, y) @ m
-
-
-def product_with_kron(m: Matrix, x: Matrix, y: Matrix) -> Matrix:
-    """m @ kron(x, y) with kron(x, y) formed first."""
-    return m @ kron(x, y)
 
 
 def swap_product_formed(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims) -> Matrix:
@@ -887,6 +878,22 @@ def action_coalgebra_map_checks(x, hopf_coalgebra) -> tuple[AxiomCheck, ...]:
             kron(c.counit_matrix, row_matrix(hopf_coalgebra.counit, c.field)),
         ),
     )
+
+
+def validate_algebra_direct(a) -> ValidationReport:
+    """The algebra axioms stated on the multiplication itself."""
+    m, u, ident = a.mult_matrix, a.unit_matrix, a.identity_matrix
+    checks = (
+        residual_check(
+            "associativity",
+            "m(m (x) id) = m(id (x) m)",
+            apply_kron(m, m, ident),
+            apply_kron(m, ident, m),
+        ),
+        residual_check("left-unit", "m(unit (x) id) = id", apply_kron(m, u, ident), ident),
+        residual_check("right-unit", "m(id (x) unit) = id", apply_kron(m, ident, u), ident),
+    )
+    return ValidationReport("algebra", checks)
 
 
 def read_sparse_by_triples(reader, field, value, path, dims, shape=None, at=None) -> Matrix:

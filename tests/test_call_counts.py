@@ -277,9 +277,10 @@ def test_all_validates_each_structure_once(count_calls):
     )
     _run("sweedler-h4", {}, "all")
     # every sub-suite reads the document's structures, and validate_hopf reads
-    # the algebra and coalgebra reports; the second comodule is the carrier
-    # of the g bundle
-    assert counts == {"validate_algebra": 1, "validate_coalgebra": 1, "validate_hopf": 1, "validate_comodule": 2}
+    # the algebra and coalgebra reports; the second coalgebra is the
+    # algebra's dual, whose axioms validate_algebra reads transposed, and the
+    # second comodule is the carrier of the g bundle
+    assert counts == {"validate_algebra": 1, "validate_coalgebra": 2, "validate_hopf": 1, "validate_comodule": 2}
 
 
 def test_all_validates_the_comodule_algebra_once(count_calls):
@@ -318,24 +319,45 @@ def test_one_parser_per_process(monkeypatch, tmp_path, capsys):
     assert built == {"ArgumentParser": 3}
 
 
-def test_s3_galois_forms_no_identity_kronecker_factor(count_calls, monkeypatch):
-    counts = count_calls(exactlin.kron)
-    transpose = exactlin.Matrix.transpose
+def test_s3_galois_forms_no_identity_kronecker_factor(monkeypatch):
+    kron, matmul, transpose = exactlin.kron, exactlin.Matrix.__matmul__, exactlin.Matrix.transpose
+    formed, factors, counts = [], [], Counter()
+
+    def recorded(m1, m2):
+        out = kron(m1, m2)
+        formed.append((m1, m2, out))
+        return out
+
+    def multiplied(self, other):
+        factors.extend((self, other))
+        return matmul(self, other)
 
     def counted(self):
         counts["transpose"] += 1
         return transpose(self)
 
+    for module in [m for n, m in sys.modules.items() if n == "entwine" or n.startswith("entwine.")]:
+        if getattr(module, "kron", None) is kron:
+            monkeypatch.setattr(module, "kron", recorded)
+    monkeypatch.setattr(exactlin.Matrix, "__matmul__", multiplied)
     monkeypatch.setattr(exactlin.Matrix, "transpose", counted)
     _run("coset-coideal", {"group": "S3"}, "galois")
     # the structure maps, the canonical map and its actions, the ideals of
     # the differential sequence and the left canonical map multiply through
     # leg_product and leg_product_mirror, which form no kron(I, z), and
-    # apply_kron transposes nothing.  The kron calls left are the relations
-    # of A (x)_B A, the two subspace tensor products and the expected sides
-    # of residual checks; the transposes are those of one swap_product.
-    assert counts["kron"] <= 9
-    assert counts["transpose"] <= 5
+    # apply_kron transposes nothing.  A Kronecker product is formed as a
+    # factor only with two non-identity factors, as kron(incl, incl) in the
+    # subalgebra test; the ones with an identity factor are compared, not
+    # multiplied: the relations of A (x)_B A, the subspace tensor products
+    # and the expected sides of residual checks.
+    in_products = {id(m) for m in factors}
+    assert any(id(out) in in_products for _, _, out in formed)
+    for m1, m2, out in formed:
+        assert not (m1.is_identity or m2.is_identity) or id(out) not in in_products
+    # the transposes are those of one swap_product and of the algebra
+    # axioms, read off the dual coalgebra: its structure map and three
+    # residuals
+    assert counts["transpose"] <= 9
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,11 @@ unreduced entries, and the products that pick it against the dense oracles,
 over GF(2), GF(7), GF(2^31 - 1) and GF(2^61 - 1); the products by operands
 whose rows are empty or one term, which place rows when every term is a
 unit, against the dense oracles over QQ, GF(2), GF(7) and GF(2^61 - 1);
-the fused Kronecker products
-and the leg products against the Kronecker products formed first, and the
-product in a tensor product against its formed middle swap, over QQ, GF(7)
-and GF(2); the tensor product of subspaces against the image of the
+the Kronecker products applied
+without an identity factor and the leg products against kron_dense and the
+dense product, and the product in a tensor product against its formed
+middle swap, over QQ, GF(7) and GF(2), with unreduced entries over GF(2),
+GF(7) and GF(2^61 - 1); the tensor product of subspaces against the image of the
 Kronecker product of their inclusions; the
 quotient forms of the coideal and invariance tests against their
 spanning-set forms; the block uniqueness system against the full one; and
@@ -244,6 +245,14 @@ class TestProducts:
         assert system.apply(vectorize(x)) == vectorize(left @ kron(Matrix.identity(f, field), x) @ right)
 
 
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, b.cols, dense.matmul(a, b), a.field)
+
+
+def dense_kron(x: Matrix, y: Matrix) -> Matrix:
+    return Matrix(x.rows * y.rows, x.cols * y.cols, dense.kron_dense(x, y), x.field)
+
+
 @st.composite
 def kron_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
     """Factors x, y and matrices m, n over one field for kron(x, y) @ m and
@@ -275,23 +284,41 @@ class TestFusedKroneckerProducts:
     def test_match_the_formed_kronecker_product(self, args):
         x, y, m, n = args
         left = kron_apply(x, y, m)
-        assert left == dense.kron_then_product(x, y, m)
+        assert left == dense_product(dense_kron(x, y), m)
         assert (left.rows, left.cols) == (x.rows * y.rows, m.cols)
         assert_indexed(left)
         right = apply_kron(n, x, y)
-        assert right == dense.product_with_kron(n, x, y)
+        assert right == dense_product(n, dense_kron(x, y))
         assert (right.rows, right.cols) == (n.rows, x.cols * y.cols)
         assert_indexed(right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_two_factors_with_unreduced_entries(self, data):
+        # two non-identity factors: the products are their definitions,
+        # checked against kron(x, y) formed cell by cell and the dense product,
+        # with every shape from 0 x n and n x 0 and entries from -3p to 3p
+        field = GF(data.draw(st.sampled_from([2, 7, 2**61 - 1])))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        r1, c1, r2, c2, k = (data.draw(st.integers(0, 3)) for _ in range(5))
+        x, y = raw_matrix(rnd, field, r1, c1), raw_matrix(rnd, field, r2, c2)
+        formed = dense_kron(x, y)
+        m, n = raw_matrix(rnd, field, c1 * c2, k), raw_matrix(rnd, field, k, r1 * r2)
+        left, right = kron_apply(x, y, m), apply_kron(n, x, y)
+        assert reduced(left) == dense.matmul(formed, m)
+        assert (left.rows, left.cols) == (r1 * r2, k)
+        assert reduced(right) == dense.matmul(n, formed)
+        assert (right.rows, right.cols) == (k, c1 * c2)
 
     @settings(max_examples=200, deadline=None)
     @given(identity_kron_products())
     def test_identity_factors_match_the_formed_kronecker_product(self, args):
         x, y, m, n = args
         left = kron_apply(x, y, m)
-        assert left == dense.kron_then_product(x, y, m)
+        assert left == dense_product(dense_kron(x, y), m)
         assert_indexed(left)
         right = apply_kron(n, x, y)
-        assert right == dense.product_with_kron(n, x, y)
+        assert right == dense_product(n, dense_kron(x, y))
         assert_indexed(right)
 
     @pytest.mark.parametrize("field", [QQ, GF7, GF2])
@@ -300,8 +327,8 @@ class TestFusedKroneckerProducts:
         x = Matrix.from_rows([[3, 1], [0, 0], [1, 0]], field)
         for a, b in ((i0, x), (x, i0), (i0, i0), (i0, i2), (i2, i0)):
             m, n = Matrix.zero(a.cols * b.cols, 2, field), Matrix.zero(2, a.rows * b.rows, field)
-            assert kron_apply(a, b, m) == dense.kron_then_product(a, b, m)
-            assert apply_kron(n, a, b) == dense.product_with_kron(n, a, b)
+            assert kron_apply(a, b, m) == dense_product(dense_kron(a, b), m)
+            assert apply_kron(n, a, b) == dense_product(n, dense_kron(a, b))
 
     @pytest.mark.parametrize("field", [QQ, GF7, GF2])
     def test_two_identity_factors_share_the_rows_of_m(self, field):
@@ -319,8 +346,8 @@ class TestFusedKroneckerProducts:
             return Matrix.from_triples(rows, cols, [(i, j, 1 + i + 2 * j) for i in range(rows) for j in range(cols)], field)
 
         x, y, m, n = filled(r1, c1), filled(r2, c2), filled(c1 * c2, 2), filled(2, r1 * r2)
-        assert kron_apply(x, y, m) == dense.kron_then_product(x, y, m)
-        assert apply_kron(n, x, y) == dense.product_with_kron(n, x, y)
+        assert kron_apply(x, y, m) == dense_product(dense_kron(x, y), m)
+        assert apply_kron(n, x, y) == dense_product(n, dense_kron(x, y))
 
     @pytest.mark.parametrize("field", [QQ, GF7, GF2])
     def test_empty_rows_and_non_unit_coefficients(self, field):
@@ -329,16 +356,16 @@ class TestFusedKroneckerProducts:
         m = Matrix.from_rows([[1, 2], [0, 3], [4, 0], [5, 5]], field)
         n = Matrix.from_rows([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0], [1, 3, 0, 6, 1, 1]], field)
         out = kron_apply(x, y, m)
-        assert out == dense.kron_then_product(x, y, m)
+        assert out == dense_product(dense_kron(x, y), m)
         assert out.nonzeros[:3] == ((), (), ())  # the empty row of x
-        assert apply_kron(n, x, y) == dense.product_with_kron(n, x, y)
+        assert apply_kron(n, x, y) == dense_product(n, dense_kron(x, y))
 
     def test_unit_products_mod_p_share_or_copy_rows(self):
         # 3 * 5 = 15 = 1 (mod 7): the one-term row of kron(x, y) @ m is row 0 of m
         x, y = Matrix.from_rows([[3]], GF7), Matrix.from_rows([[5]], GF7)
         m = Matrix.from_rows([[2, 0, 6]], GF7)
         out = kron_apply(x, y, m)
-        assert out == dense.kron_then_product(x, y, m) == m
+        assert out == dense_product(dense_kron(x, y), m) == m
         assert out.nonzeros[0] is m.nonzeros[0]
         n = Matrix.from_rows([[3]], GF7)
         assert apply_kron(n, Matrix.from_rows([[5]], GF7), Matrix.from_rows([[4, 0, 2]], GF7)) == Matrix.from_rows(
@@ -367,12 +394,12 @@ def leg_products(draw, fields=st.sampled_from([QQ, GF7, GF2])):
 
 def formed_leg_product(x: Matrix, z: Matrix, dims) -> Matrix:
     k, _, w = dims
-    return dense.kron_then_product(x, Matrix.identity(w, x.field), kron(Matrix.identity(k, x.field), z))
+    return dense_product(dense_kron(x, Matrix.identity(w, x.field)), kron(Matrix.identity(k, x.field), z))
 
 
 def formed_mirror(x: Matrix, z: Matrix, dims) -> Matrix:
     k, _, w = dims
-    return dense.kron_then_product(Matrix.identity(w, x.field), x, kron(z, Matrix.identity(k, x.field)))
+    return dense_product(dense_kron(Matrix.identity(w, x.field), x), kron(z, Matrix.identity(k, x.field)))
 
 
 def s4_mult(field) -> Matrix:
@@ -495,14 +522,6 @@ def matrices_mod_p(draw, field, rows, cols):
     rnd = draw(st.randoms(use_true_random=False))
     data = [[rnd.randrange(1, field.p) if rnd.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
     return Matrix(rows, cols, Matrix.from_rows(data, field).entries, field)
-
-
-def dense_product(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.rows, b.cols, dense.matmul(a, b), a.field)
-
-
-def dense_kron(x: Matrix, y: Matrix) -> Matrix:
-    return Matrix(x.rows * y.rows, x.cols * y.cols, dense.kron_dense(x, y), x.field)
 
 
 @contextmanager

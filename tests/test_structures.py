@@ -13,8 +13,11 @@ from dense_oracles import (
     mult_matrix_from_tensor,
     mult_tensor,
     multiply,
+    swap_product_formed,
+    validate_algebra_direct,
 )
 from support import field_algebra, field_coalgebra
+from test_golden_reports import _documents as golden_documents
 from entwine.catalogue import dual_group_algebra, group_algebra, sweedler_hopf_algebra
 from entwine.errors import DimensionMismatch
 from entwine.exactlin import Matrix, kron, row_matrix, try_invert
@@ -27,6 +30,7 @@ from entwine.structures import (
     HopfAlgebra,
     RightComodule,
     RightModule,
+    bialgebra_checks,
     coaction_algebra_map_checks,
     convolution,
     convolution_unit,
@@ -40,6 +44,7 @@ from entwine.structures import (
     validate_module,
     verify_character,
     verify_grouplike,
+    residual_check,
 )
 
 GF7 = GF(7)
@@ -103,6 +108,43 @@ class TestAlgebraValidation:
         report = validate_algebra(a)
         assert not report.ok
         assert "associativity" in {c.name for c in report.failures()}
+        assert report == validate_algebra_direct(a)
+
+    def test_every_catalogue_algebra_matches_the_direct_axioms(self):
+        # validate_algebra reads the coalgebra axioms of A* = (A, m^T, unit),
+        # transposed; the direct form states them on m, residual for residual
+        seen = 0
+        for _, doc in golden_documents():
+            for a in (doc.algebra, doc.coalgebra and dualize(doc.coalgebra)):
+                if a is not None:
+                    assert validate_algebra(a) == validate_algebra_direct(a)
+                    seen += 1
+        assert seen >= 60
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_structure_constants_match_the_direct_axioms(self, data):
+        # neither associative nor unital in general; with the unit e_0 acting
+        # as one on both sides, the unit axioms pass and associativity need not
+        field = data.draw(st.sampled_from([QQ, GF(2), GF7, GF(2**61 - 1)]))
+        d = data.draw(st.integers(1, 3))
+        if field.p:
+            scalar = st.one_of(st.just(0), st.integers(-2 * field.p, 2 * field.p))
+        else:
+            scalar = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        rows = data.draw(st.lists(st.lists(scalar, min_size=d * d, max_size=d * d), min_size=d, max_size=d))
+        unit = data.draw(st.lists(scalar, min_size=d, max_size=d))
+        if data.draw(st.booleans()):
+            unit = [1] + [0] * (d - 1)
+            for i in range(d):
+                for k in range(d):
+                    rows[k][i] = rows[k][i * d] = int(k == i)
+        names = tuple(f"e{i}" for i in range(d))
+        a = FiniteAlgebra(d, names, Matrix.from_rows(rows, field), tuple(map(field.coerce, unit)), field)
+        report = validate_algebra(a)
+        assert report == validate_algebra_direct(a)
+        assert [chk.name for chk in report.checks] == ["associativity", "left-unit", "right-unit"]
+        assert all(chk.residual.is_zero == chk.ok for chk in report.checks)
 
 
 class TestCoalgebraValidation:
@@ -158,6 +200,25 @@ class TestHopfValidation:
         report = validate_hopf(HopfAlgebra(sweedler.algebra, sweedler.coalgebra, bad_s))
         failing = {c.name for c in report.failures()}
         assert "antipode-left" in failing or "antipode-right" in failing
+
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    def test_bialgebra_checks_keep_their_names_and_residuals(self, field, sweedler):
+        # the coproduct's checks are those of H coacting on itself, restated;
+        # the direct form multiplies in H (x) H through the formed middle swap
+        h = sweedler if field is QQ else sweedler_hopf_algebra(field)
+        shear = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], field)
+        moved = transport_coalgebra(h.coalgebra, shear)
+        for coalgebra in (h.coalgebra, moved):
+            m, u, d, n = h.algebra.mult_matrix, h.algebra.unit_matrix, coalgebra.comult_matrix, h.dim
+            multiplicative, unital = bialgebra_checks(h.algebra, coalgebra)[:2]
+            assert multiplicative == residual_check(
+                "coproduct-multiplicative",
+                "coproduct(ab) = coproduct(a)coproduct(b)",
+                d @ m,
+                swap_product_formed(m, m, d, d, (n, n, n, n)),
+            )
+            assert unital == residual_check("coproduct-unital", "coproduct(1) = 1 (x) 1", d @ u, kron(u, u))
+        assert not multiplicative.ok
 
     def test_dual_group_algebra_is_hopf(self):
         for group in ("Z2", "Z3", "Z4", "S3"):
