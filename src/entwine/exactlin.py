@@ -33,7 +33,10 @@ Elimination works on sparse rows (dicts from column to value) into the
 unique reduced row-echelon form.  ``kernel`` and ``rank`` eliminate each
 distinct nonzero row once, since repeated and zero rows add nothing to the
 row space; ``try_invert`` takes every row, because row i of its augmented
-system [m | I] carries e_i.
+system [m | I] carries e_i.  A kernel is one elimination on the reversed
+columns: each reduced row is then zero right of its pivot, so the null
+vector of a free column f is 1 at f and elsewhere nonzero only at pivots
+right of f, and by increasing f these are already the kernel's RREF basis.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -526,6 +529,16 @@ class Subspace:
                 cols[j].append((q, x))
         return _from_index(self.ambient_dim, self.dim, [tuple(c) for c in cols], self.field)
 
+    def embed(self, coords: "Subspace") -> "Subspace":
+        """inclusion() applied to coords, a subspace of k^dim, uneliminated: a
+        row of coords' RREF with pivot f maps to a vector led by 1 at the f-th
+        pivot here, 0 at those of coords' other pivots: the images are RREF."""
+        rows: list[dict[int, Scalar]] = [{} for _ in coords.nonzeros]
+        for v, row in zip(rows, coords.nonzeros):
+            for q, a in row:
+                _subtract(v, -a, self.nonzeros[q], self.field.p)
+        return _subspace(self.ambient_dim, rows, self.field)
+
     def coordinates(self) -> Matrix:
         """dim x ambient matrix giving coordinates on this subspace.
 
@@ -577,16 +590,17 @@ def _subtract(row: dict[int, Scalar], f: Scalar, other: Iterable[tuple[int, Scal
                 row[j] = -f * y
 
 
-def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) -> tuple[list[int], list[dict[int, Scalar]]]:
+def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec, lead=min) -> tuple[list[int], list[dict[int, Scalar]]]:
     """Reduced row echelon form of sparse rows (dicts from column to nonzero value).
 
     Returns the pivot columns in increasing order and the nonzero rows of the
-    unique RREF in the same order.  Rows are inserted one at a time against
-    the pivot rows found so far, each of which is zero at every other pivot
-    column: clearing a new row takes one membership test per entry and one
-    update over each pivot row's nonzeros.  ``holders`` maps each non-pivot
-    column to a superset of the pivot rows holding it, so a new pivot
-    revisits only those rows.  The input dicts are consumed.
+    unique RREF (``lead=max``: of the reversed columns) in the same order.
+    Rows are inserted one at a time against the pivot rows found so far,
+    each of which is zero at every other pivot column: clearing a new row
+    takes one membership test per entry and one update over each pivot
+    row's nonzeros.  ``holders`` maps each non-pivot column to a superset of
+    the pivot rows holding it, so a new pivot revisits only those rows.  The
+    input dicts are consumed.
     """
     p = field.p
     invert = field.invert
@@ -600,10 +614,10 @@ def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) ->
             _subtract(row, row[c], pivot_rows[c].items(), p)
         if not row:
             continue
-        c = min(row)
-        lead = row[c]
-        if lead != 1:
-            inv = invert(lead)
+        c = lead(row)
+        head = row[c]
+        if head != 1:
+            inv = invert(head)
             if p:
                 row = {j: x * inv % p for j, x in row.items()}
             else:  # integral quotients back to ints
@@ -632,18 +646,24 @@ def rank(m: Matrix) -> int:
     return len(_echelon(_nonzero_rows(m), m.cols, m.field)[0])
 
 
-def _kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) -> list[dict[int, Scalar]]:
-    """RREF basis rows of the null space of the matrix with the given sparse rows."""
-    pivots, reduced = _echelon(rows, ncols, field)
-    pivot_set = set(pivots)
+def _null_rows(ncols: int, pivots: Sequence[int], rows: Iterable, field: FieldSpec) -> list[dict[int, Scalar]]:
+    """The null vector of each free column f, by increasing f, of the RREF with
+    these pivots and (column, value) rows: 1 at f, -row[f] at each pivot."""
     one = field.one
     p = field.p
+    pivot_set = set(pivots)
     vecs = {f: {f: one} for f in range(ncols) if f not in pivot_set}
-    for piv, row in zip(pivots, reduced):
-        for j, x in row.items():
+    for piv, row in zip(pivots, rows):
+        for j, x in row:
             if j != piv:
                 vecs[j][piv] = -x % p if p else -x
-    return _echelon(vecs.values(), ncols, field)[1]
+    return list(vecs.values())
+
+
+def _kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int, field: FieldSpec) -> list[dict[int, Scalar]]:
+    """RREF basis rows of the null space of the matrix with the given sparse rows."""
+    pivots, reduced = _echelon(rows, ncols, field, max)
+    return _null_rows(ncols, pivots, [row.items() for row in reduced], field)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -661,31 +681,20 @@ def image(m: Matrix) -> Subspace:
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """s1 cap s2 as s1.embed of the kernel of c |-> the remainder of
+    sum c_q u_q against s2's basis, a linear map zero exactly on s2."""
     _check_same_field(s1, s2)
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(f"ambient {s1.ambient_dim} vs {s2.ambient_dim}")
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero_subspace(s1.ambient_dim, s1.field)
-    field = s1.field
-    p = field.p
-    # Solve sum a_i u_i = sum b_j w_j via the kernel of [U | -W] (columns).
-    n = s1.ambient_dim
-    cols1 = s1.dim
-    stacked: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    stacked: list[dict[int, Scalar]] = [{} for _ in range(s1.ambient_dim)]
     for q, row in enumerate(s1.nonzeros):
-        for j, x in row:
+        remainder = dict(row)
+        s2._reduces_to_zero(remainder)
+        for j, x in remainder.items():
             stacked[j][q] = x
-    for q, row in enumerate(s2.nonzeros):
-        for j, x in row:
-            stacked[j][cols1 + q] = -x % p if p else -x
-    vecs = []
-    for kv in _kernel_rows(stacked, cols1 + s2.dim, field):
-        v: dict[int, Scalar] = {}
-        for q, a in kv.items():
-            if q < cols1:
-                _subtract(v, -a, s1.nonzeros[q], p)
-        vecs.append(v)
-    return _subspace(n, _echelon(vecs, n, field)[1], field)
+    return s1.embed(_subspace(s1.dim, _kernel_rows(stacked, s1.dim, s1.field), s1.field))
 
 
 def try_invert(m: Matrix):
@@ -700,8 +709,7 @@ def try_invert(m: Matrix):
         row[n + i] = one
     pivots, reduced = _echelon(aug, 2 * n, field)
     if pivots != list(range(n)):
-        ker = kernel(m)
-        witness = ker.basis[0] if ker.dim else None
+        witness = next(iter(kernel(m).basis), None)
         return NotInvertible(rank=sum(1 for p in pivots if p < n), witness=witness)
     return _from_index(n, n, [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced], field)
 
@@ -1063,26 +1071,17 @@ def quotient(ambient_dim: int, relations: Subspace) -> QuotientPresentation:
     if relations.ambient_dim != ambient_dim:
         raise DimensionMismatch(f"relations ambient {relations.ambient_dim} vs {ambient_dim}")
     field = relations.field
-    one = field.one
-    p = field.p
-    pivot_set = set(relations.pivots)
-    nonpiv = [j for j in range(ambient_dim) if j not in pivot_set]
-    qdim = len(nonpiv)
-    position = {col: q for q, col in enumerate(nonpiv)}
-    proj: list[list[tuple[int, Scalar]]] = [[(col, one)] for col in nonpiv]
-    for piv, row in zip(relations.pivots, relations.nonzeros):
-        for j, x in row:
-            if j != piv:
-                proj[position[j]].append((piv, -x % p if p else -x))
+    # the null vector of the q-th free column f has its other entries left of f
+    proj = [_sorted_index(v) for v in _null_rows(ambient_dim, relations.pivots, relations.nonzeros, field)]
     sect: list[IndexRow] = [()] * ambient_dim
-    for q, col in enumerate(nonpiv):
-        sect[col] = ((q, one),)
+    for q, row in enumerate(proj):
+        sect[row[-1][0]] = ((q, field.one),)
     return QuotientPresentation(
         ambient_dim=ambient_dim,
         relations=relations,
-        quotient_dim=qdim,
-        projection=_from_index(qdim, ambient_dim, [tuple(sorted(r)) for r in proj], field),
-        section=_from_index(ambient_dim, qdim, sect, field),
+        quotient_dim=len(proj),
+        projection=_from_index(len(proj), ambient_dim, proj, field),
+        section=_from_index(ambient_dim, len(proj), sect, field),
     )
 
 

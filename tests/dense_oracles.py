@@ -4,7 +4,10 @@ These are the cell-by-cell kernels exactlin used before its matrices carried
 a nonzero index, kept only to test the sparse kernels against: every one of
 them scans every cell.  Each takes ``Matrix`` arguments and returns dense row
 tuples (or, for elimination, rows and pivots), so results compare directly
-with ``Matrix.entries`` and ``Subspace.basis``.
+with ``Matrix.entries`` and ``Subspace.basis``.  With them are the kernel
+and intersection as exactlin computed them before a kernel took a single
+elimination: the null vectors read off the RREF eliminated a second time,
+and an intersection's mapped-back vectors a third.
 
 With them is the product in a tensor product, which exactlin.swap_product
 computes without forming a Kronecker product: here the middle swap and
@@ -27,8 +30,11 @@ replaced with a kernel fixed point, the per-basis-vector coinvariant
 blocks, which the library reads off one coinvariant system, the
 relations of A (x)_B A stacked one block per basis vector b of B, which
 the library reads off the image of one map on A (x) B (x) A, the
-horizontal forms with one operator rebuilt per (w, i, j), which the library
-reads off as the right ideal of the left ideal A.Omega_B,
+horizontal forms with one operator rebuilt per (w, i, j), and the route
+through Omega_B = (B (x) B) cap Omega_A, the right ideal of its left ideal
+A.Omega_B and the intersection Omega_A cap Ker raw_can, where the library
+reads the horizontal forms off the relations of A (x)_B A and the
+restriction kernel off one kernel on Omega_A,
 A (x) C+ spanned one Kronecker product of vectors at a time, which the
 library reads off the echelon indexes of A and C+, and the subalgebra test
 with one product per pair of basis vectors, which the library reads off the
@@ -73,6 +79,9 @@ from entwine.errors import DimensionMismatch, FieldParseError, InternalCheckErro
 from entwine.exactlin import (
     Matrix,
     Subspace,
+    _echelon,
+    _nonzero_rows,
+    _subspace,
     apply_kron,
     basis_vector,
     column_matrix,
@@ -80,11 +89,15 @@ from entwine.exactlin import (
     intersect,
     kernel,
     kron,
+    leg_product,
+    leg_product_mirror,
     middle_block,
     row_matrix,
     stack_rows,
     tensor_permutation,
+    tensor_subspace,
 )
+from entwine.galois import DifferentialSequenceReport
 from entwine.structures import (
     AxiomCheck,
     ModuleCoalgebra,
@@ -251,6 +264,62 @@ def kernel_dense(m: Matrix) -> tuple:
             v[p] = field.neg(reduced[i][f])
         vecs.append(v)
     return span_basis(vecs, m.cols, field)
+
+
+def _meet_system(s1: Subspace, s2: Subspace) -> Matrix:
+    """[U | -W]: the echelon bases of s1 and s2 as columns, W's negated."""
+    field = s1.field
+    rows = [[field.zero] * (s1.dim + s2.dim) for _ in range(s1.ambient_dim)]
+    for q, u in enumerate(s1.basis):
+        for j, x in enumerate(u):
+            rows[j][q] = x
+    for q, w in enumerate(s2.basis):
+        for j, x in enumerate(w):
+            rows[j][s1.dim + q] = field.neg(x)
+    return Matrix(s1.ambient_dim, s1.dim + s2.dim, tuple(tuple(r) for r in rows), field)
+
+
+def _through_first(s1: Subspace, kernel_vectors) -> list[list]:
+    """Each kernel vector of [U | -W] mapped back through U."""
+    field = s1.field
+    vectors = []
+    for kv in kernel_vectors:
+        v = [field.zero] * s1.ambient_dim
+        for a, u in zip(kv, s1.basis):
+            if a:
+                v = [field.add(x, field.mul(a, y)) for x, y in zip(v, u)]
+        vectors.append(v)
+    return vectors
+
+
+def intersect_dense(s1: Subspace, s2: Subspace) -> tuple:
+    """RREF basis of the intersection, through dense kernel vectors."""
+    return span_basis(_through_first(s1, kernel_dense(_meet_system(s1, s2))), s1.ambient_dim, s1.field)
+
+
+def kernel_by_two_eliminations(m: Matrix) -> Subspace:
+    """The null space as exactlin computed it before a kernel took one
+    elimination: the RREF of the distinct nonzero rows, the null vector of
+    each free column read off it (1 at the column, nonzero elsewhere only at
+    pivots left of it), and those vectors eliminated again into the
+    canonical basis."""
+    field = m.field
+    pivots, reduced = _echelon(_nonzero_rows(m), m.cols, field)
+    pivot_set = set(pivots)
+    vecs = {f: {f: field.one} for f in range(m.cols) if f not in pivot_set}
+    for piv, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != piv:
+                vecs[j][piv] = field.neg(x)
+    return _subspace(m.cols, _echelon(vecs.values(), m.cols, field)[1], field)
+
+
+def intersect_by_two_eliminations(s1: Subspace, s2: Subspace) -> Subspace:
+    """The intersection as exactlin computed it before: the kernel of
+    [U | -W] by two eliminations, mapped back through U, and the images
+    eliminated a third time."""
+    kernel_vectors = kernel_by_two_eliminations(_meet_system(s1, s2)).basis
+    return Subspace.from_spanning(_through_first(s1, kernel_vectors), s1.ambient_dim, s1.field)
 
 
 def try_invert_dense(m: Matrix) -> tuple | None:
@@ -486,6 +555,34 @@ def horizontal_forms_by_triple_loop(a, omega_b: Subspace) -> Subspace:
                 rj = kron(a.identity_matrix, right_multiplication(a, basis_vector(a.dim, j, field)))
                 vectors.append((li @ rj).apply(w))
     return Subspace.from_spanning(vectors, a.dim * a.dim, field)
+
+
+def differential_sequence_by_ideals(cert) -> DifferentialSequenceReport:
+    """The differential sequence as galois computed it before it read the
+    horizontal forms off the balancing relations: Omega_B = (B (x) B) cap
+    Omega_A, its left ideal A.Omega_B, that ideal's right ideal
+    (A.Omega_B).A as A(dB)A, and the restriction kernel as Omega_A cap
+    Ker raw_can."""
+    x = cert.subject
+    a, c = x.algebra, x.coalgebra
+    m = a.mult_matrix
+    omega_a = kernel(m)
+    target = tensor_subspace(Subspace.full(a.dim, a.field), kernel(c.counit_matrix))
+    omega_b = intersect(tensor_subspace(cert.coinvariants, cert.coinvariants), omega_a)
+    legs = (a.dim, a.dim, a.dim)
+    left = image(leg_product(m, omega_b.inclusion(), legs))
+    horizontal = image(leg_product_mirror(m, left.inclusion(), legs))
+    image_ok = image(x.raw_can @ omega_a.inclusion()) == target
+    kernel_ok = intersect(omega_a, kernel(x.raw_can)) == horizontal
+    return DifferentialSequenceReport(
+        universal_forms=omega_a,
+        horizontal_forms=horizontal,
+        augmented_target=target,
+        image_fills_target=image_ok,
+        kernel_matches_horizontal=kernel_ok,
+        exact=image_ok and kernel_ok,
+        galois=cert.is_galois,
+    )
 
 
 def augmented_target_by_vectors(a, c) -> Subspace:

@@ -405,3 +405,21 @@ def test_is_identity_is_computed_once_per_matrix(count_calls):
         kron_apply(x, y, m)
         apply_kron(n, x, y)
     assert counts == {"is_identity": 2}
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "suite", "eliminations"),
+    [
+        ("coset-coideal", {"group": "S3"}, "galois", 10),
+        ("trivial-hopf-galois", {"group": "Z4", "p": 7}, "galois", 11),
+        ("coset-coideal", {"group": "S3", "generators": "(12),(13)"}, "cogenerate", 9),
+    ],
+)
+def test_eliminations_per_check(count_calls, name, params, suite, eliminations):
+    doc = document_from_example(build(name, params))  # the catalogue spans its coideals
+    counts = count_calls(exactlin._echelon)
+    assert run_suite(doc, suite).ok
+    # a kernel and an intersection eliminate once each, the differential
+    # sequence reads A(dB)A off the balancing relations, and can_L of a
+    # Galois certificate is not inverted; 22, 24 and 17 before
+    assert counts == {"_echelon": eliminations}

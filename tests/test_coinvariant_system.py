@@ -20,6 +20,16 @@ against the block loop there as well), and on the trivial
 coactions, where B = A and A(dB)A is all of Omega_A; Omega_B is cut from
 B (x) B spanned one Kronecker product at a time, and the target A (x) C+
 is checked against ``dense_oracles.augmented_target_by_vectors``.
+
+The whole differential sequence report, whose horizontal forms are the
+relations of A (x)_B A and whose restriction kernel is one kernel on
+Omega_A, is checked field by field against the route through Omega_B that it
+replaced, ``dense_oracles.differential_sequence_by_ideals``, on every golden
+document the galois suite certifies and on the quotient and trivial
+coactions.  On every golden Hopf document, and on the non-Galois k[Z4]
+coacting by a |-> a (x) 1, the left canonical map's bijectivity, read off the
+certificate when psi . can_L = can and can is invertible, is checked against
+its elimination.
 """
 
 from fractions import Fraction
@@ -31,7 +41,8 @@ from hypothesis import strategies as st
 import dense_oracles as dense
 from entwine.catalogue import build, coset_coideal, group_algebra, self_extension, sweedler_hopf_algebra
 from entwine.cogalois import quotient_coalgebra
-from entwine.exactlin import Matrix, Subspace, column_matrix, intersect, kernel, kron
+from entwine.errors import AxiomViolation, NotInvertibleError
+from entwine.exactlin import Matrix, Subspace, column_matrix, decide_bijection, intersect, kernel, kron
 from entwine.fields import GF, QQ
 from entwine.galois import (
     _stacked_system,
@@ -40,9 +51,11 @@ from entwine.galois import (
     coinvariants,
     differential_sequence,
     galois_check,
+    left_canonical_check,
 )
-from entwine.structures import ComoduleAlgebra
+from entwine.structures import ComoduleAlgebra, coaction_algebra_map_checks
 from support import field_algebra
+from test_golden_reports import _documents as golden_documents
 
 GF7 = GF(7)
 
@@ -213,3 +226,66 @@ def test_trivial_coaction_horizontal_forms_match_the_triple_loop(group, field):
     assert _assert_horizontal_forms_match_the_triple_loop(x) == x.algebra.dim**2 - x.algebra.dim
     report = differential_sequence(galois_check(x))
     assert report.horizontal_forms == report.universal_forms and not report.exact
+
+
+def _golden_galois_certificates():
+    """(label, document, certificate) for every golden document whose galois
+    suite reaches the certificate."""
+    for label, doc in golden_documents():
+        if doc.coaction is None or not doc.algebra.checks.ok:
+            continue
+        x = doc.comodule_algebra
+        if x.comodule_checks.ok:
+            yield label, doc, galois_check(x)
+
+
+def test_golden_differential_sequences_match_the_ideal_route():
+    verdicts = set()
+    for label, _, cert in _golden_galois_certificates():
+        assert differential_sequence(cert) == dense.differential_sequence_by_ideals(cert), label
+        verdicts.add(cert.is_galois)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("group,generator", QUOTIENT_COACTIONS)
+def test_quotient_coaction_differential_sequence_matches_the_ideal_route(group, generator, p):
+    cert = galois_check(_quotient_coaction(group, generator, p))
+    assert differential_sequence(cert) == dense.differential_sequence_by_ideals(cert)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_trivial_coaction_differential_sequence_matches_the_ideal_route(group, field):
+    cert = galois_check(_trivial_coaction(group, field))
+    assert differential_sequence(cert) == dense.differential_sequence_by_ideals(cert)
+
+
+def _assert_left_bijectivity_is_decided(h, cert):
+    """left_canonical_check's verdict on can_L equals the elimination's; the
+    report (or None when the check does not apply)."""
+    try:
+        left = left_canonical_check(h, cert, coaction_algebra_map_checks(cert.subject, h.algebra))
+    except (AxiomViolation, NotInvertibleError):
+        return None
+    assert left.left_bijective == (decide_bijection(left.can_left).inverse is not None)
+    return left
+
+
+def test_golden_left_bijectivity_matches_the_elimination():
+    deduced = 0
+    for label, doc, cert in _golden_galois_certificates():
+        if doc.hopf is not None:
+            left = _assert_left_bijectivity_is_decided(doc.hopf, cert)
+            deduced += left is not None and left.composite_matches and cert.is_galois
+    assert deduced >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+def test_non_galois_left_bijectivity_is_decided_by_elimination(field):
+    # k[Z4] coacting on itself by a |-> a (x) 1: can is not invertible, so
+    # the left inverse of can_L cannot be read off it
+    cert = galois_check(_trivial_coaction("Z4", field))
+    assert not cert.is_galois
+    left = _assert_left_bijectivity_is_decided(group_algebra({"group": "Z4"}, field), cert)
+    assert left is not None and not left.left_bijective

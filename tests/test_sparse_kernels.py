@@ -13,8 +13,11 @@ middle swap, over QQ, GF(7) and GF(2), with unreduced entries over GF(2),
 GF(7) and GF(2^61 - 1); the tensor product of subspaces against the image of the
 Kronecker product of their inclusions; the
 quotient forms of the coideal and invariance tests against their
-spanning-set forms; the block uniqueness system against the full one; and
-every rational kernel against the all-Fraction form of its input."""
+spanning-set forms; the block uniqueness system against the full one;
+every rational kernel against the all-Fraction form of its input; and the
+one-elimination kernel, intersection and try_invert witness against the
+two-elimination forms they replaced and the dense oracles, over QQ, GF(2),
+GF(7) and GF(2^61 - 1)."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -900,6 +903,85 @@ def repeated_rows(draw):
         rows.append(rows[k] if k >= 0 else (m.field.zero,) * m.cols)
     rows = draw(st.permutations(rows))
     return Matrix(len(rows), m.cols, tuple(rows), m.field)
+
+
+@st.composite
+def kernel_inputs(draw, field=None, cols=None, square=False):
+    """A matrix over Q, GF(2), GF(7) or GF(2^61 - 1), of 0 to 7 rows and
+    columns (0 x n and n x 0 included): random, with zero and repeated rows
+    added, or of full rank, its pivot columns an invertible block spread by
+    a random unit lower-triangular factor."""
+    field = draw(st.sampled_from([QQ, GF2, GF7, GF61])) if field is None else field
+    cols = draw(st.integers(0, 7)) if cols is None else cols
+    rows = cols if square else draw(st.integers(0, 7))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if field.is_prime_field:
+            return rnd.randrange(1, field.p)
+        return Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.choice([1, 1, 2, 3]))
+
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.5, 1.0, 0.2, 0.0]))
+        data = [[entry() if rnd.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        if square:
+            if rows:  # singular, unless the row drawn is the last
+                data[-1] = list(rnd.choice(data))
+        else:
+            for _ in range(draw(st.integers(0, 3))):
+                data.append(list(rnd.choice(data)) if data and rnd.random() < 0.7 else [0] * cols)
+        rnd.shuffle(data)
+        return Matrix(len(data), cols, Matrix.from_rows(data, field).entries, field) if data else Matrix.zero(0, cols, field)
+    short, long = sorted((rows, cols))
+    pivots = rnd.sample(range(long), short)
+    block = [[1 if j == pivots[i] else 0 if j in pivots else entry() for j in range(long)] for i in range(short)]
+    spread = Matrix.from_triples(short, short, ((i, k, 1 if i == k else entry()) for i in range(short) for k in range(i + 1)), field)
+    full = spread @ Matrix(short, long, Matrix.from_rows(block, field).entries if short else (), field)
+    return full if rows <= cols else full.transpose()
+
+
+class TestOneEliminationKernels:
+    """A kernel eliminates once, on the reversed columns, and an intersection
+    maps its kernel back with no further elimination; both give the echelon
+    index that two (three) eliminations gave, and the dense one."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(kernel_inputs())
+    def test_kernel_matches_two_eliminations_and_dense(self, m):
+        ker = kernel(m)
+        assert ker.nonzeros == dense.kernel_by_two_eliminations(m).nonzeros
+        assert ker.basis == dense.kernel_dense(m)
+        assert_subspace_indexed(ker)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_inputs(), st.data())
+    def test_intersection_matches_two_eliminations_and_dense(self, m, data):
+        other = data.draw(kernel_inputs(m.field, m.cols))
+        for s1, s2 in [(kernel(m), kernel(other)), (kernel(m), image(other.transpose())), (image(m.transpose()), kernel(other))]:
+            meet = intersect(s1, s2)
+            assert meet.nonzeros == dense.intersect_by_two_eliminations(s1, s2).nonzeros
+            assert meet.basis == dense.intersect_dense(s1, s2)
+            assert_subspace_indexed(meet)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_inputs(square=True))
+    def test_try_invert_witness_is_the_first_kernel_vector(self, m):
+        out = try_invert(m)
+        expected = dense.kernel_dense(m)
+        if not expected:
+            assert not isinstance(out, NotInvertible)
+            return
+        assert out.witness == expected[0]
+        assert out.witness == dense.kernel_by_two_eliminations(m).basis[0]
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
+    def test_empty_shapes(self, field):
+        for rows, cols in [(0, 0), (0, 4), (4, 0)]:
+            m = Matrix.zero(rows, cols, field)
+            assert kernel(m) == dense.kernel_by_two_eliminations(m) == Subspace.full(cols, field)
+        full = Subspace.full(3, field)
+        assert intersect(full, full) == full
+        assert intersect(full, Subspace.zero_subspace(3, field)).dim == 0
 
 
 class TestElimination:
