@@ -9,8 +9,8 @@ certificate of the dual comodule algebra x* = (C*, A*, act^T) and reads it
 back through the transpose.  The canonical coideal annihilates the
 coinvariants of x*, the cotensor product C box_B C annihilates the balancing
 relations of x* over the annihilator of the coideal, and the canonical map,
-its inverse, the cotranslation map, the entwining map with its uniqueness
-and the module and entwining identities are the transposes of the dual's.
+the cotranslation map, the entwining map with its uniqueness and the module
+and entwining identities are the transposes of the dual's.
 A character of A is a group-like of A*, so a dual bundle is a bundle of x*,
 and the coalgebra-map test of the action is the algebra-map test of the
 dual coaction.  The composite cotranslation identity, stated on the
@@ -76,7 +76,6 @@ class CoextensionCertificate:
     coideal: Subspace
     cotensor: Subspace
     cocan: Matrix
-    cocan_inverse: Matrix | None
     cotranslation: Matrix | None
     psi: EntwiningStructure | None
     witness: tuple | None
@@ -169,7 +168,7 @@ def _decide_onto_cotensor(cocan: Matrix, web: Subspace) -> Bijectivity:
     """decide_bijection for a map in cotensor coordinates; a witness outside
     the image is reported in C (x) C rather than in those coordinates.  The
     dual's decision is on can, not on can^T, whose kernel is ker(cocan)."""
-    decision = decide_bijection(cocan)
+    decision = decide_bijection(cocan, Matrix.zero(cocan.rows, 0, cocan.field))
     if decision.witness is not None and decision.rank == cocan.cols:
         return replace(decision, witness=web.inclusion().apply(decision.witness))
     return decision
@@ -246,7 +245,6 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
         coideal=_annihilator(balancing),
         cotensor=web,
         cocan=cocan,
-        cocan_inverse=None,
         cotranslation=None,
         psi=None,
         witness=None if dual.is_galois else _decide_onto_cotensor(cocan, web).witness,
@@ -254,12 +252,7 @@ def _certify(x: ModuleCoalgebra, balancing: Subspace) -> CoextensionCertificate:
     )
     if not dual.is_galois:
         return cert
-    from_web = dual.balanced.section.transpose() @ web.inclusion()
-    cert = replace(
-        cert,
-        cocan_inverse=dual.can_inverse.transpose() @ from_web,
-        cotranslation=dual.translation.transpose() @ from_web,
-    )
+    cert = replace(cert, cotranslation=dual.translation.transpose() @ (dual.balanced.section.transpose() @ web.inclusion()))
     composite = "m(cotranslation (x) cotranslation)(C (x) coproduct (x) C) = cotranslation(C (x) counit (x) C)"
     checks.append(AxiomCheck("cotranslation-composite", composite, None, all(chk.ok for chk in checks[1:])))
     identities = {chk.name: chk for chk in dual.checks.checks[len(_TRANSPOSED_CHECKS):]}

@@ -15,10 +15,6 @@ class FieldMismatch(EntwineError):
     pass
 
 
-class NotSquare(EntwineError):
-    pass
-
-
 class NotInvertibleError(EntwineError):
     pass
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and GF(p) on nonzero-indexed matrices.
 
 Everything else in the library reduces to the operations here: canonical
-reduced row-echelon forms, kernels and images with canonical bases, exact
-inverses, Kronecker products under a fixed row-major tensor convention, and
-quotient presentations of vector spaces.
+reduced row-echelon forms, kernels and images with canonical bases, the
+bijectivity decision with its exact solution, Kronecker products under a
+fixed row-major tensor convention, and quotient presentations of vector
+spaces.
 
 A ``Matrix`` has two views of its cells, each computed at most once, on
 first use: the dense ``entries`` and a per-row nonzero index, ``nonzeros``,
@@ -30,13 +31,15 @@ and the leg products with K = 1 then place the other operand's rows,
 shared.
 
 Elimination works on sparse rows (dicts from column to value) into the
-unique reduced row-echelon form.  ``kernel`` and ``rank`` eliminate each
-distinct nonzero row once, since repeated and zero rows add nothing to the
-row space; ``try_invert`` takes every row, because row i of its augmented
-system [m | I] carries e_i.  A kernel is one elimination on the reversed
-columns: each reduced row is then zero right of its pivot, so the null
-vector of a free column f is 1 at f and elsewhere nonzero only at pivots
-right of f, and by increasing f these are already the kernel's RREF basis.
+unique reduced row-echelon form.  ``kernel`` eliminates each distinct
+nonzero row once, since repeated and zero rows add nothing to the row
+space.  ``decide_bijection(m, rhs)`` eliminates [m | rhs] from every row of
+a square m, as a zero row of m may carry a row of rhs: m is bijective
+exactly when the first n columns hold all n pivots, and then the rhs
+columns of the RREF are m^-1 rhs.  A kernel is one elimination on the
+reversed columns: each reduced row is then zero right of its pivot, so the
+null vector of a free column f is 1 at f and elsewhere nonzero only at
+pivots right of f, and by increasing f these are the kernel's RREF basis.
 
 A ``Subspace`` is its echelon index: the nonzero index of its unique
 reduced row-echelon basis, and nothing else.  Equality and hashing compare
@@ -91,7 +94,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, NotSquare
+from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldSpec, Scalar
 
 # One row of a nonzero index: (column, nonzero value) pairs by increasing column.
@@ -421,14 +424,6 @@ class Matrix:
 
 
 @dataclass(frozen=True)
-class NotInvertible:
-    """Returned by try_invert for singular input: rank plus a kernel witness."""
-
-    rank: int
-    witness: tuple[Scalar, ...] | None
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of k^n, stored as the nonzero index of its unique reduced
     row-echelon basis (per basis row, its (column, value) pairs as for
@@ -642,10 +637,6 @@ def _nonzero_rows(m: Matrix) -> list[dict[int, Scalar]]:
     return [dict(row) for row in dict.fromkeys(m.nonzeros) if row]
 
 
-def rank(m: Matrix) -> int:
-    return len(_echelon(_nonzero_rows(m), m.cols, m.field)[0])
-
-
 def _null_rows(ncols: int, pivots: Sequence[int], rows: Iterable, field: FieldSpec) -> list[dict[int, Scalar]]:
     """The null vector of each free column f, by increasing f, of the RREF with
     these pivots and (column, value) rows: 1 at f, -row[f] at each pivot."""
@@ -697,41 +688,31 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return s1.embed(_subspace(s1.dim, _kernel_rows(stacked, s1.dim, s1.field), s1.field))
 
 
-def try_invert(m: Matrix):
-    """Exact two-sided inverse, or NotInvertible with rank and kernel witness."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols} matrix")
-    n = m.rows
-    field = m.field
-    one = field.one
-    aug = [dict(row) for row in m.nonzeros]  # every row: row i carries e_i
-    for i, row in enumerate(aug):
-        row[n + i] = one
-    pivots, reduced = _echelon(aug, 2 * n, field)
-    if pivots != list(range(n)):
-        witness = next(iter(kernel(m).basis), None)
-        return NotInvertible(rank=sum(1 for p in pivots if p < n), witness=witness)
-    return _from_index(n, n, [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced], field)
-
-
 @dataclass(frozen=True)
 class Bijectivity:
-    """rank of a linear map, its inverse when it is bijective, and otherwise a
+    """rank of a linear map m, m^-1 rhs when m is bijective, and otherwise a
     witness: a kernel vector, or, for an injective map (rank == cols), the
     first standard basis vector of the target outside the image."""
 
     rank: int
-    inverse: Matrix | None
+    solution: Matrix | None
     witness: tuple[Scalar, ...] | None
 
 
-def decide_bijection(m: Matrix) -> Bijectivity:
-    """The one bijectivity decision behind every canonical map certificate."""
+def decide_bijection(m: Matrix, rhs: Matrix) -> Bijectivity:
+    """The one bijectivity decision: for square m, one elimination of
+    [m | rhs] over every row, since a zero row of m may carry rhs."""
+    _check_same_field(m, rhs)
+    if rhs.rows != m.rows:
+        raise DimensionMismatch(f"rhs has {rhs.rows} rows, the map {m.rows}")
     if m.rows == m.cols:
-        attempt = try_invert(m)
-        if isinstance(attempt, NotInvertible):
-            return Bijectivity(attempt.rank, None, attempt.witness)
-        return Bijectivity(m.rows, attempt, None)
+        n = m.rows
+        aug = [dict(row + tuple((n + j, x) for j, x in extra)) for row, extra in zip(m.nonzeros, rhs.nonzeros)]
+        pivots, reduced = _echelon(aug, n + rhs.cols, m.field)
+        if pivots != list(range(n)):
+            return Bijectivity(sum(1 for p in pivots if p < n), None, next(iter(kernel(m).basis), None))
+        solution = [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced]
+        return Bijectivity(n, _from_index(n, rhs.cols, solution, m.field), None)
     img = image(m)
     ker = kernel(m)
     if ker.dim:

@@ -80,7 +80,9 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("rational field carries no modulus")
         elif self.kind == PRIME:
-            if self.p is None or not _is_prime(self.p):
+            if type(self.p) is not int:  # 7.0 would pass the trial division
+                raise ValueError(f"field modulus must be an integer, got {self.p!r}")
+            if not _is_prime(self.p):
                 raise ValueError(f"field modulus must be prime, got {self.p!r}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")

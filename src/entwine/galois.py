@@ -75,7 +75,6 @@ class GaloisCertificate:
     can: Matrix
     rank: int
     is_galois: bool
-    can_inverse: Matrix | None
     translation: Matrix | None
     psi: EntwiningStructure | None
     witness: tuple | None
@@ -131,6 +130,16 @@ def _subalgebra_failure(a: FiniteAlgebra, sub: Subspace) -> str | None:
     return None
 
 
+def _unit_coacts_by(a: FiniteAlgebra, coaction: Matrix, e_col: Matrix) -> bool:
+    """coaction(1) = 1 (x) e for the group-like column e_col."""
+    return tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, a.field), e_col).column(0)
+
+
+def _fixed_points(a: FiniteAlgebra, coaction: Matrix, e_col: Matrix) -> Subspace:
+    """{b : coaction(b) = b (x) e} for the group-like column e_col."""
+    return kernel(coaction - kron(a.identity_matrix, e_col))
+
+
 @dataclass(frozen=True)
 class ClassicalComparison:
     applicable: bool
@@ -159,10 +168,10 @@ def classical_coinvariants_agree(cert: GaloisCertificate, algebra_map: Sequence[
     if pivot is None:
         return ClassicalComparison(False, "algebra unit is zero")
     e = [field.div(unit_image[pivot * c.dim + j], a.unit[pivot]) for j in range(c.dim)]
-    expected = kron(column_matrix(a.unit, field), column_matrix(e, field))
-    if expected.column(0) != tuple(unit_image):
+    e_col = column_matrix(e, field)
+    if not _unit_coacts_by(a, x.coaction, e_col):
         return ClassicalComparison(False, "coaction(1) is not of the form 1 (x) e")
-    fixed = kernel(x.coaction - kron(a.identity_matrix, column_matrix(e, field)))
+    fixed = _fixed_points(a, x.coaction, e_col)
     return ClassicalComparison(True, "", grouplike=tuple(e), agrees=fixed == cert.coinvariants)
 
 
@@ -218,8 +227,8 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
     """Build the canonical map on A (x)_B A over the coinvariants B, decide
     bijectivity, and certify.
 
-    When the map is bijective the certificate carries its inverse, the
-    translation map, its three defining identities, and the canonical
+    When the map is bijective the certificate carries the translation map
+    tau(c) = can^-1(1 (x) c), its three defining identities, and the canonical
     entwining map together with the entwined-module property of A itself.
     """
     if not x.comodule_checks.ok:
@@ -230,10 +239,10 @@ def galois_check(x: ComoduleAlgebra) -> GaloisCertificate:
 def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertificate:
     """The canonical map of x balanced over the subalgebra ``sub``: the
     balanced tensor product, the map ``can`` induced by x.raw_can with its
-    linearity and colinearity checks, the bijectivity decision, and when
-    ``can`` is bijective its inverse and the translation map with its three
-    identities.  The caller has established the comodule axioms; the
-    certificate carries no entwining."""
+    linearity and colinearity checks, and the bijectivity decision, which
+    solves can tau = kron(unit, I_C): when ``can`` is bijective, tau is the
+    translation map, with its three identities.  The caller has established
+    the comodule axioms; the certificate carries no entwining."""
     a, c = x.algebra, x.coalgebra
     presentation = balanced_tensor(x, sub)
     can = _descend(x.raw_can, presentation, "the canonical map")
@@ -253,8 +262,8 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertif
             kron_apply(can, c.identity_matrix, coact_q),
         ),
     ]
-    decision = decide_bijection(can)
-    is_galois = decision.inverse is not None
+    decision = decide_bijection(can, kron(a.unit_matrix, c.identity_matrix))
+    is_galois = decision.solution is not None
     checks.append(AxiomCheck("can-bijective", "the canonical map is a bijection onto A (x) C", None, is_galois))
     cert = GaloisCertificate(
         subject=x,
@@ -263,15 +272,13 @@ def canonical_map_certificate(x: ComoduleAlgebra, sub: Subspace) -> GaloisCertif
         can=can,
         rank=decision.rank,
         is_galois=is_galois,
-        can_inverse=decision.inverse,
-        translation=None,
+        translation=decision.solution,
         psi=None,
         witness=decision.witness,
         checks=ValidationReport("coalgebra-Galois extension", tuple(checks)),
     )
     if not is_galois:
         return cert
-    cert = replace(cert, translation=apply_kron(decision.inverse, a.unit_matrix, c.identity_matrix))
     checks.extend(_translation_checks(cert, left_action, coact_q))
     return replace(cert, checks=ValidationReport("coalgebra-Galois extension", tuple(checks)))
 
@@ -457,16 +464,15 @@ def bundle_check(source: EntwiningStructure | GaloisCertificate, grouplike: Grou
         raise NotGalois("a bundle needs the canonical entwining of a Galois extension")
     e = source if extension is None else extension.psi
     a, c = e.algebra, e.coalgebra
-    field = a.field
     if grouplike.coalgebra != c:
         raise DimensionMismatch("group-like lives in a different coalgebra")
     if not verify_grouplike(c, grouplike.coords):
         raise NotGroupLike("supplied vector is not group-like")
     if not e.checks.ok:
         raise AxiomViolation("entwining identities fail", report=e.checks)
-    e_col = column_matrix(grouplike.coords, field)
+    e_col = column_matrix(grouplike.coords, a.field)
     coaction = apply_kron(e.psi, e_col, a.identity_matrix)
-    invariants = kernel(coaction - kron(a.identity_matrix, e_col))
+    invariants = _fixed_points(a, coaction, e_col)
     carrier = ComoduleAlgebra(a, c, coaction)
     if extension is not None and carrier == extension.subject and invariants == extension.coinvariants:
         return BundleReport(e, tuple(grouplike.coords), extension)
@@ -532,7 +538,7 @@ def bundle_coaction_equivalence(bundle: BundleReport) -> BundleEquivalenceReport
         bundle=bundle,
         coaction=coaction,
         certificate=cert,
-        unit_normalized=tuple(coaction.apply(a.unit)) == kron(column_matrix(a.unit, a.field), e_col).column(0),
+        unit_normalized=_unit_coacts_by(a, coaction, e_col),
         psi_recovered=cert.psi.psi == bundle.entwining.psi,
         coinvariants_match=carrier.coinvariants == cert.coinvariants,
         coaction_forced=coaction_forced_by_unit(coaction, cert.psi),
@@ -576,8 +582,9 @@ def left_canonical_check(h: HopfAlgebra, cert: GaloisCertificate, algebra_map: S
     can_left_full = leg_product_mirror(a.mult_matrix, flipped, (a.dim, a.dim, nh))
     can_left = _descend(can_left_full, cert.balanced, "the left canonical map")
     composite = _hopf_psi(h, x) @ can_left == cert.can
+    verdict_only = Matrix.zero(can_left.rows, 0, field)
     return LeftCanonicalReport(
         can_left=can_left,
         composite_matches=composite,
-        left_bijective=(composite and cert.is_galois) or decide_bijection(can_left).inverse is not None,
+        left_bijective=(composite and cert.is_galois) or decide_bijection(can_left, verdict_only).solution is not None,
     )

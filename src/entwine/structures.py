@@ -34,16 +34,15 @@ from functools import cached_property
 from .errors import AxiomViolation, DimensionMismatch
 from .exactlin import (
     Matrix,
-    NotInvertible,
     Subspace,
     apply_kron,
     column_matrix,
+    decide_bijection,
     kron,
     kron_apply,
     leg_product,
     row_matrix,
     swap_product,
-    try_invert,
 )
 from .fields import FieldSpec, Scalar
 
@@ -176,8 +175,7 @@ class HopfAlgebra:
 
     @cached_property
     def antipode_inverse(self) -> Matrix | None:
-        res = try_invert(self.antipode)
-        return None if isinstance(res, NotInvertible) else res
+        return decide_bijection(self.antipode, Matrix.identity(self.dim, self.field)).solution
 
 
 @dataclass(frozen=True)
@@ -485,16 +483,16 @@ def convolution_unit(source: FiniteCoalgebra, target: FiniteAlgebra) -> Matrix:
 
 def transport_algebra(a: FiniteAlgebra, t: Matrix) -> FiniteAlgebra:
     """Conjugate the structure constants by an invertible change of basis."""
-    tinv = try_invert(t)
-    if isinstance(tinv, NotInvertible):
+    tinv = decide_bijection(t, Matrix.identity(t.rows, t.field)).solution
+    if tinv is None:
         raise AxiomViolation("change of basis must be invertible")
     m = tinv @ apply_kron(a.mult_matrix, t, t)
     return FiniteAlgebra(a.dim, a.basis_names, m, (tinv @ a.unit_matrix).column(0), a.field)
 
 
 def transport_coalgebra(c: FiniteCoalgebra, t: Matrix) -> FiniteCoalgebra:
-    tinv = try_invert(t)
-    if isinstance(tinv, NotInvertible):
+    tinv = decide_bijection(t, Matrix.identity(t.rows, t.field)).solution
+    if tinv is None:
         raise AxiomViolation("change of basis must be invertible")
     dm = kron_apply(tinv, tinv, c.comult_matrix) @ t
     return FiniteCoalgebra(c.dim, c.basis_names, dm, (c.counit_matrix @ t).entries[0], c.field)

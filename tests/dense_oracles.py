@@ -7,7 +7,10 @@ tuples (or, for elimination, rows and pivots), so results compare directly
 with ``Matrix.entries`` and ``Subspace.basis``.  With them are the kernel
 and intersection as exactlin computed them before a kernel took a single
 elimination: the null vectors read off the RREF eliminated a second time,
-and an intersection's mapped-back vectors a third.
+and an intersection's mapped-back vectors a third.  ``try_invert`` is the
+inverse as exactlin computed it before ``decide_bijection`` solved for the
+columns its caller reads: the whole augmented system [m | I], its result a
+Matrix or ``NotInvertible`` with the rank and the first kernel vector.
 
 With them is the product in a tensor product, which exactlin.swap_product
 computes without forming a Kronecker product: here the middle swap and
@@ -80,6 +83,7 @@ from entwine.exactlin import (
     Matrix,
     Subspace,
     _echelon,
+    _from_index,
     _nonzero_rows,
     _subspace,
     apply_kron,
@@ -320,6 +324,31 @@ def intersect_by_two_eliminations(s1: Subspace, s2: Subspace) -> Subspace:
     eliminated a third time."""
     kernel_vectors = kernel_by_two_eliminations(_meet_system(s1, s2)).basis
     return Subspace.from_spanning(_through_first(s1, kernel_vectors), s1.ambient_dim, s1.field)
+
+
+@dataclass(frozen=True)
+class NotInvertible:
+    """Returned by try_invert for singular input: rank plus a kernel witness."""
+
+    rank: int
+    witness: tuple | None
+
+
+def try_invert(m: Matrix):
+    """Exact two-sided inverse, or NotInvertible with rank and kernel witness,
+    from one elimination of [m | I] over every row."""
+    if m.rows != m.cols:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} matrix is not square")
+    n = m.rows
+    field = m.field
+    aug = [dict(row) for row in m.nonzeros]  # every row: row i carries e_i
+    for i, row in enumerate(aug):
+        row[n + i] = field.one
+    pivots, reduced = _echelon(aug, 2 * n, field)
+    if pivots != list(range(n)):
+        witness = next(iter(kernel(m).basis), None)
+        return NotInvertible(rank=sum(1 for p in pivots if p < n), witness=witness)
+    return _from_index(n, n, [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced], field)
 
 
 def try_invert_dense(m: Matrix) -> tuple | None:
@@ -679,7 +708,6 @@ class CotensorCertificate:
     cocan: Matrix
     rank: int
     is_coextension: bool
-    cocan_inverse: Matrix | None
     cotranslation: Matrix | None
     psi: EntwiningStructure | None
     witness: tuple | None
@@ -721,7 +749,7 @@ def certify_by_cotensor(x, coideal: Subspace) -> CotensorCertificate:
         ),
     ]
     decision = _decide_onto_cotensor(cocan, web)
-    is_galois = decision.inverse is not None
+    is_galois = decision.solution is not None
     checks.append(AxiomCheck("cocan-bijective", "the canonical map is a bijection onto the cotensor product", None, is_galois))
     cert = CotensorCertificate(
         subject=x,
@@ -732,7 +760,6 @@ def certify_by_cotensor(x, coideal: Subspace) -> CotensorCertificate:
         cocan=cocan,
         rank=decision.rank,
         is_coextension=is_galois,
-        cocan_inverse=decision.inverse,
         cotranslation=None,
         psi=None,
         witness=decision.witness,
@@ -740,7 +767,7 @@ def certify_by_cotensor(x, coideal: Subspace) -> CotensorCertificate:
     )
     if not is_galois:
         return cert
-    cotranslation = kron(c.counit_matrix, ia) @ decision.inverse
+    cotranslation = kron(c.counit_matrix, ia) @ try_invert(cocan)
     cert = replace(cert, cotranslation=cotranslation)
     checks.extend(_cotranslation_checks(cert))
     psi = canonical_entwining_dual(cert)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from entwine.catalogue import GROUPS, group_algebra, subgroup_closure
-from entwine.exactlin import Matrix, NotInvertible, kron, row_matrix, try_invert
+from dense_oracles import NotInvertible, try_invert
+from entwine.exactlin import Matrix, kron, row_matrix
 from entwine.fields import FieldSpec
 from entwine.structures import ModuleCoalgebra, transport_algebra, transport_coalgebra
 

@@ -37,12 +37,10 @@ from entwine.entwining import (
 )
 from entwine.exactlin import (
     Matrix,
-    NotInvertible,
     image,
     kernel,
     kron,
     quotient,
-    try_invert,
 )
 from entwine.fields import GF, QQ
 from entwine.galois import (
@@ -55,7 +53,7 @@ from entwine.galois import (
     galois_check,
     left_canonical_check,
 )
-from dense_oracles import final_kernel, multiply
+from dense_oracles import NotInvertible, final_kernel, multiply, try_invert
 from support import canonical_coideal, field_algebra, invert_hopf_entwining
 from entwine.structures import (
     Character,

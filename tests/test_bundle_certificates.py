@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from dense_oracles import module_axioms_on_the_action
+from dense_oracles import NotInvertible, module_axioms_on_the_action, try_invert
 import entwine.galois as galois
 from entwine.catalogue import build, group_algebra, group_self_coextension, self_extension, sweedler_hopf_algebra
 from entwine.cogalois import _annihilator, coextension_check, dual_bundle_check
@@ -34,7 +34,7 @@ from entwine.entwining import (
     validate_structure_maps,
 )
 from entwine.errors import NotGalois
-from entwine.exactlin import Matrix, NotInvertible, column_matrix, kron, try_invert
+from entwine.exactlin import Matrix, column_matrix, kron
 from entwine.fields import GF, QQ
 from entwine.galois import bundle_check, coinvariant_system, coinvariants, galois_check
 from entwine.structures import (

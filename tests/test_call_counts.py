@@ -423,3 +423,21 @@ def test_eliminations_per_check(count_calls, name, params, suite, eliminations):
     # sequence reads A(dB)A off the balancing relations, and can_L of a
     # Galois certificate is not inverted; 22, 24 and 17 before
     assert counts == {"_echelon": eliminations}
+
+
+def test_s3_galois_solves_can_for_the_translation_map_alone(monkeypatch):
+    doc = document_from_example(build("coset-coideal", {"group": "S3"}))
+    echelon, widths = exactlin._echelon, []
+
+    def recorded(rows, ncols, field, lead=min):
+        widths.append(ncols)
+        return echelon(rows, ncols, field, lead)
+
+    monkeypatch.setattr(exactlin, "_echelon", recorded)
+    assert run_suite(doc, "galois").ok
+    # can, square on A (x) C, is eliminated with the columns of
+    # kron(unit, I_C), whose solution is the translation map; [can | I]
+    # had 2 dim(A (x) C) columns
+    n, c = doc.algebra.dim * doc.coalgebra.dim, doc.coalgebra.dim
+    assert widths.count(n + c) == 1
+    assert 2 * n not in widths

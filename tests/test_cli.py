@@ -220,6 +220,15 @@ class TestInputContract:
         assert main(["check", str(path), "--suite", "structures"]) == 2
         assert f"field.p: field modulus must be prime, got {p}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [7.0, 43.0])
+    def test_float_modulus_is_refused(self, tmp_path, p):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_z1_document({"kind": "prime", "p": p}, 1)), encoding="utf-8")
+        proc = _run_cli("check", str(path), "--suite", "structures")
+        assert proc.returncode == 2
+        assert f"field.p: field modulus must be an integer, got {p}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_modulus_beyond_exact_primality_is_refused(self, tmp_path, capsys):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(_z1_document({"kind": "prime", "p": 2**89 - 1}, 1)), encoding="utf-8")

@@ -233,7 +233,7 @@ class TestCotensorWitness:
         web = Subspace.from_spanning([[1, 1, 0, 0], [0, 0, 1, 0]], 4, QQ)
         cocan = Matrix.from_rows([[1], [0]], QQ)  # injective, misses the second cotensor coordinate
         decision = _decide_onto_cotensor(cocan, web)
-        assert decision.rank == 1 and decision.inverse is None
+        assert decision.rank == 1 and decision.solution is None
         assert decision.witness == (0, 0, 1, 0)
 
 
@@ -416,7 +416,6 @@ def _fields(cert) -> dict:
         "cocan": cert.cocan,
         "rank": cert.rank,
         "is_coextension": cert.is_coextension,
-        "cocan_inverse": cert.cocan_inverse,
         "cotranslation": cert.cotranslation,
         "psi": cert.psi.psi if cert.psi else None,
         "witness": cert.witness,

@@ -29,7 +29,10 @@ document the galois suite certifies and on the quotient and trivial
 coactions.  On every golden Hopf document, and on the non-Galois k[Z4]
 coacting by a |-> a (x) 1, the left canonical map's bijectivity, read off the
 certificate when psi . can_L = can and can is invertible, is checked against
-its elimination.
+its elimination.  On every golden Galois document, the translation map,
+which the certificate solves for in the elimination of [can | kron(unit,
+I_C)], is can^-1 kron(unit, I_C) with can^-1 from the whole augmented
+system [can | I].
 """
 
 from fractions import Fraction
@@ -261,6 +264,17 @@ def test_trivial_coaction_differential_sequence_matches_the_ideal_route(group, f
     assert differential_sequence(cert) == dense.differential_sequence_by_ideals(cert)
 
 
+def test_golden_translation_is_the_inverse_on_one_tensor_c():
+    galois = 0
+    for label, _, cert in _golden_galois_certificates():
+        if cert.is_galois:
+            x = cert.subject
+            inverse = dense.try_invert(cert.can)
+            assert cert.translation == inverse @ kron(x.algebra.unit_matrix, x.coalgebra.identity_matrix), label
+            galois += 1
+    assert galois >= 10
+
+
 def _assert_left_bijectivity_is_decided(h, cert):
     """left_canonical_check's verdict on can_L equals the elimination's; the
     report (or None when the check does not apply)."""
@@ -268,7 +282,9 @@ def _assert_left_bijectivity_is_decided(h, cert):
         left = left_canonical_check(h, cert, coaction_algebra_map_checks(cert.subject, h.algebra))
     except (AxiomViolation, NotInvertibleError):
         return None
-    assert left.left_bijective == (decide_bijection(left.can_left).inverse is not None)
+    can_left = left.can_left
+    decision = decide_bijection(can_left, Matrix.zero(can_left.rows, 0, can_left.field))
+    assert left.left_bijective == (decision.solution is not None)
     return left
 
 

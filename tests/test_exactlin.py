@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dense_oracles import middle_linear_system, vectorize
 from support import rref, subspace_sum
-from entwine.errors import DimensionMismatch, FieldMismatch, NotSquare
+from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
+    Bijectivity,
     Matrix,
-    NotInvertible,
     Subspace,
     basis_vector,
     decide_bijection,
@@ -19,10 +19,8 @@ from entwine.exactlin import (
     kernel,
     kron,
     quotient,
-    rank,
     stack_rows,
     tensor_permutation,
-    try_invert,
 )
 from entwine.fields import GF, QQ
 
@@ -91,56 +89,62 @@ class TestImageSumIntersect:
             subspace_sum(Subspace.full(2, QQ), Subspace.full(3, QQ))
 
 
+def inverse(m: Matrix) -> Matrix | None:
+    return decide_bijection(m, Matrix.identity(m.rows, m.field)).solution
+
+
 class TestInvert:
     def test_identity(self):
-        assert try_invert(Matrix.identity(4, QQ)) == Matrix.identity(4, QQ)
+        assert inverse(Matrix.identity(4, QQ)) == Matrix.identity(4, QQ)
 
     def test_involution(self):
         swap = M([[0, 1], [1, 0]])
-        assert try_invert(swap) == swap
+        assert inverse(swap) == swap
 
     def test_singular_carries_witness(self):
-        res = try_invert(M([[1, 1], [1, 1]]))
-        assert isinstance(res, NotInvertible)
-        assert res.rank == 1
-        assert res.witness == (Fraction(1), Fraction(-1))
+        res = decide_bijection(M([[1, 1], [1, 1]]), Matrix.identity(2, QQ))
+        assert res == Bijectivity(1, None, (Fraction(1), Fraction(-1)))
 
     def test_not_square(self):
-        with pytest.raises(NotSquare):
-            try_invert(Matrix.zero(2, 3, QQ))
+        assert inverse(Matrix.zero(2, 3, QQ)) is None
 
     def test_exact_two_sided(self):
         m = M([[2, 1], [1, 1]])
-        inv = try_invert(m)
+        inv = inverse(m)
         assert (m @ inv).is_identity and (inv @ m).is_identity
 
 
 class TestDecideBijection:
-    def test_bijective_carries_inverse(self):
+    def test_bijective_carries_the_solution(self):
         m = M([[2, 1], [1, 1]])
-        decision = decide_bijection(m)
+        rhs = M([[1], [3]])
+        decision = decide_bijection(m, rhs)
         assert decision.rank == 2 and decision.witness is None
-        assert (m @ decision.inverse).is_identity
+        assert m @ decision.solution == rhs
+
+    def test_zero_width_rhs_decides_alone(self):
+        decision = decide_bijection(M([[2, 1], [1, 1]]), Matrix.zero(2, 0, QQ))
+        assert decision == Bijectivity(2, Matrix.zero(2, 0, QQ), None)
 
     def test_singular_square_gives_kernel_witness(self):
-        decision = decide_bijection(M([[1, 1], [1, 1]]))
-        assert decision.rank == 1 and decision.inverse is None
+        decision = decide_bijection(M([[1, 1], [1, 1]]), Matrix.zero(2, 0, QQ))
+        assert decision.rank == 1 and decision.solution is None
         assert decision.witness == (Fraction(1), Fraction(-1))
 
     def test_wide_map_gives_kernel_witness(self):
         m = M([[1, 0, 1], [0, 1, 1]])
-        decision = decide_bijection(m)
-        assert decision.rank == 2 and decision.inverse is None
+        decision = decide_bijection(m, Matrix.identity(2, QQ))
+        assert decision.rank == 2 and decision.solution is None
         assert all(not x for x in m.apply(decision.witness))
 
     def test_injective_tall_map_gives_first_missed_basis_vector(self):
-        decision = decide_bijection(M([[1], [0], [0]]))
-        assert decision.rank == 1 and decision.inverse is None
+        decision = decide_bijection(M([[1], [0], [0]]), Matrix.identity(3, QQ))
+        assert decision.rank == 1 and decision.solution is None
         assert decision.witness == basis_vector(3, 1, QQ)
 
     def test_empty_map_is_bijective(self):
-        decision = decide_bijection(Matrix.zero(0, 0, QQ))
-        assert decision.rank == 0 and decision.inverse == Matrix.zero(0, 0, QQ)
+        decision = decide_bijection(Matrix.zero(0, 0, QQ), Matrix.zero(0, 0, QQ))
+        assert decision.rank == 0 and decision.solution == Matrix.zero(0, 0, QQ)
 
 
 class TestKron:
@@ -246,11 +250,12 @@ class TestProperties:
     def test_invert_is_two_sided(self, m):
         if m.rows != m.cols:
             return
-        res = try_invert(m)
-        if isinstance(res, NotInvertible):
-            assert res.rank < m.rows
-            assert res.witness is not None
-            assert all(not x for x in m.apply(res.witness))
+        decision = decide_bijection(m, Matrix.identity(m.rows, GF7))
+        res = decision.solution
+        if res is None:
+            assert decision.rank < m.rows
+            assert decision.witness is not None
+            assert all(not x for x in m.apply(decision.witness))
         else:
             assert (m @ res).is_identity and (res @ m).is_identity
 
@@ -291,7 +296,7 @@ class TestBasics:
         assert basis_vector(3, 1, QQ) == (0, 1, 0)
 
     def test_rank(self):
-        assert rank(M([[1, 2], [2, 4], [0, 1]])) == 2
+        assert image(M([[1, 2], [2, 4], [0, 1]])).dim == 2
 
     def test_empty_matrix_shapes(self):
         z = Matrix.zero(0, 3, QQ)

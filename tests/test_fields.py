@@ -10,7 +10,7 @@ import pytest
 from entwine.catalogue import EXAMPLE_NAMES, build
 from entwine.docformat import document_from_example, document_to_text, parse_document
 from entwine.exactlin import Subspace, _echelon, kernel
-from entwine.fields import GF, QQ
+from entwine.fields import GF, PRIME, QQ, FieldSpec
 from support import verify_catalogue_script
 
 
@@ -105,6 +105,17 @@ class TestPivotScaling:
         (row,) = kernel(s.inclusion().transpose()).basis
         for x, value in zip(row, (1, Fraction(-1, 2), Fraction(1, 4))):
             assert_canonical(x, value)
+
+
+class TestModulus:
+    @pytest.mark.parametrize("p", [7.0, 43.0, True, "7"])
+    def test_a_modulus_that_is_not_an_int_is_refused(self, p):
+        # 7.0 passes the trial division by 7, and 43.0 reaches pow()
+        with pytest.raises(ValueError, match="field modulus must be an integer"):
+            FieldSpec(PRIME, p)
+
+    def test_an_int_modulus_is_accepted(self):
+        assert FieldSpec(PRIME, 7) == GF(7)
 
 
 def _variants():

@@ -407,7 +407,7 @@ class TestCoinvariantProperties:
         x = self_extension(h)
         dim = h.dim
         t = Matrix.from_rows([entries[i * dim : (i + 1) * dim] for i in range(dim)], GF7)
-        from entwine.exactlin import NotInvertible, try_invert
+        from dense_oracles import NotInvertible, try_invert
 
         if isinstance(try_invert(t), NotInvertible):
             t = Matrix.identity(dim, GF7)

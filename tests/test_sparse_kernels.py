@@ -15,9 +15,11 @@ Kronecker product of their inclusions; the
 quotient forms of the coideal and invariance tests against their
 spanning-set forms; the block uniqueness system against the full one;
 every rational kernel against the all-Fraction form of its input; and the
-one-elimination kernel, intersection and try_invert witness against the
-two-elimination forms they replaced and the dense oracles, over QQ, GF(2),
-GF(7) and GF(2^61 - 1)."""
+one-elimination kernel, intersection and bijectivity witness against the
+two-elimination forms they replaced and the dense oracles, and the
+bijectivity decision's solution m^-1 rhs, rank and witness against the
+dense inverse and the whole-inverse elimination it replaced, over QQ,
+GF(2), GF(7) and GF(2^61 - 1)."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -44,8 +46,8 @@ from entwine import exactlin
 from entwine.cogenerate import _kernel_step
 from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
+    Bijectivity,
     Matrix,
-    NotInvertible,
     QuotientPresentation,
     Subspace,
     _combination,
@@ -55,6 +57,7 @@ from entwine.exactlin import (
     apply_kron,
     basis_vector,
     column_matrix,
+    decide_bijection,
     image,
     intersect,
     kernel,
@@ -64,12 +67,10 @@ from entwine.exactlin import (
     leg_product_mirror,
     middle_block,
     quotient,
-    rank,
     stack_rows,
     swap_product,
     tensor_permutation,
     tensor_subspace,
-    try_invert,
 )
 from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
@@ -965,11 +966,11 @@ class TestOneEliminationKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_inputs(square=True))
-    def test_try_invert_witness_is_the_first_kernel_vector(self, m):
-        out = try_invert(m)
+    def test_decide_bijection_witness_is_the_first_kernel_vector(self, m):
+        out = decide_bijection(m, Matrix.zero(m.rows, 0, m.field))
         expected = dense.kernel_dense(m)
         if not expected:
-            assert not isinstance(out, NotInvertible)
+            assert out.solution is not None and out.witness is None
             return
         assert out.witness == expected[0]
         assert out.witness == dense.kernel_by_two_eliminations(m).basis[0]
@@ -984,12 +985,90 @@ class TestOneEliminationKernels:
         assert intersect(full, Subspace.zero_subspace(3, field)).dim == 0
 
 
+@st.composite
+def bijection_inputs(draw):
+    """(m, rhs): m from kernel_inputs, square or not, with one row zeroed on
+    request, and rhs of m's rows and 0 to rows + 1 columns, nonzero on every
+    zero row of m when it has a column."""
+    m = draw(kernel_inputs(square=draw(st.booleans())))
+    field = m.field
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [list(row) for row in m.entries]
+    if rows and draw(st.booleans()):
+        rows[rnd.randrange(len(rows))] = [field.zero] * m.cols
+        m = Matrix(m.rows, m.cols, tuple(map(tuple, rows)), field)
+    width = draw(st.integers(0, m.rows + 1))
+
+    def entry():
+        if field.is_prime_field:
+            return rnd.randrange(field.p)
+        return Fraction(rnd.choice([-3, -2, -1, 0, 1, 2, 3]), rnd.choice([1, 1, 2, 3]))
+
+    data = [[entry() for _ in range(width)] for _ in range(m.rows)]
+    for row, cells in zip(data, rows):
+        if width and not any(cells):
+            row[rnd.randrange(width)] = 1
+    return m, Matrix(m.rows, width, Matrix.from_rows(data, field).entries if data else (), field)
+
+
+class TestBijectivityDecision:
+    """decide_bijection(m, rhs) solves for m^-1 rhs in the one elimination of
+    [m | rhs]: the dense inverse times rhs when m is bijective, and otherwise
+    the rank and witness that the elimination of all of [m | I] gave."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(bijection_inputs())
+    def test_solution_rank_and_witness_match_the_oracles(self, case):
+        m, rhs = case
+        field = m.field
+        decision = decide_bijection(m, rhs)
+        if m.rows != m.cols:
+            assert decision.solution is None and decision.rank == dense.rank_dense(m)
+            kernel_vectors = dense.kernel_dense(m)
+            if kernel_vectors:
+                assert decision.witness == kernel_vectors[0]
+                return
+            # injective: the first basis vector that enlarges the column span
+            cols = dense.columns(m)
+            missed = (basis_vector(m.rows, i, field) for i in range(m.rows))
+            enlarges = (v for v in missed if len(dense.span_basis(cols + [v], m.rows, field)) > decision.rank)
+            assert decision.witness == next(enlarges)
+            return
+        old = dense.try_invert(m)
+        inverse = dense.try_invert_dense(m)
+        if inverse is None:
+            assert decision == Bijectivity(old.rank, None, old.witness)
+            assert old.rank == dense.rank_dense(m)
+            return
+        assert decision.solution.entries == dense.matmul(Matrix(m.rows, m.rows, inverse, field), rhs)
+        assert_indexed(decision.solution)
+        assert (decision.rank, decision.witness) == (m.rows, None)
+        assert old.entries == inverse
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
+    def test_empty_map_solves_every_width(self, field):
+        for width in (0, 1):
+            rhs = Matrix.zero(0, width, field)
+            assert decide_bijection(Matrix.zero(0, 0, field), rhs) == Bijectivity(0, rhs, None)
+
+    def test_a_zero_row_carrying_rhs_is_singular(self):
+        m = Matrix.from_rows([[1, 2], [0, 0]], GF7)
+        decision = decide_bijection(m, Matrix.from_rows([[0], [1]], GF7))
+        assert decision == Bijectivity(1, None, (1, 3))
+
+    def test_rhs_must_have_the_maps_rows_and_field(self):
+        with pytest.raises(DimensionMismatch):
+            decide_bijection(Matrix.identity(2, QQ), Matrix.zero(3, 1, QQ))
+        with pytest.raises(FieldMismatch):
+            decide_bijection(Matrix.identity(2, QQ), Matrix.zero(2, 1, GF7))
+
+
 class TestElimination:
     @settings(max_examples=150, deadline=None)
     @given(repeated_rows())
     def test_repeated_and_empty_rows_match_dense(self, m):
         assert rref(m).entries == dense.rref_dense(m)
-        assert rank(m) == dense.rank_dense(m)
+        assert image(m).dim == dense.rank_dense(m)
         assert kernel(m).basis == dense.kernel_dense(m)
         assert image(m).basis == dense.span_basis(dense.columns(m), m.rows, m.field)
 
@@ -1002,8 +1081,9 @@ class TestElimination:
             (GF7, [[2, 0, 1], [0, 3, 5], [2, 0, 1]], 2, (1, 1, 5)),
         ],
     )
-    def test_try_invert_of_equal_rows(self, field, rows, rank_, witness):
-        assert try_invert(Matrix.from_rows(rows, field)) == NotInvertible(rank=rank_, witness=witness)
+    def test_decide_bijection_of_equal_rows(self, field, rows, rank_, witness):
+        m = Matrix.from_rows(rows, field)
+        assert decide_bijection(m, Matrix.identity(m.rows, field)) == Bijectivity(rank_, None, witness)
 
     @settings(max_examples=150, deadline=None)
     @given(any_matrix())
@@ -1011,7 +1091,7 @@ class TestElimination:
         out = rref(m)
         assert out.entries == dense.rref_dense(m)
         assert_indexed(out)
-        assert rank(m) == dense.rank_dense(m)
+        assert image(m).dim == dense.rank_dense(m)
 
     @settings(max_examples=150, deadline=None)
     @given(any_matrix())
@@ -1030,14 +1110,15 @@ class TestElimination:
 
     @settings(max_examples=150, deadline=None)
     @given(squares())
-    def test_try_invert_matches_dense(self, m):
+    def test_decide_bijection_inverse_matches_dense(self, m):
         expected = dense.try_invert_dense(m)
-        out = try_invert(m)
+        decision = decide_bijection(m, Matrix.identity(m.rows, m.field))
+        out = decision.solution
         if expected is None:
-            assert isinstance(out, NotInvertible)
-            assert out.rank == dense.rank_dense(m)
-            if out.witness is not None:
-                assert not any(m.apply(out.witness))
+            assert out is None
+            assert decision.rank == dense.rank_dense(m)
+            if decision.witness is not None:
+                assert not any(m.apply(decision.witness))
         else:
             assert out.entries == expected
             assert_indexed(out)
@@ -1188,8 +1269,9 @@ def _report_text(value) -> str:
         return repr((value.rows, value.cols, [[QQ.format(x) for x in row] for row in value.entries]))
     if isinstance(value, Subspace):
         return repr((value.ambient_dim, [[QQ.format(x) for x in row] for row in value.basis]))
-    if isinstance(value, NotInvertible):
-        return repr((value.rank, None if value.witness is None else [QQ.format(x) for x in value.witness]))
+    if isinstance(value, Bijectivity):
+        solution = None if value.solution is None else _report_text(value.solution)
+        return repr((value.rank, solution, None if value.witness is None else [QQ.format(x) for x in value.witness]))
     if isinstance(value, QuotientPresentation):
         return repr([_report_text(part) for part in (value.relations, value.projection, value.section)])
     return repr(value)
@@ -1210,8 +1292,8 @@ class TestAgainstTheAllFractionForm:
             kernel(a),
             image(a),
             intersect(image(a), kernel(e)),
-            try_invert(sq),
-            rank(a),
+            decide_bijection(sq, Matrix.identity(sq.rows, QQ)),
+            decide_bijection(a, Matrix.zero(a.rows, 0, QQ)),
             quotient(a.rows, image(a)),
         )
 
@@ -1262,8 +1344,9 @@ class TestEmptyShapes:
             assert kernel(a) == Subspace.full(3, field)
             assert kernel(b).dim == 0 and image(b).dim == 0
             assert kron(a, b).rows == 0 and kron(a, b).cols == 0
-            assert rank(a) == rank(b) == 0
-            assert try_invert(Matrix(0, 0, (), field)) == Matrix(0, 0, (), field)
+            assert decide_bijection(a, Matrix(0, 0, (), field)).rank == 0
+            assert decide_bijection(b, Matrix(3, 0, ((), (), ()), field)).rank == 0
+            assert decide_bijection(Matrix(0, 0, (), field), Matrix(0, 0, (), field)).solution == Matrix(0, 0, (), field)
             for m in (a @ b, b @ a, kron(b, a), rref(b)):
                 assert_indexed(m)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from dense_oracles import (
+    NotInvertible,
     character_by_products,
     comult_tensor,
     grouplike_by_products,
@@ -14,13 +15,14 @@ from dense_oracles import (
     mult_tensor,
     multiply,
     swap_product_formed,
+    try_invert,
     validate_algebra_direct,
 )
 from support import field_algebra, field_coalgebra
 from test_golden_reports import _documents as golden_documents
 from entwine.catalogue import dual_group_algebra, group_algebra, sweedler_hopf_algebra
 from entwine.errors import DimensionMismatch
-from entwine.exactlin import Matrix, kron, row_matrix, try_invert
+from entwine.exactlin import Matrix, kron, row_matrix
 from entwine.fields import GF, QQ
 from entwine.structures import (
     Character,
@@ -404,8 +406,6 @@ class TestConvolution:
 def invertible_gf7(dim, seed_entries):
     """Deterministic invertible matrix from hypothesis-provided entries."""
     m = Matrix.from_rows([seed_entries[i * dim : (i + 1) * dim] for i in range(dim)], GF7)
-    from entwine.exactlin import NotInvertible
-
     if isinstance(try_invert(m), NotInvertible):
         return None
     return m
