@@ -26,9 +26,10 @@ Salvy, J. Symb. Comput. 46, 2011; Dumas, Giorgi and Pernet, ACM TOMS 35,
 2008).  S is the least of 16, 32 and 64 with room for a sum of len(rows)
 products of residues; with none the dict kernel serves, as it always does
 over Q.  Neither runs when every row of the combining operand is empty or
-one term with coefficient 1, as in a monomial map like g -> g (x) g: ``@``
-and the leg products with K = 1 then place the other operand's rows,
-shared.
+one term with coefficient 1 (``Matrix.places``), as in a monomial map like
+g -> g (x) g: ``@`` then places the other operand's rows, shared, and a leg
+product relabels the other operand's indexes (in a row-by-row product,
+Gustavson, ACM TOMS 4(3), 1978, combining by unit entries is a relabelling).
 
 Elimination works on sparse rows (dicts from column to value) into the
 unique reduced row-echelon form.  ``kernel`` eliminates each distinct
@@ -244,12 +245,6 @@ def _combiner(
     return _combination, rows
 
 
-def _placed(index: Sequence[IndexRow]) -> bool:
-    """Whether every row of the index is empty or one term with coefficient
-    1: a product combining by it places rows of the other operand."""
-    return max(map(len, index), default=0) <= 1 and all([row[0][1] == 1 for row in index if row])
-
-
 def _from_index(rows: int, cols: int, index: Sequence[IndexRow], field: FieldSpec) -> "Matrix":
     """The matrix with the given nonzero index; its dense entries are
     materialised only if something reads them."""
@@ -350,6 +345,13 @@ class Matrix:
         return not any(self.nonzeros)
 
     @cached_property
+    def places(self) -> bool:
+        """Whether every row is empty or one term with coefficient 1: a
+        product combining by this matrix places rows of the other operand."""
+        nz = self.nonzeros
+        return max(map(len, nz), default=0) <= 1 and all([row[0][1] == 1 for row in nz if row])
+
+    @cached_property
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -361,7 +363,7 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
         anz, bnz = self.nonzeros, other.nonzeros
-        if _placed(anz):
+        if self.places:
             return _from_index(self.rows, other.cols, [bnz[row[0][0]] if row else () for row in anz], self.field)
         combine, bnz = _combiner(p, other.cols, bnz, anz)
         return _from_index(self.rows, other.cols, [combine(arow, bnz, p) for arow in anz], self.field)
@@ -503,18 +505,6 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch(f"ambient {other.ambient_dim} vs {self.ambient_dim}")
         return all(self._reduces_to_zero(dict(row)) for row in other.nonzeros)
-
-    def contains_columns(self, m: Matrix) -> bool:
-        """Whether every column of m, a vector of the ambient space, lies in
-        the span."""
-        _check_same_field(self, m)
-        if m.rows != self.ambient_dim:
-            raise DimensionMismatch(f"{m.rows} rows vs ambient {self.ambient_dim}")
-        cols: list[dict[int, Scalar]] = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.nonzeros):
-            for j, x in row:
-                cols[j][i] = x
-        return all(self._reduces_to_zero(col) for col in cols)
 
     def inclusion(self) -> Matrix:
         """ambient x dim matrix whose columns are the basis vectors."""
@@ -713,10 +703,12 @@ def decide_bijection(m: Matrix, rhs: Matrix) -> Bijectivity:
             return Bijectivity(sum(1 for p in pivots if p < n), None, next(iter(kernel(m).basis), None))
         solution = [tuple((j - n, x) for j, x in sorted(row.items()) if j >= n) for row in reduced]
         return Bijectivity(n, _from_index(n, rhs.cols, solution, m.field), None)
-    img = image(m)
-    ker = kernel(m)
-    if ker.dim:
-        return Bijectivity(img.dim, None, ker.basis[0])
+    if m.cols > m.rows:  # wide: one elimination finds the kernel, and the rank with it
+        ker = kernel(m)
+        return Bijectivity(m.cols - ker.dim, None, ker.basis[0])
+    img = image(m)  # tall: the kernel is needed only when the rank is short
+    if img.dim < m.cols:
+        return Bijectivity(img.dim, None, kernel(m).basis[0])
     missed = (basis_vector(m.rows, i, m.field) for i in range(m.rows))
     return Bijectivity(img.dim, None, next(v for v in missed if not img.contains_vector(v)))
 
@@ -800,29 +792,43 @@ def leg_product(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
     Output row i*W + w splits row i of x, in column order, into K blocks of
     width A.  Block k combines the strided slice of rows w, W + w, ... of z
     by its coefficients, and the result lands at column offset k*cols(z).
-    With K = 1 the output row is that one combination, by the row kernel of
-    _combiner, or placed when _placed(x).  Otherwise, when _combiner picks
-    the packed kernel for the blocks (over GF(p)), the packed sums of the
-    blocks, each shifted to its offset, add into one int per output row;
-    else each block is taken only to the slices where one of its rows of z
-    is nonzero, and a one-term block is that row, scaled, with no call to
-    the row kernel.
+    A placed operand (Matrix.places) relabels the other's indexes: a placed
+    x, at any K, makes the output row row a*W + w of z, for the entry of row
+    i of x at k*A + a, with its columns moved up by k*cols(z), shared when
+    k = 0; a placed z, with K > 1, sends entry k*A + a of row i of x to
+    column k*cols(z) + c, for c the one column of row a*W + w of z, drops it
+    where that row is empty, and _summed sums the entries that meet.  With
+    K = 1 the output row is one combination, by the row kernel of
+    _combiner, which shares the row of a one-term unit combination.  With
+    K > 1, when _combiner picks the packed kernel for the blocks (over
+    GF(p)), the packed sums of the blocks, each shifted to its offset, add
+    into one int per output row; else each block is taken only to the
+    slices where one of its rows of z is nonzero, and a one-term block is
+    that row, scaled, with no call to the row kernel.
     """
     k_, a_, w_ = dims
     _check_legs(x, z, dims, k_ * a_, a_ * w_, "leg product")
     p = x.field.p
     width = z.cols
-    if k_ == 1 and _placed(x.nonzeros):
-        znz, blank, out = z.nonzeros, ((),) * w_, []
+    znz, out = z.nonzeros, []
+    if x.places:
         for row in x.nonzeros:
-            out.extend(znz[row[0][0] * w_ : (row[0][0] + 1) * w_] if row else blank)
-        return _from_index(x.rows * w_, width, out, x.field)
+            k, a = divmod(row[0][0], a_) if row else (0, None)
+            rows = znz[a * w_ : (a + 1) * w_] if row else ((),) * w_
+            out.extend([tuple([(k * width + c, b) for c, b in y]) if y else () for y in rows] if k else rows)
+        return _from_index(x.rows * w_, k_ * width, out, x.field)
+    if k_ > 1 and z.places:
+        # per w, the one column of row a*W + w of z by a, None where it is empty
+        picks = [[row[0][0] if row else None for row in znz[w::w_]] for w in range(w_)]
+        for xrow in x.nonzeros:
+            for cols in picks:
+                out.append(_summed([(j // a_ * width + c, v) for j, v in xrow if (c := cols[j % a_]) is not None], p))
+        return _from_index(x.rows * w_, k_ * width, out, x.field)
     combine, znz = _combiner(p, width, z.nonzeros, x.nonzeros, blocks=k_)
     slices = [znz[w::w_] for w in range(w_)]
     if k_ == 1:
         out = [combine(xrow, rows, p) for xrow in x.nonzeros for rows in slices]
         return _from_index(x.rows * w_, width, out, x.field)
-    out = []
     if combine is not _combination:
         s = _slot(p, z.rows)
         for xrow in x.nonzeros:
@@ -860,24 +866,37 @@ def leg_product_mirror(x: Matrix, z: Matrix, dims: Sequence[int]) -> Matrix:
 
     Output row w*rows(x) + i accumulates, for each entry v at column
     a*K + k of row i of x, v times row w*A + a of z with its column c moved
-    to c*K + k: the outer product of that row of z with the entry.  When
-    _combiner picks the packed kernel (over GF(p), per block of K columns),
-    z is packed at stride K and x at stride 1, and block a of a row of x,
-    K cells, times row w*A + a of z is that outer product for the whole
-    block in one multiply (Kronecker substitution).  Otherwise the entries
-    are sorted, and summed in a dict only if two share a column.  Each cell
-    is reduced mod p once.
-    With K = 1 no column moves, and output row w*rows(x) + i is row i of x
-    applied, by the row kernel of _combiner or placed when _placed(x), to
-    the block of rows from w*A of z.
+    to c*K + k: the outer product of that row of z with the entry.  A
+    placed operand relabels the other's indexes, as in leg_product: a
+    placed x, at any K, makes the output row row w*A + a of z with its
+    columns c moved to c*K + k, shared when K = 1; a placed z, with K > 1,
+    sends entry a*K + k of row i of x to column c*K + k, for c the one
+    column of row w*A + a of z.  With K = 1, output row w*rows(x) + i is
+    row i of x applied, by the row kernel of _combiner, to the block of rows
+    from w*A of z.  With K > 1, when _combiner picks the packed kernel (over
+    GF(p), per block of K columns), z is packed at stride K and x at stride
+    1, and block a of a row of x, K cells, times row w*A + a of z is that
+    outer product for the whole block in one multiply (Kronecker
+    substitution).  Otherwise the entries are sorted, and summed in a dict
+    only if two share a column.  Each cell is reduced mod p once.
     """
     k_, a_, w_ = dims
     _check_legs(x, z, dims, a_ * k_, w_ * a_, "mirror leg product")
     p = x.field.p
-    if k_ == 1 and _placed(x.nonzeros):
-        znz, picks = z.nonzeros, [row[0][0] if row else None for row in x.nonzeros]
-        out = [() if a is None else znz[w * a_ + a] for w in range(w_) for a in picks]
-        return _from_index(w_ * x.rows, z.cols, out, x.field)
+    znz, out = z.nonzeros, []
+    if x.places:
+        picks = [divmod(row[0][0], k_) if row else None for row in x.nonzeros]
+        out = [() if pick is None else znz[w * a_ + pick[0]] for w in range(w_) for pick in picks]
+        if k_ > 1:  # an empty row stays empty, and reads no pick
+            out = [tuple([(c * k_ + pick[1], b) for c, b in y]) if y else () for y, pick in zip(out, picks * w_)]
+        return _from_index(w_ * x.rows, z.cols * k_, out, x.field)
+    if k_ > 1 and z.places:
+        # per w, the one column c of row w*A + a of z by a, as c*K, None where it is empty
+        picks = [[row[0][0] * k_ if row else None for row in znz[w * a_ : (w + 1) * a_]] for w in range(w_)]
+        for cols in picks:
+            for xrow in x.nonzeros:
+                out.append(_summed([(c + j % k_, v) for j, v in xrow if (c := cols[j // k_]) is not None], p))
+        return _from_index(w_ * x.rows, z.cols * k_, out, x.field)
     combine, znz = _combiner(p, z.cols, z.nonzeros, x.nonzeros, blocks=k_, stride=k_)
     if k_ == 1:
         blocks = [znz[w * a_ : (w + 1) * a_] for w in range(w_)]

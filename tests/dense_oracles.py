@@ -326,6 +326,18 @@ def intersect_by_two_eliminations(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace.from_spanning(_through_first(s1, kernel_vectors), s1.ambient_dim, s1.field)
 
 
+def non_square_decision_by_two_eliminations(m: Matrix) -> tuple:
+    """(rank, witness) of a non-square m as decide_bijection gave them
+    before it eliminated once: image(m) and kernel(m) both, the witness the
+    first kernel vector, or for an injective m the first standard basis
+    vector of the target outside the image."""
+    img, ker = image(m), kernel(m)
+    if ker.dim:
+        return img.dim, ker.basis[0]
+    missed = (basis_vector(m.rows, i, m.field) for i in range(m.rows))
+    return img.dim, next(v for v in missed if not img.contains_vector(v))
+
+
 @dataclass(frozen=True)
 class NotInvertible:
     """Returned by try_invert for singular input: rank plus a kernel witness."""

@@ -370,8 +370,8 @@ def algebra_subspaces(draw):
 
 
 class TestSubalgebraTest:
-    """_subalgebra_failure, one product m (incl (x) incl) and one
-    containment test, against the pair loop over the dense echelon basis."""
+    """_subalgebra_failure, the product of each pair of sparse echelon basis
+    rows, against the pair loop over the dense echelon basis."""
 
     @settings(max_examples=150, deadline=None)
     @given(algebra_subspaces())
@@ -394,6 +394,11 @@ class TestSubalgebraTest:
         )
         for sub, verdict in cases:
             assert _subalgebra_failure(a, sub) == dense.subalgebra_failure_by_pairs(a, sub) == verdict
+        # with a zero unit (not an algebra) every line holds the unit, and
+        # the line of g is no subalgebra
+        zero_unit, line = replace(a, unit=(field.zero,) * 6), Subspace.from_spanning([g], 6, field)
+        assert _subalgebra_failure(zero_unit, line) == dense.subalgebra_failure_by_pairs(zero_unit, line)
+        assert _subalgebra_failure(zero_unit, line) == "is not closed under multiplication"
 
 
 class TestCoinvariantProperties:

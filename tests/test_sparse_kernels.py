@@ -770,6 +770,35 @@ class TestPlacement:
             assert out == expected
             assert_indexed(out)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_placed_operands_at_any_k_match_the_dense_oracles(self, data):
+        field = data.draw(st.sampled_from([QQ, GF2, GF7, GF61]))
+        k, a, w, rows = (data.draw(st.integers(0, 3)) for _ in range(4))
+        cols = data.draw(st.integers(0, 2))  # few, so that rows of a placed z meet in a column
+        placed = data.draw(st.sampled_from(["x", "z", "both"]))
+        x = data.draw(monomial_matrices(field, rows, k * a, ("empty", "unit") if placed != "z" else ROW_KINDS))
+        z = data.draw(monomial_matrices(field, a * w, cols, ("empty", "unit") if placed != "x" else ROW_KINDS))
+        for product, formed in ((leg_product, formed_leg_product), (leg_product_mirror, formed_mirror)):
+            out = product(x, z, (k, a, w))
+            assert out == formed(x, z, (k, a, w))
+            assert_indexed(out)
+
+    @pytest.mark.parametrize("field", [QQ, GF7])
+    def test_relabelled_entries_that_meet_are_summed(self, field):
+        # z sends both of its rows to column 0, so the entries of one block
+        # of a row of x meet there: 1 - 1 cancels and drops out, and 3 + 4
+        # is 7, which is 0 mod 7
+        z = Matrix.from_rows([[1], [1]], field)
+        x = Matrix.from_rows([[1, -1, 3, 4], [0, 0, 0, 2]], field)  # blocks (1, -1), (3, 4) of A = 2
+        out = leg_product(x, z, (2, 2, 1))
+        assert out == formed_leg_product(x, z, (2, 2, 1))
+        assert out.nonzeros == (() if field.p else ((1, 7),), ((1, 2),))
+        y = Matrix.from_rows([[1, 3, -1, 4], [0, 0, 0, 2]], field)  # entry a*K + k: (1, 3), (-1, 4) by a
+        mirrored = leg_product_mirror(y, z, (2, 2, 1))
+        assert mirrored == formed_mirror(y, z, (2, 2, 1))
+        assert mirrored.nonzeros == (() if field.p else ((1, 7),), ((1, 2),))
+
     @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
     def test_empty_shapes(self, field):
         for r, c in ((0, 3), (3, 0), (0, 0)):
@@ -787,6 +816,7 @@ class TestPlacement:
         picks = Matrix.from_rows([[0, 0, 0, 1, 0, 0], [0] * 6, [1, 0, 0, 0, 0, 0]], field)
         filled = Matrix.from_triples(12, 5, [(i, j, 1 + i + 2 * j) for i in range(12) for j in range(5)], field)
         block, ident = Matrix.from_rows(filled.entries[:6], field), Matrix.identity(2, field)
+        dense_x = Matrix.from_triples(2, 6, [(i, j, 1 + i + j) for i in range(2) for j in range(6)], field)
         with row_kernel_calls() as calls:
             products = [
                 (perm @ block, dense_product(perm, block)),
@@ -795,12 +825,20 @@ class TestPlacement:
                 (kron_apply(ident, perm, filled), dense_product(dense_kron(ident, perm), filled)),
                 (leg_product(picks, filled, (1, 6, 2)), dense_product(dense_kron(picks, ident), filled)),
                 (leg_product_mirror(perm, filled, (1, 6, 2)), dense_product(dense_kron(ident, perm), filled)),
+                # K > 1, x placed: the rows of z move, or are relabelled
+                (leg_product(picks, filled, (2, 3, 4)), formed_leg_product(picks, filled, (2, 3, 4))),
+                (leg_product_mirror(picks, filled, (2, 3, 4)), formed_mirror(picks, filled, (2, 3, 4))),
+                # K > 1, z placed: the entries of x go to new columns
+                (leg_product(dense_x, perm, (2, 3, 2)), formed_leg_product(dense_x, perm, (2, 3, 2))),
+                (leg_product_mirror(dense_x, perm, (2, 3, 2)), formed_mirror(dense_x, perm, (2, 3, 2))),
             ]
         assert calls == []
         for out, expected in products:
             assert out == expected
-        # the placed rows are the other operand's, shared
+        # the placed rows are the other operand's, shared: at K > 1 those of
+        # block k = 0 (the entry of row 2 of picks is at column 0)
         assert (picks @ block).nonzeros[0] is block.nonzeros[3]
+        assert leg_product(picks, filled, (2, 3, 4)).nonzeros[8] is filled.nonzeros[0]
         # a row of two terms takes a row kernel: over GF(2), GF(7) and Q
         # the one _combiner picks, and over GF(2^61 - 1) _combination
         with row_kernel_calls() as calls:
@@ -1024,6 +1062,7 @@ class TestBijectivityDecision:
         decision = decide_bijection(m, rhs)
         if m.rows != m.cols:
             assert decision.solution is None and decision.rank == dense.rank_dense(m)
+            assert (decision.rank, decision.witness) == dense.non_square_decision_by_two_eliminations(m)
             kernel_vectors = dense.kernel_dense(m)
             if kernel_vectors:
                 assert decision.witness == kernel_vectors[0]
@@ -1044,6 +1083,22 @@ class TestBijectivityDecision:
         assert_indexed(decision.solution)
         assert (decision.rank, decision.witness) == (m.rows, None)
         assert old.entries == inverse
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
+    def test_a_non_square_map_is_decided_by_one_elimination_when_it_can_be(self, field):
+        wide = Matrix.from_rows([[1, 2, 0], [0, 0, 1]], field)
+        tall, short = wide.transpose(), Matrix.from_rows([[1, 1], [2, 2], [0, 0]], field)
+        for m, eliminations in ((wide, 1), (tall, 1), (short, 2), (Matrix.zero(0, 2, field), 1), (Matrix.zero(2, 0, field), 1)):
+            with pytest.MonkeyPatch.context() as patch:
+                calls = []
+                echelon = exactlin._echelon
+                patch.setattr(exactlin, "_echelon", lambda *args, **kw: calls.append(1) or echelon(*args, **kw))
+                decision = decide_bijection(m, Matrix.zero(m.rows, 0, field))
+            # a wide map by its kernel, a tall one by its image, and by its
+            # kernel as well only when the rank falls short of the columns
+            assert len(calls) == eliminations
+            assert decision.solution is None
+            assert (decision.rank, decision.witness) == dense.non_square_decision_by_two_eliminations(m)
 
     @pytest.mark.parametrize("field", [QQ, GF2, GF7, GF61])
     def test_empty_map_solves_every_width(self, field):
@@ -1226,8 +1281,6 @@ class TestIndexFirstSubspace:
     def test_mismatched_ambient_dimensions_raise(self):
         with pytest.raises(DimensionMismatch):
             Subspace.full(3, QQ).contains_subspace(Subspace.zero_subspace(2, QQ))
-        with pytest.raises(DimensionMismatch):
-            Subspace.full(3, QQ).contains_columns(Matrix.zero(2, 1, QQ))
         with pytest.raises(FieldMismatch):
             tensor_subspace(Subspace.full(1, QQ), Subspace.full(1, GF7))
 
@@ -1244,17 +1297,6 @@ class TestIndexFirstSubspace:
         assert (product.ambient_dim, product.dim) == (n * m, s.dim * t.dim)
         assert "basis" not in product.__dict__
         assert_subspace_indexed(product)
-
-    @settings(max_examples=100, deadline=None)
-    @given(spanning_sets(), st.data())
-    def test_contains_columns_tests_every_column(self, case, data):
-        field, n, vectors = case
-        sub = Subspace.from_spanning(vectors, n, field)
-        k = data.draw(st.integers(0, 4))
-        inside = sub.inclusion() @ data.draw(matrices(field, rows=sub.dim, cols=k))
-        assert sub.contains_columns(inside)
-        m = data.draw(matrices(field, rows=n, cols=k))
-        assert sub.contains_columns(m) == all(sub.contains_vector(col) for col in dense.columns(m))
 
 
 def all_fraction(m: Matrix) -> Matrix:
