@@ -222,8 +222,11 @@ def structure_maps_to_psi(p: StructureMapPair, known: EntwiningStructure | None 
     return e
 
 
-def entwined_module_check(module: RightModule, comodule: RightComodule, e: EntwiningStructure) -> AxiomCheck:
-    """Residual of coaction(v.a) = v_(0) psi(v_(1) (x) a) for one carrier."""
+def entwined_module_check(
+    module: RightModule, comodule: RightComodule, e: EntwiningStructure, product: Matrix | None = None
+) -> AxiomCheck:
+    """Residual of coaction(v.a) = v_(0) psi(v_(1) (x) a) for one carrier,
+    whose coaction . action the caller may pass as ``product``."""
     if module.dim != comodule.dim:
         raise DimensionMismatch("module and comodule carriers differ")
     if module.over != e.algebra or comodule.over != e.coalgebra:
@@ -236,6 +239,6 @@ def entwined_module_check(module: RightModule, comodule: RightComodule, e: Entwi
     return residual_check(
         "entwined-module",
         "coaction . action = (action (x) C)(V (x) psi)(coaction (x) A)",
-        comodule.coaction @ module.action,
+        comodule.coaction @ module.action if product is None else product,
         apply_kron(mu, comodule.coaction, a.identity_matrix),
     )

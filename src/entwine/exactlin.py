@@ -76,7 +76,10 @@ algebra (coalgebra) map into a tensor product" check, where mid_swap is
 the four-factor ``tensor_permutation(dims, (0, 2, 1, 3))``.  It forms
 neither mid_swap, whose n^4 rows are mostly idle, nor kron(f, g): it
 contracts g with y first, then f, then x, column by column on the factors'
-transposes, and over GF(p) reduces each output cell once.
+transposes.  Over GF(p), on sums as dense as the row kernels' that a slot
+holds, it contracts f with x and g with y on packed ints, x's columns at
+stride rows(y), so that a product of the two is a Kronecker product
+(Kronecker substitution); else it sums in dicts, each cell reduced once.
 
 Conventions, fixed once for the whole library:
 
@@ -93,6 +96,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -224,24 +228,27 @@ def _packing(p: int, cols: int, rows: Sequence[IndexRow], stride: int = 1) -> tu
     return combine, list(zip(rows, _packed(rows, p, s, stride)))
 
 
+def _dense_enough(cols: int, *indexes: Sequence[IndexRow], blocks: int = 1) -> bool:
+    """Whether the sums of a product, one term from a row of each index, the
+    first index's rows split in ``blocks``, touch on average (the product of
+    the entries per row of each index, over ``blocks``) at least cols entries."""
+    touched, count = 1, blocks
+    for index in indexes:
+        touched *= sum(map(len, index))
+        count *= len(index)
+    return touched > 0 and touched >= cols * count
+
+
 def _combiner(
     p: int | None, cols: int, rows: Sequence[IndexRow], *coefficients: Sequence[IndexRow], blocks: int = 1, stride: int = 1
 ) -> tuple[Callable[..., IndexRow], Sequence]:
     """The row kernel of a product whose combinations sum rows of the index
     ``rows`` (of width cols), with one coefficient per term from each index
-    in ``coefficients``, whose rows each split into ``blocks``
-    combinations; returned with the rows it combines, as for _packing.
-    Over GF(p), when the average combination touches at least cols entries,
-    and some touch one, that is the packed kernel of _packing; otherwise,
-    and always over Q, it is _combination.  The average is the product of
-    the entries per row of each index, over ``blocks``."""
-    if p:
-        touched, count = sum(map(len, rows)), len(rows) * blocks
-        for index in coefficients:
-            touched *= sum(map(len, index))
-            count *= len(index)
-        if touched and touched >= cols * count:
-            return _packing(p, cols, rows, stride)
+    in ``coefficients``, whose rows each split into ``blocks`` combinations;
+    returned with the rows it combines, as for _packing.  It is _packing's
+    over GF(p) when they are _dense_enough, and otherwise _combination."""
+    if p and _dense_enough(cols, rows, *coefficients, blocks=blocks):
+        return _packing(p, cols, rows, stride)
     return _combination, rows
 
 
@@ -983,6 +990,32 @@ def _blocks(row: IndexRow, width: int) -> list[tuple[int, list[tuple[int, Scalar
     return out
 
 
+def _swap_packed(xcols, ycols, fcols, gcols, dims, p: int, s: int, yrows: int, cells: int) -> list[IndexRow]:
+    """swap_product's columns over GF(p), in packed cells of s bits.  With
+    y's columns packed once and x's at stride rows(y), z_wbc and t_vbc, the
+    sum over a of f[(a, b), v] x[:, (a, c)], are multiply-adds of them, and
+    column (v, w) is the sum over (b, c) of t_vbc z_wbc, read off once."""
+    q1, p2, q2 = dims[1:]
+    ys, xs = _packed(ycols, p, s), _packed(xcols, p, s, yrows)
+    zs = []  # per column w of g, z_wbc at b * P2 + c
+    for gcol in gcols:
+        z = [0] * (q1 * p2)
+        for r, gv in gcol:
+            c, d = divmod(r, q2)
+            for b in range(q1):
+                z[b * p2 + c] += gv % p * ys[b * q2 + d]
+        zs.append(z)
+    out = []
+    for fcol in fcols:
+        t = [0] * (q1 * p2)  # t_vbc at b * P2 + c
+        for r, fv in fcol:
+            a, b = divmod(r, q1)
+            for c in range(p2):
+                t[b * p2 + c] += fv % p * xs[a * p2 + c]
+        out.extend([_unpacked(sum(map(mul, t, z)), p, s, cells) for z in zs])
+    return out
+
+
 def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]) -> Matrix:
     """kron(x, y) @ tensor_permutation(dims, (0, 2, 1, 3)) @ kron(f, g),
     the product in a tensor product, without forming either factor.
@@ -993,7 +1026,9 @@ def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]
     f[(a, b), v] z_wbc and z_wbc the sum over d of g[(c, d), w] y[:, (b, d)].
     The contraction runs in that order, g with y first, so z, which does not
     depend on v, is formed once per w.  The columns come from the factors'
-    transposes, and over GF(p) each output cell is reduced once.
+    transposes.  Over GF(p), if the sums are _dense_enough for a column of
+    rows(x) rows(y) cells and a _slot holds P Q P2 Q2 (p - 1)^4, _swap_packed
+    forms the columns; else dicts do, each output cell reduced once.
     """
     for m in (y, f, g):
         _check_same_field(x, m)
@@ -1003,12 +1038,14 @@ def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]
             f"kron({x.rows}x{x.cols}, {y.rows}x{y.cols}) swap{tuple(dims)} kron({f.rows}x{f.cols}, {g.rows}x{g.cols})"
         )
     p = x.field.p
-    xcols = x.transpose().nonzeros
-    ycols = y.transpose().nonzeros
-    yrows = y.rows
+    xcols, ycols, fcols, gcols = (m.transpose().nonzeros for m in (x, y, f, g))
+    yrows, cells = y.rows, x.rows * y.rows
+    if s := p and _dense_enough(cells, ycols, xcols, fcols, gcols) and _slot(p, p1 * q1 * p2 * q2 * (p - 1) ** 2):
+        out = _swap_packed(xcols, ycols, fcols, gcols, dims, p, s, yrows, cells)
+        return _from_index(f.cols * g.cols, cells, out, x.field).transpose()
     # per column w of g, per b: z_wbc as {c: {row of y: value}}
     zs = []
-    for gcol in g.transpose().nonzeros:
+    for gcol in gcols:
         zw: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(q1)]
         for r, gv in gcol:
             c, d = divmod(r, q2)
@@ -1020,9 +1057,9 @@ def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]
                         tgt[i2] = tgt.get(i2, 0) + gv * yv
         zs.append(zw)
     # f[(a, b), v] as (a * P2, b, value)
-    fcols = [[(r // q1 * p2, r % q1, fv) for r, fv in col] for col in f.transpose().nonzeros]
+    fterms = [[(r // q1 * p2, r % q1, fv) for r, fv in col] for col in fcols]
     out: list[IndexRow] = []
-    for fcol in fcols:
+    for fcol in fterms:
         for zw in zs:
             u: dict[int, dict[int, Scalar]] = {}
             for abase, b, fv in fcol:
@@ -1038,7 +1075,7 @@ def swap_product(x: Matrix, y: Matrix, f: Matrix, g: Matrix, dims: Sequence[int]
                     for i2, uv in uac.items():
                         acc[base + i2] = get(base + i2, 0) + xv * uv
             out.append(_index_row(acc, p))
-    return _from_index(f.cols * g.cols, x.rows * yrows, out, x.field).transpose()
+    return _from_index(f.cols * g.cols, cells, out, x.field).transpose()
 
 
 def tensor_permutation(dims: Sequence[int], perm: Sequence[int], field: FieldSpec) -> Matrix:

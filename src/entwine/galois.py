@@ -50,7 +50,6 @@ from .structures import (
     FiniteAlgebra,
     GroupLike,
     HopfAlgebra,
-    RightComodule,
     RightModule,
     ValidationReport,
     residual_check,
@@ -91,7 +90,7 @@ def coinvariant_system(x: ComoduleAlgebra) -> Matrix:
     (A (x) pi) . D, since (m (x) B)(A (x) (A (x) pi)coaction) =
     (A (x) pi)(m (x) C)(A (x) coaction).
     """
-    return x.coaction @ x.algebra.mult_matrix - x.raw_can
+    return x.coaction_of_product - x.raw_can
 
 
 def _stacked_system(system: Matrix, dim: int) -> Matrix:
@@ -302,11 +301,7 @@ def _certify(x: ComoduleAlgebra, sub: Subspace, known: EntwiningStructure | None
         return cert
     a = x.algebra
     psi = known_entwining(canonical_entwining(cert), known)
-    module = entwined_module_check(
-        RightModule(a.dim, a, a.mult_matrix),
-        RightComodule(a.dim, x.coalgebra, x.coaction),
-        psi,
-    )
+    module = entwined_module_check(RightModule(a.dim, a, a.mult_matrix), x.comodule, psi, x.coaction_of_product)
     checks = cert.checks.checks + psi.checks.checks + (module,)
     return replace(cert, psi=psi, checks=ValidationReport("coalgebra-Galois extension", checks))
 
@@ -343,14 +338,14 @@ def _translation_checks(cert: GaloisCertificate, left_action: Matrix, coact_q: M
 
 
 def canonical_entwining(cert: GaloisCertificate) -> EntwiningStructure:
-    """psi = can . (right multiplication on A (x)_B A) . (translation (x) A)."""
+    """psi = can . (right multiplication on A (x)_B A) . (translation (x) A),
+    through the (A (x)_B A) x (C (x) A) product of the right two factors."""
     if not cert.is_galois:
         raise NotGalois("canonical entwining requires a bijective canonical map")
     x = cert.subject
-    a = x.algebra
     right_action = _quotient_right_action(x, cert.balanced)
-    psi = apply_kron(cert.can @ right_action, cert.translation, a.identity_matrix)
-    return EntwiningStructure(a, x.coalgebra, psi)
+    psi = cert.can @ apply_kron(right_action, cert.translation, x.algebra.identity_matrix)
+    return EntwiningStructure(x.algebra, x.coalgebra, psi)
 
 
 @dataclass(frozen=True)

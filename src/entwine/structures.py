@@ -249,6 +249,11 @@ class ComoduleAlgebra:
         return leg_product(self.algebra.mult_matrix, self.coaction, (na, na, self.coalgebra.dim))
 
     @cached_property
+    def coaction_of_product(self) -> Matrix:
+        """coaction . m on A (x) A."""
+        return self.coaction @ self.algebra.mult_matrix
+
+    @cached_property
     def coinvariants(self) -> Subspace:
         """galois.coinvariants of the algebra under its coinvariant system."""
         from .galois import coinvariant_system, coinvariants  # galois builds on this module
@@ -420,7 +425,7 @@ def coaction_algebra_map_checks(x: ComoduleAlgebra, coacting_algebra: FiniteAlge
         residual_check(
             "coaction-multiplicative",
             "coaction(ab) = coaction(a)coaction(b) in A (x) H",
-            rho @ m,
+            x.coaction_of_product,
             swap_product(m, mh, rho, rho, (na, nh, na, nh)),
         ),
         residual_check("coaction-unital", "coaction(1) = 1 (x) 1", rho @ u, kron(u, uh)),

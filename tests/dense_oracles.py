@@ -39,7 +39,10 @@ A.Omega_B and the intersection Omega_A cap Ker raw_can, where the library
 reads the horizontal forms off the relations of A (x)_B A and the
 restriction kernel off one kernel on Omega_A,
 A (x) C+ spanned one Kronecker product of vectors at a time, which the
-library reads off the echelon indexes of A and C+, and the subalgebra test
+library reads off the echelon indexes of A and C+, the canonical psi
+multiplied through the wide product of can and the right action on
+A (x)_B A, which the library multiplies through the small one of the right
+action and translation (x) A, and the subalgebra test
 with one product per pair of basis vectors, which the library reads off the
 one product m (incl (x) incl).
 
@@ -101,7 +104,7 @@ from entwine.exactlin import (
     tensor_permutation,
     tensor_subspace,
 )
-from entwine.galois import DifferentialSequenceReport
+from entwine.galois import DifferentialSequenceReport, _quotient_right_action
 from entwine.structures import (
     AxiomCheck,
     ModuleCoalgebra,
@@ -637,6 +640,15 @@ def augmented_target_by_vectors(a, c) -> Subspace:
         for w in cplus.basis
     ]
     return Subspace.from_spanning(vectors, a.dim * c.dim, field)
+
+
+def psi_through_the_wide_product(cert) -> Matrix:
+    """The canonical psi of a Galois certificate multiplied in the other
+    order: can . (right multiplication on A (x)_B A) first, an
+    (A (x) C) x ((A (x)_B A) (x) A) matrix, then (translation (x) A)."""
+    x = cert.subject
+    right_action = _quotient_right_action(x, cert.balanced)
+    return apply_kron(cert.can @ right_action, cert.translation, x.algebra.identity_matrix)
 
 
 def canonical_coideal_by_basis(x) -> Subspace:

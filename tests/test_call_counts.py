@@ -99,6 +99,26 @@ def test_s3_galois_builds_each_certificate_once(count_calls):
     }
 
 
+@pytest.mark.parametrize(("name", "params", "algebras"), [("sweedler-h4", {}, 2), ("trivial-hopf-galois", {"group": "Z3"}, 1)])
+def test_galois_forms_the_coaction_of_a_product_once(count_calls, monkeypatch, name, params, algebras):
+    doc = document_from_example(build(name, params))
+    x = doc.comodule_algebra
+    matmul, products = exactlin.Matrix.__matmul__, Counter()
+
+    def multiplied(self, other):
+        products[self is x.coaction and other is x.algebra.mult_matrix] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(exactlin.Matrix, "__matmul__", multiplied)
+    counts = count_calls(structures.ComoduleAlgebra.coaction_of_product)
+    assert run_suite(doc, "galois").ok
+    # the coinvariant system, the entwined-module check of A and the
+    # coaction-multiplicative check read one coaction . m, three products
+    # before; Sweedler's g bundle has a carrier of its own
+    assert counts == {"coaction_of_product": algebras}
+    assert products[True] == 1
+
+
 def test_bundle_report_is_passed_to_the_equivalence(count_calls):
     counts = count_calls(
         galois.bundle_check,

@@ -41,6 +41,8 @@ from entwine.structures import (
     transport_algebra,
     transport_coalgebra,
 )
+from test_coinvariant_system import CATALOGUE
+from test_coinvariant_system import _comodule_algebra as catalogue_comodule_algebra
 
 GF7 = GF(7)
 
@@ -176,6 +178,15 @@ class TestGaloisCheck:
         x = trivial_comodule_algebra(z2_hopf.coalgebra, (1, 0))
         with pytest.raises(NotGalois):
             canonical_entwining(galois_check(x))
+
+    @pytest.mark.parametrize("p", [None, 7])
+    @pytest.mark.parametrize("name,params", CATALOGUE)
+    def test_psi_matches_the_wide_product_order(self, name, params, p):
+        # can . (right action . (translation (x) A)), as canonical_entwining
+        # multiplies it, against (can . right action) . (translation (x) A)
+        cert = galois_check(catalogue_comodule_algebra(name, params if p is None else {**params, "p": p}))
+        assert cert.is_galois
+        assert cert.psi.psi == dense.psi_through_the_wide_product(cert)
 
     def test_psi_unit_columns(self, quadratic):
         cert = galois_check(quadratic)

@@ -24,6 +24,7 @@ GF(2), GF(7) and GF(2^61 - 1)."""
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ import dense_oracles as dense
 from dense_oracles import middle_linear_system, vectorize
 from support import rref
 from entwine.catalogue import (
+    build,
     coset_coideal,
     dual_group_algebra,
     group_algebra,
@@ -42,7 +44,7 @@ from entwine.catalogue import (
     sweedler_hopf_algebra,
 )
 from entwine.cogalois import coextension_check, coideal_checks, dual_uniqueness
-from entwine import exactlin
+from entwine import exactlin, structures
 from entwine.cogenerate import _kernel_step
 from entwine.errors import DimensionMismatch, FieldMismatch
 from entwine.exactlin import (
@@ -74,6 +76,7 @@ from entwine.exactlin import (
 )
 from entwine.galois import entwining_uniqueness, galois_check
 from entwine.fields import GF, QQ
+from entwine.docformat import document_from_example
 from entwine.reports import matrix_detail, subspace_detail
 from entwine.structures import residual_check
 from entwine.suites import run_suite
@@ -724,20 +727,26 @@ def monomial_matrices(draw, field, rows, cols, kinds=ROW_KINDS):
 
 
 @contextmanager
-def row_kernel_calls():
-    """The names of the calls made inside the block to _combination and
-    _packed, the row kernels and the packing of combined rows."""
+def recorded_calls(*targets):
+    """The names of the calls made inside the block to each (module, name)
+    target, as that module calls it."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_combination", "_packed"):
-            real = getattr(exactlin, name)
+        for module, name in targets:
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            patch.setattr(exactlin, name, counted)
+            patch.setattr(module, name, counted)
         yield calls
+
+
+def row_kernel_calls():
+    """The names of the calls made inside the block to _combination and
+    _packed, the row kernels and the packing of combined rows."""
+    return recorded_calls((exactlin, "_combination"), (exactlin, "_packed"))
 
 
 class TestPlacement:
@@ -862,8 +871,32 @@ def swap_products(draw, dims=None, fields=st.sampled_from([QQ, GF7, GF2])):
     return x, y, f, g, (p1, q1, p2, q2)
 
 
+@st.composite
+def dense_swap_products(draw, fields=st.sampled_from([GF7, GF2])):
+    """Factors x, y, f, g as for swap_products, with the four factor
+    dimensions and the other four dimensions drawn from 1..4 and every
+    entry nonzero: returned unreduced, from -2p to 2p, and reduced."""
+    field = draw(fields)
+    p = field.p
+    rnd = draw(st.randoms(use_true_random=False))
+    p1, q1, p2, q2, v, w, rx, ry = (draw(st.integers(1, 4)) for _ in range(8))
+
+    def raw(rows, cols):
+        return Matrix(rows, cols, tuple(tuple(rnd.randrange(1, p) + p * rnd.randrange(-2, 2) for _ in range(cols)) for _ in range(rows)), field)
+
+    factors = (raw(rx, p1 * p2), raw(ry, q1 * q2), raw(p1 * q1, v), raw(p2 * q2, w))
+    return factors, tuple(Matrix.from_rows(m.entries, field) for m in factors), (p1, q1, p2, q2)
+
+
+S4_PERMUTATIONS = list(permutations(range(4)))
+S4_TABLE = [
+    [S4_PERMUTATIONS.index(tuple(g[h[i]] for i in range(4))) for h in S4_PERMUTATIONS] for g in S4_PERMUTATIONS
+]
+
+
 class TestSwapProduct:
-    """swap_product against the product with the middle swap and kron(f, g) formed first."""
+    """swap_product against the product with the middle swap and kron(f, g)
+    formed first, and the inputs that take its packed contraction."""
 
     @settings(max_examples=300, deadline=None)
     @given(swap_products())
@@ -931,6 +964,57 @@ class TestSwapProduct:
             args[k] = Matrix.identity(1, GF7)
             with pytest.raises(FieldMismatch):
                 swap_product(*args, (1, 1, 1, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_swap_products())
+    def test_dense_factors_take_the_packed_contraction(self, args):
+        raw, factors, dims = args
+        with recorded_calls((exactlin, "_swap_packed")) as calls:
+            out = swap_product(*raw, dims)
+        assert calls == ["_swap_packed"]
+        assert out == dense.swap_product_formed(*factors, dims)
+        assert_indexed(out)
+
+    @pytest.mark.parametrize("p", [7, 251])
+    def test_the_largest_sums_fill_their_slot(self, p):
+        # every entry p - 1: each output cell sums P Q P2 Q2 = 256 products
+        # of four p - 1, which needs a 32-bit cell for p = 7, 64-bit for 251
+        field, dims = GF(p), (4, 4, 4, 4)
+        x, y, f, g = (Matrix.from_rows([[p - 1] * cols] * rows, field) for rows, cols in ((2, 16), (2, 16), (16, 2), (16, 2)))
+        with recorded_calls((exactlin, "_swap_packed")) as calls:
+            out = swap_product(x, y, f, g, dims)
+        assert calls == ["_swap_packed"]
+        assert out == dense.swap_product_formed(x, y, f, g, dims)
+        assert out.entries[0][0] == 256 * (p - 1) ** 4 % p
+
+    @pytest.mark.parametrize(("field", "packed"), [(GF7, ["_swap_packed"]), (GF61, [])])
+    def test_a_prime_too_large_for_any_slot_takes_the_dict_path(self, field, packed):
+        # the same dense factors: P Q P2 Q2 (p - 1)^4 fits a 32-bit cell
+        # for p = 7, and no cell for p = 2^61 - 1
+        rnd = Random(61)
+
+        def full(rows, cols):
+            return Matrix.from_rows([[rnd.randrange(1, 7) for _ in range(cols)] for _ in range(rows)], field)
+
+        dims = (2, 3, 2, 2)
+        x, y, f, g = full(3, 4), full(2, 6), full(6, 2), full(4, 3)
+        assert exactlin._dense_enough(x.rows * y.rows, *(m.transpose().nonzeros for m in (y, x, f, g)))
+        with recorded_calls((exactlin, "_swap_packed")) as calls:
+            out = swap_product(x, y, f, g, dims)
+        assert calls == packed
+        assert out == dense.swap_product_formed(x, y, f, g, dims)
+        assert_indexed(out)
+
+    @pytest.mark.parametrize(
+        ("name", "params", "suite"),
+        [("trivial-hopf-galois", {"table": S4_TABLE, "p": 7}, "galois"), ("group-algebra", {"group": "S3", "p": 7}, "structures")],
+    )
+    def test_group_algebras_over_gf7_take_the_dict_path(self, name, params, suite):
+        # the structure maps of a group algebra are monomial, so the average
+        # sum of a column touches fewer entries than the column has cells
+        with recorded_calls((structures, "swap_product"), (exactlin, "_swap_packed")) as calls:
+            assert run_suite(document_from_example(build(name, params)), suite).ok
+        assert calls and set(calls) == {"swap_product"}
 
 
 @st.composite
