@@ -7,7 +7,7 @@ entwinings.  These are the shared fixtures for the test suite and the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Any, Mapping
 
 from .entwining import flip_entwining
@@ -22,6 +22,7 @@ from .structures import (
     GroupLike,
     HopfAlgebra,
     ModuleCoalgebra,
+    dualize,
 )
 
 
@@ -146,19 +147,14 @@ def group_algebra(params: Mapping[str, Any], field: FieldSpec = QQ) -> HopfAlgeb
 
 
 def dual_group_algebra(params: Mapping[str, Any], field: FieldSpec = QQ) -> HopfAlgebra:
-    """Functions on G: orthogonal idempotents p_g, coproduct splitting products."""
-    names, table, inverse = _group_data(params)
-    n = len(names)
-    zero, one = field.zero, field.one
-    # p_i p_i = p_i and coproduct(p_g) = sum of p_i (x) p_j over ij = g
-    mult = Matrix.from_triples(n, n * n, ((i, i * n + i, one) for i in range(n)), field)
-    comult = Matrix.from_triples(n * n, n, ((i * n + j, table[i][j], one) for i in range(n) for j in range(n)), field)
-    counit = tuple(one if i == 0 else zero for i in range(n))
-    antipode = Matrix.from_triples(n, n, ((i, inverse[i], one) for i in range(n)), field)
-    dual_names = tuple(f"p[{x}]" for x in names)
-    algebra = FiniteAlgebra(n, dual_names, mult, (one,) * n, field)
-    coalgebra = FiniteCoalgebra(n, dual_names, comult, counit, field)
-    return HopfAlgebra(algebra, coalgebra, antipode)
+    """Functions on G, the dual of k[G]: orthogonal idempotents p_g, the
+    coproduct splitting products, the antipode transposed."""
+    h = group_algebra(params, field)
+    names = tuple(f"p[{x}]" for x in h.algebra.basis_names)
+    algebra, coalgebra = dualize(h.coalgebra), dualize(h.algebra)
+    return HopfAlgebra(
+        replace(algebra, basis_names=names), replace(coalgebra, basis_names=names), h.antipode.transpose()
+    )
 
 
 def sweedler_hopf_algebra(field: FieldSpec = QQ) -> HopfAlgebra:

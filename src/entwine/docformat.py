@@ -9,6 +9,10 @@ index: each entry lands at its cell in a per-row dict, each row is sorted
 once, and each distinct coefficient string is parsed once per document.
 Vector-valued data (units, counits, group-like coordinates, character
 coordinates, coideal basis vectors) are dense coefficient lists.
+
+Each kind of section is read by one reader and written by one writer, both
+driven by a section table: the six matrix sections by _MATRIX_SECTIONS,
+and group-likes, characters and coideals by _ITEM_SECTIONS.
 """
 
 from __future__ import annotations
@@ -260,13 +264,133 @@ def _space_ref(reader: _Reader, spaces, section, key, path) -> SpaceDecl | None:
     return spaces[name]
 
 
-def _item_name(reader: _Reader, entry, here, default, items) -> str | None:
-    """The entry's name, default when absent: a string that no earlier item
+# The sections that hold one sparse matrix between declared spaces, in
+# reading order: the section, the key of its entries, its space keys (each
+# with the one or two document spaces it must equal, the first emitted as
+# its value, and the problem when it does not), the reading of its entries
+# from the keyed spaces' dimensions (index bounds; for a structure tensor
+# also the matrix shape and the cell of entry (i, j, k)), and the unit or
+# counit key and structure of the algebra and coalgebra, which own a space.
+_MATRIX_SECTIONS = (
+    (
+        "algebra",
+        "mult",
+        (("space", ("algebra_space",), None),),
+        lambda d: ((d, d, d), (d, d * d), lambda i, j, k: (k, i * d + j)),
+        ("unit", FiniteAlgebra),
+    ),
+    (
+        "coalgebra",
+        "comult",
+        (("space", ("coalgebra_space",), None),),
+        lambda d: ((d, d, d), (d * d, d), lambda i, j, k: (j * d + k, i)),
+        ("counit", FiniteCoalgebra),
+    ),
+    (
+        "antipode",
+        "entries",
+        (("space", ("algebra_space", "coalgebra_space"), "antipode needs algebra and coalgebra on its space"),),
+        lambda h: ((h, h),),
+        (None, None),
+    ),
+    (
+        "coaction",
+        "entries",
+        (
+            ("space", ("algebra_space",), "coaction must act on the algebra's space"),
+            ("coalgebra", ("coalgebra_space",), "coaction must land in the coalgebra's space"),
+        ),
+        lambda a, c: ((a * c, a),),
+        (None, None),
+    ),
+    (
+        "action",
+        "entries",
+        (
+            ("space", ("coalgebra_space",), "action must act on the coalgebra's space"),
+            ("algebra", ("algebra_space",), "action must use the algebra's space"),
+        ),
+        lambda c, a: ((c, c * a),),
+        (None, None),
+    ),
+    (
+        "psi",
+        "entries",
+        (
+            ("algebra", ("algebra_space",), "psi must use the algebra's space"),
+            ("coalgebra", ("coalgebra_space",), "psi must use the coalgebra's space"),
+        ),
+        lambda a, c: ((a * c, c * a),),
+        (None, None),
+    ),
+)
+
+# The sections that list named items: the document space each item must
+# live on, the key of its coordinates (one vector, or the vectors spanning
+# a subspace), and the prefix and first number of its default name.
+_ITEM_SECTIONS = (
+    ("grouplikes", "coalgebra_space", "coords", "grouplike", 0),
+    ("characters", "algebra_space", "coords", "character", 0),
+    ("coideals", "coalgebra_space", "vectors", "I", 1),
+)
+
+
+def _read_matrix_sections(reader: _Reader, doc: StructureDocument) -> None:
+    obj, spaces, field = reader.obj, doc.spaces, doc.field
+    for name, entries, keys, reading, (vector_key, structure) in _MATRIX_SECTIONS:
+        if name not in obj:
+            continue
+        section = reader.expect_dict(obj[name], name)
+        if section is None:
+            continue
+        refs = [_space_ref(reader, spaces, section, key, name) for key, _, _ in keys]
+        if None in refs:
+            continue
+        for (key, must_equal, problem), space in zip(keys, refs):
+            if problem is not None and not getattr(doc, must_equal[0]) == getattr(doc, must_equal[-1]) == space.name:
+                reader.fail(f"{name}.{key}", problem)
+        matrix = reader.sparse_matrix(
+            field, section.get(entries, []), f"{name}.{entries}", *reading(*[space.dim for space in refs])
+        )
+        if structure is None:
+            setattr(doc, name, matrix)
+            continue
+        (space,) = refs
+        vector = reader.vector(field, section.get(vector_key, [0] * space.dim), f"{name}.{vector_key}", space.dim)
+        setattr(doc, name, structure(space.dim, space.basis_names, matrix, vector, field))
+        setattr(doc, f"{name}_space", space.name)
+
+
+def _read_item_sections(reader: _Reader, doc: StructureDocument) -> None:
+    """An item's name is a string that no earlier item of its section
     carries, since it names the item's checks."""
-    name = reader.expect_str(entry.get("name", default), f"{here}.name")
-    if name is not None and any(name == other for other, _ in items):
-        reader.fail(f"{here}.name", f"repeated name {name!r}")
-    return name
+    obj, spaces, field = reader.obj, doc.spaces, doc.field
+    for key, own, data, prefix, first in _ITEM_SECTIONS:
+        if key not in obj:
+            continue
+        items = []
+        for n, item in enumerate(reader.expect_list(obj[key], key) or ()):
+            here = f"{key}[{n}]"
+            entry = reader.expect_dict(item, here)
+            if entry is None:
+                continue
+            space = _space_ref(reader, spaces, entry, "space", here)
+            if space is None:
+                continue
+            expected = getattr(doc, own)
+            if expected is not None and space.name != expected:
+                reader.fail(f"{here}.space", f"must live on {expected!r}")
+                continue
+            name = reader.expect_str(entry.get("name", f"{prefix}{n + first}"), f"{here}.name")
+            if name is not None and any(name == other for other, _ in items):
+                reader.fail(f"{here}.name", f"repeated name {name!r}")
+            if data == "coords":
+                value = reader.vector(field, entry.get(data), f"{here}.{data}", space.dim)
+            else:
+                vectors = enumerate(reader.expect_list(entry.get(data), f"{here}.{data}") or ())
+                value = tuple([reader.vector(field, v, f"{here}.{data}[{vn}]", space.dim) for vn, v in vectors])
+            items.append((name, value))
+        setattr(doc, key, tuple(items))
 
 
 def parse_document(text: str) -> StructureDocument:
@@ -284,134 +408,9 @@ def parse_document(text: str) -> StructureDocument:
         if key not in SECTIONS:
             reader.fail(key, "unknown section")
     field = _parse_field(reader)
-    spaces = _parse_spaces(reader)
-    doc = StructureDocument(field=field, spaces=spaces)
-
-    if "algebra" in obj:
-        section = reader.expect_dict(obj["algebra"], "algebra")
-        if section is not None:
-            space = _space_ref(reader, spaces, section, "space", "algebra")
-            if space is not None:
-                d = space.dim
-                mult = reader.sparse_matrix(
-                    field, section.get("mult", []), "algebra.mult", (d, d, d), (d, d * d), lambda i, j, k: (k, i * d + j)
-                )
-                unit = reader.vector(field, section.get("unit", [0] * d), "algebra.unit", d)
-                doc.algebra = FiniteAlgebra(d, space.basis_names, mult, unit, field)
-                doc.algebra_space = space.name
-
-    if "coalgebra" in obj:
-        section = reader.expect_dict(obj["coalgebra"], "coalgebra")
-        if section is not None:
-            space = _space_ref(reader, spaces, section, "space", "coalgebra")
-            if space is not None:
-                d = space.dim
-                comult = reader.sparse_matrix(
-                    field, section.get("comult", []), "coalgebra.comult", (d, d, d), (d * d, d), lambda i, j, k: (j * d + k, i)
-                )
-                counit = reader.vector(field, section.get("counit", [0] * d), "coalgebra.counit", d)
-                doc.coalgebra = FiniteCoalgebra(d, space.basis_names, comult, counit, field)
-                doc.coalgebra_space = space.name
-
-    if "antipode" in obj:
-        section = reader.expect_dict(obj["antipode"], "antipode")
-        if section is not None:
-            space = _space_ref(reader, spaces, section, "space", "antipode")
-            if space is not None:
-                if doc.algebra_space != space.name or doc.coalgebra_space != space.name:
-                    reader.fail("antipode.space", "antipode needs algebra and coalgebra on its space")
-                d = space.dim
-                doc.antipode = reader.sparse_matrix(field, section.get("entries", []), "antipode.entries", (d, d))
-
-    if "coaction" in obj:
-        section = reader.expect_dict(obj["coaction"], "coaction")
-        if section is not None:
-            space = _space_ref(reader, spaces, section, "space", "coaction")
-            cspace = _space_ref(reader, spaces, section, "coalgebra", "coaction")
-            if space is not None and cspace is not None:
-                if doc.algebra_space != space.name:
-                    reader.fail("coaction.space", "coaction must act on the algebra's space")
-                if doc.coalgebra_space != cspace.name:
-                    reader.fail("coaction.coalgebra", "coaction must land in the coalgebra's space")
-                rows, cols = space.dim * cspace.dim, space.dim
-                doc.coaction = reader.sparse_matrix(field, section.get("entries", []), "coaction.entries", (rows, cols))
-
-    if "action" in obj:
-        section = reader.expect_dict(obj["action"], "action")
-        if section is not None:
-            space = _space_ref(reader, spaces, section, "space", "action")
-            aspace = _space_ref(reader, spaces, section, "algebra", "action")
-            if space is not None and aspace is not None:
-                if doc.coalgebra_space != space.name:
-                    reader.fail("action.space", "action must act on the coalgebra's space")
-                if doc.algebra_space != aspace.name:
-                    reader.fail("action.algebra", "action must use the algebra's space")
-                rows, cols = space.dim, space.dim * aspace.dim
-                doc.action = reader.sparse_matrix(field, section.get("entries", []), "action.entries", (rows, cols))
-
-    if "psi" in obj:
-        section = reader.expect_dict(obj["psi"], "psi")
-        if section is not None:
-            aspace = _space_ref(reader, spaces, section, "algebra", "psi")
-            cspace = _space_ref(reader, spaces, section, "coalgebra", "psi")
-            if aspace is not None and cspace is not None:
-                if doc.algebra_space != aspace.name:
-                    reader.fail("psi.algebra", "psi must use the algebra's space")
-                if doc.coalgebra_space != cspace.name:
-                    reader.fail("psi.coalgebra", "psi must use the coalgebra's space")
-                rows, cols = aspace.dim * cspace.dim, cspace.dim * aspace.dim
-                doc.psi = reader.sparse_matrix(field, section.get("entries", []), "psi.entries", (rows, cols))
-
-    def named_vectors(key, expect_space_of):
-        items = []
-        if key not in obj:
-            return tuple(items)
-        lst = reader.expect_list(obj[key], key)
-        if lst is None:
-            return tuple(items)
-        for n, item in enumerate(lst):
-            here = f"{key}[{n}]"
-            entry = reader.expect_dict(item, here)
-            if entry is None:
-                continue
-            space = _space_ref(reader, spaces, entry, "space", here)
-            if space is None:
-                continue
-            if expect_space_of is not None and space.name != expect_space_of:
-                reader.fail(f"{here}.space", f"must live on {expect_space_of!r}")
-                continue
-            name = _item_name(reader, entry, here, f"{key[:-1]}{n}", items)
-            coords = reader.vector(field, entry.get("coords"), f"{here}.coords", space.dim)
-            items.append((name, coords))
-        return tuple(items)
-
-    doc.grouplikes = named_vectors("grouplikes", doc.coalgebra_space)
-    doc.characters = named_vectors("characters", doc.algebra_space)
-
-    if "coideals" in obj:
-        lst = reader.expect_list(obj["coideals"], "coideals")
-        items = []
-        if lst is not None:
-            for n, item in enumerate(lst):
-                here = f"coideals[{n}]"
-                entry = reader.expect_dict(item, here)
-                if entry is None:
-                    continue
-                space = _space_ref(reader, spaces, entry, "space", here)
-                if space is None:
-                    continue
-                if doc.coalgebra_space is not None and space.name != doc.coalgebra_space:
-                    reader.fail(f"{here}.space", f"must live on {doc.coalgebra_space!r}")
-                    continue
-                name = _item_name(reader, entry, here, f"I{n + 1}", items)
-                vec_list = reader.expect_list(entry.get("vectors"), f"{here}.vectors")
-                vectors = []
-                if vec_list is not None:
-                    for vn, vec in enumerate(vec_list):
-                        vectors.append(reader.vector(field, vec, f"{here}.vectors[{vn}]", space.dim))
-                items.append((name, tuple(vectors)))
-        doc.coideals = tuple(items)
-
+    doc = StructureDocument(field=field, spaces=_parse_spaces(reader))
+    _read_matrix_sections(reader, doc)
+    _read_item_sections(reader, doc)
     if reader.problems:
         raise InvalidDocument(reader.problems)
     return doc
@@ -439,66 +438,32 @@ def _format_tensor_entries(field, dim: int, transposed: Matrix):
 def document_to_obj(doc: StructureDocument) -> dict:
     """Canonical plain-JSON object for a document."""
     field = doc.field
+
+    def vector(coords):
+        return [field.format(x) for x in coords]
+
     obj: dict = {
         "field": {"kind": field.kind} if not field.is_prime_field else {"kind": field.kind, "p": field.p},
         "spaces": {
             name: {"dim": decl.dim, "basis": list(decl.basis_names)} for name, decl in sorted(doc.spaces.items())
         },
     }
-    if doc.algebra is not None:
-        obj["algebra"] = {
-            "space": doc.algebra_space,
-            "mult": _format_tensor_entries(field, doc.algebra.dim, doc.algebra.mult_matrix.transpose()),
-            "unit": [field.format(x) for x in doc.algebra.unit],
-        }
-    if doc.coalgebra is not None:
-        obj["coalgebra"] = {
-            "space": doc.coalgebra_space,
-            "comult": _format_tensor_entries(field, doc.coalgebra.dim, doc.coalgebra.comult_matrix.transpose()),
-            "counit": [field.format(x) for x in doc.coalgebra.counit],
-        }
-    if doc.antipode is not None:
-        obj["antipode"] = {
-            "space": doc.algebra_space,
-            "entries": _format_matrix_entries(field, doc.antipode),
-        }
-    if doc.coaction is not None:
-        obj["coaction"] = {
-            "space": doc.algebra_space,
-            "coalgebra": doc.coalgebra_space,
-            "entries": _format_matrix_entries(field, doc.coaction),
-        }
-    if doc.action is not None:
-        obj["action"] = {
-            "space": doc.coalgebra_space,
-            "algebra": doc.algebra_space,
-            "entries": _format_matrix_entries(field, doc.action),
-        }
-    if doc.grouplikes:
-        obj["grouplikes"] = [
-            {"space": doc.coalgebra_space, "name": name, "coords": [field.format(x) for x in coords]}
-            for name, coords in doc.grouplikes
-        ]
-    if doc.characters:
-        obj["characters"] = [
-            {"space": doc.algebra_space, "name": name, "coords": [field.format(x) for x in coords]}
-            for name, coords in doc.characters
-        ]
-    if doc.coideals:
-        obj["coideals"] = [
-            {
-                "space": doc.coalgebra_space,
-                "name": name,
-                "vectors": [[field.format(x) for x in vec] for vec in vectors],
-            }
-            for name, vectors in doc.coideals
-        ]
-    if doc.psi is not None:
-        obj["psi"] = {
-            "algebra": doc.algebra_space,
-            "coalgebra": doc.coalgebra_space,
-            "entries": _format_matrix_entries(field, doc.psi),
-        }
+    for name, entries, keys, _, (vector_key, _) in _MATRIX_SECTIONS:
+        x = getattr(doc, name)
+        if x is None:
+            continue
+        section = obj[name] = {key: getattr(doc, must_equal[0]) for key, must_equal, _ in keys}
+        if vector_key is None:
+            section[entries] = _format_matrix_entries(field, x)
+        else:
+            section[entries] = _format_tensor_entries(field, x.dim, getattr(x, f"{entries}_matrix").transpose())
+            section[vector_key] = vector(getattr(x, vector_key))
+    for key, own, data, _, _ in _ITEM_SECTIONS:
+        if getattr(doc, key):
+            obj[key] = [
+                {"space": getattr(doc, own), "name": name, data: vector(v) if data == "coords" else [*map(vector, v)]}
+                for name, v in getattr(doc, key)
+            ]
     return obj
 
 
@@ -508,63 +473,33 @@ def document_to_text(doc: StructureDocument) -> str:
 
 def document_from_example(example: ExampleSpec) -> StructureDocument:
     """Flatten a catalogue instance into document sections."""
-    field = example.field
     s = example.structures
-    hopf: HopfAlgebra | None = s.get("hopf")
     algebra: FiniteAlgebra | None = s.get("algebra")
     coalgebra: FiniteCoalgebra | None = s.get("coalgebra")
-    antipode = None
-    coaction = None
-    action = None
-    psi = None
-    comodule: ComoduleAlgebra | None = s.get("comodule_algebra")
-    module: ModuleCoalgebra | None = s.get("module_coalgebra")
-    if hopf is not None:
-        algebra = hopf.algebra
-        coalgebra = hopf.coalgebra
-        antipode = hopf.antipode
-    if comodule is not None:
-        algebra = comodule.algebra
-        coalgebra = comodule.coalgebra
-        coaction = comodule.coaction
-    if module is not None:
-        algebra = module.algebra
-        coalgebra = module.coalgebra
-        action = module.action
-    entwining = s.get("entwining")
-    if entwining is not None:
-        algebra = entwining.algebra
-        coalgebra = entwining.coalgebra
-        psi = entwining.psi
-
+    matrices = {}
+    for key, section in (
+        ("hopf", "antipode"), ("comodule_algebra", "coaction"), ("module_coalgebra", "action"), ("entwining", "psi")
+    ):
+        if (x := s.get(key)) is not None:
+            algebra, coalgebra, matrices[section] = x.algebra, x.coalgebra, getattr(x, section)
+    same_space = s.get("hopf") is not None or (
+        algebra is not None and coalgebra is not None and algebra.basis_names == coalgebra.basis_names
+    )
+    algebra_space = None if algebra is None else "H" if same_space else "A"
+    coalgebra_space = None if coalgebra is None else "H" if same_space else "C"
     spaces: dict[str, SpaceDecl] = {}
-    same_space = algebra is not None and coalgebra is not None and algebra.basis_names == coalgebra.basis_names
-    if hopf is not None:
-        same_space = True
-    if same_space:
-        spaces["H"] = SpaceDecl("H", algebra.dim, algebra.basis_names)
-        algebra_space = coalgebra_space = "H"
-    else:
-        algebra_space = coalgebra_space = None
-        if algebra is not None:
-            spaces["A"] = SpaceDecl("A", algebra.dim, algebra.basis_names)
-            algebra_space = "A"
-        if coalgebra is not None:
-            spaces["C"] = SpaceDecl("C", coalgebra.dim, coalgebra.basis_names)
-            coalgebra_space = "C"
-
-    doc = StructureDocument(field=field, spaces=spaces)
-    if algebra is not None:
-        doc.algebra = algebra
-        doc.algebra_space = algebra_space
-    if coalgebra is not None:
-        doc.coalgebra = coalgebra
-        doc.coalgebra_space = coalgebra_space
-    doc.antipode = antipode
-    doc.coaction = coaction
-    doc.action = action
-    doc.psi = psi
-    doc.grouplikes = tuple((f"e{i}", tuple(g.coords)) for i, g in enumerate(s.get("grouplikes", ())))
-    doc.characters = tuple((f"k{i}", tuple(k.coords)) for i, k in enumerate(s.get("characters", ())))
-    doc.coideals = tuple((f"I{i + 1}", tuple(sub.basis)) for i, sub in enumerate(s.get("coideals", ())))
-    return doc
+    for x, name in ((algebra, algebra_space), (coalgebra, coalgebra_space)):
+        if x is not None and name not in spaces:
+            spaces[name] = SpaceDecl(name, x.dim, x.basis_names)
+    return StructureDocument(
+        field=example.field,
+        spaces=spaces,
+        algebra=algebra,
+        algebra_space=algebra_space,
+        coalgebra=coalgebra,
+        coalgebra_space=coalgebra_space,
+        grouplikes=tuple((f"e{i}", tuple(g.coords)) for i, g in enumerate(s.get("grouplikes", ()))),
+        characters=tuple((f"k{i}", tuple(k.coords)) for i, k in enumerate(s.get("characters", ()))),
+        coideals=tuple((f"I{i + 1}", tuple(sub.basis)) for i, sub in enumerate(s.get("coideals", ()))),
+        **matrices,
+    )

@@ -200,23 +200,18 @@ def validate_structure_maps(p: StructureMapPair) -> ValidationReport:
 
 
 def structure_maps_to_psi(p: StructureMapPair, known: EntwiningStructure | None = None) -> EntwiningStructure:
-    """Recover psi two ways and insist they agree; the result is a valid entwining.
+    """Recover psi = (counit (x) A (x) C)delta; the result is a valid entwining.
 
-    A recovered map equal to ``known``, as when p was built from that
-    entwining, is ``known`` itself (known_entwining).
+    A pair that passes its checks has mu(unit (x) C (x) A) equal to this map
+    (pair-compatibility), so psi is read from delta alone.  A recovered map
+    equal to ``known``, as when p was built from that entwining, is
+    ``known`` itself (known_entwining).
     """
     if not p.checks.ok:
         raise AxiomViolation("structure-map pair fails its axioms", report=p.checks)
     a, c = p.algebra, p.coalgebra
-    from_delta = kron_apply(c.counit_matrix, Matrix.identity(a.dim * c.dim, a.field), p.delta)
-    from_mu = apply_kron(p.mu, a.unit_matrix, Matrix.identity(c.dim * a.dim, a.field))
-    difference = from_delta - from_mu
-    if not difference.is_zero:
-        raise AxiomViolation(
-            "the two candidate entwining maps disagree",
-            report=(AxiomCheck("psi-agreement", "(counit (x) A (x) C)delta = mu(unit (x) C (x) A)", difference, False),),
-        )
-    e = known_entwining(EntwiningStructure(a, c, from_delta), known)
+    psi = kron_apply(c.counit_matrix, Matrix.identity(a.dim * c.dim, a.field), p.delta)
+    e = known_entwining(EntwiningStructure(a, c, psi), known)
     if not e.checks.ok:
         raise AxiomViolation("recovered map is not an entwining", report=e.checks)
     return e

@@ -54,6 +54,21 @@ def _gate(report: SuiteReport, prefix: str, validation) -> bool:
     return validation.ok
 
 
+def _add_uniqueness(report: SuiteReport, prefix: str, uniq):
+    """The entry for a uniqueness report of the compatible entwining map: its
+    solution-space dimension, or the note of why the system does not apply."""
+    check_id = f"{prefix}.entwining-unique"
+    if uniq.applicable:
+        report.add(
+            check_id,
+            "the compatible entwining map is unique (solution space dimension 0)",
+            bool(uniq.unique),
+            {"solution_space_dim": uniq.solution_space_dim},
+        )
+    else:
+        report.skip(check_id, "the compatible entwining map is unique", uniq.note)
+
+
 def _require(doc: StructureDocument, suite: str, **needs):
     for section, present in needs.items():
         if not present:
@@ -159,16 +174,7 @@ def run_galois(doc: StructureDocument) -> SuiteReport:
         detail["translation"] = matrix_detail(doc.field, cert.translation)
         detail["psi"] = matrix_detail(doc.field, cert.psi.psi)
     report.add("galois.verdict", "the extension is coalgebra-Galois", cert.is_galois, detail)
-    uniq = entwining_uniqueness(cert)
-    if uniq.applicable:
-        report.add(
-            "galois.entwining-unique",
-            "the compatible entwining map is unique (solution space dimension 0)",
-            bool(uniq.unique),
-            {"solution_space_dim": uniq.solution_space_dim},
-        )
-    else:
-        report.skip("galois.entwining-unique", "the compatible entwining map is unique", uniq.note)
+    _add_uniqueness(report, "galois", entwining_uniqueness(cert))
     seq = differential_sequence(cert)
     report.add(
         "galois.differential-sequence",
@@ -280,16 +286,7 @@ def run_cogalois(doc: StructureDocument) -> SuiteReport:
         detail["cotranslation"] = matrix_detail(doc.field, cert.cotranslation)
         detail["psi"] = matrix_detail(doc.field, cert.psi.psi)
     report.add("cogalois.verdict", "the coextension is algebra-Galois", cert.is_coextension, detail)
-    uniq = dual_uniqueness(cert)
-    if uniq.applicable:
-        report.add(
-            "cogalois.entwining-unique",
-            "the compatible entwining map is unique (solution space dimension 0)",
-            bool(uniq.unique),
-            {"solution_space_dim": uniq.solution_space_dim},
-        )
-    else:
-        report.skip("cogalois.entwining-unique", "the compatible entwining map is unique", uniq.note)
+    _add_uniqueness(report, "cogalois", dual_uniqueness(cert))
     if cert.is_coextension and doc.characters:
         for name, coords in doc.characters:
             # the bundle of x* at kappa; its invariants annihilate the coideal

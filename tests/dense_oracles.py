@@ -71,13 +71,15 @@ The document reader that docformat replaced with one pass into per-row
 dicts closes the module: each sparse entry checked key by key into an
 (index..., c) tuple, its coefficient parsed on its own, and the tuples
 remapped to cells and handed to ``Matrix.from_triples``, which re-checks
-every range and sorts all cells at once.
+every range and sorts all cells at once.  After it comes k^G built from the
+group table, which the catalogue now builds as the dual of k[G].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from entwine.catalogue import _group_data
 from entwine.cogalois import _decide_onto_cotensor, quotient_coalgebra
 from entwine.cogenerate import COGENERATES, DOES_NOT_COGENERATE, INCONCLUSIVE
 from entwine.entwining import EntwiningStructure, entwined_module_check, validate_entwining
@@ -107,6 +109,9 @@ from entwine.exactlin import (
 from entwine.galois import DifferentialSequenceReport, _quotient_right_action
 from entwine.structures import (
     AxiomCheck,
+    FiniteAlgebra,
+    FiniteCoalgebra,
+    HopfAlgebra,
     ModuleCoalgebra,
     RightComodule,
     RightModule,
@@ -1082,3 +1087,19 @@ def read_sparse_by_triples(reader, field, value, path, dims, shape=None, at=None
             entries.append((*idx, c))
     rows, cols = shape or dims
     return Matrix.from_triples(rows, cols, ((*(at(*e[:-1]) if at else e[:-1]), e[-1]) for e in entries), field)
+
+
+def dual_group_algebra_by_table(params, field) -> HopfAlgebra:
+    """Functions on G read off the group table: orthogonal idempotents p_g,
+    coproduct(p_g) the sum of p_i (x) p_j over ij = g, antipode p_g -> p_(g^-1)."""
+    names, table, inverse = _group_data(params)
+    n = len(names)
+    zero, one = field.zero, field.one
+    mult = Matrix.from_triples(n, n * n, ((i, i * n + i, one) for i in range(n)), field)
+    comult = Matrix.from_triples(n * n, n, ((i * n + j, table[i][j], one) for i in range(n) for j in range(n)), field)
+    counit = tuple(one if i == 0 else zero for i in range(n))
+    antipode = Matrix.from_triples(n, n, ((i, inverse[i], one) for i in range(n)), field)
+    dual_names = tuple(f"p[{x}]" for x in names)
+    algebra = FiniteAlgebra(n, dual_names, mult, (one,) * n, field)
+    coalgebra = FiniteCoalgebra(n, dual_names, comult, counit, field)
+    return HopfAlgebra(algebra, coalgebra, antipode)

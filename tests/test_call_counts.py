@@ -416,8 +416,10 @@ def test_extensions_q_pass_relabels_placed_blocks(count_calls, monkeypatch):
     # one pass of the benchmark's extensions-q checks: a placed operand of a
     # leg product with K > 1 relabels the other's indexes, so only blocks
     # by unplaced operands move rows; 1935 _moved and 1587 _summed calls
-    # when only K = 1 placed
-    assert counts == {"_moved": 272, "_summed": 1218}
+    # when only K = 1 placed, and 1218 _summed while structure_maps_to_psi
+    # also formed mu(unit (x) C (x) A), which pair-compatibility already
+    # equates with the psi it reads from delta
+    assert counts == {"_moved": 272, "_summed": 1208}
 
 
 def test_s4_cogalois_over_gf7_packs_no_operand(count_calls):

@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracles import dual_group_algebra_by_table
 from entwine.catalogue import (
     EXAMPLE_NAMES,
     build,
@@ -12,7 +13,7 @@ from entwine.catalogue import (
 from entwine.cogalois import coideal_checks
 from entwine.errors import BadParams, UnknownExample
 from entwine.exactlin import quotient
-from entwine.fields import GF
+from entwine.fields import GF, QQ
 from entwine.galois import galois_check
 from entwine.structures import (
     validate_comodule,
@@ -127,6 +128,23 @@ class TestDualGroupAlgebra:
     def test_counit_is_character_in_dual(self):
         h = dual_group_algebra({"group": "S3"})
         assert verify_character(h.algebra, h.coalgebra.counit)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"group": "Z1"},
+            {"group": "Z2"},
+            {"group": "Z3"},
+            {"group": "Z4"},
+            {"group": "S3"},
+            {"table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], "names": "e,a,b,ab"},
+        ],
+        ids=["Z1", "Z2", "Z3", "Z4", "S3", "table"],
+    )
+    def test_dual_of_group_algebra_matches_the_table(self, params, field):
+        # names, structure constants, unit, counit and antipode
+        assert dual_group_algebra(params, field) == dual_group_algebra_by_table(params, field)
 
 
 class TestCosetCoideal:
